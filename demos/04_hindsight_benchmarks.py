@@ -1,7 +1,9 @@
 """The three hindsight baselines and their validation oracle.
 
-All three solvers run projected gradient descent with adjoint gradients;
-the fixed-input one is cross-checked against brute force on a grid.
+Each solver assembles its objective once as a quadratic in the decision
+variable (the costs here are quadratic, which the solvers require) and
+runs projected gradient descent on it; the fixed-input one is
+cross-checked against brute force on a grid.
 """
 
 import numpy as np

@@ -1,9 +1,13 @@
 """Offline best-in-hindsight solvers defining the regret baselines.
 
-All three solvers (best fixed input, best steady state, best
-disturbance-action blocks) run first-order projected descent with a
-backtracking line search, with gradients propagated through the linear
-dynamics by the adjoint recursion.  A brute-force grid oracle validates
+With quadratic costs, each hindsight problem (best fixed input, best
+steady state, best disturbance-action blocks) is a small quadratic in its
+decision variable, because the trajectory is affine in it.  Each solver
+assembles that quadratic once, f(x) = x^T H x + 2 g^T x + k, from the
+per-step costs and the state's response to the decision variable, and
+then runs projected descent with a backtracking line search on the
+assembled model; no descent iteration simulates the plant.  The solvers
+accept quadratic cost batches only.  A brute-force grid oracle validates
 the fixed-input solver on low-dimensional inputs.
 """
 
@@ -131,12 +135,74 @@ def _constant_input_states(sys: LtiSystem, x1, u, w_seq) -> np.ndarray:
 
 
 def _disturbance_response(sys: LtiSystem, w_seq: np.ndarray) -> np.ndarray:
+    """Zero-state response to the forcing sequence ``w_seq`` (T-1 rows).
+
+    Rows are either state vectors (a disturbance sequence, giving a
+    (T, N) trajectory) or (N, P) matrices (the forcing of P directions at
+    once, giving the (T, N, P) response to each).
+    """
     horizon = w_seq.shape[0] + 1
-    xd = np.empty((horizon, sys.state_dim))
+    xd = np.empty((horizon,) + w_seq.shape[1:])
     xd[0] = 0.0
     for t in range(horizon - 1):
         xd[t + 1] = sys.a @ xd[t] + w_seq[t]
     return xd
+
+
+@dataclass(frozen=True)
+class _Quadratic:
+    """f(x) = x^T H x + 2 g^T x + k over the flattened decision variable."""
+
+    h: np.ndarray
+    g: np.ndarray
+    k: float
+
+    def value(self, x) -> float:
+        v = np.ravel(x)
+        return float(v @ (self.h @ v + 2.0 * self.g)) + self.k
+
+    def grad(self, x) -> np.ndarray:
+        v = np.ravel(x)
+        return (2.0 * (self.h @ v + self.g)).reshape(np.shape(x))
+
+
+def _assemble_quadratic(costs, offsets: np.ndarray, response: np.ndarray, n_blocks: int = 1) -> _Quadratic:
+    """Assemble sum_t f_t(x_t) as a quadratic in the decision variable.
+
+    The trajectory is x_t = offsets[t] + sum_j J_t^(j) x^(j), where the
+    decision variable splits into ``n_blocks`` blocks of P entries and
+    block j acts through the (T, N, P) ``response`` delayed by j steps:
+    J_t^(j) = response[t - j], and zero for t < j.  Only that one response
+    is stored, never the full (T, N, n_blocks * P) Jacobian.
+    """
+    stacked = stack_quadratics(costs)
+    if stacked is None:
+        raise InvalidInputError(
+            "hindsight solvers need quadratic costs; got a batch with a non-quadratic cost"
+        )
+    qs, cs = stacked
+    horizon, _, p = response.shape
+    d = offsets - cs
+    qd = np.einsum("tij,tj->ti", qs, d)
+    h = np.zeros((n_blocks, p, n_blocks, p))
+    g = np.zeros((n_blocks, p))
+    for b in range(min(n_blocks, horizon)):
+        # Q_t J_t^(b) for t >= b, rows ordered by (t, state)
+        q_resp = np.matmul(qs[b:], response[: horizon - b]).reshape(-1, p)
+        for a in range(b + 1):
+            block = response[b - a : horizon - a].reshape(-1, p).T @ q_resp
+            h[a, :, b] = block
+            h[b, :, a] = block.T
+        g[b] = response[: horizon - b].reshape(-1, p).T @ qd[b:].ravel()
+    size = n_blocks * p
+    return _Quadratic(h=h.reshape(size, size), g=g.ravel(), k=float(np.vdot(d, qd)))
+
+
+def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
+    """Total cost of the constant input u, with x_t = x_t^0 + G_t u."""
+    gains = _disturbance_response(sys, np.broadcast_to(sys.b, (w_seq.shape[0],) + sys.b.shape))
+    offsets = _constant_input_states(sys, x1, np.zeros(sys.input_dim), w_seq)
+    return _assemble_quadratic(costs, offsets, gains)
 
 
 def best_fixed_input(
@@ -151,9 +217,10 @@ def best_fixed_input(
     """Best time-invariant input in hindsight.
 
     Minimizes the cumulative cost of the constant-input trajectory over
-    the input box; the trajectory is affine in u so the problem is
-    convex.  The gradient sums the per-slot adjoint gradients since every
-    slot shares the same input.
+    the input box.  The trajectory is affine in u, x_t(u) = x_t^0 + G_t u
+    with G_1 = 0 and G_{t+1} = A G_t + B, so the objective is a convex
+    quadratic in u; it is assembled once and minimized by projected
+    descent.
 
     The optimum's value is computed twice -- on the disturbed trajectory
     directly, and through the nominal trajectory with shifted costs --
@@ -164,17 +231,9 @@ def best_fixed_input(
     w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
     if len(costs) != w_seq.shape[0] + 1:
         raise InvalidInputError("need one more cost than disturbances")
-
-    def value_fn(u):
-        return float(np.sum(_cost_values(costs, _constant_input_states(sys, x1, u, w_seq))))
-
-    def grad_fn(u):
-        states = _constant_input_states(sys, x1, u, w_seq)
-        lam = _adjoint_states(sys, _cost_grads(costs, states))
-        return lam[1:].sum(axis=0) @ sys.b
-
+    model = _fixed_input_model(sys, x1, w_seq, costs)
     u_star, _, iters, converged = _projected_descent(
-        value_fn, grad_fn, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
+        model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
     )
     states = _constant_input_states(sys, x1, u_star, w_seq)
     step_costs = _cost_values(costs, states)
@@ -192,6 +251,15 @@ def best_fixed_input(
     )
 
 
+def _steady_state_model(sys: LtiSystem, costs) -> _Quadratic:
+    """Total cost of holding the steady state x = S u at every step."""
+    s = sys.steady_state_gain
+    horizon = len(costs)
+    return _assemble_quadratic(
+        costs, np.zeros((horizon, sys.state_dim)), np.broadcast_to(s, (horizon,) + s.shape)
+    )
+
+
 def best_steady_state(
     costs,
     sys: LtiSystem,
@@ -202,26 +270,17 @@ def best_steady_state(
     """Best fixed point of the steady-state manifold in hindsight.
 
     Works in the input parametrization x = S u, so the feasible set is
-    the input box and the projection is a clamp.
+    the input box and the projection is a clamp.  Every step sees the
+    same state, so the assembled quadratic has H = S^T (sum_t Q_t) S.
     """
     costs = list(costs)
     if not costs:
         raise InvalidInputError("cost sequence is empty")
-    s = sys.steady_state_gain
-
-    def value_fn(u):
-        x = s @ u
-        return float(np.sum(_cost_values(costs, np.broadcast_to(x, (len(costs), x.shape[0])))))
-
-    def grad_fn(u):
-        x = s @ u
-        total = _cost_grads(costs, np.broadcast_to(x, (len(costs), x.shape[0]))).sum(axis=0)
-        return s.T @ total
-
+    model = _steady_state_model(sys, costs)
     u_star, _, iters, converged = _projected_descent(
-        value_fn, grad_fn, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
+        model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
     )
-    x_star = s @ u_star
+    x_star = sys.steady_state_gain @ u_star
     step_costs = _cost_values(costs, np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
     return BenchmarkResult(
         optimizer=x_star,
@@ -243,6 +302,19 @@ def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
     return u
 
 
+def _dac_model(sys: LtiSystem, x1, w_seq, costs, h_mem: int) -> _Quadratic:
+    """Total cost of the disturbance-action blocks, flattened (h_mem, M, N)."""
+    n, m = sys.state_dim, sys.input_dim
+    horizon_inputs = w_seq.shape[0]
+    # entry (i, j) of block 1 forces the state with B[:, i] * w_{t-1}[j]
+    forcing = np.zeros((horizon_inputs, n, m, n))
+    forcing[1:] = np.einsum("ki,tj->tkij", sys.b, w_seq[:-1])
+    response = _disturbance_response(sys, forcing.reshape(horizon_inputs, n, m * n))
+    return _assemble_quadratic(
+        costs, _constant_input_states(sys, x1, np.zeros(m), w_seq), response, n_blocks=h_mem
+    )
+
+
 def best_dac(
     sys: LtiSystem,
     x1,
@@ -258,9 +330,13 @@ def best_dac(
 
     The nominal trajectory is affine in the blocks, so minimizing the
     shifted-cost total over the per-block Frobenius balls (radii decaying
-    as radius * (1-gamma)^i) is convex.  Costs are realized by evaluating
-    the original costs on the full trajectory (nominal plus disturbance
-    response), which equals the shifted-cost total identically.
+    as radius * (1-gamma)^i) is convex.  Block j feeds w_{t-j} into the
+    input, so the state's response to block j is the response to block 1
+    delayed by j-1 steps; the quadratic is assembled from that one
+    (T, N, M*N) response and minimized by projected descent.  Costs are
+    realized by evaluating the original costs on the full trajectory
+    (nominal plus disturbance response), which equals the shifted-cost
+    total identically.
     """
     costs = list(costs)
     x1 = as_vector(x1, "initial state")
@@ -270,39 +346,19 @@ def best_dac(
     if gamma is None:
         gamma = certify_strong_stability(sys.a).gamma
     radii = float(radius) * (1.0 - gamma) ** np.arange(h_mem)
-    xd = _disturbance_response(sys, w_seq)
-
-    def full_states(blocks):
-        nominal = simulate(sys, x1, _dac_inputs(blocks, w_seq))
-        return nominal + xd
-
-    def value_fn(blocks):
-        return float(np.sum(_cost_values(costs, full_states(blocks))))
-
-    def grad_fn(blocks):
-        states = full_states(blocks)
-        lam = _adjoint_states(sys, _cost_grads(costs, states))
-        q = lam[1:] @ sys.b  # per-slot input gradients, (T-1, M)
-        grads = np.zeros_like(blocks)
-        horizon_inputs = w_seq.shape[0]
-        for j in range(1, h_mem + 1):
-            if j < horizon_inputs + 1:
-                grads[j - 1] = q[j:].T @ w_seq[: horizon_inputs - j]
-        return grads
-
-    blocks0 = np.zeros((h_mem, sys.input_dim, sys.state_dim))
+    model = _dac_model(sys, x1, w_seq, costs, h_mem)
     blocks, _, iters, converged = _projected_descent(
-        value_fn,
-        grad_fn,
-        lambda m: project_dac_blocks(m, radii),
-        blocks0,
+        model.value,
+        model.grad,
+        lambda b: project_dac_blocks(b, radii),
+        np.zeros((h_mem, sys.input_dim, sys.state_dim)),
         move_tol,
         max_iter,
     )
-    states = full_states(blocks)
-    step_costs = _cost_values(costs, states)
+    inputs = _dac_inputs(blocks, w_seq)
+    step_costs = _cost_values(costs, simulate(sys, x1, inputs) + _disturbance_response(sys, w_seq))
     # dual route: simulate the disturbed system directly under the same inputs
-    direct = simulate(sys, x1, _dac_inputs(blocks, w_seq), w_seq)
+    direct = simulate(sys, x1, inputs, w_seq)
     value_direct = float(np.sum(_cost_values(costs, direct)))
     return BenchmarkResult(
         optimizer=blocks,

@@ -66,10 +66,33 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
+_SOLVERS = (("bench_u", "best_fixed_input"), ("bench_m", "best_dac"), ("bench_x", "best_steady_state"))
+
+
+def _solves(record):
+    """(field, solver name, result) for each hindsight solve of a run."""
+    for attr, solver in _SOLVERS:
+        result = getattr(record, attr)
+        if result is not None:
+            yield attr, solver, result
+
+
+def _warn_unconverged(record) -> None:
+    for _, solver, result in _solves(record):
+        if not result.converged:
+            print(
+                f"warning: run {record.run_index}: {solver} did not converge "
+                f"in {result.iterations} iterations",
+                file=sys.stderr,
+            )
+
+
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     result = run_experiment(cfg)
     print(f"wrote {len(result.reports)} run file(s) to {result.output_dir}")
+    for record in result.records:
+        _warn_unconverged(record)
     for k, msg in sorted(result.failures.items()):
         print(f"run {k} failed: {msg}", file=sys.stderr)
     return 2 if result.failures else 0
@@ -80,10 +103,12 @@ def _cmd_bench(args) -> int:
     for k in range(cfg.n_runs):
         record = run_one_seed(cfg, k, kinds=(), with_benchmarks=False)
         solve_run_benchmarks(cfg, record)
-        line = f"run {k}: bench_u={record.bench_u.value:.6f} bench_m={record.bench_m.value:.6f}"
-        if record.bench_x is not None:
-            line += f" bench_x={record.bench_x.value:.6f}"
-        print(line)
+        fields = [
+            f"{attr}={res.value:.6f} (iterations={res.iterations}, converged={res.converged})"
+            for attr, _, res in _solves(record)
+        ]
+        print(f"run {k}: " + " ".join(fields))
+        _warn_unconverged(record)
     return 0
 
 

@@ -181,12 +181,9 @@ def olcxu_update(state: OlcXuState, delta_x, delta_u, sys: LtiSystem, u_set: Box
 
 def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Scale each matrix block into its Frobenius ball of radius radii[i]."""
-    projected = blocks.copy()
-    for i in range(blocks.shape[0]):
-        norm = float(np.linalg.norm(blocks[i]))
-        if norm > radii[i]:
-            projected[i] *= radii[i] / norm if norm > 0.0 else 0.0
-    return projected
+    norms = np.linalg.norm(blocks, axis=(1, 2))
+    scale = np.divide(radii, norms, out=np.ones_like(norms), where=(norms > radii) & (norms > 0.0))
+    return blocks * scale[:, None, None]
 
 
 class DacController:

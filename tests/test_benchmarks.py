@@ -15,7 +15,15 @@ from olcontrol import (
     grid_oracle_fixed_input,
     simulate,
 )
-from olcontrol.benchmarks import _dac_inputs
+from olcontrol.benchmarks import (
+    _adjoint_states,
+    _cost_grads,
+    _cost_values,
+    _dac_inputs,
+    _dac_model,
+    _fixed_input_model,
+    _steady_state_model,
+)
 from olcontrol.controllers import project_dac_blocks
 
 
@@ -209,7 +217,7 @@ class TestBestDac:
         costs = random_quadratics(rng, horizon)
         w_seq = rng.uniform(-0.4, 0.4, (horizon - 1, 3))
         x1 = rng.standard_normal(3)
-        from olcontrol.benchmarks import _adjoint_states, _cost_grads, _cost_values, _disturbance_response
+        from olcontrol.benchmarks import _disturbance_response
 
         xd = _disturbance_response(sys, w_seq)
 
@@ -241,13 +249,128 @@ class TestBestDac:
         w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
         res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0, gamma=gamma)
         radii = (1 - gamma) ** np.arange(3)
-        from olcontrol.benchmarks import _cost_values, _disturbance_response
+        from olcontrol.benchmarks import _disturbance_response
 
         xd = _disturbance_response(ring_system, w_seq)
         for _ in range(100):
             blocks = project_dac_blocks(rng.standard_normal((3, 2, 3)), radii)
             nominal = simulate(ring_system, np.zeros(3), _dac_inputs(blocks, w_seq))
             assert res.value <= float(np.sum(_cost_values(costs, nominal + xd))) + 1e-8
+
+
+def random_instance(seed, horizon=40):
+    rng = np.random.default_rng(seed)
+    sys = random_small_system(rng)
+    costs = random_quadratics(rng, horizon)
+    w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
+    return rng, sys, costs, w_seq, rng.standard_normal(3)
+
+
+def simulated_total(sys, x1, u_seq, w_seq, costs) -> float:
+    return float(np.sum(_cost_values(costs, simulate(sys, x1, u_seq, w_seq))))
+
+
+def dac_block_grads(sys, x1, blocks, w_seq, costs) -> np.ndarray:
+    q = adjoint_input_gradients(sys, x1, _dac_inputs(blocks, w_seq), w_seq, costs)
+    inputs = w_seq.shape[0]
+    return np.stack([q[j:].T @ w_seq[: inputs - j] for j in range(1, blocks.shape[0] + 1)])
+
+
+def fixed_point_residual(x, grad, project, step=1e-2) -> float:
+    """||x - Proj(x - step * grad)||, zero exactly at a constrained minimizer."""
+    return float(np.linalg.norm(x - project(x - step * grad)))
+
+
+class TestFirstOrderOptimality:
+    """The solvers descend on assembled quadratics; these checks take the
+    gradient from simulation and the adjoint recursion instead, so a wrong
+    assembly shows as an optimizer that is not a fixed point of the
+    projected gradient step."""
+
+    TOL = 1e-7
+    BOX = BoxSet.symmetric(1.0, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixed_input(self, seed):
+        _, sys, costs, w_seq, x1 = random_instance(seed)
+        res = best_fixed_input(sys, x1, w_seq, costs, self.BOX)
+        u_seq = np.tile(res.optimizer, (w_seq.shape[0], 1))
+        grad = adjoint_input_gradients(sys, x1, u_seq, w_seq, costs).sum(axis=0)
+        assert fixed_point_residual(res.optimizer, grad, self.BOX.clamp) <= self.TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steady_state(self, seed):
+        _, sys, costs, _, _ = random_instance(seed)
+        res = best_steady_state(costs, sys, self.BOX)
+        s = sys.steady_state_gain
+        u_star = np.linalg.lstsq(s, res.optimizer, rcond=None)[0]
+        states = np.broadcast_to(res.optimizer, (len(costs), 3))
+        grad = s.T @ _cost_grads(costs, states).sum(axis=0)
+        assert fixed_point_residual(u_star, grad, self.BOX.clamp) <= self.TOL
+
+    @pytest.mark.parametrize("seed, h_mem", [(0, 3), (1, 4), (2, 5), (3, 3)])
+    def test_dac(self, seed, h_mem):
+        _, sys, costs, w_seq, x1 = random_instance(seed)
+        radii = 0.7 ** np.arange(h_mem)
+        res = best_dac(sys, x1, w_seq, costs, h_mem=h_mem, radius=1.0, gamma=0.3)
+        grad = dac_block_grads(sys, x1, res.optimizer, w_seq, costs)
+        residual = fixed_point_residual(res.optimizer, grad, lambda m: project_dac_blocks(m, radii))
+        assert residual <= self.TOL
+
+
+class TestAssembledModels:
+    """The assembled quadratic equals the simulated total cost everywhere."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixed_input(self, seed):
+        rng, sys, costs, w_seq, x1 = random_instance(seed)
+        model = _fixed_input_model(sys, x1, w_seq, costs)
+        for _ in range(10):
+            u = rng.uniform(-1.0, 1.0, 2)
+            direct = simulated_total(sys, x1, np.tile(u, (w_seq.shape[0], 1)), w_seq, costs)
+            assert model.value(u) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_steady_state(self, seed):
+        rng, sys, costs, _, _ = random_instance(seed)
+        model = _steady_state_model(sys, costs)
+        for _ in range(10):
+            u = rng.uniform(-1.0, 1.0, 2)
+            x = sys.steady_state_gain @ u
+            direct = sum(c.value(x) for c in costs)
+            assert model.value(u) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("seed, h_mem", [(0, 3), (1, 4), (2, 6)])
+    def test_dac(self, seed, h_mem):
+        rng, sys, costs, w_seq, x1 = random_instance(seed)
+        model = _dac_model(sys, x1, w_seq, costs, h_mem)
+        radii = 0.7 ** np.arange(h_mem)
+        for _ in range(10):
+            blocks = project_dac_blocks(rng.standard_normal((h_mem, 2, 3)), radii)
+            direct = simulated_total(sys, x1, _dac_inputs(blocks, w_seq), w_seq, costs)
+            assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
+
+    def test_memory_longer_than_horizon(self, ring_system, rng):
+        costs = random_quadratics(rng, 4)
+        w_seq = rng.uniform(-0.5, 0.5, (3, 3))
+        model = _dac_model(ring_system, np.zeros(3), w_seq, costs, h_mem=6)
+        blocks = rng.standard_normal((6, 2, 3))
+        direct = simulated_total(ring_system, np.zeros(3), _dac_inputs(blocks, w_seq), w_seq, costs)
+        assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
+
+
+class TestQuadraticOnly:
+    def test_non_quadratic_batch_rejected(self, ring_system, rng):
+        costs = random_quadratics(rng, 10)
+        costs[4] = ConstantCost()
+        w_seq = rng.uniform(-0.5, 0.5, (9, 3))
+        box = BoxSet.symmetric(1.0, 2)
+        with pytest.raises(InvalidInputError, match="quadratic"):
+            best_fixed_input(ring_system, np.zeros(3), w_seq, costs, box)
+        with pytest.raises(InvalidInputError, match="quadratic"):
+            best_steady_state(costs, ring_system, box)
+        with pytest.raises(InvalidInputError, match="quadratic"):
+            best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0, gamma=0.3)
 
 
 class TestGridOracle:

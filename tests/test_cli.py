@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import olcontrol.harness
 from olcontrol.cli import cli_main
 
 
@@ -76,6 +78,41 @@ class TestBench:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2
         assert out[0].startswith("run 0: bench_u=") and "bench_m=" in out[0]
+        assert out[0].count("converged=True") == 2 and "iterations=" in out[0]
+        assert capsys.readouterr().err == ""
+
+
+def force_unconverged(monkeypatch, solver: str) -> None:
+    """Make the harness's hindsight solver ``solver`` report converged=False."""
+    solve = getattr(olcontrol.harness, solver)
+    monkeypatch.setattr(
+        olcontrol.harness, solver,
+        lambda *args, **kwargs: replace(solve(*args, **kwargs), converged=False),
+    )
+
+
+class TestUnconvergedWarning:
+    def test_bench_warns(self, tiny_config_path, monkeypatch, capsys):
+        force_unconverged(monkeypatch, "best_fixed_input")
+        assert cli_main(["bench", "--config", str(tiny_config_path)]) == 0
+        captured = capsys.readouterr()
+        assert "bench_u=" in captured.out and "converged=False" in captured.out
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 2
+        assert "run 0" in warnings[0] and "best_fixed_input" in warnings[0]
+        assert "run 1" in warnings[1] and "best_fixed_input" in warnings[1]
+
+    def test_run_warns_without_changing_csvs(self, tiny_config_path, tmp_path, monkeypatch, capsys):
+        clean, flagged = tmp_path / "clean", tmp_path / "flagged"
+        assert cli_main(["run", "--config", str(tiny_config_path), "--out", str(clean)]) == 0
+        assert capsys.readouterr().err == ""
+        force_unconverged(monkeypatch, "best_dac")
+        assert cli_main(["run", "--config", str(tiny_config_path), "--out", str(flagged)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2 and all("best_dac" in w for w in warnings)
+        assert "run 0" in warnings[0] and "run 1" in warnings[1]
+        for name in ("run_0.csv", "run_1.csv", "summary.csv", "benchmarks.csv"):
+            assert (clean / name).read_bytes() == (flagged / name).read_bytes()
 
 
 class TestUsage:
