@@ -15,7 +15,7 @@ import numpy as np
 from .costs import CostOracle
 from .errors import InvalidInputError, ProjectionFailureError
 from .linalg import as_vector, spectral_norm
-from .system import BoxSet, LtiSystem, StabilityCert, input_for_steady_state
+from .system import BoxSet, LtiSystem, StabilityCert
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
 PROJECTION_MAX_ITER = 5000
@@ -122,9 +122,14 @@ class OlcController:
         self.z = sys.steady_state_gain @ self._u
 
     def act(self, x) -> np.ndarray:
-        """Input holding the plant at the current target (clamped into the box)."""
-        u = input_for_steady_state(self.sys, self.z)
-        return self.u_set.clamp(u)
+        """Input holding the plant at the current target: ``S u = z``, u in the box.
+
+        This is the input the projection found (``z = S u`` by
+        construction).  When B has full column rank it is the only such
+        input; when B is rank-deficient it need not be the minimum-norm
+        solution of ``B u = (I - A) z``.
+        """
+        return self._u.copy()
 
     def observe(self, delta, x_next=None) -> None:
         """One projected gradient step on the target state."""

@@ -7,23 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, as_vector, batch_spectral_norms, spectral_norm
+from .linalg import as_matrix, as_vector, batch_spectral_norms
 from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
-RAYLEIGH_TOL = -1e-10
-_N_RAYLEIGH = 50
-_rayleigh_dirs_cache: dict[int, np.ndarray] = {}
-
-
-def _rayleigh_directions(dim: int) -> np.ndarray:
-    """Fixed unit directions for the construction-time PSD spot check."""
-    if dim not in _rayleigh_dirs_cache:
-        rng = np.random.default_rng(20240517)
-        dirs = rng.standard_normal((_N_RAYLEIGH, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        _rayleigh_dirs_cache[dim] = dirs
-    return _rayleigh_dirs_cache[dim]
+PSD_TOL = -1e-10         # smallest eigenvalue accepted as semidefinite
 
 
 class CostOracle(ABC):
@@ -40,7 +28,12 @@ class CostOracle(ABC):
 
 @dataclass(frozen=True)
 class QuadraticCost(CostOracle):
-    """f(x) = (x - c)^T Q (x - c) with symmetric PSD Q."""
+    """f(x) = (x - c)^T Q (x - c) with symmetric PSD Q.
+
+    Construction rejects a Q that is not symmetric to SYMMETRY_TOL
+    (relative) or whose smallest eigenvalue (``np.linalg.eigvalsh``) is
+    below PSD_TOL.
+    """
 
     q: np.ndarray
     c: np.ndarray
@@ -55,11 +48,10 @@ class QuadraticCost(CostOracle):
         asym = float(np.max(np.abs(q - q.T))) if q.size else 0.0
         if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(q)))):
             raise InvalidInputError(f"Q is not symmetric (max asymmetry {asym:.3e})")
-        dirs = _rayleigh_directions(q.shape[0])
-        quotients = np.einsum("ki,ij,kj->k", dirs, q, dirs)
-        if np.min(quotients) < RAYLEIGH_TOL:
+        min_eig = float(np.linalg.eigvalsh(q)[0]) if q.size else 0.0
+        if min_eig < PSD_TOL:
             raise InvalidInputError(
-                f"Q fails the positive-semidefiniteness spot check (min quotient {np.min(quotients):.3e})"
+                f"Q is not positive semidefinite (smallest eigenvalue {min_eig:.3e})"
             )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", c)
@@ -122,10 +114,9 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> SmoothnessPar
     if not costs:
         raise InvalidInputError("cost sequence is empty")
     shapes = {cost.q.shape for cost in costs}
-    if len(shapes) == 1:
-        max_q = float(np.max(batch_spectral_norms(np.stack([cost.q for cost in costs]))))
-    else:
-        max_q = max(spectral_norm(cost.q) for cost in costs)
+    if len(shapes) != 1:
+        raise InvalidInputError(f"cost batch mixes Q shapes {sorted(shapes)}")
+    max_q = float(np.max(batch_spectral_norms(np.stack([cost.q for cost in costs]))))
     l = 2.0 * max_q * (bound.d + float(c_max)) / bound.d
     # all-zero cost batches would give L = 0 and an undefined step size;
     # clamp like the state bound does

@@ -264,20 +264,8 @@ class RunParams:
     eta: float
 
 
-_cert_cache: dict[bytes, StabilityCert] = {}
-
-
-def _cached_cert(a: np.ndarray) -> StabilityCert:
-    # certification scans 200 matrix powers; it is a pure function of A,
-    # so runs sharing a plant share the certificate
-    key = np.ascontiguousarray(a).tobytes()
-    if key not in _cert_cache:
-        _cert_cache[key] = certify_strong_stability(a)
-    return _cert_cache[key]
-
-
 def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
-    cert = _cached_cert(cfg.a)
+    cert = certify_strong_stability(cfg.a)
     bound = state_bound(cert, cfg.system(), cfg.x1, cfg.u_box, cfg.w_box)
     # the smoothness formula needs a bound on ||c_t||; targets are drawn
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)

@@ -1,16 +1,14 @@
 """Dense linear-algebra kernels used throughout the package.
 
-Everything here is deterministic: the power iteration uses fixed start
-vectors and least squares goes through an SVD, so repeated calls on the
-same inputs give bit-identical results.
+Spectral norms and least squares both go through LAPACK's SVD, so norms
+are exact to roundoff (not estimates converging from below) and repeated
+calls on the same inputs give bit-identical results.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-NORM_TOL = 1e-10        # relative convergence tolerance of the power iteration
-POWER_ITER_CAP = 10_000
 LSQ_REG = 1e-12         # relative singular-value cutoff for least squares
 
 
@@ -34,80 +32,24 @@ def as_vector(v, name="vector") -> np.ndarray:
     return arr
 
 
-def _power_iteration(gram: np.ndarray, start: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD matrix from one fixed start vector."""
-    v = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(POWER_ITER_CAP):
-        y = gram @ v
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        new_lam = float(v @ y)
-        v = y / norm_y
-        if abs(new_lam - lam) <= NORM_TOL * max(abs(new_lam), np.finfo(float).tiny):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def spectral_norm(m) -> float:
-    """Largest singular value of ``m`` via power iteration on ``m.T @ m``.
-
-    Two fixed start vectors are used (normalized all-ones, then a
-    normalized ramp 1..n) and the larger estimate wins.  A single fixed
-    start can sit exactly in an invariant subspace of structured
-    matrices -- the all-ones vector is an eigenvector of every circulant
-    matrix, for instance -- and stall on a non-dominant singular value.
-    """
+    """Largest singular value of ``m`` (``np.linalg.norm(m, 2)``)."""
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    gram = m.T @ m
-    n = gram.shape[0]
-    starts = (np.ones(n), 1.0 + np.arange(n, dtype=float))
-    lam = max(_power_iteration(gram, s) for s in starts)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(m, 2))
 
 
 def batch_spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norm of every matrix in a (T, n, m) stack at once.
-
-    Same algorithm and start vectors as :func:`spectral_norm`, with the
-    power iteration running over all T Gram matrices simultaneously; the
-    loop stops when every matrix in the stack has converged.
-    """
+    """Spectral norm of every matrix in a (T, n, m) stack at once."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3:
         raise InvalidInputError(f"expected a (T, n, m) stack, got shape {mats.shape}")
     if not np.isfinite(mats).all():
         raise InvalidInputError("matrix stack contains non-finite entries")
-    count, _, n = mats.shape
-    if count == 0 or n == 0:
-        return np.zeros(count)
-    grams = np.einsum("tji,tjk->tik", mats, mats)
-    best = np.zeros(count)
-    for start in (np.ones(n), 1.0 + np.arange(n, dtype=float)):
-        v = np.broadcast_to(start / np.linalg.norm(start), (count, n)).copy()
-        lam = np.zeros(count)
-        active = np.ones(count, dtype=bool)
-        for _ in range(POWER_ITER_CAP):
-            y = np.einsum("tik,tk->ti", grams[active], v[active])
-            new_lam = np.einsum("ti,ti->t", v[active], y)
-            norm_y = np.linalg.norm(y, axis=1)
-            nonzero = norm_y > 0.0
-            v[active] = np.where(nonzero[:, None], y / np.where(nonzero, norm_y, 1.0)[:, None], v[active])
-            done = np.abs(new_lam - lam[active]) <= NORM_TOL * np.maximum(
-                np.abs(new_lam), np.finfo(float).tiny
-            )
-            done |= ~nonzero
-            lam[active] = new_lam
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-            if not active.any():
-                break
-        best = np.maximum(best, lam)
-    return np.sqrt(np.maximum(best, 0.0))
+    if mats.size == 0:
+        return np.zeros(mats.shape[0])
+    return np.linalg.norm(mats, 2, axis=(1, 2))
 
 
 def solve_least_squares(a, b) -> np.ndarray:

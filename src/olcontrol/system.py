@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidInputError, NotStronglyStableError, UnreachableTargetError
 from .linalg import as_matrix, as_vector, solve_least_squares, spectral_norm, spectral_radius_estimate
 
-K_CHECK = 200            # horizon over which the norm-decay certificate is scanned
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
 RADIUS_POWER = 64        # power used for the construction-time radius estimate
@@ -23,7 +22,12 @@ RADIUS_POWER = 64        # power used for the construction-time radius estimate
 
 @dataclass(frozen=True)
 class StabilityCert:
-    """Decay certificate: ``||A^k|| <= kappa * (1-gamma)**k`` for all k."""
+    """Decay certificate: ``||A^k|| <= kappa * (1-gamma)**k`` for every k >= 0.
+
+    The class only checks the ranges of gamma and kappa; the decay bound
+    itself is what :func:`certify_strong_stability` proves before it
+    builds one.
+    """
 
     gamma: float
     kappa: float
@@ -133,13 +137,19 @@ def step(sys: LtiSystem, x, u, w) -> np.ndarray:
     return sys.a @ x + sys.b @ u + w
 
 
-def certify_strong_stability(a, k_check: int = K_CHECK) -> StabilityCert:
-    """Certify ``||A^k|| <= kappa * (1-gamma)**k`` from the decay of powers.
+def certify_strong_stability(a) -> StabilityCert:
+    """Certify ``||A^k|| <= kappa * (1-gamma)**k`` for every k >= 0.
 
     gamma takes the radius estimate plus a 5% safety margin off the
-    stability gap; kappa is then the smallest constant making the decay
-    inequality hold for k = 0..k_check.  The zero matrix is the one case
-    where gamma = 1 is valid (A^k = 0 for k >= 1).
+    stability gap.  Powers are then scanned up to the first K with
+    ``||A^K|| <= (1-gamma)**K``, and kappa is the smallest constant making
+    the decay inequality hold for k = 0..K-1.  Every k = qK + r with
+    0 <= r < K then follows by submultiplicativity:
+    ``||A^k|| <= ||A^K||**q ||A^r|| <= kappa * (1-gamma)**k``.  Such a
+    K <= RADIUS_POWER exists because ``||A^RADIUS_POWER||`` is the radius
+    estimate to that power and 1-gamma exceeds the estimate; if roundoff
+    defeats that, NotStronglyStableError is raised.  The zero matrix is
+    the one case where gamma = 1 is valid (A^k = 0 for k >= 1).
     """
     a = as_matrix(a, "A")
     if a.shape[0] != a.shape[1]:
@@ -154,11 +164,17 @@ def certify_strong_stability(a, k_check: int = K_CHECK) -> StabilityCert:
     gamma = (1.0 - radius) * (1.0 - STABILITY_MARGIN)
     decay = 1.0 - gamma
     kappa = 1.0
-    power = np.eye(a.shape[0])
-    for k in range(1, k_check + 1):
+    power = a
+    for k in range(1, RADIUS_POWER + 1):
+        ratio = spectral_norm(power) / decay**k
+        if ratio <= 1.0:
+            return StabilityCert(gamma=gamma, kappa=kappa)
+        kappa = max(kappa, ratio)
         power = power @ a
-        kappa = max(kappa, spectral_norm(power) / decay**k)
-    return StabilityCert(gamma=gamma, kappa=kappa)
+    raise NotStronglyStableError(
+        f"no power k <= {RADIUS_POWER} has ||A^k|| <= (1-gamma)^k with gamma = {gamma:.6g}; "
+        "cannot certify strong stability"
+    )
 
 
 def steady_state_of_input(sys: LtiSystem, u) -> np.ndarray:

@@ -117,6 +117,18 @@ class TestOlcController:
         olc = OlcController(ring_system, ring_u_box, eta=0.1, z0=z)
         np.testing.assert_allclose(olc.act(np.zeros(3)), u0, atol=1e-8)
 
+    def test_act_rank_deficient_b(self, ring_matrices):
+        # identical columns: every u with u1 + u2 = 4 holds the plant at z0,
+        # but the minimum-norm one, (2, 2), lies outside the box
+        a, _ = ring_matrices
+        sys = LtiSystem(a, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        box = BoxSet([-1.0, -5.0], [1.0, 5.0])
+        s = sys.steady_state_gain
+        olc = OlcController(sys, box, eta=0.1, z0=s @ np.array([-1.0, 5.0]))
+        u = olc.act(np.zeros(3))
+        assert box.contains(u)
+        np.testing.assert_allclose(s @ u, olc.z, rtol=0.0, atol=1e-12)
+
     def test_update_interior(self, integrator):
         olc = OlcController(integrator, BoxSet([-2.0], [2.0]), eta=0.1, z0=[0.1])
         olc.observe(np.array([2.0]))

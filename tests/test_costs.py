@@ -51,8 +51,13 @@ class TestQuadraticCost:
             QuadraticCost(q=np.array([[1.0, 0.5], [0.0, 1.0]]), c=np.zeros(2))
 
     def test_indefinite_rejected(self):
-        with pytest.raises(InvalidInputError, match="spot check"):
+        with pytest.raises(InvalidInputError, match="semidefinite"):
             QuadraticCost(q=np.diag([1.0, -1.0]), c=np.zeros(2))
+
+    def test_slightly_indefinite_rejected(self):
+        # a negative eigenvalue along one axis, which sampled directions miss
+        with pytest.raises(InvalidInputError, match="semidefinite"):
+            QuadraticCost(q=np.diag([1.0, 1.0, -1e-3]), c=np.zeros(3))
 
     def test_convexity_samples(self, rng):
         for _ in range(10):
@@ -144,6 +149,11 @@ class TestSmoothness:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             smoothness_constant([], StateBound(1.0), c_max=0.0)
+
+    def test_mixed_shapes_rejected(self):
+        costs = [QuadraticCost(q=np.eye(2), c=np.zeros(2)), QuadraticCost(q=np.eye(3), c=np.zeros(3))]
+        with pytest.raises(InvalidInputError, match="mixes"):
+            smoothness_constant(costs, StateBound(1.0), c_max=0.0)
 
 
 class TestFiniteDiff:

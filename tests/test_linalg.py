@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from olcontrol import InvalidInputError, solve_least_squares, spectral_norm, spectral_radius_estimate
+from olcontrol.linalg import batch_spectral_norms
 
 
 class TestSpectralNorm:
@@ -40,6 +41,30 @@ class TestSpectralNorm:
             m = rng.standard_normal((4, 6))
             x = rng.standard_normal(6)
             assert np.linalg.norm(m @ x) <= spectral_norm(m) * np.linalg.norm(x) * (1 + 1e-9)
+
+
+class TestBatchSpectralNorms:
+    def test_matches_svd(self, rng):
+        for shape in ((7, 3, 3), (5, 4, 2), (1, 2, 6)):
+            stack = rng.standard_normal(shape)
+            oracle = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            np.testing.assert_allclose(batch_spectral_norms(stack), oracle, rtol=1e-12)
+
+    def test_empty_stack(self):
+        assert batch_spectral_norms(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_non_finite_rejected(self):
+        stack = np.ones((2, 2, 2))
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            batch_spectral_norms(stack)
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(InvalidInputError):
+            batch_spectral_norms(stack)
+
+    def test_not_a_stack_rejected(self):
+        with pytest.raises(InvalidInputError):
+            batch_spectral_norms(np.eye(3))
 
 
 class TestLeastSquares:

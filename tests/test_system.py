@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import olcontrol.system as system_mod
 from olcontrol import (
     BoxSet,
     InvalidInputError,
@@ -73,14 +74,16 @@ class TestCertify:
         assert 1.0 <= cert.kappa < np.inf
 
     def test_norm_decay_invariant(self, ring_matrices, rng):
-        # independent oracle: exact SVD norms, full certification horizon
+        # independent oracle: exact SVD norms, far past the scanned powers;
+        # the Jordan block's first power with ||A^K|| <= (1-gamma)^K is K = 64
         mats = [ring_matrices[0], np.array([[0.0, 2.0], [0.0, 0.0]])]
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         mats.append(q @ np.diag([0.7, -0.3, 0.1]) @ q.T)
+        mats.append(np.array([[0.9, 10.0], [0.0, 0.9]]))
         for a in mats:
             cert = certify_strong_stability(a)
             power = np.eye(a.shape[0])
-            for k in range(201):
+            for k in range(1001):
                 bound = cert.kappa * (1.0 - cert.gamma) ** k
                 assert np.linalg.norm(power, 2) <= bound * (1 + 1e-9)
                 power = power @ a
@@ -88,6 +91,13 @@ class TestCertify:
     def test_unstable_rejected(self):
         with pytest.raises(NotStronglyStableError, match="1.2"):
             certify_strong_stability([[1.2]])
+
+    def test_no_decayed_power_rejected(self, monkeypatch):
+        # a radius estimate below the true radius 0.9 leaves no k with
+        # ||A^k|| <= (1-gamma)^k, so no certificate may be issued
+        monkeypatch.setattr(system_mod, "spectral_radius_estimate", lambda a, k: 0.5)
+        with pytest.raises(NotStronglyStableError, match="no power"):
+            certify_strong_stability([[0.9]])
 
     def test_cert_validation(self):
         with pytest.raises(InvalidInputError):
