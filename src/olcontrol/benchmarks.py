@@ -415,7 +415,7 @@ def grid_oracle_fixed_input(
         if stacked is not None:
             qs, cs = stacked
             d = states - cs[t]
-            totals += np.einsum("pi,ij,pj->p", d, qs[t], d)
+            totals += ((d @ qs[t]) * d).sum(1)
         else:
             totals += np.array([costs[t].value(states[p]) for p in range(points)])
         if t < len(costs) - 1:

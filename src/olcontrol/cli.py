@@ -15,7 +15,6 @@ from .harness import (
     load_config,
     make_rng,
     run_experiment,
-    solve_run_benchmarks,
     run_one_seed,
 )
 from .linalg import spectral_radius_estimate
@@ -101,8 +100,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
     for k in range(cfg.n_runs):
-        record = run_one_seed(cfg, k, kinds=(), with_benchmarks=False)
-        solve_run_benchmarks(cfg, record)
+        record = run_one_seed(cfg, k, kinds=())
         fields = [
             f"{attr}={res.value:.6f} (iterations={res.iterations}, converged={res.converged})"
             for attr, _, res in _solves(record)

@@ -8,9 +8,7 @@ invocations with the same config produce byte-identical files.
 """
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +28,6 @@ from .system import (
     step,
 )
 
-DEFAULT_Q_SCALE = 1.0
-DEFAULT_Q_RIDGE = 0.1
-DEFAULT_C_MAX = 5.0
 CONTROLLER_KINDS = ("olc", "dac")
 
 
@@ -45,14 +40,14 @@ def default_system_matrices():
 
 @dataclass(frozen=True)
 class CostGenConfig:
-    q_scale: float = DEFAULT_Q_SCALE
-    q_ridge: float = DEFAULT_Q_RIDGE
-    c_max: float = DEFAULT_C_MAX
+    q_scale: float = 1.0
+    q_ridge: float = 0.1
+    c_max: float = 5.0
 
 
 @dataclass(frozen=True)
 class OlcConfig:
-    eta_override: float | None = None
+    eta_override: float | None = None  # defaults to the regret-optimal step
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,13 @@ class DacConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment; every field has its default here.
+
+    Left unset, A and B are the ring plant of :func:`default_system_matrices`,
+    the boxes are ±5 on each input and ±0.5 on each state, and x1 is the
+    origin.  The plant is built once, here, and shared by every run.
+    """
+
     seed: int = 1
     t: int = 1000
     n_runs: int = 20
@@ -77,126 +79,124 @@ class ExperimentConfig:
     disturbances_on: bool = True
     output_dir: str = "results"
     x1: np.ndarray = None
+    _system: LtiSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.a is None or self.b is None:
-            raise ConfigError("system matrices A and B are required")
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        x1 = np.zeros(self.a.shape[0]) if self.x1 is None else np.asarray(self.x1, dtype=float)
-        object.__setattr__(self, "x1", x1)
+        ring_a, ring_b = default_system_matrices()
+        sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
+        n, m = sys.state_dim, sys.input_dim
+        derived = {
+            "_system": sys,
+            "a": sys.a,
+            "b": sys.b,
+            "u_box": BoxSet.symmetric(5.0, m) if self.u_box is None else self.u_box,
+            "w_box": BoxSet.symmetric(0.5, n) if self.w_box is None else self.w_box,
+            "x1": np.zeros(n) if self.x1 is None else np.asarray(self.x1, dtype=float),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def validate(self) -> "ExperimentConfig":
         if self.t < 2:
             raise ConfigError(f"horizon T must be >= 2, got {self.t}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.cost_gen.q_scale <= 0.0:
+        gen = self.cost_gen
+        if not np.isfinite([gen.q_scale, gen.q_ridge, gen.c_max]).all():
+            raise ConfigError("cost_gen values must be finite")
+        if gen.q_scale <= 0.0:
             raise ConfigError("cost_gen.q_scale must be positive")
-        if self.cost_gen.q_ridge < 0.0 or self.cost_gen.c_max < 0.0:
+        if gen.q_ridge < 0.0 or gen.c_max < 0.0:
             raise ConfigError("cost_gen.q_ridge and c_max must be non-negative")
         if self.dac.h_mem < 1:
             raise ConfigError("dac.H_mem must be >= 1")
-        sys = self.system()  # raises if A is unstable or shapes are off
-        if self.u_box.dim != sys.input_dim:
+        for name, value in (("olc.eta_override", self.olc.eta_override),
+                            ("dac.eta_g", self.dac.eta_g), ("dac.radius", self.dac.radius)):
+            if value is not None and not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.u_box.dim != self._system.input_dim:
             raise ConfigError("u_box dimension does not match B")
-        if self.w_box.dim != sys.state_dim:
+        if self.w_box.dim != self._system.state_dim:
             raise ConfigError("w_box dimension does not match A")
-        if self.x1.shape[0] != sys.state_dim:
+        if self.x1.shape != (self._system.state_dim,):
             raise ConfigError("x1 dimension does not match A")
+        if not np.isfinite(self.x1).all():
+            raise ConfigError("x1 must be finite")
         return self
 
     def system(self) -> LtiSystem:
-        return LtiSystem(self.a, self.b)
+        return self._system
 
 
 def default_config(**overrides) -> ExperimentConfig:
-    """Stock experiment: the ring plant, box-bounded inputs and disturbances,
-    random quadratic costs, horizon 1000, 20 runs."""
-    a, b = default_system_matrices()
-    cfg = ExperimentConfig(
-        a=a,
-        b=b,
-        u_box=BoxSet.symmetric(5.0, 2),
-        w_box=BoxSet.symmetric(0.5, 3),
-        x1=np.zeros(3),
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    """The stock experiment (see :class:`ExperimentConfig`) with ``overrides``."""
+    return ExperimentConfig(**overrides).validate()
 
 
-def _require_keys(mapping: dict, allowed: dict, where: str) -> dict:
-    unknown = set(mapping) - set(allowed)
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _array(value):
+    return np.asarray(value, dtype=float)
+
+
+def _fields(doc, schema: dict, where: str) -> dict:
+    """Convert the keys present in ``doc``; absent keys keep the field defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    return mapping
+    return {schema[key][0]: schema[key][1](value) for key, value in doc.items()}
 
 
-def _box_from_json(obj, where: str) -> BoxSet:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object with 'lower' and 'upper'")
-    _require_keys(obj, {"lower": 1, "upper": 1}, where)
-    try:
-        return BoxSet(np.asarray(obj["lower"], dtype=float), np.asarray(obj["upper"], dtype=float))
-    except (KeyError, InvalidInputError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+def _section(cls, schema: dict, where: str):
+    def build(doc):
+        fields = _fields(doc, schema, where)
+        try:
+            return cls(**fields)
+        except (InvalidInputError, TypeError) as exc:
+            raise ConfigError(f"bad {where}: {exc}") from exc
+
+    return build
+
+
+_BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
+
+# JSON key -> (field name, converter).  The "system" section's A and B
+# become the config's a and b.
+_SCHEMA = {
+    "seed": ("seed", int),
+    "T": ("t", int),
+    "n_runs": ("n_runs", int),
+    "system": ("system", lambda doc: _fields(doc, {"A": ("a", _array), "B": ("b", _array)}, "system")),
+    "u_box": ("u_box", _section(BoxSet, _BOX, "u_box")),
+    "w_box": ("w_box", _section(BoxSet, _BOX, "w_box")),
+    "cost_gen": ("cost_gen", _section(CostGenConfig, {
+        "q_scale": ("q_scale", float), "q_ridge": ("q_ridge", float), "c_max": ("c_max", float),
+    }, "cost_gen")),
+    "olc": ("olc", _section(OlcConfig, {"eta_override": ("eta_override", _optional_float)}, "olc")),
+    "dac": ("dac", _section(DacConfig, {
+        "H_mem": ("h_mem", int), "eta_g": ("eta_g", _optional_float), "radius": ("radius", _optional_float),
+    }, "dac")),
+    "disturbances_on": ("disturbances_on", bool),
+    "output_dir": ("output_dir", str),
+    "x1": ("x1", _array),
+}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a validated config from a JSON-like document.
 
     Keys mirror the documented schema exactly (T and dac.H_mem are
-    capitalized); unknown keys are rejected at every level.
+    capitalized); unknown keys are rejected at every level, and a key left
+    out keeps the :class:`ExperimentConfig` default.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    top = {
-        "seed": 1, "T": 1, "n_runs": 1, "system": 1, "u_box": 1, "w_box": 1,
-        "cost_gen": 1, "olc": 1, "dac": 1, "disturbances_on": 1, "output_dir": 1,
-        "x1": 1,
-    }
-    _require_keys(doc, top, "config")
     try:
-        system = doc.get("system")
-        if system is None:
-            a, b = default_system_matrices()
-        else:
-            _require_keys(system, {"A": 1, "B": 1}, "system")
-            a = np.asarray(system["A"], dtype=float)
-            b = np.asarray(system["B"], dtype=float)
-        cost_doc = _require_keys(doc.get("cost_gen", {}), {"q_scale": 1, "q_ridge": 1, "c_max": 1}, "cost_gen")
-        olc_doc = _require_keys(doc.get("olc", {}), {"eta_override": 1}, "olc")
-        dac_doc = _require_keys(doc.get("dac", {}), {"H_mem": 1, "eta_g": 1, "radius": 1}, "dac")
-        u_box = _box_from_json(doc["u_box"], "u_box") if "u_box" in doc else BoxSet.symmetric(5.0, b.shape[1])
-        w_box = _box_from_json(doc["w_box"], "w_box") if "w_box" in doc else BoxSet.symmetric(0.5, a.shape[0])
-        x1 = np.asarray(doc.get("x1", np.zeros(a.shape[0])), dtype=float)
-        cfg = ExperimentConfig(
-            seed=int(doc.get("seed", 1)),
-            t=int(doc.get("T", 1000)),
-            n_runs=int(doc.get("n_runs", 20)),
-            a=a,
-            b=b,
-            u_box=u_box,
-            w_box=w_box,
-            cost_gen=CostGenConfig(
-                q_scale=float(cost_doc.get("q_scale", DEFAULT_Q_SCALE)),
-                q_ridge=float(cost_doc.get("q_ridge", DEFAULT_Q_RIDGE)),
-                c_max=float(cost_doc.get("c_max", DEFAULT_C_MAX)),
-            ),
-            olc=OlcConfig(
-                eta_override=None if olc_doc.get("eta_override") is None else float(olc_doc["eta_override"]),
-            ),
-            dac=DacConfig(
-                h_mem=int(dac_doc.get("H_mem", 10)),
-                eta_g=None if dac_doc.get("eta_g") is None else float(dac_doc["eta_g"]),
-                radius=None if dac_doc.get("radius") is None else float(dac_doc["radius"]),
-            ),
-            disturbances_on=bool(doc.get("disturbances_on", True)),
-            output_dir=str(doc.get("output_dir", "results")),
-            x1=x1,
-        )
-        return cfg.validate()
+        kwargs = _fields(doc, _SCHEMA, "config")
+        kwargs.update(kwargs.pop("system", {}))
+        return ExperimentConfig(**kwargs).validate()
     except (InvalidInputError, ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -256,12 +256,15 @@ def generate_disturbances(cfg: ExperimentConfig, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True)
 class RunParams:
-    """Per-run derived constants shared by controllers and bound checks."""
+    """Per-run derived constants shared by controllers, hindsight solves
+    and bound checks; each unset step size or radius is resolved here."""
 
     cert: StabilityCert
     bound: StateBound
     smooth: SmoothnessParams
-    eta: float
+    eta: float          # OLC step size
+    dac_eta_g: float    # DAC gradient step
+    dac_radius: float   # DAC per-block Frobenius radius
 
 
 def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
@@ -271,10 +274,15 @@ def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)
     c_norm_max = cfg.cost_gen.c_max * np.sqrt(cfg.a.shape[0])
     smooth = smoothness_constant(costs, bound, c_norm_max)
-    eta = cfg.olc.eta_override
-    if eta is None:
-        eta = regret_optimal_step_size(smooth.l, cfg.t, cert)
-    return RunParams(cert=cert, bound=bound, smooth=smooth, eta=eta)
+    eta, eta_g, radius = cfg.olc.eta_override, cfg.dac.eta_g, cfg.dac.radius
+    return RunParams(
+        cert=cert,
+        bound=bound,
+        smooth=smooth,
+        eta=regret_optimal_step_size(smooth.l, cfg.t, cert) if eta is None else eta,
+        dac_eta_g=1.0 / np.sqrt(cfg.t) if eta_g is None else eta_g,
+        dac_radius=cert.kappa**3 * spectral_norm(cfg.b) if radius is None else radius,
+    )
 
 
 @dataclass
@@ -297,12 +305,8 @@ def _build_controller(cfg: ExperimentConfig, kind: str, params: RunParams, sys: 
     if kind == "olc":
         return OlcController(sys, cfg.u_box, params.eta, z0=cfg.x1)
     if kind == "dac":
-        eta_g = cfg.dac.eta_g if cfg.dac.eta_g is not None else 1.0 / np.sqrt(cfg.t)
-        radius = cfg.dac.radius
-        if radius is None:
-            radius = params.cert.kappa**3 * spectral_norm(cfg.b)
         return DacController(
-            sys, cfg.u_box, cfg.dac.h_mem, eta_g, radius, params.cert.gamma
+            sys, cfg.u_box, cfg.dac.h_mem, params.dac_eta_g, params.dac_radius, params.cert.gamma
         )
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
@@ -379,26 +383,25 @@ class RegretReport:
     horizon: int
     cum_costs: dict[str, np.ndarray]
     regret_u: dict[str, np.ndarray]
-    regret_m: dict[str, np.ndarray]
+    regret_m: dict[str, np.ndarray] | None = None
     regret_x: dict[str, np.ndarray] | None = None
 
+    def curve(self, bench: str, kind: str) -> np.ndarray:
+        """Controller ``kind``'s regret against benchmark "u", "m" or "x"."""
+        return getattr(self, f"regret_{bench}")[kind]
 
-def solve_run_benchmarks(cfg: ExperimentConfig, record: RunRecord,
-                         with_dac: bool = True, with_steady: bool | None = None) -> RunRecord:
-    """Attach the hindsight baselines for this run's realization."""
+
+def solve_run_benchmarks(cfg: ExperimentConfig, record: RunRecord) -> RunRecord:
+    """Attach the hindsight baselines for this run's realization: the best
+    fixed input and DAC policy always, the best steady state when the run
+    has no disturbances."""
     sys = cfg.system()
     record.bench_u = best_fixed_input(sys, cfg.x1, record.w_seq, record.costs, cfg.u_box)
-    if with_dac:
-        radius = cfg.dac.radius
-        if radius is None:
-            radius = record.params.cert.kappa**3 * spectral_norm(cfg.b)
-        record.bench_m = best_dac(
-            sys, cfg.x1, record.w_seq, record.costs, cfg.dac.h_mem,
-            radius, gamma=record.params.cert.gamma,
-        )
-    if with_steady is None:
-        with_steady = not cfg.disturbances_on
-    if with_steady:
+    record.bench_m = best_dac(
+        sys, cfg.x1, record.w_seq, record.costs, cfg.dac.h_mem,
+        record.params.dac_radius, gamma=record.params.cert.gamma,
+    )
+    if not cfg.disturbances_on:
         record.bench_x = best_steady_state(record.costs, sys, cfg.u_box)
     return record
 
@@ -407,29 +410,26 @@ def compute_regret(record: RunRecord) -> RegretReport:
     """Prefix-sum regret curves against the full-horizon benchmark optimizers."""
     if record.bench_u is None:
         raise InvalidStateError("fixed-input benchmark missing; solve benchmarks first")
-    bench_u_prefix = np.cumsum(record.bench_u.step_costs)
     cum = {kind: np.cumsum(tr.costs) for kind, tr in record.traces.items()}
-    regret_u = {kind: cum[kind] - bench_u_prefix for kind in cum}
-    regret_m = {}
-    if record.bench_m is not None:
-        bench_m_prefix = np.cumsum(record.bench_m.step_costs)
-        regret_m = {kind: cum[kind] - bench_m_prefix for kind in cum}
-    regret_x = None
-    if record.bench_x is not None:
-        bench_x_prefix = np.cumsum(record.bench_x.step_costs)
-        regret_x = {kind: cum[kind] - bench_x_prefix for kind in cum}
+
+    def against(bench: BenchmarkResult | None):
+        if bench is None:
+            return None
+        prefix = np.cumsum(bench.step_costs)
+        return {kind: curve - prefix for kind, curve in cum.items()}
+
     return RegretReport(
         horizon=record.traces[next(iter(record.traces))].costs.shape[0],
         cum_costs=cum,
-        regret_u=regret_u,
-        regret_m=regret_m,
-        regret_x=regret_x,
+        regret_u=against(record.bench_u),
+        regret_m=against(record.bench_m),
+        regret_x=against(record.bench_x),
     )
 
 
-def run_one_seed(cfg: ExperimentConfig, run_index: int,
-                 kinds=CONTROLLER_KINDS, with_benchmarks: bool = True) -> RunRecord:
-    """Fresh costs and disturbances for run ``run_index``, all controllers."""
+def run_one_seed(cfg: ExperimentConfig, run_index: int, kinds=CONTROLLER_KINDS) -> RunRecord:
+    """Fresh costs and disturbances for run ``run_index``: every controller
+    in ``kinds``, then the hindsight benchmarks."""
     rng = make_rng(cfg.seed + run_index)
     costs = generate_costs(cfg, rng)
     w_seq = generate_disturbances(cfg, rng)
@@ -439,63 +439,57 @@ def run_one_seed(cfg: ExperimentConfig, run_index: int,
         run_index=run_index, seed=cfg.seed + run_index, costs=costs,
         w_seq=w_seq, params=params, traces=traces,
     )
-    if with_benchmarks:
-        solve_run_benchmarks(cfg, record)
-    return record
+    return solve_run_benchmarks(cfg, record)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _regret_columns(cfg: ExperimentConfig) -> list[str]:
-    cols = ["regret_olc_u", "regret_dac_u", "regret_olc_m", "regret_dac_m"]
-    if not cfg.disturbances_on:
-        cols += ["regret_olc_x", "regret_dac_x"]
-    return cols
+# (CSV column, benchmark, controller) of every regret curve, in file order.
+# The "x" columns exist only without disturbances, when best_steady_state
+# is solved.
+REGRET_COLUMNS = (
+    ("regret_olc_u", "u", "olc"),
+    ("regret_dac_u", "u", "dac"),
+    ("regret_olc_m", "m", "olc"),
+    ("regret_dac_m", "m", "dac"),
+    ("regret_olc_x", "x", "olc"),
+    ("regret_dac_x", "x", "dac"),
+)
+
+
+def _regret_columns(cfg: ExperimentConfig):
+    return [col for col in REGRET_COLUMNS if col[1] != "x" or not cfg.disturbances_on]
+
+
+def _write_table(path, header: list[str], curves: list[np.ndarray], t: int) -> None:
+    """One row per step: the step number, then each curve's value."""
+    lines = [",".join(["t"] + header)]
+    for i in range(t):
+        lines.append(",".join([str(i + 1)] + [_fmt(curve[i]) for curve in curves]))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_run_csv(path, cfg: ExperimentConfig, record: RunRecord, report: RegretReport) -> None:
-    cols = ["t", "cost_olc", "cost_dac", "cum_olc", "cum_dac"] + _regret_columns(cfg)
-    olc, dac = record.traces["olc"], record.traces["dac"]
-    lines = [",".join(cols)]
-    for i in range(cfg.t):
-        row = [
-            str(i + 1),
-            _fmt(olc.costs[i]), _fmt(dac.costs[i]),
-            _fmt(report.cum_costs["olc"][i]), _fmt(report.cum_costs["dac"][i]),
-            _fmt(report.regret_u["olc"][i]), _fmt(report.regret_u["dac"][i]),
-            _fmt(report.regret_m["olc"][i]), _fmt(report.regret_m["dac"][i]),
-        ]
-        if report.regret_x is not None:
-            row += [_fmt(report.regret_x["olc"][i]), _fmt(report.regret_x["dac"][i])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = _regret_columns(cfg)
+    header = ["cost_olc", "cost_dac", "cum_olc", "cum_dac"] + [col for col, _, _ in cols]
+    curves = [record.traces["olc"].costs, record.traces["dac"].costs,
+              report.cum_costs["olc"], report.cum_costs["dac"]]
+    curves += [report.curve(bench, kind) for _, bench, kind in cols]
+    _write_table(path, header, curves, cfg.t)
 
 
 def write_summary_csv(path, cfg: ExperimentConfig, reports: list[RegretReport]) -> None:
     """Per-step mean and standard deviation of each regret column."""
-    cols = _regret_columns(cfg)
-    header = ["t"]
-    for col in cols:
+    header, curves = [], []
+    for col, bench, kind in _regret_columns(cfg):
+        # (T, runs): each step's values are contiguous, so every step is
+        # reduced exactly as a 1-d array of the runs' values
+        stack = np.stack([rep.curve(bench, kind) for rep in reports], axis=1)
         header += [f"mean_{col}", f"std_{col}"]
-    stacks = {}
-    for col in cols:
-        kind = "olc" if "_olc_" in col else "dac"
-        which = col.rsplit("_", 1)[1]
-        curves = []
-        for rep in reports:
-            curve = {"u": rep.regret_u, "m": rep.regret_m, "x": rep.regret_x or {}}[which]
-            curves.append(curve[kind])
-        stacks[col] = np.stack(curves)
-    lines = [",".join(header)]
-    for i in range(cfg.t):
-        row = [str(i + 1)]
-        for col in cols:
-            vals = stacks[col][:, i]
-            row += [_fmt(vals.mean()), _fmt(vals.std())]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        curves += [stack.mean(axis=1), stack.std(axis=1)]
+    _write_table(path, header, curves, cfg.t)
 
 
 def write_benchmarks_csv(path, records: list[RunRecord]) -> None:
@@ -513,44 +507,31 @@ class ExperimentResult:
     output_dir: Path
 
 
-def _seed_task(payload):
+def _seed_task(cfg: ExperimentConfig, k: int):
     """One run, isolated: failures come back as messages, not exceptions."""
-    cfg, k = payload
     try:
         record = run_one_seed(cfg, k)
-        report = compute_regret(record)
-        return k, record, report, None
+        return record, compute_regret(record), None
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
-        return k, None, None, f"{type(exc).__name__}: {exc}"
+        return None, None, f"{type(exc).__name__}: {exc}"
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir=None, workers: int = 1) -> ExperimentResult:
-    """Run all seeds, solve all benchmarks, and write the CSV bundle.
+def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
+    """Run all seeds in order, solve all benchmarks, and write the CSV bundle.
 
     Emits run_<k>.csv per run, summary.csv with per-step mean/std of each
     regret column, benchmarks.csv with the final benchmark values, and a
-    failures.csv manifest when individual runs fail.
-
-    Runs are independent (run k derives everything from seed + k), so with
-    ``workers > 1`` they execute in a process pool; results are merged in
-    index order and the output stays byte-identical to a sequential run.
+    failures.csv manifest when individual runs fail (a manifest left by an
+    earlier invocation is removed when none fails).
     """
     cfg.validate()
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(cfg, k) for k in range(cfg.n_runs)]
-    if workers > 1:
-        # spawn rather than fork: forking a process with live BLAS thread
-        # pools is not reliably safe
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            outcomes = list(pool.map(_seed_task, payloads))
-    else:
-        outcomes = [_seed_task(p) for p in payloads]
     records: list[RunRecord] = []
     reports: list[RegretReport] = []
     failures: dict[int, str] = {}
-    for k, record, report, error in outcomes:
+    for k in range(cfg.n_runs):
+        record, report, error = _seed_task(cfg, k)
         if error is not None:
             failures[k] = error
             continue
@@ -560,7 +541,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, workers: int = 1) -> 
     if reports:
         write_summary_csv(out / "summary.csv", cfg, reports)
         write_benchmarks_csv(out / "benchmarks.csv", records)
+    manifest = out / "failures.csv"
     if failures:
         lines = ["run,error"] + [f"{k},{msg!r}" for k, msg in sorted(failures.items())]
-        (out / "failures.csv").write_text("\n".join(lines) + "\n")
+        manifest.write_text("\n".join(lines) + "\n")
+    else:
+        manifest.unlink(missing_ok=True)
     return ExperimentResult(records=records, reports=reports, failures=failures, output_dir=out)

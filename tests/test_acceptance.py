@@ -61,7 +61,7 @@ class Bundle:
     build_seconds: float = 0.0  # runs + the benchmarks the criterion clocks
 
 
-def _build_bundle(t: int, with_m: bool) -> Bundle:
+def _build_bundle(t: int) -> Bundle:
     cfg = default_config(t=t, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=True)
     bundle = Bundle(cfg=cfg)
     start = time.perf_counter()
@@ -73,7 +73,7 @@ def _build_bundle(t: int, with_m: bool) -> Bundle:
         traces = {kind: run_single(cfg, kind, costs, w_seq, params) for kind in ("olc", "dac")}
         record = RunRecord(run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq,
                            params=params, traces=traces)
-        solve_run_benchmarks(cfg, record, with_dac=with_m, with_steady=False)
+        solve_run_benchmarks(cfg, record)
         bundle.records.append(record)
     bundle.build_seconds = time.perf_counter() - start
     return bundle
@@ -113,17 +113,17 @@ def _timed_clean_bundle(cfg) -> Bundle:
 
 @pytest.fixture(scope="module")
 def dist_100():
-    return _build_bundle(100, with_m=False)
+    return _build_bundle(100)
 
 
 @pytest.fixture(scope="module")
 def dist_250():
-    return _build_bundle(250, with_m=True)
+    return _build_bundle(250)
 
 
 @pytest.fixture(scope="module")
 def dist_1000():
-    return _build_bundle(1000, with_m=True)
+    return _build_bundle(1000)
 
 
 def _regret_x(record) -> float:

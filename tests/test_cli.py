@@ -71,6 +71,21 @@ class TestRun:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        '"olc": {"eta_override": 0}',
+        '"dac": {"eta_g": -0.5}',
+        '"dac": {"radius": 0}',
+        '"cost_gen": {"q_scale": NaN}',
+        '"x1": [0, NaN, 0]',
+    ])
+    def test_bad_value_exits_one_without_files(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"T": 5, "n_runs": 1, %s}' % bad)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestBench:
     def test_prints_values(self, tiny_config_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from olcontrol import (
     BoxSet,
     ConfigError,
     InvalidStateError,
+    LtiSystem,
     QuadraticCost,
     compute_regret,
     config_from_dict,
@@ -14,7 +16,11 @@ from olcontrol import (
     load_config,
 )
 from olcontrol.harness import (
-    RunParams,
+    REGRET_COLUMNS,
+    CostGenConfig,
+    ExperimentConfig,
+    OlcConfig,
+    default_system_matrices,
     derive_run_params,
     generate_costs,
     generate_disturbances,
@@ -22,7 +28,6 @@ from olcontrol.harness import (
     run_experiment,
     run_one_seed,
     run_single,
-    solve_run_benchmarks,
 )
 from olcontrol.system import StateBound
 
@@ -42,10 +47,57 @@ class TestConfig:
             default_config(t=1)
 
     def test_q_scale_validated(self):
-        from olcontrol.harness import CostGenConfig
-
         with pytest.raises(ConfigError):
             default_config(cost_gen=CostGenConfig(q_scale=0.0))
+
+    def test_defaults_derived_from_dimensions(self):
+        cfg = ExperimentConfig()
+        ring_a, ring_b = default_system_matrices()
+        np.testing.assert_array_equal(cfg.a, ring_a)
+        np.testing.assert_array_equal(cfg.b, ring_b)
+        np.testing.assert_array_equal(cfg.u_box.upper, [5.0, 5.0])
+        np.testing.assert_array_equal(cfg.w_box.lower, [-0.5, -0.5, -0.5])
+        np.testing.assert_array_equal(cfg.x1, np.zeros(3))
+        scalar = config_from_dict({"system": {"A": [[0.5]], "B": [[1.0, 2.0]]}})
+        np.testing.assert_array_equal(scalar.u_box.lower, [-5.0, -5.0])
+        np.testing.assert_array_equal(scalar.w_box.upper, [0.5])
+        np.testing.assert_array_equal(scalar.x1, [0.0])
+        from_json = config_from_dict({})
+        for name in ("seed", "t", "n_runs", "cost_gen", "olc", "dac", "disturbances_on", "output_dir"):
+            assert getattr(from_json, name) == getattr(cfg, name)
+
+    @pytest.mark.parametrize("doc", [
+        {"olc": {"eta_override": 0.0}},
+        {"olc": {"eta_override": -0.1}},
+        {"olc": {"eta_override": float("inf")}},
+        {"dac": {"eta_g": 0.0}},
+        {"dac": {"eta_g": -1.0}},
+        {"dac": {"radius": 0.0}},
+        {"dac": {"radius": -2.0}},
+        {"dac": {"radius": float("nan")}},
+        {"cost_gen": {"q_scale": float("nan")}},
+        {"cost_gen": {"q_ridge": float("nan")}},
+        {"cost_gen": {"c_max": float("inf")}},
+        {"x1": [0.0, float("nan"), 0.0]},
+        {"x1": [0.0, 0.0]},
+    ])
+    def test_bad_values_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict({"T": 5, "n_runs": 1, **doc})
+
+    def test_plant_built_once_per_config(self, monkeypatch):
+        builds = []
+        post_init = LtiSystem.__post_init__
+
+        def counting(self):
+            builds.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(LtiSystem, "__post_init__", counting)
+        cfg = ExperimentConfig(t=12, n_runs=1, disturbances_on=False).validate()
+        record = run_one_seed(cfg, 0)
+        assert record.bench_x is not None
+        assert len(builds) == 1 and cfg.system() is builds[0]
 
     def test_json_round_trip(self, tmp_path):
         doc = {
@@ -131,8 +183,6 @@ class TestGenerators:
 
 class TestRunSingle:
     def test_zero_costs_zero_disturbances(self):
-        from olcontrol.harness import OlcConfig
-
         cfg = default_config(t=20, disturbances_on=False, olc=OlcConfig(eta_override=0.1))
         costs = [QuadraticCost(q=np.zeros((3, 3)), c=np.zeros(3))] * 20
         w = np.zeros((19, 3))
@@ -152,12 +202,12 @@ class TestRunSingle:
         np.testing.assert_array_equal(replay, trace.states)
 
     def test_cumulative_costs_non_decreasing(self, tiny_cfg):
-        rec = run_one_seed(tiny_cfg, 0, with_benchmarks=False)
+        rec = run_one_seed(tiny_cfg, 0)
         for trace in rec.traces.values():
             assert np.all(np.diff(np.cumsum(trace.costs)) >= 0.0)
 
     def test_states_within_bound(self, tiny_cfg):
-        rec = run_one_seed(tiny_cfg, 0, with_benchmarks=False)
+        rec = run_one_seed(tiny_cfg, 0)
         for trace in rec.traces.values():
             assert np.max(np.linalg.norm(trace.states, axis=1)) <= rec.params.bound.d
 
@@ -166,7 +216,7 @@ class TestRunSingle:
         costs = generate_costs(tiny_cfg, rng)
         w = generate_disturbances(tiny_cfg, rng)
         params = derive_run_params(tiny_cfg, costs)
-        squeezed = RunParams(cert=params.cert, bound=StateBound(1e-9), smooth=params.smooth, eta=params.eta)
+        squeezed = replace(params, bound=StateBound(1e-9))
         with pytest.raises(InvalidStateError, match="exceeds"):
             run_single(tiny_cfg, "dac", costs, w, params=squeezed)
 
@@ -237,7 +287,8 @@ class TestRegret:
             assert rep.regret_m[kind][-1] == pytest.approx(expected_m, rel=1e-9, abs=1e-9)
 
     def test_missing_benchmark_rejected(self, tiny_cfg):
-        rec = run_one_seed(tiny_cfg, 0, with_benchmarks=False)
+        rec = run_one_seed(tiny_cfg, 0)
+        rec.bench_u = None
         with pytest.raises(InvalidStateError):
             compute_regret(rec)
 
@@ -271,8 +322,7 @@ class TestRegret:
 
     def test_benchmark_gap_magnitude(self):
         cfg = default_config(t=60, n_runs=1, seed=4, disturbances_on=False)
-        rec = run_one_seed(cfg, 0, kinds=("olc",), with_benchmarks=False)
-        solve_run_benchmarks(cfg, rec, with_dac=False, with_steady=True)
+        rec = run_one_seed(cfg, 0, kinds=("olc",))
         gap = rec.bench_u.value - rec.bench_x.value
         limit = 2 * rec.params.cert.kappa * rec.params.smooth.l * rec.params.smooth.d**2 / rec.params.cert.gamma
         assert abs(gap) <= limit
@@ -331,11 +381,32 @@ class TestExperimentOutput:
         manifest = (tmp_path / "out" / "failures.csv").read_text().splitlines()
         assert manifest[0] == "run,error" and manifest[1].startswith("0,")
 
-    def test_parallel_workers_match_sequential_bytes(self, tiny_cfg, tmp_path):
-        run_experiment(tiny_cfg, output_dir=tmp_path / "seq", workers=1)
-        run_experiment(tiny_cfg, output_dir=tmp_path / "par", workers=2)
-        for name in ("run_0.csv", "run_1.csv", "summary.csv", "benchmarks.csv"):
-            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    def test_clean_rerun_removes_stale_failures(self, tiny_cfg, tmp_path, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        real = harness_mod.run_one_seed
+
+        def failing(cfg, k, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(harness_mod, "run_one_seed", failing)
+        assert run_experiment(tiny_cfg, output_dir=tmp_path / "out").failures
+        assert (tmp_path / "out" / "failures.csv").exists()
+        monkeypatch.setattr(harness_mod, "run_one_seed", real)
+        assert not run_experiment(tiny_cfg, output_dir=tmp_path / "out").failures
+        assert not (tmp_path / "out" / "failures.csv").exists()
+
+    def test_columns_follow_the_table(self, tmp_path):
+        cfg = default_config(t=10, n_runs=2, seed=5, disturbances_on=False)
+        result = run_experiment(cfg, output_dir=tmp_path / "out")
+        run0 = np.loadtxt(tmp_path / "out" / "run_0.csv", delimiter=",", skiprows=1)
+        summary = np.loadtxt(tmp_path / "out" / "summary.csv", delimiter=",", skiprows=1)
+        assert len(REGRET_COLUMNS) == 6
+        for i, (col, bench, kind) in enumerate(REGRET_COLUMNS):
+            assert col == f"regret_{kind}_{bench}"
+            curves = np.stack([rep.curve(bench, kind) for rep in result.reports])
+            np.testing.assert_allclose(run0[:, 5 + i], curves[0], rtol=1e-11)
+            np.testing.assert_allclose(summary[:, 1 + 2 * i], curves.mean(axis=0), rtol=1e-11, atol=1e-9)
 
     def test_x1_config_key(self):
         cfg = config_from_dict({
