@@ -18,8 +18,7 @@ import numpy as np
 from .controllers import project_dac_blocks
 from .costs import quad_batch_grads, quad_batch_values, stack_quadratics
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .linalg import as_vector
-from .system import BoxSet, LtiSystem, certify_strong_stability, simulate
+from .system import BoxSet, LtiSystem, _check_sequences, rollout, simulate
 
 DESCENT_MOVE_TOL = 1e-9
 DESCENT_MAX_ITER = 20_000
@@ -44,6 +43,22 @@ class BenchmarkResult:
     converged: bool
     step_costs: np.ndarray = field(repr=False)
     value_nominal: float | None = None
+
+
+def _check_problem(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet | None = None, u_seq=None):
+    """(x1, u_seq, w_seq, costs) checked against the plant, with one more
+    cost than steps; InvalidInputError otherwise."""
+    costs = list(costs)
+    x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
+    if len(costs) != w_seq.shape[0] + 1:
+        raise InvalidInputError(f"got {len(costs)} costs for {w_seq.shape[0]} steps; need one more cost")
+    _check_input_box(sys, u_set)
+    return x1, u_seq, w_seq, costs
+
+
+def _check_input_box(sys: LtiSystem, u_set: BoxSet | None) -> None:
+    if u_set is not None and u_set.dim != sys.input_dim:
+        raise InvalidInputError(f"input box has dimension {u_set.dim}; the system has {sys.input_dim} inputs")
 
 
 def _cost_values(costs, states) -> np.ndarray:
@@ -77,14 +92,8 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     Simulates forward, runs the adjoint recursion backward, and returns
     the (T-1, M) array with row t-1 equal to B^T lambda_{t+1}.
     """
-    costs = list(costs)
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
-    if len(costs) != u_seq.shape[0] + 1:
-        raise InvalidInputError(
-            f"got {len(costs)} costs for {u_seq.shape[0]} inputs; need one more cost than inputs"
-        )
-    states = simulate(sys, x1, u_seq, w_seq)
+    x1, u_seq, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_seq=u_seq)
+    states = rollout(sys, x1, w_seq, u_seq)
     lam = _adjoint_states(sys, _cost_grads(costs, states))
     return lam[1:] @ sys.b
 
@@ -122,31 +131,6 @@ def _projected_descent(value_fn, grad_fn, project_fn, x0, move_tol, max_iter):
         if moved < move_tol:
             return x, f, it, True
     return x, f, max_iter, False
-
-
-def _constant_input_states(sys: LtiSystem, x1, u, w_seq) -> np.ndarray:
-    horizon = w_seq.shape[0] + 1
-    states = np.empty((horizon, sys.state_dim))
-    states[0] = x1
-    bu = sys.b @ u
-    for t in range(horizon - 1):
-        states[t + 1] = sys.a @ states[t] + bu + w_seq[t]
-    return states
-
-
-def _disturbance_response(sys: LtiSystem, w_seq: np.ndarray) -> np.ndarray:
-    """Zero-state response to the forcing sequence ``w_seq`` (T-1 rows).
-
-    Rows are either state vectors (a disturbance sequence, giving a
-    (T, N) trajectory) or (N, P) matrices (the forcing of P directions at
-    once, giving the (T, N, P) response to each).
-    """
-    horizon = w_seq.shape[0] + 1
-    xd = np.empty((horizon,) + w_seq.shape[1:])
-    xd[0] = 0.0
-    for t in range(horizon - 1):
-        xd[t + 1] = sys.a @ xd[t] + w_seq[t]
-    return xd
 
 
 @dataclass(frozen=True)
@@ -200,9 +184,8 @@ def _assemble_quadratic(costs, offsets: np.ndarray, response: np.ndarray, n_bloc
 
 def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
     """Total cost of the constant input u, with x_t = x_t^0 + G_t u."""
-    gains = _disturbance_response(sys, np.broadcast_to(sys.b, (w_seq.shape[0],) + sys.b.shape))
-    offsets = _constant_input_states(sys, x1, np.zeros(sys.input_dim), w_seq)
-    return _assemble_quadratic(costs, offsets, gains)
+    gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (w_seq.shape[0],) + sys.b.shape))
+    return _assemble_quadratic(costs, rollout(sys, x1, w_seq), gains)
 
 
 def best_fixed_input(
@@ -226,20 +209,16 @@ def best_fixed_input(
     directly, and through the nominal trajectory with shifted costs --
     and both are returned (they agree up to roundoff).
     """
-    costs = list(costs)
-    x1 = as_vector(x1, "initial state")
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
-    if len(costs) != w_seq.shape[0] + 1:
-        raise InvalidInputError("need one more cost than disturbances")
+    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
     model = _fixed_input_model(sys, x1, w_seq, costs)
     u_star, _, iters, converged = _projected_descent(
         model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
     )
-    states = _constant_input_states(sys, x1, u_star, w_seq)
-    step_costs = _cost_values(costs, states)
+    u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
+    step_costs = _cost_values(costs, rollout(sys, x1, w_seq, u_seq))
     # same objective through the superposition route
-    nominal = _constant_input_states(sys, x1, u_star, np.zeros_like(w_seq))
-    xd = _disturbance_response(sys, w_seq)
+    nominal = rollout(sys, x1, np.zeros_like(w_seq), u_seq)
+    xd = rollout(sys, np.zeros(sys.state_dim), w_seq)
     value_nominal = float(np.sum(_cost_values(costs, nominal + xd)))
     return BenchmarkResult(
         optimizer=u_star,
@@ -276,6 +255,7 @@ def best_steady_state(
     costs = list(costs)
     if not costs:
         raise InvalidInputError("cost sequence is empty")
+    _check_input_box(sys, u_set)
     model = _steady_state_model(sys, costs)
     u_star, _, iters, converged = _projected_descent(
         model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
@@ -309,10 +289,8 @@ def _dac_model(sys: LtiSystem, x1, w_seq, costs, h_mem: int) -> _Quadratic:
     # entry (i, j) of block 1 forces the state with B[:, i] * w_{t-1}[j]
     forcing = np.zeros((horizon_inputs, n, m, n))
     forcing[1:] = np.einsum("ki,tj->tkij", sys.b, w_seq[:-1])
-    response = _disturbance_response(sys, forcing.reshape(horizon_inputs, n, m * n))
-    return _assemble_quadratic(
-        costs, _constant_input_states(sys, x1, np.zeros(m), w_seq), response, n_blocks=h_mem
-    )
+    response = rollout(sys, np.zeros((n, m * n)), forcing.reshape(horizon_inputs, n, m * n))
+    return _assemble_quadratic(costs, rollout(sys, x1, w_seq), response, n_blocks=h_mem)
 
 
 def best_dac(
@@ -338,13 +316,9 @@ def best_dac(
     (nominal plus disturbance response), which equals the shifted-cost
     total identically.
     """
-    costs = list(costs)
-    x1 = as_vector(x1, "initial state")
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
-    if len(costs) != w_seq.shape[0] + 1:
-        raise InvalidInputError("need one more cost than disturbances")
+    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
     if gamma is None:
-        gamma = certify_strong_stability(sys.a).gamma
+        gamma = sys.cert.gamma
     radii = float(radius) * (1.0 - gamma) ** np.arange(h_mem)
     model = _dac_model(sys, x1, w_seq, costs, h_mem)
     blocks, _, iters, converged = _projected_descent(
@@ -356,7 +330,7 @@ def best_dac(
         max_iter,
     )
     inputs = _dac_inputs(blocks, w_seq)
-    step_costs = _cost_values(costs, simulate(sys, x1, inputs) + _disturbance_response(sys, w_seq))
+    step_costs = _cost_values(costs, simulate(sys, x1, inputs) + rollout(sys, np.zeros(sys.state_dim), w_seq))
     # dual route: simulate the disturbed system directly under the same inputs
     direct = simulate(sys, x1, inputs, w_seq)
     value_direct = float(np.sum(_cost_values(costs, direct)))
@@ -385,9 +359,7 @@ def grid_oracle_fixed_input(
     refinement by an integer factor.  Only 1- and 2-dimensional input
     spaces are supported -- this is a validation oracle, not a solver.
     """
-    costs = list(costs)
-    x1 = as_vector(x1, "initial state")
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
+    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
     if sys.input_dim > 2:
         raise UnsupportedDimensionError(
             f"grid oracle supports input dimension <= 2, got {sys.input_dim}"
@@ -396,8 +368,6 @@ def grid_oracle_fixed_input(
         raise InvalidInputError(
             f"resolution must be in [1, {GRID_MAX_RESOLUTION}], got {resolution}"
         )
-    if len(costs) != w_seq.shape[0] + 1:
-        raise InvalidInputError("need one more cost than disturbances")
 
     axes = [
         np.linspace(u_set.lower[i], u_set.upper[i], resolution + 1)
@@ -422,7 +392,8 @@ def grid_oracle_fixed_input(
             states = states @ sys.a.T + inputs_through_b + w_seq[t]
     best = int(np.argmin(totals))
     u_star = grid[best]
-    step_costs = _cost_values(costs, _constant_input_states(sys, x1, u_star, w_seq))
+    u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
+    step_costs = _cost_values(costs, rollout(sys, x1, w_seq, u_seq))
     return BenchmarkResult(
         optimizer=u_star,
         value=float(totals[best]),

@@ -7,7 +7,9 @@ numpy's PCG64 (a documented, splittable 64-bit generator), run k uses seed
 invocations with the same config produce byte-identical files.
 """
 
+import csv
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +25,6 @@ from .system import (
     LtiSystem,
     StabilityCert,
     StateBound,
-    certify_strong_stability,
     state_bound,
     step,
 )
@@ -141,6 +142,17 @@ def _array(value):
     return np.asarray(value, dtype=float)
 
 
+def _exactly(kind: type, key: str):
+    """Converter for ``key`` passing values of type ``kind`` only (true is not an int)."""
+
+    def check(value):
+        if type(value) is not kind:
+            raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
 def _fields(doc, schema: dict, where: str) -> dict:
     """Convert the keys present in ``doc``; absent keys keep the field defaults."""
     if not isinstance(doc, dict):
@@ -167,9 +179,9 @@ _BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
 # JSON key -> (field name, converter).  The "system" section's A and B
 # become the config's a and b.
 _SCHEMA = {
-    "seed": ("seed", int),
-    "T": ("t", int),
-    "n_runs": ("n_runs", int),
+    "seed": ("seed", _exactly(int, "seed")),
+    "T": ("t", _exactly(int, "T")),
+    "n_runs": ("n_runs", _exactly(int, "n_runs")),
     "system": ("system", lambda doc: _fields(doc, {"A": ("a", _array), "B": ("b", _array)}, "system")),
     "u_box": ("u_box", _section(BoxSet, _BOX, "u_box")),
     "w_box": ("w_box", _section(BoxSet, _BOX, "w_box")),
@@ -178,10 +190,11 @@ _SCHEMA = {
     }, "cost_gen")),
     "olc": ("olc", _section(OlcConfig, {"eta_override": ("eta_override", _optional_float)}, "olc")),
     "dac": ("dac", _section(DacConfig, {
-        "H_mem": ("h_mem", int), "eta_g": ("eta_g", _optional_float), "radius": ("radius", _optional_float),
+        "H_mem": ("h_mem", _exactly(int, "dac.H_mem")),
+        "eta_g": ("eta_g", _optional_float), "radius": ("radius", _optional_float),
     }, "dac")),
-    "disturbances_on": ("disturbances_on", bool),
-    "output_dir": ("output_dir", str),
+    "disturbances_on": ("disturbances_on", _exactly(bool, "disturbances_on")),
+    "output_dir": ("output_dir", _exactly(str, "output_dir")),
     "x1": ("x1", _array),
 }
 
@@ -268,8 +281,9 @@ class RunParams:
 
 
 def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
-    cert = certify_strong_stability(cfg.a)
-    bound = state_bound(cert, cfg.system(), cfg.x1, cfg.u_box, cfg.w_box)
+    sys = cfg.system()
+    cert = sys.cert
+    bound = state_bound(cert, sys, cfg.x1, cfg.u_box, cfg.w_box)
     # the smoothness formula needs a bound on ||c_t||; targets are drawn
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)
     c_norm_max = cfg.cost_gen.c_max * np.sqrt(cfg.a.shape[0])
@@ -398,8 +412,7 @@ def solve_run_benchmarks(cfg: ExperimentConfig, record: RunRecord) -> RunRecord:
     sys = cfg.system()
     record.bench_u = best_fixed_input(sys, cfg.x1, record.w_seq, record.costs, cfg.u_box)
     record.bench_m = best_dac(
-        sys, cfg.x1, record.w_seq, record.costs, cfg.dac.h_mem,
-        record.params.dac_radius, gamma=record.params.cert.gamma,
+        sys, cfg.x1, record.w_seq, record.costs, cfg.dac.h_mem, record.params.dac_radius
     )
     if not cfg.disturbances_on:
         record.bench_x = best_steady_state(record.costs, sys, cfg.u_box)
@@ -507,6 +520,9 @@ class ExperimentResult:
     output_dir: Path
 
 
+_BUNDLE_NAME = re.compile(r"run_[0-9]+\.csv|summary\.csv|benchmarks\.csv|failures\.csv")
+
+
 def _seed_task(cfg: ExperimentConfig, k: int):
     """One run, isolated: failures come back as messages, not exceptions."""
     try:
@@ -521,12 +537,16 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
 
     Emits run_<k>.csv per run, summary.csv with per-step mean/std of each
     regret column, benchmarks.csv with the final benchmark values, and a
-    failures.csv manifest when individual runs fail (a manifest left by an
-    earlier invocation is removed when none fails).
+    failures.csv manifest when individual runs fail.  Files of those names
+    left by an earlier invocation are removed first, so the directory
+    holds this invocation's bundle only; other files are left alone.
     """
     cfg.validate()
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for path in out.iterdir():
+        if _BUNDLE_NAME.fullmatch(path.name):
+            path.unlink()
     records: list[RunRecord] = []
     reports: list[RegretReport] = []
     failures: dict[int, str] = {}
@@ -541,10 +561,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
     if reports:
         write_summary_csv(out / "summary.csv", cfg, reports)
         write_benchmarks_csv(out / "benchmarks.csv", records)
-    manifest = out / "failures.csv"
     if failures:
-        lines = ["run,error"] + [f"{k},{msg!r}" for k, msg in sorted(failures.items())]
-        manifest.write_text("\n".join(lines) + "\n")
-    else:
-        manifest.unlink(missing_ok=True)
+        with open(out / "failures.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([("run", "error"), *sorted(failures.items())])
     return ExperimentResult(records=records, reports=reports, failures=failures, output_dir=out)

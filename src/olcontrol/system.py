@@ -7,7 +7,7 @@ Stability is certified from the norm decay of powers of A: the returned
 only property the downstream bounds ever use.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +17,7 @@ from .linalg import as_matrix, as_vector, solve_least_squares, spectral_norm, sp
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
-RADIUS_POWER = 64        # power used for the construction-time radius estimate
+RADIUS_POWER = 64        # power used for the certificate's radius estimate
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,12 @@ class StateBound:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """The plant ``x_{t+1} = A x_t + B u_t + w_t`` with a stable A."""
+    """The plant ``x_{t+1} = A x_t + B u_t + w_t``; A is certified once,
+    on construction, and ``cert`` keeps the certificate."""
 
     a: np.ndarray
     b: np.ndarray
+    cert: StabilityCert = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.a, "A")
@@ -102,13 +104,9 @@ class LtiSystem:
             raise InvalidInputError(
                 f"B must have {a.shape[0]} rows to match A, got shape {b.shape}"
             )
-        radius = spectral_radius_estimate(a, RADIUS_POWER)
-        if radius >= 1.0:
-            raise NotStronglyStableError(
-                f"estimated spectral radius {radius:.6g} >= 1; A must be stable"
-            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "cert", certify_strong_stability(a))
 
     @property
     def state_dim(self) -> int:
@@ -182,7 +180,7 @@ def steady_state_of_input(sys: LtiSystem, u) -> np.ndarray:
     u = as_vector(u, "input")
     if u.shape[0] != sys.input_dim:
         raise InvalidInputError("input dimension does not match the system")
-    return np.linalg.solve(np.eye(sys.state_dim) - sys.a, sys.b @ u)
+    return sys.steady_state_gain @ u
 
 
 def input_for_steady_state(sys: LtiSystem, z, tol: float | None = None) -> np.ndarray:
@@ -207,28 +205,45 @@ def input_for_steady_state(sys: LtiSystem, z, tol: float | None = None) -> np.nd
     return u
 
 
-def _as_step_array(seq, dim: int) -> np.ndarray:
+def _as_step_array(seq, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.size == 0:
         return arr.reshape(0, dim)
-    return np.atleast_2d(arr)
+    arr = np.atleast_2d(arr)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise InvalidInputError(f"{name} sequence dimension does not match the system")
+    return arr
 
 
 def _check_sequences(sys: LtiSystem, x1, u_seq, w_seq):
     x1 = as_vector(x1, "initial state")
     if x1.shape[0] != sys.state_dim:
         raise InvalidInputError("initial state dimension does not match the system")
-    u_seq = _as_step_array(u_seq, sys.input_dim)
-    w_seq = _as_step_array(w_seq, sys.state_dim)
-    if u_seq.shape[0] != w_seq.shape[0]:
-        raise InvalidInputError(
-            f"input sequence has {u_seq.shape[0]} steps but disturbance sequence has {w_seq.shape[0]}"
-        )
-    if u_seq.size and u_seq.shape[1] != sys.input_dim:
-        raise InvalidInputError("input sequence dimension does not match the system")
-    if w_seq.size and w_seq.shape[1] != sys.state_dim:
-        raise InvalidInputError("disturbance sequence dimension does not match the system")
+    w_seq = _as_step_array(w_seq, sys.state_dim, "disturbance")
+    if u_seq is not None:
+        u_seq = _as_step_array(u_seq, sys.input_dim, "input")
+        if u_seq.shape[0] != w_seq.shape[0]:
+            raise InvalidInputError(
+                f"input sequence has {u_seq.shape[0]} steps but disturbance sequence has {w_seq.shape[0]}"
+            )
     return x1, u_seq, w_seq
+
+
+def rollout(sys: LtiSystem, x0, w_seq, u_seq=None) -> np.ndarray:
+    """States ``x_0 = x0``, ``x_{t+1} = A x_t (+ B u_t) + w_t``, unchecked.
+
+    Rows of ``w_seq`` are state vectors, or (N, P) blocks with an (N, P)
+    ``x0`` to roll P forcings at once.  A step is ``(A x_t + B u_t) + w_t``
+    with ``B u_t`` formed per step, the same bits as :func:`step`.
+    """
+    states = np.empty((len(w_seq) + 1,) + np.shape(x0))
+    states[0] = x0
+    for t, w in enumerate(w_seq):
+        x = sys.a @ states[t]
+        if u_seq is not None:
+            x += sys.b @ u_seq[t]
+        states[t + 1] = x + w
+    return states
 
 
 def simulate(sys: LtiSystem, x1, u_seq, w_seq=None) -> np.ndarray:
@@ -239,12 +254,7 @@ def simulate(sys: LtiSystem, x1, u_seq, w_seq=None) -> np.ndarray:
     if w_seq is None:
         w_seq = np.zeros((len(u_seq), sys.state_dim))
     x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
-    horizon = u_seq.shape[0] + 1
-    states = np.empty((horizon, sys.state_dim))
-    states[0] = x1
-    for t in range(horizon - 1):
-        states[t + 1] = sys.a @ states[t] + sys.b @ u_seq[t] + w_seq[t]
-    return states
+    return rollout(sys, x1, w_seq, u_seq)
 
 
 def simulate_decomposed(sys: LtiSystem, x1, u_seq, w_seq):
@@ -256,14 +266,8 @@ def simulate_decomposed(sys: LtiSystem, x1, u_seq, w_seq):
     and the full trajectory is their sum.
     """
     x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
-    horizon = u_seq.shape[0] + 1
-    nominal = np.empty((horizon, sys.state_dim))
-    dist = np.empty((horizon, sys.state_dim))
-    nominal[0] = x1
-    dist[0] = 0.0
-    for t in range(horizon - 1):
-        nominal[t + 1] = sys.a @ nominal[t] + sys.b @ u_seq[t]
-        dist[t + 1] = sys.a @ dist[t] + w_seq[t]
+    nominal = rollout(sys, x1, np.zeros_like(w_seq), u_seq)
+    dist = rollout(sys, np.zeros(sys.state_dim), w_seq)
     return nominal, dist, nominal + dist
 
 

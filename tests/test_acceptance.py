@@ -31,7 +31,6 @@ from olcontrol.benchmarks import (
     _cost_grads,
     _cost_values,
     _dac_inputs,
-    _disturbance_response,
 )
 from olcontrol.harness import (
     RunRecord,
@@ -43,7 +42,7 @@ from olcontrol.harness import (
     run_single,
     solve_run_benchmarks,
 )
-from olcontrol.system import BoxSet
+from olcontrol.system import BoxSet, rollout
 
 SEEDS = 20
 BASE_SEED = 1
@@ -276,7 +275,7 @@ def test_criterion_09_gradient_oracles():
 
         # disturbance-action parametrization
         blocks = rng.standard_normal((h_mem, 2, 3)) * 0.3
-        xd = _disturbance_response(sys, w_seq)
+        xd = rollout(sys, np.zeros(3), w_seq)
 
         def total_dac(bl):
             nominal = simulate(sys, x1, _dac_inputs(bl, w_seq))

@@ -25,6 +25,7 @@ from olcontrol.benchmarks import (
     _steady_state_model,
 )
 from olcontrol.controllers import project_dac_blocks
+from olcontrol.system import rollout
 
 
 class ConstantCost:
@@ -217,9 +218,7 @@ class TestBestDac:
         costs = random_quadratics(rng, horizon)
         w_seq = rng.uniform(-0.4, 0.4, (horizon - 1, 3))
         x1 = rng.standard_normal(3)
-        from olcontrol.benchmarks import _disturbance_response
-
-        xd = _disturbance_response(sys, w_seq)
+        xd = rollout(sys, np.zeros(3), w_seq)
 
         def value(flat):
             blocks = flat.reshape(h_mem, 2, 3)
@@ -249,9 +248,7 @@ class TestBestDac:
         w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
         res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0, gamma=gamma)
         radii = (1 - gamma) ** np.arange(3)
-        from olcontrol.benchmarks import _disturbance_response
-
-        xd = _disturbance_response(ring_system, w_seq)
+        xd = rollout(ring_system, np.zeros(3), w_seq)
         for _ in range(100):
             blocks = project_dac_blocks(rng.standard_normal((3, 2, 3)), radii)
             nominal = simulate(ring_system, np.zeros(3), _dac_inputs(blocks, w_seq))
@@ -403,3 +400,50 @@ class TestGridOracle:
         costs = [ConstantCost()] * 3
         with pytest.raises(InvalidInputError):
             grid_oracle_fixed_input(ring_system, np.zeros(3), np.zeros((2, 3)), costs, BoxSet.symmetric(1.0, 2), resolution=500)
+
+
+class TestProblemShapes:
+    """Every offline solver rejects a malformed problem with InvalidInputError
+    before it solves, instead of broadcasting it or failing inside numpy."""
+
+    HORIZON = 6
+
+    @staticmethod
+    def _solve(name, sys, x1, w_seq, costs, u_set):
+        if name == "best_fixed_input":
+            return best_fixed_input(sys, x1, w_seq, costs, u_set)
+        if name == "best_dac":
+            return best_dac(sys, x1, w_seq, costs, h_mem=2, radius=1.0)
+        if name == "grid_oracle":
+            return grid_oracle_fixed_input(sys, x1, w_seq, costs, u_set, resolution=4)
+        if name == "adjoint":
+            return adjoint_input_gradients(sys, x1, np.zeros((len(w_seq), 2)), w_seq, costs)
+        return best_steady_state(costs, sys, u_set)
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad)
+        for name in ("best_fixed_input", "best_dac", "grid_oracle", "adjoint")
+        for bad in ("w_columns", "x1_length", "cost_count")
+    ] + [(name, "u_set_dim") for name in ("best_fixed_input", "grid_oracle", "best_steady_state")])
+    def test_rejected(self, ring_system, rng, name, bad):
+        costs = random_quadratics(rng, self.HORIZON)
+        x1 = np.zeros(3)
+        w_seq = np.zeros((self.HORIZON - 1, 3))
+        u_set = BoxSet.symmetric(1.0, 2)
+        if bad == "w_columns":
+            w_seq = np.zeros((self.HORIZON - 1, 1))
+        elif bad == "x1_length":
+            x1 = np.zeros(2)
+        elif bad == "cost_count":
+            costs = costs[:-1]
+        else:
+            u_set = BoxSet.symmetric(1.0, 3)
+        with pytest.raises(InvalidInputError):
+            self._solve(name, ring_system, x1, w_seq, costs, u_set)
+
+    @pytest.mark.parametrize("name", ["best_fixed_input", "best_dac", "grid_oracle", "adjoint",
+                                      "best_steady_state"])
+    def test_well_formed_accepted(self, ring_system, rng, name):
+        costs = random_quadratics(rng, self.HORIZON)
+        w_seq = rng.uniform(-0.5, 0.5, (self.HORIZON - 1, 3))
+        self._solve(name, ring_system, np.zeros(3), w_seq, costs, BoxSet.symmetric(1.0, 2))

@@ -77,6 +77,7 @@ class TestRun:
         '"dac": {"radius": 0}',
         '"cost_gen": {"q_scale": NaN}',
         '"x1": [0, NaN, 0]',
+        '"disturbances_on": "false"',
     ])
     def test_bad_value_exits_one_without_files(self, bad, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -80,6 +81,14 @@ class TestConfig:
         {"cost_gen": {"c_max": float("inf")}},
         {"x1": [0.0, float("nan"), 0.0]},
         {"x1": [0.0, 0.0]},
+        {"T": 2.7},
+        {"n_runs": 1.9},
+        {"seed": True},
+        {"seed": "1"},
+        {"dac": {"H_mem": 2.5}},
+        {"disturbances_on": "false"},
+        {"disturbances_on": 0},
+        {"output_dir": 5},
     ])
     def test_bad_values_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -98,6 +107,23 @@ class TestConfig:
         record = run_one_seed(cfg, 0)
         assert record.bench_x is not None
         assert len(builds) == 1 and cfg.system() is builds[0]
+
+    def test_certified_once_per_plant(self, monkeypatch):
+        import olcontrol.system as system_mod
+
+        calls = []
+        certify = system_mod.certify_strong_stability
+
+        def counting(a):
+            calls.append(a)
+            return certify(a)
+
+        monkeypatch.setattr(system_mod, "certify_strong_stability", counting)
+        cfg = ExperimentConfig(t=12, n_runs=1).validate()
+        assert len(calls) == 1
+        record = run_one_seed(cfg, 0)
+        assert len(calls) == 1
+        assert record.params.cert is cfg.system().cert
 
     def test_json_round_trip(self, tmp_path):
         doc = {
@@ -395,6 +421,48 @@ class TestExperimentOutput:
         monkeypatch.setattr(harness_mod, "run_one_seed", real)
         assert not run_experiment(tiny_cfg, output_dir=tmp_path / "out").failures
         assert not (tmp_path / "out" / "failures.csv").exists()
+
+    def test_out_holds_only_this_bundle(self, tiny_cfg, tmp_path, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        (out / "run_x.csv").write_text("keep")
+        run_experiment(replace(tiny_cfg, n_runs=3), output_dir=out)
+        run_experiment(replace(tiny_cfg, n_runs=1), output_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "benchmarks.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
+
+        real = harness_mod.run_one_seed
+
+        def flaky(cfg, k, **kwargs):
+            if k == 1:
+                raise RuntimeError("synthetic failure")
+            return real(cfg, k, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "run_one_seed", flaky)
+        run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "benchmarks.csv", "failures.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
+
+        monkeypatch.setattr(harness_mod, "run_one_seed", lambda cfg, k: flaky(cfg, 1))
+        run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["failures.csv", "notes.txt", "run_x.csv"]
+
+    def test_failure_message_is_one_field(self, tiny_cfg, tmp_path, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        message = 'shapes (2,) and (3,) not aligned: "quoted"\nsecond line'
+
+        def failing(cfg, k):
+            raise ValueError(message)
+
+        monkeypatch.setattr(harness_mod, "run_one_seed", failing)
+        run_experiment(tiny_cfg, output_dir=tmp_path / "out")
+        with open(tmp_path / "out" / "failures.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["run", "error"], ["0", f"ValueError: {message}"], ["1", f"ValueError: {message}"]]
 
     def test_columns_follow_the_table(self, tmp_path):
         cfg = default_config(t=10, n_runs=2, seed=5, disturbances_on=False)

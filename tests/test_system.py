@@ -18,6 +18,7 @@ from olcontrol import (
     steady_state_of_input,
     step,
 )
+from olcontrol.system import rollout
 
 
 class TestLtiSystem:
@@ -28,6 +29,12 @@ class TestLtiSystem:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             LtiSystem(np.zeros((2, 2)), np.zeros((3, 1)))
+
+    def test_carries_its_certificate(self, ring_system):
+        assert ring_system.cert == certify_strong_stability(ring_system.a)
+        assert "cert" not in repr(ring_system)
+        with pytest.raises(TypeError):
+            LtiSystem(ring_system.a, ring_system.b, cert=ring_system.cert)
 
     def test_steady_state_gain(self, ring_system):
         s = ring_system.steady_state_gain
@@ -144,6 +151,19 @@ class TestSteadyStateMaps:
 
 
 class TestSimulation:
+    def test_block_forcing_matches_columns(self, ring_system, rng):
+        # a one-column block takes the same products as a vector, bit for
+        # bit; wider blocks go through a matrix product that BLAS may round
+        # differently in the last bit
+        for width, tol in ((1, 0.0), (4, 1e-14)):
+            x0 = rng.standard_normal((3, width))
+            forcing = rng.standard_normal((30, 3, width))
+            blocks = rollout(ring_system, x0, forcing)
+            assert blocks.shape == (31, 3, width)
+            for p in range(width):
+                column = rollout(ring_system, x0[:, p], forcing[:, :, p])
+                np.testing.assert_allclose(blocks[:, :, p], column, rtol=tol, atol=tol)
+
     def test_no_disturbance_decomposition(self, ring_system, rng):
         u_seq = rng.uniform(-1, 1, (10, 2))
         w_seq = np.zeros((10, 3))
