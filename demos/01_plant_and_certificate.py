@@ -42,7 +42,7 @@ for k in range(0, 13, 2):
 # bounded inputs and disturbances keep the state in a ball of radius D
 u_box = BoxSet.symmetric(5.0, 2)
 w_box = BoxSet.symmetric(0.5, 3)
-bound = state_bound(cert, sys, np.zeros(3), u_box, w_box)
+bound = state_bound(sys, np.zeros(3), u_box, w_box)  # under sys.cert, the same certificate
 print(f"\nworst-case state norm D = {bound.d:.4f}")
 print("every simulated trajectory below stays far inside that ball:")
 

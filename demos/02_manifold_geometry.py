@@ -3,7 +3,7 @@
 With inputs confined to a box U, the holdable states are x = (I-A)^{-1} B u
 for u in U -- a bounded patch of a low-dimensional subspace.  The online
 controller lives on this patch, so its two primitives are mapping inputs to
-steady states (and back) and projecting arbitrary points onto the patch.
+steady states (and back, through the projection) and projecting arbitrary points onto the patch.
 """
 
 import numpy as np
@@ -11,8 +11,8 @@ import numpy as np
 from olcontrol import (
     BoxSet,
     LtiSystem,
+    OlcController,
     default_system_matrices,
-    input_for_steady_state,
     project_steady_state,
     simulate,
     steady_state_of_input,
@@ -24,7 +24,9 @@ u_box = BoxSet.symmetric(5.0, 2)
 u = np.array([2.0, -1.0])
 z = steady_state_of_input(sys, u)
 print(f"input {u} holds the plant at z = {np.array_str(z, precision=4)}")
-print(f"recovered input: {np.array_str(input_for_steady_state(sys, z), precision=4)}")
+# a target-state controller started at z projects it onto the manifold,
+# and the input it plays is the one holding z
+print(f"recovered input: {np.array_str(OlcController(sys, u_box, eta=0.1, z0=z).act(z), precision=4)}")
 
 # holding means holding: simulate under the constant input
 states = simulate(sys, z, np.tile(u, (10, 1)))

@@ -20,11 +20,10 @@ from .controllers import (
     regret_optimal_step_size,
 )
 from .costs import (
-    CostOracle,
+    QuadraticBatch,
     QuadraticCost,
     SmoothnessParams,
     finite_diff_grad,
-    nominal_cost,
     smoothness_constant,
 )
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
     InvalidStateError,
     NotStronglyStableError,
     ProjectionFailureError,
-    UnreachableTargetError,
     UnsupportedDimensionError,
 )
 from .harness import (
@@ -54,14 +52,13 @@ from .harness import (
     run_single,
     solve_run_benchmarks,
 )
-from .linalg import solve_least_squares, spectral_norm, spectral_radius_estimate
+from .linalg import spectral_norm, spectral_radius_estimate
 from .system import (
     BoxSet,
     LtiSystem,
     StabilityCert,
     StateBound,
     certify_strong_stability,
-    input_for_steady_state,
     simulate,
     simulate_decomposed,
     state_bound,

@@ -7,8 +7,9 @@ assembles that quadratic once, f(x) = x^T H x + 2 g^T x + k, from the
 per-step costs and the state's response to the decision variable, and
 then runs projected descent with a backtracking line search on the
 assembled model; no descent iteration simulates the plant.  The solvers
-accept quadratic cost batches only.  A brute-force grid oracle validates
-the fixed-input solver on low-dimensional inputs.
+take the costs as one QuadraticBatch (or a list of QuadraticCost, stacked
+once on entry).  A brute-force grid oracle validates the fixed-input
+solver on low-dimensional inputs.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import project_dac_blocks
-from .costs import quad_batch_grads, quad_batch_values, stack_quadratics
+from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .system import BoxSet, LtiSystem, _check_sequences, rollout, simulate
 
@@ -45,10 +46,17 @@ class BenchmarkResult:
     value_nominal: float | None = None
 
 
+def _check_costs(sys: LtiSystem, costs) -> QuadraticBatch:
+    costs = as_batch(costs)
+    if costs.dim != sys.state_dim:
+        raise InvalidInputError(f"costs act on {costs.dim} states; the system has {sys.state_dim}")
+    return costs
+
+
 def _check_problem(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet | None = None, u_seq=None):
-    """(x1, u_seq, w_seq, costs) checked against the plant, with one more
-    cost than steps; InvalidInputError otherwise."""
-    costs = list(costs)
+    """(x1, u_seq, w_seq, costs) checked against the plant, with the costs
+    as one batch of one more step than w_seq; InvalidInputError otherwise."""
+    costs = _check_costs(sys, costs)
     x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
     if len(costs) != w_seq.shape[0] + 1:
         raise InvalidInputError(f"got {len(costs)} costs for {w_seq.shape[0]} steps; need one more cost")
@@ -59,20 +67,6 @@ def _check_problem(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet | None = None
 def _check_input_box(sys: LtiSystem, u_set: BoxSet | None) -> None:
     if u_set is not None and u_set.dim != sys.input_dim:
         raise InvalidInputError(f"input box has dimension {u_set.dim}; the system has {sys.input_dim} inputs")
-
-
-def _cost_values(costs, states) -> np.ndarray:
-    stacked = stack_quadratics(costs)
-    if stacked is not None:
-        return quad_batch_values(*stacked, states)
-    return np.array([cost.value(x) for cost, x in zip(costs, states)])
-
-
-def _cost_grads(costs, states) -> np.ndarray:
-    stacked = stack_quadratics(costs)
-    if stacked is not None:
-        return quad_batch_grads(*stacked, states)
-    return np.stack([cost.grad(x) for cost, x in zip(costs, states)])
 
 
 def _adjoint_states(sys: LtiSystem, grads: np.ndarray) -> np.ndarray:
@@ -94,7 +88,7 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     """
     x1, u_seq, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_seq=u_seq)
     states = rollout(sys, x1, w_seq, u_seq)
-    lam = _adjoint_states(sys, _cost_grads(costs, states))
+    lam = _adjoint_states(sys, costs.grads(states))
     return lam[1:] @ sys.b
 
 
@@ -150,7 +144,9 @@ class _Quadratic:
         return (2.0 * (self.h @ v + self.g)).reshape(np.shape(x))
 
 
-def _assemble_quadratic(costs, offsets: np.ndarray, response: np.ndarray, n_blocks: int = 1) -> _Quadratic:
+def _assemble_quadratic(
+    costs: QuadraticBatch, offsets: np.ndarray, response: np.ndarray, n_blocks: int = 1
+) -> _Quadratic:
     """Assemble sum_t f_t(x_t) as a quadratic in the decision variable.
 
     The trajectory is x_t = offsets[t] + sum_j J_t^(j) x^(j), where the
@@ -159,12 +155,7 @@ def _assemble_quadratic(costs, offsets: np.ndarray, response: np.ndarray, n_bloc
     J_t^(j) = response[t - j], and zero for t < j.  Only that one response
     is stored, never the full (T, N, n_blocks * P) Jacobian.
     """
-    stacked = stack_quadratics(costs)
-    if stacked is None:
-        raise InvalidInputError(
-            "hindsight solvers need quadratic costs; got a batch with a non-quadratic cost"
-        )
-    qs, cs = stacked
+    qs, cs = costs.qs, costs.cs
     horizon, _, p = response.shape
     d = offsets - cs
     qd = np.einsum("tij,tj->ti", qs, d)
@@ -215,11 +206,11 @@ def best_fixed_input(
         model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
     )
     u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
-    step_costs = _cost_values(costs, rollout(sys, x1, w_seq, u_seq))
+    step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
     # same objective through the superposition route
     nominal = rollout(sys, x1, np.zeros_like(w_seq), u_seq)
     xd = rollout(sys, np.zeros(sys.state_dim), w_seq)
-    value_nominal = float(np.sum(_cost_values(costs, nominal + xd)))
+    value_nominal = float(np.sum(costs.values(nominal + xd)))
     return BenchmarkResult(
         optimizer=u_star,
         value=float(np.sum(step_costs)),
@@ -252,16 +243,14 @@ def best_steady_state(
     the input box and the projection is a clamp.  Every step sees the
     same state, so the assembled quadratic has H = S^T (sum_t Q_t) S.
     """
-    costs = list(costs)
-    if not costs:
-        raise InvalidInputError("cost sequence is empty")
+    costs = _check_costs(sys, costs)
     _check_input_box(sys, u_set)
     model = _steady_state_model(sys, costs)
     u_star, _, iters, converged = _projected_descent(
         model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
     )
     x_star = sys.steady_state_gain @ u_star
-    step_costs = _cost_values(costs, np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
+    step_costs = costs.values(np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
     return BenchmarkResult(
         optimizer=x_star,
         value=float(np.sum(step_costs)),
@@ -300,7 +289,6 @@ def best_dac(
     costs,
     h_mem: int,
     radius: float,
-    gamma: float | None = None,
     move_tol: float = DESCENT_MOVE_TOL,
     max_iter: int = DESCENT_MAX_ITER,
 ) -> BenchmarkResult:
@@ -308,18 +296,16 @@ def best_dac(
 
     The nominal trajectory is affine in the blocks, so minimizing the
     shifted-cost total over the per-block Frobenius balls (radii decaying
-    as radius * (1-gamma)^i) is convex.  Block j feeds w_{t-j} into the
-    input, so the state's response to block j is the response to block 1
-    delayed by j-1 steps; the quadratic is assembled from that one
-    (T, N, M*N) response and minimized by projected descent.  Costs are
-    realized by evaluating the original costs on the full trajectory
-    (nominal plus disturbance response), which equals the shifted-cost
-    total identically.
+    as radius * (1-gamma)^i, gamma from ``sys.cert``) is convex.  Block j
+    feeds w_{t-j} into the input, so the state's response to block j is
+    the response to block 1 delayed by j-1 steps; the quadratic is
+    assembled from that one (T, N, M*N) response and minimized by
+    projected descent.  Costs are realized by evaluating the original
+    costs on the full trajectory (nominal plus disturbance response),
+    which equals the shifted-cost total identically.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
-    if gamma is None:
-        gamma = sys.cert.gamma
-    radii = float(radius) * (1.0 - gamma) ** np.arange(h_mem)
+    radii = float(radius) * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
     model = _dac_model(sys, x1, w_seq, costs, h_mem)
     blocks, _, iters, converged = _projected_descent(
         model.value,
@@ -330,10 +316,10 @@ def best_dac(
         max_iter,
     )
     inputs = _dac_inputs(blocks, w_seq)
-    step_costs = _cost_values(costs, simulate(sys, x1, inputs) + rollout(sys, np.zeros(sys.state_dim), w_seq))
+    step_costs = costs.values(simulate(sys, x1, inputs) + rollout(sys, np.zeros(sys.state_dim), w_seq))
     # dual route: simulate the disturbed system directly under the same inputs
     direct = simulate(sys, x1, inputs, w_seq)
-    value_direct = float(np.sum(_cost_values(costs, direct)))
+    value_direct = float(np.sum(costs.values(direct)))
     return BenchmarkResult(
         optimizer=blocks,
         value=value_direct,
@@ -376,24 +362,19 @@ def grid_oracle_fixed_input(
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)  # (P, M)
 
-    stacked = stack_quadratics(costs)
     points = grid.shape[0]
     totals = np.zeros(points)
     states = np.broadcast_to(x1, (points, sys.state_dim)).copy()
     inputs_through_b = grid @ sys.b.T
     for t in range(len(costs)):
-        if stacked is not None:
-            qs, cs = stacked
-            d = states - cs[t]
-            totals += ((d @ qs[t]) * d).sum(1)
-        else:
-            totals += np.array([costs[t].value(states[p]) for p in range(points)])
+        d = states - costs.cs[t]
+        totals += ((d @ costs.qs[t]) * d).sum(1)
         if t < len(costs) - 1:
             states = states @ sys.a.T + inputs_through_b + w_seq[t]
     best = int(np.argmin(totals))
     u_star = grid[best]
     u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
-    step_costs = _cost_values(costs, rollout(sys, x1, w_seq, u_seq))
+    step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
     return BenchmarkResult(
         optimizer=u_star,
         value=float(totals[best]),

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
@@ -50,19 +49,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(cfg, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.runs is not None:
-        updates["n_runs"] = args.runs
-    if args.horizon is not None:
-        updates["t"] = args.horizon
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if updates:
-        cfg = replace(cfg, **updates).validate()
-    return cfg
+# (command-line flag, the top-level config key it overrides)
+_OVERRIDES = (("seed", "seed"), ("runs", "n_runs"), ("horizon", "T"), ("out", "output_dir"))
+
+
+def _overrides(args) -> dict:
+    return {key: getattr(args, flag) for flag, key in _OVERRIDES if getattr(args, flag) is not None}
 
 
 _SOLVERS = (("bench_u", "best_fixed_input"), ("bench_m", "best_dac"), ("bench_x", "best_steady_state"))
@@ -87,7 +79,7 @@ def _warn_unconverged(record) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, _overrides(args))
     result = run_experiment(cfg)
     print(f"wrote {len(result.reports)} run file(s) to {result.output_dir}")
     for record in result.records:

@@ -4,7 +4,7 @@ descent over the steady-state manifold) and the disturbance-action baseline.
 Both controllers follow the same round protocol: ``act`` is called with the
 observed state and returns an admissible input, then ``observe`` delivers the
 round's feedback (a cost gradient for the target-state controller, the full
-cost oracle for the disturbance-action one) together with the next state.
+cost for the disturbance-action one) together with the next state.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostOracle
+from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
 from .linalg import as_vector, spectral_norm
 from .system import BoxSet, LtiSystem, StabilityCert
@@ -199,8 +199,9 @@ class DacController:
     truncated surrogate state (the state the plant would be in had the
     current blocks generated the inputs over the recent past), then
     projected onto per-block Frobenius balls with radii decaying as
-    radius * (1-gamma)^i.  Disturbances are recovered exactly from
-    observed transitions since A and B are known.
+    radius * (1-gamma)^i, gamma from the plant's certificate ``sys.cert``.
+    Disturbances are recovered exactly from observed transitions since A
+    and B are known.
     """
 
     feedback = "cost"
@@ -212,21 +213,18 @@ class DacController:
         h_mem: int,
         eta_g: float,
         radius: float,
-        gamma: float,
     ):
         if h_mem < 1:
             raise InvalidInputError(f"memory horizon must be >= 1, got {h_mem}")
         if eta_g <= 0.0 or radius <= 0.0:
             raise InvalidInputError("eta_g and radius must be positive")
-        if not 0.0 < gamma <= 1.0:
-            raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
         if u_set.dim != sys.input_dim:
             raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
         self.u_set = u_set
         self.h_mem = int(h_mem)
         self.eta_g = float(eta_g)
-        self.radii = float(radius) * (1.0 - gamma) ** np.arange(self.h_mem)
+        self.radii = float(radius) * (1.0 - sys.cert.gamma) ** np.arange(self.h_mem)
         self.blocks = np.zeros((self.h_mem, sys.input_dim, sys.state_dim))
         # newest-first ring of past disturbances, zero-padded for t <= 0;
         # the surrogate looks back 2*h_mem steps
@@ -272,13 +270,13 @@ class DacController:
             grads[j - 1] = q.T @ self.history[j : j + h + 1]
         return grads
 
-    def update(self, cost: CostOracle) -> None:
+    def update(self, cost: QuadraticCost) -> None:
         """One OGD step on the surrogate loss, then project the blocks."""
         delta = cost.grad(self.surrogate_state())
         stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
         self.blocks = project_dac_blocks(stepped, self.radii)
 
-    def observe(self, cost: CostOracle, x_next) -> None:
+    def observe(self, cost: QuadraticCost, x_next) -> None:
         """Update the blocks from this round's cost, then record the
         disturbance revealed by the observed transition."""
         if self._last_x is None:

@@ -1,7 +1,6 @@
-"""Convex cost oracles: the quadratic family, shifted (nominal) costs, and
-smoothness-constant estimation."""
+"""Quadratic costs f_t(x) = (x - c_t)^T Q_t (x - c_t): one step, a run's
+batch of steps, and the smoothness constant of a batch."""
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,47 +13,53 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10         # smallest eigenvalue accepted as semidefinite
 
 
-class CostOracle(ABC):
-    """Value/gradient interface every cost implements."""
+def _check_quadratics(qs, cs) -> tuple[np.ndarray, np.ndarray]:
+    """(qs, cs) as float stacks of shapes (T, N, N) and (T, N), T >= 1.
 
-    @abstractmethod
-    def value(self, x) -> float:
-        ...
-
-    @abstractmethod
-    def grad(self, x) -> np.ndarray:
-        ...
+    Every entry must be finite, each Q_t symmetric to SYMMETRY_TOL
+    (relative to its largest entry, at least 1) and its smallest
+    eigenvalue (one batched ``np.linalg.eigvalsh``) at least PSD_TOL;
+    otherwise InvalidInputError names the first failing step.
+    """
+    qs = np.asarray(qs, dtype=float)
+    cs = np.asarray(cs, dtype=float)
+    if qs.shape[:1] == (0,):
+        raise InvalidInputError("cost batch is empty")
+    if qs.ndim != 3 or qs.shape[1] != qs.shape[2] or cs.shape != qs.shape[:2]:
+        raise InvalidInputError(
+            f"need Q stacked (T, N, N) and c stacked (T, N): got Q {qs.shape}, c {cs.shape}"
+        )
+    finite = np.isfinite(qs).all(axis=(1, 2)) & np.isfinite(cs).all(axis=1)
+    if not finite.all():
+        raise InvalidInputError(f"cost at step {np.argmin(finite)} has non-finite entries")
+    asym = np.abs(qs - qs.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    scale = np.abs(qs).max(axis=(1, 2), initial=1.0)
+    bad = asym > SYMMETRY_TOL * scale
+    if bad.any():
+        t = np.argmax(bad)
+        raise InvalidInputError(f"Q at step {t} is not symmetric (max asymmetry {asym[t]:.3e})")
+    min_eig = np.linalg.eigvalsh(qs).min(axis=1, initial=0.0)
+    bad = min_eig < PSD_TOL
+    if bad.any():
+        t = np.argmax(bad)
+        raise InvalidInputError(
+            f"Q at step {t} is not positive semidefinite (smallest eigenvalue {min_eig[t]:.3e})"
+        )
+    return qs, cs
 
 
 @dataclass(frozen=True)
-class QuadraticCost(CostOracle):
-    """f(x) = (x - c)^T Q (x - c) with symmetric PSD Q.
-
-    Construction rejects a Q that is not symmetric to SYMMETRY_TOL
-    (relative) or whose smallest eigenvalue (``np.linalg.eigvalsh``) is
-    below PSD_TOL.
-    """
+class QuadraticCost:
+    """One step's cost f(x) = (x - c)^T Q (x - c) with symmetric PSD Q,
+    checked on construction as a one-step batch."""
 
     q: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.q, "Q")
-        c = as_vector(self.c, "c")
-        if q.shape[0] != q.shape[1] or q.shape[0] != c.shape[0]:
-            raise InvalidInputError(
-                f"Q must be square and match c: got Q {q.shape}, c {c.shape}"
-            )
-        asym = float(np.max(np.abs(q - q.T))) if q.size else 0.0
-        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(q)))):
-            raise InvalidInputError(f"Q is not symmetric (max asymmetry {asym:.3e})")
-        min_eig = float(np.linalg.eigvalsh(q)[0]) if q.size else 0.0
-        if min_eig < PSD_TOL:
-            raise InvalidInputError(
-                f"Q is not positive semidefinite (smallest eigenvalue {min_eig:.3e})"
-            )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "c", c)
+        qs, cs = _check_quadratics(as_matrix(self.q, "Q")[None], as_vector(self.c, "c")[None])
+        object.__setattr__(self, "q", qs[0])
+        object.__setattr__(self, "c", cs[0])
 
     def _check_dim(self, x) -> np.ndarray:
         x = as_vector(x, "x")
@@ -73,23 +78,49 @@ class QuadraticCost(CostOracle):
         return 2.0 * (self.q @ d)
 
 
-class ShiftedCost(CostOracle):
-    """g(x) = f(x + offset); gradients shift the same way (chain rule)."""
+class QuadraticBatch:
+    """A run's costs f_t, t = 0..T-1, held as one (T, N, N) stack ``qs`` and
+    one (T, N) stack ``cs`` and checked once, on construction."""
 
-    def __init__(self, base: CostOracle, offset):
-        self.base = base
-        self.offset = as_vector(offset, "offset")
+    def __init__(self, qs, cs):
+        self.qs, self.cs = _check_quadratics(qs, cs)
 
-    def value(self, x) -> float:
-        return self.base.value(np.asarray(x, dtype=float) + self.offset)
+    def __len__(self) -> int:
+        return self.qs.shape[0]
 
-    def grad(self, x) -> np.ndarray:
-        return self.base.grad(np.asarray(x, dtype=float) + self.offset)
+    @property
+    def dim(self) -> int:
+        return self.cs.shape[1]
+
+    def __getitem__(self, t) -> QuadraticCost:
+        """Step t as a QuadraticCost on views of the stacks (not re-checked)."""
+        cost = object.__new__(QuadraticCost)
+        object.__setattr__(cost, "q", self.qs[t])
+        object.__setattr__(cost, "c", self.cs[t])
+        return cost
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """Per-step values f_t(x_t) of a (T, N) trajectory."""
+        d = xs - self.cs
+        return np.einsum("ti,tij,tj->t", d, self.qs, d)
+
+    def grads(self, xs: np.ndarray) -> np.ndarray:
+        """Per-step gradients 2 Q_t (x_t - c_t) of a (T, N) trajectory."""
+        return 2.0 * np.einsum("tij,tj->ti", self.qs, xs - self.cs)
 
 
-def nominal_cost(cost: CostOracle, x_d) -> CostOracle:
-    """Absorb a known state offset into the cost: g(x) = f(x + x_d)."""
-    return ShiftedCost(cost, x_d)
+def as_batch(costs) -> QuadraticBatch:
+    """``costs`` as one QuadraticBatch: a batch as is, a list or tuple of
+    QuadraticCost stacked; anything else raises InvalidInputError."""
+    if isinstance(costs, QuadraticBatch):
+        return costs
+    if not isinstance(costs, (list, tuple)) or not all(isinstance(c, QuadraticCost) for c in costs):
+        raise InvalidInputError("costs must be a QuadraticBatch or a list of QuadraticCost")
+    shapes = [cost.q.shape for cost in costs]
+    for t, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise InvalidInputError(f"cost list mixes Q shapes: {shape} at step {t}, {shapes[0]} at step 0")
+    return QuadraticBatch(np.array([cost.q for cost in costs]), np.array([cost.c for cost in costs]))
 
 
 @dataclass(frozen=True)
@@ -110,21 +141,16 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> SmoothnessPar
     ``||2 Q (x - c)|| <= 2 ||Q|| (D + c_max)`` for ``||x|| <= D``, so
     L = 2 max_t ||Q_t|| (D + c_max) / D guarantees the L*D gradient bound.
     """
-    costs = list(costs)
-    if not costs:
-        raise InvalidInputError("cost sequence is empty")
-    shapes = {cost.q.shape for cost in costs}
-    if len(shapes) != 1:
-        raise InvalidInputError(f"cost batch mixes Q shapes {sorted(shapes)}")
-    max_q = float(np.max(batch_spectral_norms(np.stack([cost.q for cost in costs]))))
+    max_q = float(np.max(batch_spectral_norms(as_batch(costs).qs)))
     l = 2.0 * max_q * (bound.d + float(c_max)) / bound.d
     # all-zero cost batches would give L = 0 and an undefined step size;
     # clamp like the state bound does
     return SmoothnessParams(l=max(l, 1e-12), d=bound.d)
 
 
-def finite_diff_grad(oracle: CostOracle, x, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient, the test oracle for analytic gradients."""
+def finite_diff_grad(cost, x, h: float | None = None) -> np.ndarray:
+    """Central-difference gradient of anything with a ``value(x)`` method,
+    the test oracle for analytic gradients."""
     x = as_vector(x, "x")
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
@@ -134,25 +160,5 @@ def finite_diff_grad(oracle: CostOracle, x, h: float | None = None) -> np.ndarra
     for i in range(x.shape[0]):
         bump = np.zeros_like(x)
         bump[i] = h
-        grad[i] = (oracle.value(x + bump) - oracle.value(x - bump)) / (2.0 * h)
+        grad[i] = (cost.value(x + bump) - cost.value(x - bump)) / (2.0 * h)
     return grad
-
-
-def stack_quadratics(costs):
-    """Stack a quadratic batch into (Q, C) arrays; None if any cost is not quadratic."""
-    if not all(isinstance(c, QuadraticCost) for c in costs):
-        return None
-    qs = np.stack([c.q for c in costs])
-    cs = np.stack([c.c for c in costs])
-    return qs, cs
-
-
-def quad_batch_values(qs: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-step values f_t(x_t) of a stacked quadratic batch."""
-    d = xs - cs
-    return np.einsum("ti,tij,tj->t", d, qs, d)
-
-
-def quad_batch_grads(qs: np.ndarray, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-step gradients 2 Q_t (x_t - c_t) of a stacked quadratic batch."""
-    return 2.0 * np.einsum("tij,tj->ti", qs, xs - cs)

@@ -9,10 +9,6 @@ class NotStronglyStableError(ValueError):
     """System matrix fails the stability prerequisite."""
 
 
-class UnreachableTargetError(ValueError):
-    """Requested target state is not a steady state of any admissible input."""
-
-
 class ProjectionFailureError(RuntimeError):
     """Inner projection solver hit its iteration cap while still moving."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkResult, best_dac, best_fixed_input, best_steady_state
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticCost, SmoothnessParams, smoothness_constant
+from .costs import QuadraticBatch, SmoothnessParams, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import spectral_norm
 from .system import (
@@ -98,6 +98,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
     def validate(self) -> "ExperimentConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.t < 2:
             raise ConfigError(f"horizon T must be >= 2, got {self.t}")
         if self.n_runs < 1:
@@ -216,7 +218,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config file; ``overrides`` (top-level JSON key -> value)
+    replace the file's keys before the one :func:`config_from_dict`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -224,6 +228,8 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
     return config_from_dict(doc)
 
 
@@ -232,7 +238,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def generate_costs(cfg: ExperimentConfig, rng: np.random.Generator) -> list[QuadraticCost]:
+def generate_costs(cfg: ExperimentConfig, rng: np.random.Generator) -> QuadraticBatch:
     """Draw the per-step quadratic costs.
 
     Q_t = q_scale * (S^T S / N + q_ridge * I) with S standard normal
@@ -243,15 +249,15 @@ def generate_costs(cfg: ExperimentConfig, rng: np.random.Generator) -> list[Quad
     """
     n = cfg.a.shape[0]
     gen = cfg.cost_gen
-    costs = []
+    qs = np.empty((cfg.t, n, n))
+    cs = np.empty((cfg.t, n))
     eye = np.eye(n)
-    for _ in range(cfg.t):
+    for t in range(cfg.t):
         s = rng.standard_normal((n, n))
         q = gen.q_scale * (s.T @ s / n + gen.q_ridge * eye)
-        q = 0.5 * (q + q.T)
-        c = rng.uniform(0.0, gen.c_max, size=n)
-        costs.append(QuadraticCost(q=q, c=c))
-    return costs
+        qs[t] = 0.5 * (q + q.T)
+        cs[t] = rng.uniform(0.0, gen.c_max, size=n)
+    return QuadraticBatch(qs, cs)
 
 
 def generate_disturbances(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -283,7 +289,7 @@ class RunParams:
 def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
     sys = cfg.system()
     cert = sys.cert
-    bound = state_bound(cert, sys, cfg.x1, cfg.u_box, cfg.w_box)
+    bound = state_bound(sys, cfg.x1, cfg.u_box, cfg.w_box)
     # the smoothness formula needs a bound on ||c_t||; targets are drawn
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)
     c_norm_max = cfg.cost_gen.c_max * np.sqrt(cfg.a.shape[0])
@@ -319,9 +325,7 @@ def _build_controller(cfg: ExperimentConfig, kind: str, params: RunParams, sys: 
     if kind == "olc":
         return OlcController(sys, cfg.u_box, params.eta, z0=cfg.x1)
     if kind == "dac":
-        return DacController(
-            sys, cfg.u_box, cfg.dac.h_mem, params.dac_eta_g, params.dac_radius, params.cert.gamma
-        )
+        return DacController(sys, cfg.u_box, cfg.dac.h_mem, params.dac_eta_g, params.dac_radius)
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
@@ -358,7 +362,8 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
                 f"state norm {np.linalg.norm(x):.6g} exceeds the certified bound {params.bound.d:.6g} at t={t + 1}"
             )
         states[t] = x
-        costs_out[t] = costs[t].value(x)
+        cost = costs[t]
+        costs_out[t] = cost.value(x)
         if t == horizon - 1:
             break
         if targets is not None:
@@ -367,9 +372,9 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
         inputs[t] = u
         x_next = step(sys, x, u, w_seq[t])
         if ctrl.feedback == "gradient":
-            ctrl.observe(costs[t].grad(x), x_next)
+            ctrl.observe(cost.grad(x), x_next)
         else:
-            ctrl.observe(costs[t], x_next)
+            ctrl.observe(cost, x_next)
         x = x_next
     return Trace(kind=kind_name, states=states, inputs=inputs, costs=costs_out,
                  targets=targets, eta=params.eta if kind == "olc" else None)
@@ -381,7 +386,7 @@ class RunRecord:
 
     run_index: int
     seed: int
-    costs: list
+    costs: QuadraticBatch
     w_seq: np.ndarray
     params: RunParams
     traces: dict[str, Trace]

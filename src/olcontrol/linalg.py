@@ -1,16 +1,13 @@
 """Dense linear-algebra kernels used throughout the package.
 
-Spectral norms and least squares both go through LAPACK's SVD, so norms
-are exact to roundoff (not estimates converging from below) and repeated
-calls on the same inputs give bit-identical results.
+Spectral norms go through LAPACK's SVD, so they are exact to roundoff
+(not estimates converging from below) and repeated calls on the same
+inputs give bit-identical results.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-LSQ_REG = 1e-12         # relative singular-value cutoff for least squares
-
 
 def as_matrix(m, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array or raise InvalidInputError."""
@@ -50,24 +47,6 @@ def batch_spectral_norms(mats: np.ndarray) -> np.ndarray:
     if mats.size == 0:
         return np.zeros(mats.shape[0])
     return np.linalg.norm(mats, 2, axis=(1, 2))
-
-
-def solve_least_squares(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a x = b``.
-
-    Solved through an SVD (``np.linalg.lstsq``): among all minimizers of
-    ``||a x - b||`` the minimum-norm one is returned.  Singular values
-    below LSQ_REG relative to the largest are treated as zero, which is
-    what makes the all-zero map return the zero vector.
-    """
-    a = as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != b.shape[0]:
-        raise InvalidInputError(
-            f"matrix has {a.shape[0]} rows but right-hand side has dimension {b.shape[0]}"
-        )
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=LSQ_REG)
-    return x
 
 
 def spectral_radius_estimate(a, k: int = 64) -> float:

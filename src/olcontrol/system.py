@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NotStronglyStableError, UnreachableTargetError
-from .linalg import as_matrix, as_vector, solve_least_squares, spectral_norm, spectral_radius_estimate
+from .errors import InvalidInputError, NotStronglyStableError
+from .linalg import as_matrix, as_vector, spectral_norm, spectral_radius_estimate
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
@@ -183,28 +183,6 @@ def steady_state_of_input(sys: LtiSystem, u) -> np.ndarray:
     return sys.steady_state_gain @ u
 
 
-def input_for_steady_state(sys: LtiSystem, z, tol: float | None = None) -> np.ndarray:
-    """Minimum-norm input holding the plant at steady state z.
-
-    Solves ``B u = (I - A) z`` by least squares; if the residual exceeds
-    ``tol`` (default 1e-8 * (1 + ||z||)) the target is not on the
-    steady-state manifold and UnreachableTargetError is raised.
-    """
-    z = as_vector(z, "target state")
-    if z.shape[0] != sys.state_dim:
-        raise InvalidInputError("target dimension does not match the system")
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(z)))
-    rhs = (np.eye(sys.state_dim) - sys.a) @ z
-    u = solve_least_squares(sys.b, rhs)
-    residual = float(np.linalg.norm(sys.b @ u - rhs))
-    if residual > tol:
-        raise UnreachableTargetError(
-            f"target is not a reachable steady state: residual {residual:.3e} > tol {tol:.3e}"
-        )
-    return u
-
-
 def _as_step_array(seq, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.size == 0:
@@ -271,13 +249,15 @@ def simulate_decomposed(sys: LtiSystem, x1, u_seq, w_seq):
     return nominal, dist, nominal + dist
 
 
-def state_bound(cert: StabilityCert, sys: LtiSystem, x1, u_set: BoxSet, w_set: BoxSet) -> StateBound:
+def state_bound(sys: LtiSystem, x1, u_set: BoxSet, w_set: BoxSet) -> StateBound:
     """Worst-case state norm over admissible inputs and disturbances.
 
-    Sums the geometric series of decaying transition norms:
+    Sums the geometric series of decaying transition norms under the
+    plant's certificate ``sys.cert``:
     ``D = kappa ||x1|| + (kappa/gamma) (||B|| u_max + w_max)``, clamped
     away from zero so downstream constants stay finite.
     """
+    cert = sys.cert
     x1 = as_vector(x1, "initial state")
     u_max = u_set.max_corner_norm()
     w_max = w_set.max_corner_norm()

@@ -21,17 +21,12 @@ from olcontrol import (
     certify_strong_stability,
     default_config,
     grid_oracle_fixed_input,
-    nominal_cost,
     simulate,
     simulate_decomposed,
     steady_state_of_input,
 )
-from olcontrol.benchmarks import (
-    _adjoint_states,
-    _cost_grads,
-    _cost_values,
-    _dac_inputs,
-)
+from olcontrol.benchmarks import _adjoint_states, _dac_inputs
+from olcontrol.costs import as_batch
 from olcontrol.harness import (
     RunRecord,
     derive_run_params,
@@ -260,16 +255,17 @@ def test_criterion_09_gradient_oracles():
             costs.append(QuadraticCost(q=s.T @ s / 3 + 0.1 * np.eye(3), c=rng.uniform(0, 3, 3)))
         w_seq = rng.uniform(-0.3, 0.3, (horizon - 1, 3))
         x1 = rng.standard_normal(3)
+        batch = as_batch(costs)
 
         # fixed-input parametrization: summed adjoint gradient vs central differences
         u0 = rng.uniform(-1, 1, 2)
 
         def total_fixed(u):
             states = simulate(sys, x1, np.tile(u, (horizon - 1, 1)), w_seq)
-            return float(np.sum(_cost_values(costs, states)))
+            return float(np.sum(batch.values(states)))
 
         states = simulate(sys, x1, np.tile(u0, (horizon - 1, 1)), w_seq)
-        lam = _adjoint_states(sys, _cost_grads(costs, states))
+        lam = _adjoint_states(sys, batch.grads(states))
         grad_fixed = lam[1:].sum(axis=0) @ sys.b
         worst = max(worst, _rel_vec_err(grad_fixed, _central_diff(total_fixed, u0)))
 
@@ -279,10 +275,10 @@ def test_criterion_09_gradient_oracles():
 
         def total_dac(bl):
             nominal = simulate(sys, x1, _dac_inputs(bl, w_seq))
-            return float(np.sum(_cost_values(costs, nominal + xd)))
+            return float(np.sum(batch.values(nominal + xd)))
 
         nominal = simulate(sys, x1, _dac_inputs(blocks, w_seq))
-        lam = _adjoint_states(sys, _cost_grads(costs, nominal + xd))
+        lam = _adjoint_states(sys, batch.grads(nominal + xd))
         q = lam[1:] @ sys.b
         grad_blocks = np.zeros_like(blocks)
         for j in range(1, h_mem + 1):
@@ -301,7 +297,7 @@ def test_criterion_09_gradient_oracles():
 
             def total_seq(useq):
                 states = simulate(sys, x1, useq, w_seq)
-                return float(np.sum(_cost_values(costs, states)))
+                return float(np.sum(batch.values(states)))
 
             worst = max(worst, _rel_vec_err(grads, _central_diff(total_seq, u_seq)))
 
@@ -343,8 +339,10 @@ def test_criterion_11_superposition_and_cost_equivalence(dist_1000):
             scale = np.maximum(np.abs(trace.states), 1.0)
             worst_super = max(worst_super, float(np.max(np.abs(full - trace.states) / scale)))
             for t in range(0, cfg.t, 97):
-                f_val = record.costs[t].value(trace.states[t])
-                g_val = nominal_cost(record.costs[t], dist[t]).value(nominal[t])
+                cost = record.costs[t]
+                f_val = cost.value(trace.states[t])
+                # the nominal cost is the same quadratic centred at c_t - x^w_t
+                g_val = QuadraticCost(q=cost.q, c=cost.c - dist[t]).value(nominal[t])
                 worst_cost = max(worst_cost, abs(g_val - f_val) / max(abs(f_val), 1.0))
         for bench in (record.bench_u, record.bench_m):
             worst_bench = max(worst_bench, abs(bench.value - bench.value_nominal) / max(abs(bench.value), 1.0))

@@ -11,32 +11,24 @@ from olcontrol import (
     best_dac,
     best_fixed_input,
     best_steady_state,
-    certify_strong_stability,
     grid_oracle_fixed_input,
     simulate,
 )
 from olcontrol.benchmarks import (
     _adjoint_states,
-    _cost_grads,
-    _cost_values,
     _dac_inputs,
     _dac_model,
     _fixed_input_model,
     _steady_state_model,
 )
 from olcontrol.controllers import project_dac_blocks
+from olcontrol.costs import as_batch
 from olcontrol.system import rollout
 
 
-class ConstantCost:
-    def __init__(self, level=1.0):
-        self.level = level
-
-    def value(self, x):
-        return self.level
-
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+def flat_costs(count, dim=3):
+    """Zero-Q quadratics: value 0 and gradient 0 everywhere."""
+    return [QuadraticCost(q=np.zeros((dim, dim)), c=np.zeros(dim))] * count
 
 
 def random_quadratics(rng, horizon, dim=3, c_low=0.0, c_high=5.0):
@@ -58,12 +50,12 @@ class TestAdjointGradients:
     def test_constant_costs_zero(self, ring_system, rng):
         u_seq = rng.uniform(-1, 1, (10, 2))
         w_seq = rng.uniform(-0.5, 0.5, (10, 3))
-        grads = adjoint_input_gradients(ring_system, np.zeros(3), u_seq, w_seq, [ConstantCost()] * 11)
+        grads = adjoint_input_gradients(ring_system, np.zeros(3), u_seq, w_seq, flat_costs(11))
         np.testing.assert_allclose(grads, 0.0)
 
     def test_two_step_scalar_by_hand(self, scalar_system):
         # x2 = 0.5 * 1 + 1 * 0 = 0.5, gradient of x2^2 in u1 is b * 2 * x2 = 1
-        costs = [ConstantCost(0.0), QuadraticCost(q=np.eye(1), c=np.zeros(1))]
+        costs = flat_costs(1, dim=1) + [QuadraticCost(q=np.eye(1), c=np.zeros(1))]
         grads = adjoint_input_gradients(scalar_system, [1.0], [[0.0]], [[0.0]], costs)
         assert grads.shape == (1, 1)
         assert grads[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -92,7 +84,7 @@ class TestAdjointGradients:
 
     def test_length_mismatch(self, ring_system):
         with pytest.raises(InvalidInputError):
-            adjoint_input_gradients(ring_system, np.zeros(3), np.zeros((5, 2)), np.zeros((5, 3)), [ConstantCost()] * 5)
+            adjoint_input_gradients(ring_system, np.zeros(3), np.zeros((5, 2)), np.zeros((5, 3)), flat_costs(5))
 
 
 class TestBestFixedInput:
@@ -204,10 +196,10 @@ class TestBestDac:
 
     def test_blocks_feasible(self, ring_system, rng):
         horizon = 40
-        gamma = certify_strong_stability(ring_system.a).gamma
+        gamma = ring_system.cert.gamma
         costs = random_quadratics(rng, horizon)
         w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
-        res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=5, radius=1.0, gamma=gamma)
+        res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=5, radius=1.0)
         for i in range(5):
             assert np.linalg.norm(res.optimizer[i]) <= (1 - gamma) ** i + 1e-9
 
@@ -215,7 +207,7 @@ class TestBestDac:
         sys = random_small_system(rng)
         horizon = 20
         h_mem = 2
-        costs = random_quadratics(rng, horizon)
+        batch = as_batch(random_quadratics(rng, horizon))
         w_seq = rng.uniform(-0.4, 0.4, (horizon - 1, 3))
         x1 = rng.standard_normal(3)
         xd = rollout(sys, np.zeros(3), w_seq)
@@ -223,11 +215,11 @@ class TestBestDac:
         def value(flat):
             blocks = flat.reshape(h_mem, 2, 3)
             nominal = simulate(sys, x1, _dac_inputs(blocks, w_seq))
-            return float(np.sum(_cost_values(costs, nominal + xd)))
+            return float(np.sum(batch.values(nominal + xd)))
 
         blocks = rng.standard_normal((h_mem, 2, 3)) * 0.2
         nominal = simulate(sys, x1, _dac_inputs(blocks, w_seq))
-        lam = _adjoint_states(sys, _cost_grads(costs, nominal + xd))
+        lam = _adjoint_states(sys, batch.grads(nominal + xd))
         q = lam[1:] @ sys.b
         analytic = np.zeros_like(blocks)
         for j in range(1, h_mem + 1):
@@ -243,28 +235,28 @@ class TestBestDac:
 
     def test_global_optimality_spot_check(self, ring_system, rng):
         horizon = 30
-        gamma = certify_strong_stability(ring_system.a).gamma
-        costs = random_quadratics(rng, horizon)
+        gamma = ring_system.cert.gamma
+        costs = as_batch(random_quadratics(rng, horizon))
         w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
-        res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0, gamma=gamma)
+        res = best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0)
         radii = (1 - gamma) ** np.arange(3)
         xd = rollout(ring_system, np.zeros(3), w_seq)
         for _ in range(100):
             blocks = project_dac_blocks(rng.standard_normal((3, 2, 3)), radii)
             nominal = simulate(ring_system, np.zeros(3), _dac_inputs(blocks, w_seq))
-            assert res.value <= float(np.sum(_cost_values(costs, nominal + xd))) + 1e-8
+            assert res.value <= float(np.sum(costs.values(nominal + xd))) + 1e-8
 
 
 def random_instance(seed, horizon=40):
     rng = np.random.default_rng(seed)
     sys = random_small_system(rng)
-    costs = random_quadratics(rng, horizon)
+    costs = as_batch(random_quadratics(rng, horizon))
     w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
     return rng, sys, costs, w_seq, rng.standard_normal(3)
 
 
 def simulated_total(sys, x1, u_seq, w_seq, costs) -> float:
-    return float(np.sum(_cost_values(costs, simulate(sys, x1, u_seq, w_seq))))
+    return float(np.sum(costs.values(simulate(sys, x1, u_seq, w_seq))))
 
 
 def dac_block_grads(sys, x1, blocks, w_seq, costs) -> np.ndarray:
@@ -302,14 +294,14 @@ class TestFirstOrderOptimality:
         s = sys.steady_state_gain
         u_star = np.linalg.lstsq(s, res.optimizer, rcond=None)[0]
         states = np.broadcast_to(res.optimizer, (len(costs), 3))
-        grad = s.T @ _cost_grads(costs, states).sum(axis=0)
+        grad = s.T @ costs.grads(states).sum(axis=0)
         assert fixed_point_residual(u_star, grad, self.BOX.clamp) <= self.TOL
 
     @pytest.mark.parametrize("seed, h_mem", [(0, 3), (1, 4), (2, 5), (3, 3)])
     def test_dac(self, seed, h_mem):
         _, sys, costs, w_seq, x1 = random_instance(seed)
-        radii = 0.7 ** np.arange(h_mem)
-        res = best_dac(sys, x1, w_seq, costs, h_mem=h_mem, radius=1.0, gamma=0.3)
+        radii = (1.0 - sys.cert.gamma) ** np.arange(h_mem)
+        res = best_dac(sys, x1, w_seq, costs, h_mem=h_mem, radius=1.0)
         grad = dac_block_grads(sys, x1, res.optimizer, w_seq, costs)
         residual = fixed_point_residual(res.optimizer, grad, lambda m: project_dac_blocks(m, radii))
         assert residual <= self.TOL
@@ -348,7 +340,7 @@ class TestAssembledModels:
             assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
 
     def test_memory_longer_than_horizon(self, ring_system, rng):
-        costs = random_quadratics(rng, 4)
+        costs = as_batch(random_quadratics(rng, 4))
         w_seq = rng.uniform(-0.5, 0.5, (3, 3))
         model = _dac_model(ring_system, np.zeros(3), w_seq, costs, h_mem=6)
         blocks = rng.standard_normal((6, 2, 3))
@@ -356,18 +348,54 @@ class TestAssembledModels:
         assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
 
 
+class AbsCost:
+    """Convex, with a value and a gradient, but not quadratic."""
+
+    def value(self, x):
+        return float(np.abs(x).sum())
+
+    def grad(self, x):
+        return np.sign(x)
+
+
 class TestQuadraticOnly:
     def test_non_quadratic_batch_rejected(self, ring_system, rng):
         costs = random_quadratics(rng, 10)
-        costs[4] = ConstantCost()
+        costs[4] = AbsCost()
         w_seq = rng.uniform(-0.5, 0.5, (9, 3))
         box = BoxSet.symmetric(1.0, 2)
-        with pytest.raises(InvalidInputError, match="quadratic"):
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
             best_fixed_input(ring_system, np.zeros(3), w_seq, costs, box)
-        with pytest.raises(InvalidInputError, match="quadratic"):
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
             best_steady_state(costs, ring_system, box)
-        with pytest.raises(InvalidInputError, match="quadratic"):
-            best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0, gamma=0.3)
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
+            best_dac(ring_system, np.zeros(3), w_seq, costs, h_mem=3, radius=1.0)
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
+            grid_oracle_fixed_input(ring_system, np.zeros(3), w_seq, costs, box, resolution=4)
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
+            adjoint_input_gradients(ring_system, np.zeros(3), np.zeros((9, 2)), w_seq, costs)
+
+    def test_batch_and_list_give_the_same_solves(self, ring_system, rng):
+        costs = random_quadratics(rng, 12)
+        batch = as_batch(costs)
+        w_seq = rng.uniform(-0.5, 0.5, (11, 3))
+        box = BoxSet.symmetric(1.0, 2)
+        for solve in (
+            lambda c: best_fixed_input(ring_system, np.zeros(3), w_seq, c, box),
+            lambda c: best_steady_state(c, ring_system, box),
+            lambda c: best_dac(ring_system, np.zeros(3), w_seq, c, h_mem=3, radius=1.0),
+            lambda c: grid_oracle_fixed_input(ring_system, np.zeros(3), w_seq, c, box, resolution=8),
+        ):
+            from_list, from_batch = solve(costs), solve(batch)
+            np.testing.assert_array_equal(from_list.optimizer, from_batch.optimizer)
+            np.testing.assert_array_equal(from_list.step_costs, from_batch.step_costs)
+
+    def test_state_dimension_checked(self, ring_system, rng):
+        costs = random_quadratics(rng, 10, dim=2)
+        with pytest.raises(InvalidInputError, match="states"):
+            best_fixed_input(ring_system, np.zeros(3), np.zeros((9, 3)), costs, BoxSet.symmetric(1.0, 2))
+        with pytest.raises(InvalidInputError, match="states"):
+            best_steady_state(costs, ring_system, BoxSet.symmetric(1.0, 2))
 
 
 class TestGridOracle:
@@ -378,9 +406,12 @@ class TestGridOracle:
         assert res.optimizer[0] == pytest.approx(1.0, abs=4.0 / 400 + 1e-12)
 
     def test_constant_cost_flat_landscape(self, ring_system):
-        costs = [ConstantCost(2.5)] * 6
-        res = grid_oracle_fixed_input(ring_system, np.zeros(3), np.zeros((5, 3)), costs, BoxSet.symmetric(1.0, 2), resolution=8)
-        assert res.value == pytest.approx(6 * 2.5, abs=1e-9)
+        box = BoxSet.symmetric(1.0, 2)
+        res = grid_oracle_fixed_input(ring_system, np.zeros(3), np.zeros((5, 3)), flat_costs(6), box, resolution=8)
+        assert res.value == 0.0
+        np.testing.assert_array_equal(res.step_costs, 0.0)
+        # every grid point ties, and argmin keeps the first: the lower corner
+        np.testing.assert_array_equal(res.optimizer, box.lower)
 
     def test_refinement_never_worse(self, ring_system, rng):
         costs = random_quadratics(rng, 15, c_low=-1, c_high=1)
@@ -392,12 +423,12 @@ class TestGridOracle:
 
     def test_high_dimension_rejected(self, rng):
         sys = random_small_system(rng, n=3, m=3)
-        costs = [ConstantCost()] * 3
+        costs = flat_costs(3)
         with pytest.raises(UnsupportedDimensionError):
             grid_oracle_fixed_input(sys, np.zeros(3), np.zeros((2, 3)), costs, BoxSet.symmetric(1.0, 3), resolution=10)
 
     def test_resolution_validated(self, ring_system):
-        costs = [ConstantCost()] * 3
+        costs = flat_costs(3)
         with pytest.raises(InvalidInputError):
             grid_oracle_fixed_input(ring_system, np.zeros(3), np.zeros((2, 3)), costs, BoxSet.symmetric(1.0, 2), resolution=500)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 import olcontrol.harness
+import olcontrol.system as system_mod
 from olcontrol.cli import cli_main
 
 
@@ -86,6 +87,29 @@ class TestRun:
         assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "-3"], ["--runs", "0"], ["--horizon", "1"]])
+    def test_bad_override_exits_one_without_files(self, flags, tiny_config_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(tiny_config_path), "--out", str(out_dir), *flags]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert not (tmp_path / "results").exists()
+
+    def test_plant_certified_once(self, tiny_config_path, tmp_path, monkeypatch):
+        calls = []
+        certify = system_mod.certify_strong_stability
+
+        def counting(a):
+            calls.append(a)
+            return certify(a)
+
+        monkeypatch.setattr(system_mod, "certify_strong_stability", counting)
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(tiny_config_path), "--runs", "1", "--horizon", "20", "--out", str(out_dir)]
+        assert cli_main(argv) == 0
+        assert len(calls) == 1
+        assert len((out_dir / "run_0.csv").read_text().splitlines()) == 1 + 20
 
 
 class TestBench:

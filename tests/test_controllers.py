@@ -13,7 +13,6 @@ from olcontrol import (
     QuadraticCost,
     certify_strong_stability,
     estimate_disturbance,
-    input_for_steady_state,
     olcxu_update,
     project_steady_state,
     simulate,
@@ -169,7 +168,10 @@ class TestOlcController:
             z_prev = olc.z.copy()
             olc.observe(delta)
             assert np.linalg.norm(olc.z - z_prev) <= olc.eta * np.linalg.norm(delta) + 1e-9
-            u = input_for_steady_state(ring_system, olc.z)  # raises if off-manifold
+            u = olc.act(np.zeros(3))
+            # z is the steady state of the played input, which is admissible
+            np.testing.assert_array_equal(olc.z, ring_system.steady_state_gain @ u)
+            assert ring_u_box.contains(u)
             residual = ring_system.b @ u - (eye - ring_system.a) @ olc.z
             assert np.linalg.norm(residual) <= 1e-10
 
@@ -223,8 +225,8 @@ class TestDisturbanceEstimate:
             np.testing.assert_allclose(w, 0.0, atol=1e-13)
 
 
-def make_dac(sys, h_mem=3, eta_g=0.05, radius=1.0, gamma=0.5, box_width=100.0):
-    return DacController(sys, BoxSet.symmetric(box_width, sys.input_dim), h_mem, eta_g, radius, gamma)
+def make_dac(sys, h_mem=3, eta_g=0.05, radius=1.0, box_width=100.0):
+    return DacController(sys, BoxSet.symmetric(box_width, sys.input_dim), h_mem, eta_g, radius)
 
 
 class TestDacController:
@@ -300,8 +302,8 @@ class TestDacController:
         np.testing.assert_allclose(out[1], 0.0)
 
     def test_radius_schedule_enforced_along_run(self, ring_system, rng):
-        gamma = certify_strong_stability(ring_system.a).gamma
-        dac = make_dac(ring_system, h_mem=4, eta_g=0.5, radius=1.0, gamma=gamma)
+        gamma = ring_system.cert.gamma
+        dac = make_dac(ring_system, h_mem=4, eta_g=0.5, radius=1.0)
         x = np.zeros(3)
         for t in range(30):
             u = dac.act(x)

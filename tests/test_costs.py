@@ -3,22 +3,25 @@ import pytest
 
 from olcontrol import (
     InvalidInputError,
+    QuadraticBatch,
     QuadraticCost,
     StateBound,
     finite_diff_grad,
-    nominal_cost,
     simulate_decomposed,
     smoothness_constant,
 )
-from olcontrol.costs import quad_batch_grads, quad_batch_values, stack_quadratics
+from olcontrol.costs import as_batch
 
 
-class ConstantCost:
-    def value(self, x):
-        return 7.0
+def shifted(cost: QuadraticCost, x_d) -> QuadraticCost:
+    """g(x) = f(x + x_d) for the quadratic f: the same Q, centre c - x_d."""
+    return QuadraticCost(q=cost.q, c=cost.c - x_d)
 
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+
+def random_stacks(rng, horizon, dim=3):
+    s = rng.standard_normal((horizon, dim, dim))
+    qs = s.transpose(0, 2, 1) @ s / dim + 0.1 * np.eye(dim)
+    return 0.5 * (qs + qs.transpose(0, 2, 1)), rng.uniform(-1, 1, (horizon, dim))
 
 
 class TestQuadraticCost:
@@ -73,7 +76,7 @@ class TestQuadraticCost:
 class TestNominalCost:
     def test_zero_shift_is_identity(self, rng):
         cost = QuadraticCost(q=np.eye(3), c=rng.uniform(-2, 2, 3))
-        g = nominal_cost(cost, np.zeros(3))
+        g = shifted(cost, np.zeros(3))
         for _ in range(10):
             x = rng.standard_normal(3)
             assert g.value(x) == pytest.approx(cost.value(x), abs=1e-14)
@@ -83,24 +86,25 @@ class TestNominalCost:
         q = np.diag([1.0, 2.0, 0.5])
         c = np.array([1.0, -1.0, 2.0])
         x_d = rng.standard_normal(3)
-        g = nominal_cost(QuadraticCost(q=q, c=c), x_d)
-        shifted = QuadraticCost(q=q, c=c - x_d)
+        g = shifted(QuadraticCost(q=q, c=c), x_d)
         for _ in range(10):
             x = rng.standard_normal(3)
-            assert g.value(x) == pytest.approx(shifted.value(x), rel=1e-12, abs=1e-12)
+            # the minimum moves from c to c - x_d
+            assert g.value(x) == pytest.approx(float((x + x_d - c) @ q @ (x + x_d - c)), rel=1e-12, abs=1e-12)
+        assert g.value(c - x_d) == 0.0
 
     def test_chain_rule_identity(self, rng):
         # gradient of the shifted cost equals the original gradient at x + x_d
         cost = QuadraticCost(q=np.diag([2.0, 1.0]), c=np.array([0.5, -0.5]))
         x_d = rng.standard_normal(2)
-        g = nominal_cost(cost, x_d)
+        g = shifted(cost, x_d)
         for _ in range(20):
             x = rng.standard_normal(2)
             np.testing.assert_allclose(g.grad(x), cost.grad(x + x_d), atol=1e-12)
 
     def test_shifted_gradient_matches_finite_differences(self, rng):
         cost = QuadraticCost(q=np.diag([2.0, 1.0, 0.5]), c=np.array([1.0, 0.0, -1.0]))
-        g = nominal_cost(cost, rng.standard_normal(3))
+        g = shifted(cost, rng.standard_normal(3))
         for _ in range(5):
             x = rng.standard_normal(3)
             np.testing.assert_allclose(finite_diff_grad(g, x), g.grad(x), rtol=1e-6, atol=1e-8)
@@ -112,7 +116,7 @@ class TestNominalCost:
         for t in range(31):
             s = rng.standard_normal((3, 3))
             cost = QuadraticCost(q=s.T @ s / 3 + 0.1 * np.eye(3), c=rng.uniform(0, 5, 3))
-            g = nominal_cost(cost, dist[t])
+            g = shifted(cost, dist[t])
             f_val = cost.value(full[t])
             assert g.value(nominal[t]) == pytest.approx(f_val, rel=1e-12, abs=1e-12)
 
@@ -155,6 +159,13 @@ class TestSmoothness:
         with pytest.raises(InvalidInputError, match="mixes"):
             smoothness_constant(costs, StateBound(1.0), c_max=0.0)
 
+    def test_batch_and_list_agree(self, rng):
+        qs, cs = random_stacks(rng, 20)
+        batch = QuadraticBatch(qs, cs)
+        costs = [QuadraticCost(q, c) for q, c in zip(qs, cs)]
+        bound = StateBound(3.0)
+        assert smoothness_constant(batch, bound, 2.0) == smoothness_constant(costs, bound, 2.0)
+
 
 class TestFiniteDiff:
     def test_quadratic_example(self):
@@ -162,7 +173,8 @@ class TestFiniteDiff:
         np.testing.assert_allclose(finite_diff_grad(cost, [1.0, 0.0]), [2.0, 0.0], atol=1e-8)
 
     def test_constant_oracle(self):
-        np.testing.assert_allclose(finite_diff_grad(ConstantCost(), np.ones(3)), 0.0)
+        flat = QuadraticCost(q=np.zeros((3, 3)), c=np.zeros(3))
+        np.testing.assert_allclose(finite_diff_grad(flat, np.ones(3)), 0.0)
 
     def test_matches_analytic(self, rng):
         for _ in range(20):
@@ -175,17 +187,69 @@ class TestFiniteDiff:
 
 class TestBatching:
     def test_stack_and_eval(self, rng):
-        costs = []
+        qs, cs = random_stacks(rng, 5)
         xs = rng.standard_normal((5, 3))
-        for _ in range(5):
-            s = rng.standard_normal((3, 3))
-            costs.append(QuadraticCost(q=s.T @ s / 3 + 0.1 * np.eye(3), c=rng.uniform(-1, 1, 3)))
-        qs, cs = stack_quadratics(costs)
-        vals = quad_batch_values(qs, cs, xs)
-        grads = quad_batch_grads(qs, cs, xs)
+        batch = QuadraticBatch(qs, cs)
+        costs = [QuadraticCost(q, c) for q, c in zip(qs, cs)]
+        vals = batch.values(xs)
+        grads = batch.grads(xs)
+        assert len(batch) == 5 and batch.dim == 3
         for t in range(5):
             assert vals[t] == pytest.approx(costs[t].value(xs[t]), rel=1e-12)
             np.testing.assert_allclose(grads[t], costs[t].grad(xs[t]), rtol=1e-12, atol=1e-12)
 
     def test_stack_rejects_mixed(self):
-        assert stack_quadratics([ConstantCost()]) is None
+        costs = [QuadraticCost(q=np.eye(3), c=np.zeros(3))] * 3 + [QuadraticCost(q=np.eye(2), c=np.zeros(2))]
+        with pytest.raises(InvalidInputError, match="mixes.*step 3"):
+            as_batch(costs)
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
+            as_batch([costs[0], lambda x: 0.0])
+        with pytest.raises(InvalidInputError, match="QuadraticCost"):
+            as_batch(np.stack([np.eye(3)] * 3))
+
+    def test_list_stacked_once(self, rng):
+        qs, cs = random_stacks(rng, 6)
+        batch = as_batch([QuadraticCost(q, c) for q, c in zip(qs, cs)])
+        assert as_batch(batch) is batch
+        np.testing.assert_array_equal(batch.qs, qs)
+        np.testing.assert_array_equal(batch.cs, cs)
+
+    def test_step_view_bitwise(self, rng):
+        qs, cs = random_stacks(rng, 8)
+        batch = QuadraticBatch(qs, cs)
+        for t in range(8):
+            alone = QuadraticCost(qs[t].copy(), cs[t].copy())
+            for _ in range(5):
+                x = rng.standard_normal(3) * 3
+                assert batch[t].value(x) == alone.value(x)
+                np.testing.assert_array_equal(batch[t].grad(x), alone.grad(x))
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "indefinite", "nan_q", "inf_c"])
+    def test_bad_step_named(self, rng, bad):
+        qs, cs = random_stacks(rng, 7)
+        k = 4
+        if bad == "asymmetric":
+            qs[k, 0, 1] += 1e-3
+            match = f"step {k} is not symmetric"
+        elif bad == "indefinite":
+            qs[k] = np.diag([1.0, 1.0, -1e-3])
+            match = f"step {k} is not positive semidefinite"
+        elif bad == "nan_q":
+            qs[k, 2, 2] = np.nan
+            match = f"step {k} has non-finite"
+        else:
+            cs[k, 1] = np.inf
+            match = f"step {k} has non-finite"
+        with pytest.raises(InvalidInputError, match=match):
+            QuadraticBatch(qs, cs)
+
+    @pytest.mark.parametrize("qs_shape, cs_shape", [
+        ((4, 3, 3), (4, 2)),
+        ((4, 3, 3), (5, 3)),
+        ((4, 3, 2), (4, 3)),
+        ((3, 3), (3,)),
+        ((0, 3, 3), (0, 3)),
+    ])
+    def test_shapes_rejected(self, qs_shape, cs_shape):
+        with pytest.raises(InvalidInputError):
+            QuadraticBatch(np.zeros(qs_shape), np.zeros(cs_shape))

@@ -10,6 +10,7 @@ from olcontrol import (
     ConfigError,
     InvalidStateError,
     LtiSystem,
+    QuadraticBatch,
     QuadraticCost,
     compute_regret,
     config_from_dict,
@@ -85,6 +86,7 @@ class TestConfig:
         {"n_runs": 1.9},
         {"seed": True},
         {"seed": "1"},
+        {"seed": -1},
         {"dac": {"H_mem": 2.5}},
         {"disturbances_on": "false"},
         {"disturbances_on": 0},
@@ -169,6 +171,17 @@ class TestConfig:
 
 
 class TestGenerators:
+    def test_costs_match_per_step_draws(self, tiny_cfg):
+        batch = generate_costs(tiny_cfg, make_rng(42))
+        assert isinstance(batch, QuadraticBatch) and len(batch) == tiny_cfg.t
+        # reference: one draw of S then one of c per step, the documented formula
+        rng, gen, n = make_rng(42), tiny_cfg.cost_gen, 3
+        for t in range(tiny_cfg.t):
+            s = rng.standard_normal((n, n))
+            q = gen.q_scale * (s.T @ s / n + gen.q_ridge * np.eye(n))
+            np.testing.assert_array_equal(batch.qs[t], 0.5 * (q + q.T))
+            np.testing.assert_array_equal(batch.cs[t], rng.uniform(0.0, gen.c_max, size=n))
+
     def test_costs_deterministic(self, tiny_cfg):
         c1 = generate_costs(tiny_cfg, make_rng(42))
         c2 = generate_costs(tiny_cfg, make_rng(42))

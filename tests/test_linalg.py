@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from olcontrol import InvalidInputError, solve_least_squares, spectral_norm, spectral_radius_estimate
+from olcontrol import InvalidInputError, spectral_norm, spectral_radius_estimate
 from olcontrol.linalg import batch_spectral_norms
 
 
@@ -65,39 +65,6 @@ class TestBatchSpectralNorms:
     def test_not_a_stack_rejected(self):
         with pytest.raises(InvalidInputError):
             batch_spectral_norms(np.eye(3))
-
-
-class TestLeastSquares:
-    def test_identity(self):
-        x = solve_least_squares(np.eye(2), [1.0, 2.0])
-        np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-12)
-
-    def test_overdetermined_mean(self):
-        x = solve_least_squares([[1.0], [1.0]], [1.0, 3.0])
-        np.testing.assert_allclose(x, [2.0], atol=1e-12)
-
-    def test_zero_map_minimum_norm(self):
-        x = solve_least_squares(np.zeros((2, 2)), [1.0, 1.0])
-        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            solve_least_squares(np.eye(3), [1.0, 2.0])
-
-    def test_residual_is_minimal(self, rng):
-        a = rng.standard_normal((6, 3))
-        b = rng.standard_normal(6)
-        x = solve_least_squares(a, b)
-        best = np.linalg.norm(a @ x - b)
-        for _ in range(1000):
-            eps = rng.standard_normal(3) * 0.1
-            assert best <= np.linalg.norm(a @ (x + eps) - b) + 1e-12
-
-    def test_minimum_norm_among_minimizers(self, rng):
-        # rank-1 wide system: many exact solutions, returned one is shortest
-        a = np.array([[1.0, 1.0, 1.0]])
-        x = solve_least_squares(a, [3.0])
-        np.testing.assert_allclose(x, [1.0, 1.0, 1.0], atol=1e-10)
 
 
 class TestSpectralRadiusEstimate:

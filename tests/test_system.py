@@ -8,9 +8,7 @@ from olcontrol import (
     LtiSystem,
     NotStronglyStableError,
     StabilityCert,
-    UnreachableTargetError,
     certify_strong_stability,
-    input_for_steady_state,
     simulate,
     simulate_decomposed,
     spectral_norm,
@@ -18,6 +16,7 @@ from olcontrol import (
     steady_state_of_input,
     step,
 )
+from olcontrol.controllers import PROJECTION_TOL, _project_input
 from olcontrol.system import rollout
 
 
@@ -129,25 +128,19 @@ class TestSteadyStateMaps:
         np.testing.assert_allclose(step(ring_system, z, u, np.zeros(3)), z, atol=1e-12)
 
     def test_input_recovery_scalar(self, scalar_system):
-        assert input_for_steady_state(scalar_system, [2.0])[0] == pytest.approx(1.0)
-        assert input_for_steady_state(scalar_system, [0.0])[0] == pytest.approx(0.0)
-
-    def test_unreachable_target(self):
-        sys = LtiSystem([[0.5]], [[0.0]])
-        with pytest.raises(UnreachableTargetError):
-            input_for_steady_state(sys, [1.0])
+        # the input holding z comes from projecting z onto the manifold
+        box = BoxSet([-5.0], [5.0])
+        assert _project_input(scalar_system, box, np.array([2.0]))[0][0] == pytest.approx(1.0, abs=PROJECTION_TOL)
+        assert _project_input(scalar_system, box, np.array([0.0]))[0][0] == 0.0
 
     def test_round_trip(self, ring_system, rng):
         box = BoxSet.symmetric(5.0, 2)
         for _ in range(100):
             u = rng.uniform(box.lower, box.upper)
             z = steady_state_of_input(ring_system, u)
-            u_back = input_for_steady_state(ring_system, z)
-            tol = 1e-8 * (1.0 + np.linalg.norm(z))
-            rhs = (np.eye(3) - ring_system.a) @ z
-            assert np.linalg.norm(ring_system.b @ u_back - rhs) <= tol
-            # B has full column rank here, so recovery is exact
-            np.testing.assert_allclose(u_back, u, atol=1e-8)
+            u_back, _, _ = _project_input(ring_system, box, z)
+            # B has full column rank here, so the projection recovers u
+            np.testing.assert_allclose(u_back, u, atol=PROJECTION_TOL)
 
 
 class TestSimulation:
@@ -234,27 +227,23 @@ class TestSimulation:
 
 class TestStateBound:
     def test_degenerate_clamped(self, scalar_system):
-        cert = certify_strong_stability(scalar_system.a)
         zero_box = BoxSet([0.0], [0.0])
-        bound = state_bound(cert, scalar_system, [0.0], zero_box, zero_box)
+        bound = state_bound(scalar_system, [0.0], zero_box, zero_box)
         assert bound.d == pytest.approx(1e-12)
 
     def test_scalar_formula(self, scalar_system):
-        cert = certify_strong_stability(scalar_system.a)
-        bound = state_bound(cert, scalar_system, [0.0], BoxSet([-1.0], [1.0]), BoxSet([0.0], [0.0]))
+        bound = state_bound(scalar_system, [0.0], BoxSet([-1.0], [1.0]), BoxSet([0.0], [0.0]))
         assert bound.d == pytest.approx(1.0 / 0.475, rel=1e-12)
 
     def test_linearity_in_w(self, scalar_system):
-        cert = certify_strong_stability(scalar_system.a)
         zero_box = BoxSet([0.0], [0.0])
-        d1 = state_bound(cert, scalar_system, [0.0], zero_box, BoxSet([-0.5], [0.5])).d
-        d2 = state_bound(cert, scalar_system, [0.0], zero_box, BoxSet([-1.0], [1.0])).d
+        d1 = state_bound(scalar_system, [0.0], zero_box, BoxSet([-0.5], [0.5])).d
+        d2 = state_bound(scalar_system, [0.0], zero_box, BoxSet([-1.0], [1.0])).d
         assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
     def test_bound_holds_on_random_runs(self, scalar_system, rng):
-        cert = certify_strong_stability(scalar_system.a)
         u_box = BoxSet([-1.0], [1.0])
-        bound = state_bound(cert, scalar_system, [0.0], u_box, BoxSet([0.0], [0.0]))
+        bound = state_bound(scalar_system, [0.0], u_box, BoxSet([0.0], [0.0]))
         # vectorized batch of 10^4 random input sequences, T = 200
         runs = 10_000
         states = np.zeros(runs)
