@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import project_dac_blocks
+from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .system import BoxSet, LtiSystem, _check_sequences, rollout, simulate
@@ -92,20 +92,21 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     return lam[1:] @ sys.b
 
 
-def _projected_descent(value_fn, grad_fn, project_fn, x0, move_tol, max_iter):
+def _projected_descent(value_fn, grad_fn, project_fn, x0):
     """Projected gradient descent with a backtracking line search.
 
     Each iteration starts from a Barzilai-Borwein trial step (the inverse
     Rayleigh quotient of the last displacement, a cheap curvature probe)
     and halves it until the quadratic upper model holds at the projected
-    candidate, which keeps the objective monotone.  Returns
-    (x, value, iterations, converged).
+    candidate, which keeps the objective monotone.  Stops once an
+    iteration moves less than DESCENT_MOVE_TOL, or after DESCENT_MAX_ITER
+    iterations.  Returns (x, value, iterations, converged).
     """
     x = project_fn(x0)
     f = value_fn(x)
     g = grad_fn(x)
     step = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DESCENT_MAX_ITER + 1):
         while True:
             cand = project_fn(x - step * g)
             d = cand - x
@@ -122,9 +123,9 @@ def _projected_descent(value_fn, grad_fn, project_fn, x0, move_tol, max_iter):
         sty = float(np.vdot(d, dg))
         step = float(np.vdot(d, d)) / sty if sty > 0.0 else step * 2.0
         x, f, g = cand, f_cand, g_cand
-        if moved < move_tol:
+        if moved < DESCENT_MOVE_TOL:
             return x, f, it, True
-    return x, f, max_iter, False
+    return x, f, DESCENT_MAX_ITER, False
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,7 @@ def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
     return _assemble_quadratic(costs, rollout(sys, x1, w_seq), gains)
 
 
-def best_fixed_input(
-    sys: LtiSystem,
-    x1,
-    w_seq,
-    costs,
-    u_set: BoxSet,
-    move_tol: float = DESCENT_MOVE_TOL,
-    max_iter: int = DESCENT_MAX_ITER,
-) -> BenchmarkResult:
+def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> BenchmarkResult:
     """Best time-invariant input in hindsight.
 
     Minimizes the cumulative cost of the constant-input trajectory over
@@ -202,9 +195,7 @@ def best_fixed_input(
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
     model = _fixed_input_model(sys, x1, w_seq, costs)
-    u_star, _, iters, converged = _projected_descent(
-        model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
-    )
+    u_star, _, iters, converged = _projected_descent(model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim))
     u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
     step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
     # same objective through the superposition route
@@ -230,13 +221,7 @@ def _steady_state_model(sys: LtiSystem, costs) -> _Quadratic:
     )
 
 
-def best_steady_state(
-    costs,
-    sys: LtiSystem,
-    u_set: BoxSet,
-    move_tol: float = DESCENT_MOVE_TOL,
-    max_iter: int = DESCENT_MAX_ITER,
-) -> BenchmarkResult:
+def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     """Best fixed point of the steady-state manifold in hindsight.
 
     Works in the input parametrization x = S u, so the feasible set is
@@ -246,9 +231,7 @@ def best_steady_state(
     costs = _check_costs(sys, costs)
     _check_input_box(sys, u_set)
     model = _steady_state_model(sys, costs)
-    u_star, _, iters, converged = _projected_descent(
-        model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim), move_tol, max_iter
-    )
+    u_star, _, iters, converged = _projected_descent(model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim))
     x_star = sys.steady_state_gain @ u_star
     step_costs = costs.values(np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
     return BenchmarkResult(
@@ -263,12 +246,10 @@ def best_steady_state(
 def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
     """Inputs u_t = sum_j M^[j-1] w_{t-j} for t = 1..T-1, zero-padded history."""
     h = blocks.shape[0]
-    horizon_inputs = w_seq.shape[0]
-    u = np.zeros((horizon_inputs, blocks.shape[1]))
-    for j in range(1, h + 1):
-        if j < horizon_inputs + 1:
-            u[j:] += w_seq[: horizon_inputs - j] @ blocks[j - 1].T
-    return u
+    padded = np.concatenate([np.zeros((h, w_seq.shape[1])), w_seq])
+    # window t holds w_{t-1..t-h}, newest first: padded[h + t - j]
+    windows = h + np.arange(w_seq.shape[0])[:, None] - np.arange(1, h + 1)
+    return dac_inputs(blocks, padded[windows])
 
 
 def _dac_model(sys: LtiSystem, x1, w_seq, costs, h_mem: int) -> _Quadratic:
@@ -282,16 +263,7 @@ def _dac_model(sys: LtiSystem, x1, w_seq, costs, h_mem: int) -> _Quadratic:
     return _assemble_quadratic(costs, rollout(sys, x1, w_seq), response, n_blocks=h_mem)
 
 
-def best_dac(
-    sys: LtiSystem,
-    x1,
-    w_seq,
-    costs,
-    h_mem: int,
-    radius: float,
-    move_tol: float = DESCENT_MOVE_TOL,
-    max_iter: int = DESCENT_MAX_ITER,
-) -> BenchmarkResult:
+def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> BenchmarkResult:
     """Best disturbance-action blocks in hindsight.
 
     The nominal trajectory is affine in the blocks, so minimizing the
@@ -305,15 +277,13 @@ def best_dac(
     which equals the shifted-cost total identically.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
-    radii = float(radius) * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
+    radii = dac_radii(sys, h_mem, radius)
     model = _dac_model(sys, x1, w_seq, costs, h_mem)
     blocks, _, iters, converged = _projected_descent(
         model.value,
         model.grad,
         lambda b: project_dac_blocks(b, radii),
         np.zeros((h_mem, sys.input_dim, sys.state_dim)),
-        move_tol,
-        max_iter,
     )
     inputs = _dac_inputs(blocks, w_seq)
     step_costs = costs.values(simulate(sys, x1, inputs) + rollout(sys, np.zeros(sys.state_dim), w_seq))

@@ -10,7 +10,6 @@ from .errors import ConfigError
 from .harness import (
     derive_run_params,
     generate_costs,
-    generate_disturbances,
     load_config,
     make_rng,
     run_experiment,
@@ -104,9 +103,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
-    rng = make_rng(cfg.seed)
-    costs = generate_costs(cfg, rng)
-    generate_disturbances(cfg, rng)
+    costs = generate_costs(cfg, make_rng(cfg.seed))
     params = derive_run_params(cfg, costs)
     print(f"spectral radius estimate: {spectral_radius_estimate(cfg.a):.6f}")
     print(f"gamma: {params.cert.gamma:.6f}")

@@ -23,40 +23,34 @@ PROJECTION_FAIL_TOL = 1e-6    # movement above this at the cap is a hard failure
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
 
 
-def _box_descent(grad_fn, step: float, u0: np.ndarray, u_set: BoxSet):
-    """Fixed-step projected gradient descent over a box.
+def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float, u0) -> np.ndarray:
+    """u in the box minimizing ||s u - y||^2, by fixed-step projected
+    gradient descent from u0.
 
-    Returns (u, iterations, last_move).  Raises ProjectionFailureError if
-    the iteration cap is hit while the iterate is still moving by more
-    than PROJECTION_FAIL_TOL.
+    Raises ProjectionFailureError if the iteration cap is hit while the
+    iterate is still moving by more than PROJECTION_FAIL_TOL.
     """
     u = u_set.clamp(u0)
     moved = np.inf
-    for it in range(1, PROJECTION_MAX_ITER + 1):
-        u_next = u_set.clamp(u - step * grad_fn(u))
+    for _ in range(PROJECTION_MAX_ITER):
+        u_next = u_set.clamp(u - step * (s.T @ (s @ u - y)))
         moved = float(np.linalg.norm(u_next - u))
         u = u_next
         if moved < PROJECTION_MOVE_TOL:
-            return u, it, moved
+            return u
     if moved > PROJECTION_FAIL_TOL:
         raise ProjectionFailureError(
             f"projection did not converge: still moving {moved:.3e} after {PROJECTION_MAX_ITER} iterations"
         )
-    return u, PROJECTION_MAX_ITER, moved
+    return u
 
 
-def _project_input(sys: LtiSystem, u_set: BoxSet, y: np.ndarray, u0=None, step=None):
-    """Input u in the box whose steady state S u is closest to y."""
-    s = sys.steady_state_gain
-    if step is None:
-        step = 1.0 / spectral_norm(s) ** 2
-    if u0 is None:
-        u0 = np.zeros(sys.input_dim)
-
-    def grad(u):
-        return s.T @ (s @ u - y)
-
-    return _box_descent(grad, step, u0, u_set)
+def _projection_step(s: np.ndarray) -> float:
+    """Step 1/||S||^2 of the steady-state projection; S = 0 has none."""
+    norm = spectral_norm(s)
+    if norm == 0.0:
+        raise InvalidInputError("steady-state gain is zero: no input moves the steady state")
+    return 1.0 / norm**2
 
 
 def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
@@ -70,8 +64,8 @@ def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
     y = as_vector(y, "point")
     if y.shape[0] != sys.state_dim:
         raise InvalidInputError("point dimension does not match the system")
-    u, _, _ = _project_input(sys, u_set, y)
-    return sys.steady_state_gain @ u
+    s = sys.steady_state_gain
+    return s @ _box_least_squares(s, y, u_set, _projection_step(s), np.zeros(sys.input_dim))
 
 
 def regret_optimal_step_size(l: float, t: int, cert: StabilityCert) -> float:
@@ -114,12 +108,13 @@ class OlcController:
         self.sys = sys
         self.u_set = u_set
         self.eta = float(eta)
-        self._step = 1.0 / spectral_norm(sys.steady_state_gain) ** 2
+        s = sys.steady_state_gain
+        self._step = _projection_step(s)
         if z0 is None:
             z0 = np.zeros(sys.state_dim)
         # start from the manifold point nearest the requested z0
-        self._u, _, _ = _project_input(sys, u_set, as_vector(z0, "z0"), step=self._step)
-        self.z = sys.steady_state_gain @ self._u
+        self._u = _box_least_squares(s, as_vector(z0, "z0"), u_set, self._step, np.zeros(sys.input_dim))
+        self.z = s @ self._u
 
     def act(self, x) -> np.ndarray:
         """Input holding the plant at the current target: ``S u = z``, u in the box.
@@ -138,8 +133,9 @@ class OlcController:
         # warm start at the previous inner minimizer; the projection problem
         # is strongly convex whenever B has full column rank, so the warm
         # start changes the iteration count, not the answer
-        self._u, _, _ = _project_input(self.sys, self.u_set, target, u0=self._u, step=self._step)
-        self.z = self.sys.steady_state_gain @ self._u
+        s = self.sys.steady_state_gain
+        self._u = _box_least_squares(s, target, self.u_set, self._step, self._u)
+        self.z = s @ self._u
 
 
 @dataclass(frozen=True)
@@ -155,18 +151,17 @@ class OlcXuState:
 def project_joint_steady_state(sys: LtiSystem, u_set: BoxSet, z_target, u_target, u0=None):
     """Project (z_target, u_target) onto {(S u, u) : u in U}.
 
-    Minimizes ``||S u - z_target||^2 + ||u - u_target||^2`` over the box
-    and returns (S u, u).
+    Minimizes ``||S u - z_target||^2 + ||u - u_target||^2`` over the box,
+    the box least-squares problem of the stacked ``[S; I]`` and target
+    ``[z_target; u_target]``, and returns (S u, u).
     """
     z_target = as_vector(z_target, "z target")
     u_target = as_vector(u_target, "u target")
     s = sys.steady_state_gain
+    stacked = np.vstack([s, np.eye(sys.input_dim)])
     step = 1.0 / (spectral_norm(s) ** 2 + 1.0)
-
-    def grad(u):
-        return s.T @ (s @ u - z_target) + (u - u_target)
-
-    u, _, _ = _box_descent(grad, step, u0 if u0 is not None else np.zeros(sys.input_dim), u_set)
+    u0 = np.zeros(sys.input_dim) if u0 is None else u0
+    u = _box_least_squares(stacked, np.concatenate([z_target, u_target]), u_set, step, u0)
     return s @ u, u
 
 
@@ -189,6 +184,20 @@ def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(blocks, axis=(1, 2))
     scale = np.divide(radii, norms, out=np.ones_like(norms), where=(norms > radii) & (norms > 0.0))
     return blocks * scale[:, None, None]
+
+
+def dac_radii(sys: LtiSystem, h_mem: int, radius: float) -> np.ndarray:
+    """Per-block Frobenius radii radius * (1-gamma)^i, gamma from ``sys.cert``."""
+    return float(radius) * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
+
+
+def dac_inputs(blocks: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Disturbance-action inputs sum_j M^[j-1] w_{t-j}, one per window.
+
+    ``windows`` is (K, h_mem, N), each row of disturbances newest first;
+    the result is (K, M).  One product per block, summed in block order.
+    """
+    return np.matmul(windows.transpose(1, 0, 2), blocks.transpose(0, 2, 1)).sum(axis=0)
 
 
 class DacController:
@@ -224,11 +233,14 @@ class DacController:
         self.u_set = u_set
         self.h_mem = int(h_mem)
         self.eta_g = float(eta_g)
-        self.radii = float(radius) * (1.0 - sys.cert.gamma) ** np.arange(self.h_mem)
+        self.radii = dac_radii(sys, self.h_mem, radius)
         self.blocks = np.zeros((self.h_mem, sys.input_dim, sys.state_dim))
         # newest-first ring of past disturbances, zero-padded for t <= 0;
         # the surrogate looks back 2*h_mem steps
         self.history = np.zeros((2 * self.h_mem + 1, sys.state_dim))
+        # history[self._windows[i]] is the window w_{t-i-1..t-i-h_mem} that
+        # fed the input i steps back
+        self._windows = np.arange(self.h_mem + 1)[:, None] + np.arange(1, self.h_mem + 1)
         # powers A^i and A^i B for i = 0..h_mem
         n = sys.state_dim
         self._a_pows = np.empty((self.h_mem + 1, n, n))
@@ -252,23 +264,16 @@ class DacController:
         """Truncated prediction of the current state under the given blocks."""
         if blocks is None:
             blocks = self.blocks
-        h = self.h_mem
-        # virtual inputs s_i the blocks would have produced i steps back
-        virtual = np.zeros((h + 1, self.sys.input_dim))
-        for j in range(1, h + 1):
-            virtual += self.history[j : j + h + 1] @ blocks[j - 1].T
-        y = np.einsum("ikn,in->k", self._a_pows, self.history[: h + 1])
+        # virtual inputs the blocks would have produced i steps back
+        virtual = dac_inputs(blocks, self.history[self._windows])
+        y = np.einsum("ikn,in->k", self._a_pows, self.history[: self.h_mem + 1])
         y += np.einsum("ikm,im->k", self._ab_pows, virtual)
         return y
 
     def surrogate_grad_blocks(self, delta: np.ndarray) -> np.ndarray:
         """Gradient of cost(surrogate_state) with respect to each block."""
-        h = self.h_mem
         q = np.einsum("ikm,k->im", self._ab_pows, delta)  # (A^i B)^T delta
-        grads = np.empty_like(self.blocks)
-        for j in range(1, h + 1):
-            grads[j - 1] = q.T @ self.history[j : j + h + 1]
-        return grads
+        return np.matmul(q.T, self.history[self._windows].transpose(1, 0, 2))
 
     def update(self, cost: QuadraticCost) -> None:
         """One OGD step on the surrogate loss, then project the blocks."""

@@ -117,6 +117,8 @@ class ExperimentConfig:
                             ("dac.eta_g", self.dac.eta_g), ("dac.radius", self.dac.radius)):
             if value is not None and not 0.0 < value < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not self.b.any():
+            raise ConfigError("B is all zeros: no input reaches the plant")
         if self.u_box.dim != self._system.input_dim:
             raise ConfigError("u_box dimension does not match B")
         if self.w_box.dim != self._system.state_dim:

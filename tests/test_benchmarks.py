@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import olcontrol.benchmarks as bench_mod
 from olcontrol import (
     BoxSet,
     InvalidInputError,
@@ -120,10 +121,11 @@ class TestBestFixedInput:
         res = best_fixed_input(ring_system, rng.standard_normal(3), w_seq, costs, BoxSet.symmetric(5.0, 2))
         assert res.value_nominal == pytest.approx(res.value, rel=1e-9)
 
-    def test_non_convergence_flagged(self, ring_system, rng):
+    def test_non_convergence_flagged(self, ring_system, rng, monkeypatch):
+        monkeypatch.setattr(bench_mod, "DESCENT_MAX_ITER", 2)
         costs = random_quadratics(rng, 20)
         w_seq = rng.uniform(-0.5, 0.5, (19, 3))
-        res = best_fixed_input(ring_system, np.zeros(3), w_seq, costs, BoxSet.symmetric(5.0, 2), max_iter=2)
+        res = best_fixed_input(ring_system, np.zeros(3), w_seq, costs, BoxSet.symmetric(5.0, 2))
         assert not res.converged
         assert res.iterations == 2
 
@@ -305,6 +307,18 @@ class TestFirstOrderOptimality:
         grad = dac_block_grads(sys, x1, res.optimizer, w_seq, costs)
         residual = fixed_point_residual(res.optimizer, grad, lambda m: project_dac_blocks(m, radii))
         assert residual <= self.TOL
+
+
+class TestDacInputs:
+    @pytest.mark.parametrize("h_mem, steps", [(1, 8), (3, 8), (10, 40), (10, 10), (5, 3)])
+    def test_matches_per_block_loop(self, rng, h_mem, steps):
+        # blocks beyond the horizon only ever see the zero padding
+        blocks = rng.standard_normal((h_mem, 2, 3))
+        w_seq = rng.uniform(-0.5, 0.5, (steps, 3))
+        expected = np.zeros((steps, 2))
+        for j in range(1, min(h_mem, steps) + 1):
+            expected[j:] += w_seq[: steps - j] @ blocks[j - 1].T
+        np.testing.assert_array_equal(_dac_inputs(blocks, w_seq), expected)
 
 
 class TestAssembledModels:

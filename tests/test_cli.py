@@ -88,6 +88,14 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_zero_input_matrix_exits_one_without_files(self, tmp_path, capsys):
+        path = tmp_path / "b0.json"
+        path.write_text(json.dumps({"T": 20, "n_runs": 1, "system": {"A": [[0.5]], "B": [[0.0]]}}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "-3"], ["--runs", "0"], ["--horizon", "1"]])
     def test_bad_override_exits_one_without_files(self, flags, tiny_config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"

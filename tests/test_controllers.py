@@ -20,7 +20,7 @@ from olcontrol import (
     step,
     regret_optimal_step_size,
 )
-from olcontrol.controllers import PROJECTION_TOL, _box_descent, project_dac_blocks
+from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks, project_joint_steady_state
 
 
 @pytest.fixture()
@@ -96,6 +96,10 @@ class TestProjection:
 
 
 class TestOlcController:
+    def test_zero_gain_rejected(self):
+        with pytest.raises(InvalidInputError, match="steady-state gain is zero"):
+            OlcController(LtiSystem([[0.5]], [[0.0]]), BoxSet([-1.0], [1.0]), eta=0.1)
+
     def test_act_scalar(self, scalar_system):
         olc = OlcController(scalar_system, BoxSet([-3.0], [3.0]), eta=0.1, z0=[2.0])
         assert olc.act(np.zeros(1))[0] == pytest.approx(1.0, abs=1e-9)
@@ -205,6 +209,27 @@ class TestOlcXu:
             assert ring_u_box.contains(state.u, tol=1e-12)
 
 
+class TestJointProjection:
+    def test_kkt_conditions(self, ring_system, ring_u_box, rng):
+        # gradient of ||S u - z||^2 + ||u - u_t||^2 at the returned u: it
+        # pushes out of the box on active coordinates and vanishes on free ones
+        s = ring_system.steady_state_gain
+        active = free = 0
+        for _ in range(50):
+            z_target, u_target = rng.standard_normal(3) * 6, rng.standard_normal(2) * 6
+            z, u = project_joint_steady_state(ring_system, ring_u_box, z_target, u_target)
+            np.testing.assert_array_equal(z, s @ u)
+            assert ring_u_box.contains(u, tol=0.0)
+            grad = 2.0 * (s.T @ (s @ u - z_target) + (u - u_target))
+            at_upper, at_lower = u == ring_u_box.upper, u == ring_u_box.lower
+            assert np.all(grad[at_upper] <= 1e-6) and np.all(grad[at_lower] >= -1e-6)
+            interior = ~(at_upper | at_lower)
+            np.testing.assert_allclose(grad[interior], 0.0, atol=1e-6)
+            active += int(np.sum(~interior))
+            free += int(np.sum(interior))
+        assert active > 0 and free > 0
+
+
 class TestDisturbanceEstimate:
     def test_exact_recovery(self, ring_system, rng):
         x = rng.standard_normal(3)
@@ -293,6 +318,25 @@ class TestDacController:
             fd[i] = (loss(flat0 + bump) - loss(flat0 - bump)) / (2 * h)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("h_mem", [1, 3, 10])
+    def test_surrogate_matches_per_block_loop(self, ring_system, rng, h_mem):
+        # the window expressions take the products of a loop over blocks,
+        # in block order, so they agree with it bit for bit
+        dac = make_dac(ring_system, h_mem=h_mem)
+        dac.history = rng.uniform(-0.5, 0.5, dac.history.shape)
+        dac.blocks = rng.standard_normal(dac.blocks.shape) * 0.2
+        delta = rng.standard_normal(3)
+        virtual = np.zeros((h_mem + 1, 2))
+        q = np.einsum("ikm,k->im", dac._ab_pows, delta)
+        grads = np.empty_like(dac.blocks)
+        for j in range(1, h_mem + 1):
+            virtual += dac.history[j : j + h_mem + 1] @ dac.blocks[j - 1].T
+            grads[j - 1] = q.T @ dac.history[j : j + h_mem + 1]
+        state = np.einsum("ikn,in->k", dac._a_pows, dac.history[: h_mem + 1])
+        state += np.einsum("ikm,im->k", dac._ab_pows, virtual)
+        np.testing.assert_array_equal(dac.surrogate_state(), state)
+        np.testing.assert_array_equal(dac.surrogate_grad_blocks(delta), grads)
+
     def test_block_projection_scaling(self):
         blocks = np.zeros((2, 2, 3))
         blocks[0] = 2.0  # frobenius norm 2 * sqrt(6)
@@ -341,5 +385,5 @@ class TestBoxDescent:
     def test_solves_clamped_quadratic(self):
         box = BoxSet([-1.0, -1.0], [1.0, 1.0])
         target = np.array([3.0, 0.2])
-        u, _, _ = _box_descent(lambda u: u - target, 1.0, np.zeros(2), box)
+        u = _box_least_squares(np.eye(2), target, box, 1.0, np.zeros(2))
         np.testing.assert_allclose(u, [1.0, 0.2], atol=1e-9)

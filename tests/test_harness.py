@@ -91,6 +91,7 @@ class TestConfig:
         {"disturbances_on": "false"},
         {"disturbances_on": 0},
         {"output_dir": 5},
+        {"system": {"A": [[0.5]], "B": [[0.0]]}},
     ])
     def test_bad_values_rejected(self, doc):
         with pytest.raises(ConfigError):
