@@ -19,7 +19,7 @@ import numpy as np
 from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .system import BoxSet, LtiSystem, _check_sequences, rollout, simulate
+from .system import BoxSet, LtiSystem, _check_sequences, rollout
 
 DESCENT_MOVE_TOL = 1e-9
 DESCENT_MAX_ITER = 20_000
@@ -32,10 +32,11 @@ class BenchmarkResult:
 
     ``optimizer`` is the argmin (an input, a steady state, or a stack of
     disturbance-action blocks); ``step_costs`` are the per-step costs of
-    the optimizer's trajectory, which regret curves are computed against.
-    ``value_nominal`` re-evaluates the same objective through the
-    shifted-cost route (nominal trajectory plus disturbance response) and
-    must match ``value``.
+    the optimizer's trajectory, which regret curves are computed against,
+    and ``value`` is their sum.  For the input-sequence optima (fixed
+    input, DAC) ``value_nominal`` re-evaluates the same objective through
+    the superposition route (nominal trajectory plus disturbance
+    response) and must match ``value``.
     """
 
     optimizer: np.ndarray
@@ -92,7 +93,7 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     return lam[1:] @ sys.b
 
 
-def _projected_descent(value_fn, grad_fn, project_fn, x0):
+def _projected_descent(model: "_Quadratic", project, x0):
     """Projected gradient descent with a backtracking line search.
 
     Each iteration starts from a Barzilai-Borwein trial step (the inverse
@@ -100,17 +101,17 @@ def _projected_descent(value_fn, grad_fn, project_fn, x0):
     and halves it until the quadratic upper model holds at the projected
     candidate, which keeps the objective monotone.  Stops once an
     iteration moves less than DESCENT_MOVE_TOL, or after DESCENT_MAX_ITER
-    iterations.  Returns (x, value, iterations, converged).
+    iterations.  Returns (x, iterations, converged).
     """
-    x = project_fn(x0)
-    f = value_fn(x)
-    g = grad_fn(x)
+    x = project(x0)
+    f = model.value(x)
+    g = model.grad(x)
     step = 1.0
     for it in range(1, DESCENT_MAX_ITER + 1):
         while True:
-            cand = project_fn(x - step * g)
+            cand = project(x - step * g)
             d = cand - x
-            f_cand = value_fn(cand)
+            f_cand = model.value(cand)
             gap = float(np.vdot(g, d)) + 0.5 / step * float(np.vdot(d, d))
             if f_cand <= f + gap + 1e-12 * (1.0 + abs(f)):
                 break
@@ -118,14 +119,14 @@ def _projected_descent(value_fn, grad_fn, project_fn, x0):
             if step < 1e-18:
                 break
         moved = float(np.linalg.norm(d.ravel()))
-        g_cand = grad_fn(cand)
+        g_cand = model.grad(cand)
         dg = g_cand - g
         sty = float(np.vdot(d, dg))
         step = float(np.vdot(d, d)) / sty if sty > 0.0 else step * 2.0
         x, f, g = cand, f_cand, g_cand
         if moved < DESCENT_MOVE_TOL:
-            return x, f, it, True
-    return x, f, DESCENT_MAX_ITER, False
+            return x, it, True
+    return x, DESCENT_MAX_ITER, False
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,19 @@ def _assemble_quadratic(
     return _Quadratic(h=h.reshape(size, size), g=g.ravel(), k=float(np.vdot(d, qd)))
 
 
+def _realize(sys: LtiSystem, x1, w_seq, costs: QuadraticBatch, u_seq) -> dict:
+    """The trajectory of the inputs ``u_seq`` under the disturbances, scored:
+    its step costs and their sum ``value``, and ``value_nominal``, the same
+    objective through the nominal trajectory plus the disturbance response."""
+    step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
+    superposed = rollout(sys, x1, np.zeros_like(w_seq), u_seq) + rollout(sys, np.zeros(sys.state_dim), w_seq)
+    return {
+        "value": float(np.sum(step_costs)),
+        "step_costs": step_costs,
+        "value_nominal": float(np.sum(costs.values(superposed))),
+    }
+
+
 def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
     """Total cost of the constant input u, with x_t = x_t^0 + G_t u."""
     gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (w_seq.shape[0],) + sys.b.shape))
@@ -187,28 +201,14 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     the input box.  The trajectory is affine in u, x_t(u) = x_t^0 + G_t u
     with G_1 = 0 and G_{t+1} = A G_t + B, so the objective is a convex
     quadratic in u; it is assembled once and minimized by projected
-    descent.
-
-    The optimum's value is computed twice -- on the disturbed trajectory
-    directly, and through the nominal trajectory with shifted costs --
-    and both are returned (they agree up to roundoff).
+    descent, and the optimum is realized by :func:`_realize`.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
     model = _fixed_input_model(sys, x1, w_seq, costs)
-    u_star, _, iters, converged = _projected_descent(model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim))
+    u_star, iters, converged = _projected_descent(model, u_set.clamp, np.zeros(sys.input_dim))
     u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
-    step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
-    # same objective through the superposition route
-    nominal = rollout(sys, x1, np.zeros_like(w_seq), u_seq)
-    xd = rollout(sys, np.zeros(sys.state_dim), w_seq)
-    value_nominal = float(np.sum(costs.values(nominal + xd)))
     return BenchmarkResult(
-        optimizer=u_star,
-        value=float(np.sum(step_costs)),
-        iterations=iters,
-        converged=converged,
-        step_costs=step_costs,
-        value_nominal=value_nominal,
+        optimizer=u_star, iterations=iters, converged=converged, **_realize(sys, x1, w_seq, costs, u_seq)
     )
 
 
@@ -231,7 +231,7 @@ def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     costs = _check_costs(sys, costs)
     _check_input_box(sys, u_set)
     model = _steady_state_model(sys, costs)
-    u_star, _, iters, converged = _projected_descent(model.value, model.grad, u_set.clamp, np.zeros(sys.input_dim))
+    u_star, iters, converged = _projected_descent(model, u_set.clamp, np.zeros(sys.input_dim))
     x_star = sys.steady_state_gain @ u_star
     step_costs = costs.values(np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
     return BenchmarkResult(
@@ -272,31 +272,18 @@ def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> Ben
     feeds w_{t-j} into the input, so the state's response to block j is
     the response to block 1 delayed by j-1 steps; the quadratic is
     assembled from that one (T, N, M*N) response and minimized by
-    projected descent.  Costs are realized by evaluating the original
-    costs on the full trajectory (nominal plus disturbance response),
-    which equals the shifted-cost total identically.
+    projected descent.  The optimum is realized through the inputs the
+    blocks play by :func:`_realize`, as the fixed input's is.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
     radii = dac_radii(sys, h_mem, radius)
     model = _dac_model(sys, x1, w_seq, costs, h_mem)
-    blocks, _, iters, converged = _projected_descent(
-        model.value,
-        model.grad,
-        lambda b: project_dac_blocks(b, radii),
-        np.zeros((h_mem, sys.input_dim, sys.state_dim)),
+    blocks, iters, converged = _projected_descent(
+        model, lambda b: project_dac_blocks(b, radii), np.zeros((h_mem, sys.input_dim, sys.state_dim))
     )
-    inputs = _dac_inputs(blocks, w_seq)
-    step_costs = costs.values(simulate(sys, x1, inputs) + rollout(sys, np.zeros(sys.state_dim), w_seq))
-    # dual route: simulate the disturbed system directly under the same inputs
-    direct = simulate(sys, x1, inputs, w_seq)
-    value_direct = float(np.sum(costs.values(direct)))
     return BenchmarkResult(
-        optimizer=blocks,
-        value=value_direct,
-        iterations=iters,
-        converged=converged,
-        step_costs=step_costs,
-        value_nominal=float(np.sum(step_costs)),
+        optimizer=blocks, iterations=iters, converged=converged,
+        **_realize(sys, x1, w_seq, costs, _dac_inputs(blocks, w_seq)),
     )
 
 

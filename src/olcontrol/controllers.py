@@ -254,8 +254,7 @@ class DacController:
     def act(self, x) -> np.ndarray:
         """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
         x = as_vector(x, "state")
-        u = np.einsum("jmn,jn->m", self.blocks, self.history[: self.h_mem])
-        u = self.u_set.clamp(u)
+        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[None, : self.h_mem])[0])
         self._last_x = x
         self._last_u = u
         return u

@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkResult, best_dac, best_fixed_input, best_steady_state
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticBatch, SmoothnessParams, smoothness_constant
+from .costs import QuadraticBatch, SmoothnessParams, as_batch, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import spectral_norm
 from .system import (
@@ -311,7 +311,6 @@ def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
 class Trace:
     """One controller's trajectory through one run."""
 
-    kind: str
     states: np.ndarray   # (T, N)
     inputs: np.ndarray   # (T-1, M)
     costs: np.ndarray    # (T,)
@@ -338,22 +337,17 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
     feedback are revealed at the pre-transition state, and only then does
     the plant move.  ``kind`` is "olc", "dac", or a callable returning a
     controller (for tests).  Every visited state is checked against the
-    bound D.
+    bound D.  The step costs are scored once, on the whole trajectory,
+    the way the hindsight benchmarks score theirs.
     """
     sys = cfg.system()
     if params is None:
         params = derive_run_params(cfg, costs)
-    if callable(kind):
-        ctrl = kind(sys, cfg, params)
-        kind_name = getattr(ctrl, "kind", "custom")
-    else:
-        ctrl = _build_controller(cfg, kind, params, sys)
-        kind_name = kind
+    ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params, sys)
     horizon = cfg.t
     n, m = sys.state_dim, sys.input_dim
     states = np.empty((horizon, n))
     inputs = np.empty((horizon - 1, m))
-    costs_out = np.empty(horizon)
     targets = np.empty((horizon - 1, n)) if isinstance(ctrl, OlcController) else None
     bound_slack = params.bound.d * (1.0 + 1e-9)
 
@@ -364,10 +358,9 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
                 f"state norm {np.linalg.norm(x):.6g} exceeds the certified bound {params.bound.d:.6g} at t={t + 1}"
             )
         states[t] = x
-        cost = costs[t]
-        costs_out[t] = cost.value(x)
         if t == horizon - 1:
             break
+        cost = costs[t]
         if targets is not None:
             targets[t] = ctrl.z
         u = ctrl.act(x)
@@ -378,7 +371,7 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
         else:
             ctrl.observe(cost, x_next)
         x = x_next
-    return Trace(kind=kind_name, states=states, inputs=inputs, costs=costs_out,
+    return Trace(states=states, inputs=inputs, costs=as_batch(costs).values(states),
                  targets=targets, eta=params.eta if kind == "olc" else None)
 
 
@@ -401,7 +394,6 @@ class RunRecord:
 class RegretReport:
     """Cumulative regret curves against each benchmark, per controller."""
 
-    horizon: int
     cum_costs: dict[str, np.ndarray]
     regret_u: dict[str, np.ndarray]
     regret_m: dict[str, np.ndarray] | None = None
@@ -439,7 +431,6 @@ def compute_regret(record: RunRecord) -> RegretReport:
         return {kind: curve - prefix for kind, curve in cum.items()}
 
     return RegretReport(
-        horizon=record.traces[next(iter(record.traces))].costs.shape[0],
         cum_costs=cum,
         regret_u=against(record.bench_u),
         regret_m=against(record.bench_m),
@@ -467,8 +458,6 @@ def _fmt(x: float) -> str:
 
 
 # (CSV column, benchmark, controller) of every regret curve, in file order.
-# The "x" columns exist only without disturbances, when best_steady_state
-# is solved.
 REGRET_COLUMNS = (
     ("regret_olc_u", "u", "olc"),
     ("regret_dac_u", "u", "dac"),
@@ -479,8 +468,9 @@ REGRET_COLUMNS = (
 )
 
 
-def _regret_columns(cfg: ExperimentConfig):
-    return [col for col in REGRET_COLUMNS if col[1] != "x" or not cfg.disturbances_on]
+def _regret_columns(report: RegretReport):
+    """The columns of the benchmarks the run solved."""
+    return [col for col in REGRET_COLUMNS if getattr(report, f"regret_{col[1]}") is not None]
 
 
 def _write_table(path, header: list[str], curves: list[np.ndarray], t: int) -> None:
@@ -492,7 +482,7 @@ def _write_table(path, header: list[str], curves: list[np.ndarray], t: int) -> N
 
 
 def write_run_csv(path, cfg: ExperimentConfig, record: RunRecord, report: RegretReport) -> None:
-    cols = _regret_columns(cfg)
+    cols = _regret_columns(report)
     header = ["cost_olc", "cost_dac", "cum_olc", "cum_dac"] + [col for col, _, _ in cols]
     curves = [record.traces["olc"].costs, record.traces["dac"].costs,
               report.cum_costs["olc"], report.cum_costs["dac"]]
@@ -503,7 +493,7 @@ def write_run_csv(path, cfg: ExperimentConfig, record: RunRecord, report: Regret
 def write_summary_csv(path, cfg: ExperimentConfig, reports: list[RegretReport]) -> None:
     """Per-step mean and standard deviation of each regret column."""
     header, curves = [], []
-    for col, bench, kind in _regret_columns(cfg):
+    for col, bench, kind in _regret_columns(reports[0]):
         # (T, runs): each step's values are contiguous, so every step is
         # reduced exactly as a 1-d array of the runs' values
         stack = np.stack([rep.curve(bench, kind) for rep in reports], axis=1)

@@ -320,22 +320,26 @@ class TestDacController:
 
     @pytest.mark.parametrize("h_mem", [1, 3, 10])
     def test_surrogate_matches_per_block_loop(self, ring_system, rng, h_mem):
-        # the window expressions take the products of a loop over blocks,
-        # in block order, so they agree with it bit for bit
+        # the window expressions (and act's one window) take the products
+        # of a loop over blocks, in block order, so they agree with it bit
+        # for bit
         dac = make_dac(ring_system, h_mem=h_mem)
         dac.history = rng.uniform(-0.5, 0.5, dac.history.shape)
         dac.blocks = rng.standard_normal(dac.blocks.shape) * 0.2
         delta = rng.standard_normal(3)
         virtual = np.zeros((h_mem + 1, 2))
+        played = np.zeros((1, 2))
         q = np.einsum("ikm,k->im", dac._ab_pows, delta)
         grads = np.empty_like(dac.blocks)
         for j in range(1, h_mem + 1):
             virtual += dac.history[j : j + h_mem + 1] @ dac.blocks[j - 1].T
+            played += dac.history[j - 1 : j] @ dac.blocks[j - 1].T
             grads[j - 1] = q.T @ dac.history[j : j + h_mem + 1]
         state = np.einsum("ikn,in->k", dac._a_pows, dac.history[: h_mem + 1])
         state += np.einsum("ikm,im->k", dac._ab_pows, virtual)
         np.testing.assert_array_equal(dac.surrogate_state(), state)
         np.testing.assert_array_equal(dac.surrogate_grad_blocks(delta), grads)
+        np.testing.assert_array_equal(dac.act(np.zeros(3)), dac.u_set.clamp(played[0]))
 
     def test_block_projection_scaling(self):
         blocks = np.zeros((2, 2, 3))

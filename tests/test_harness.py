@@ -17,6 +17,7 @@ from olcontrol import (
     default_config,
     load_config,
 )
+from olcontrol.costs import as_batch
 from olcontrol.harness import (
     REGRET_COLUMNS,
     CostGenConfig,
@@ -241,6 +242,16 @@ class TestRunSingle:
         replay = simulate(tiny_cfg.system(), tiny_cfg.x1, trace.inputs, w)
         np.testing.assert_array_equal(replay, trace.states)
 
+    @pytest.mark.parametrize("kind", ["olc", "dac"])
+    def test_costs_scored_on_the_trajectory(self, tiny_cfg, kind):
+        # the trace is scored after the loop, as the hindsight benchmarks are
+        rec = run_one_seed(tiny_cfg, 0, kinds=(kind,))
+        costs = [rec.costs[t] for t in range(tiny_cfg.t)]
+        trace = run_single(tiny_cfg, kind, costs, rec.w_seq, rec.params)
+        np.testing.assert_array_equal(trace.states, rec.traces[kind].states)
+        np.testing.assert_array_equal(trace.costs, as_batch(costs).values(trace.states))
+        np.testing.assert_array_equal(rec.traces[kind].costs, rec.costs.values(trace.states))
+
     def test_cumulative_costs_non_decreasing(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
         for trace in rec.traces.values():
@@ -265,7 +276,6 @@ class TestRunSingle:
 
         class SpyController:
             feedback = "gradient"
-            kind = "spy"
 
             def __init__(self, sys, cfg, params):
                 self.sys = sys
@@ -326,6 +336,31 @@ class TestRegret:
             expected_m = rec.traces[kind].total_cost - rec.bench_m.value
             assert rep.regret_m[kind][-1] == pytest.approx(expected_m, rel=1e-9, abs=1e-9)
 
+    def test_no_traces_gives_empty_curves(self, tiny_cfg):
+        # the record `olcontrol bench` builds: benchmarks only
+        rep = compute_regret(run_one_seed(tiny_cfg, 0, kinds=()))
+        assert rep.cum_costs == {}
+        assert rep.regret_u == {} and rep.regret_m == {}
+        assert rep.regret_x is None
+
+    @pytest.mark.parametrize("disturbances_on", [True, False])
+    def test_u_and_m_regret_zero_at_first_step(self, disturbances_on):
+        # every trajectory starts at x1 and is scored the same way
+        cfg = default_config(t=50, n_runs=3, seed=3, disturbances_on=disturbances_on)
+        for k in range(cfg.n_runs):
+            rep = compute_regret(run_one_seed(cfg, k))
+            for bench in ("u", "m"):
+                for kind in ("olc", "dac"):
+                    assert rep.curve(bench, kind)[0] == 0.0, (k, bench, kind)
+
+    def test_clean_dac_regret_zero_throughout(self):
+        # without disturbances the DAC plays its benchmark's inputs, all zero
+        cfg = default_config(t=50, n_runs=3, seed=3, disturbances_on=False)
+        for k in range(cfg.n_runs):
+            rec = run_one_seed(cfg, k, kinds=("dac",))
+            np.testing.assert_array_equal(rec.traces["dac"].inputs, 0.0)
+            np.testing.assert_array_equal(compute_regret(rec).curve("m", "dac"), 0.0)
+
     def test_missing_benchmark_rejected(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
         rec.bench_u = None
@@ -338,7 +373,6 @@ class TestRegret:
 
         class ReplayController:
             feedback = "gradient"
-            kind = "olc"  # reuse the olc column
 
             def __init__(self, sys, cfg, params):
                 pass

@@ -1,0 +1,29 @@
+"""The benchmark's correctness gate (perfbench/gate.py), run in-process on
+both workloads at base seed 0: each bundle must be complete and match
+perfbench/reference.json to the gate's relative tolerance, so a change in
+output digits is checked against that contract by the test suite too."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from olcontrol.harness import config_from_dict, run_experiment
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("gate"), importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["paper-disturbed", "skewed-clean"])
+def test_bundle_passes_the_gate(perfbench, name, tmp_path):
+    gate, workloads = perfbench
+    doc = workloads.workload_config(ROOT, workloads.WORKLOADS[name], 0)
+    run_experiment(config_from_dict(doc), tmp_path)
+    assert gate.bundle_problems(tmp_path, doc) == []
+    entry = gate.reference_entry(gate.load_reference(), name, doc)
+    assert gate.reference_problems(tmp_path, doc, entry) == []
