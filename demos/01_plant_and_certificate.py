@@ -16,6 +16,7 @@ from olcontrol import (
     spectral_radius_estimate,
     state_bound,
 )
+from olcontrol.system import RADIUS_POWER
 
 a, b = default_system_matrices()
 sys = LtiSystem(a, b)
@@ -25,7 +26,7 @@ print(np.array_str(a, precision=4))
 print("input map B =")
 print(np.array_str(b, precision=4))
 
-rho = spectral_radius_estimate(a)
+rho = spectral_radius_estimate(a, RADIUS_POWER)
 print(f"\nspectral radius estimate: {rho:.6f} (exact value is 1/3)")
 
 cert = certify_strong_stability(a)

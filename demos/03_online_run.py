@@ -10,16 +10,16 @@ disturbances, so it cannot hold an offset and pays for it.
 
 import numpy as np
 
-from olcontrol import compute_regret, default_config
+from olcontrol import ExperimentConfig, compute_regret
 from olcontrol.harness import run_one_seed
 
-cfg = default_config(t=1000, n_runs=1, seed=7)
+cfg = ExperimentConfig(t=1000, n_runs=1, seed=7)
 record = run_one_seed(cfg, 0)
 report = compute_regret(record)
 
 p = record.params
 print(f"certificate: gamma={p.cert.gamma:.4f} kappa={p.cert.kappa:.4f}")
-print(f"state bound D={p.bound.d:.2f}, smoothness L={p.smooth.l:.2f}, step size eta={p.eta:.5f}")
+print(f"state bound D={p.bound.d:.2f}, smoothness L={p.l:.2f}, step size eta={p.eta:.5f}")
 
 olc, dac = record.traces["olc"], record.traces["dac"]
 print(f"\ncumulative cost, target-state controller: {olc.total_cost:12.1f}")
@@ -36,7 +36,8 @@ print("\nregret vs the disturbance-action benchmark at T:")
 print(f"target-state: {report.regret_m['olc'][-1]:.1f} (negative: it beats that benchmark)")
 print(f"baseline:     {report.regret_m['dac'][-1]:.1f}")
 
-# the controller's target settles near the best steady state
-z_final = olc.targets[-1]
+# the controller's target, the steady state S u of the input it plays,
+# settles near the best steady state
+z_final = cfg.system().steady_state_gain @ olc.inputs[-1]
 print(f"\nfinal target state: {np.array_str(z_final, precision=3)}")
 print(f"benchmark's steady state under u*: {np.array_str(record.bench_u.optimizer, precision=3)} (input space)")

@@ -8,10 +8,10 @@ byte-identical files.
 import tempfile
 from pathlib import Path
 
-from olcontrol import default_config, run_experiment
+from olcontrol import ExperimentConfig, run_experiment
 
 out = Path(tempfile.mkdtemp(prefix="olcontrol_demo_"))
-cfg = default_config(t=200, n_runs=3, seed=11)
+cfg = ExperimentConfig(t=200, n_runs=3, seed=11)
 result = run_experiment(cfg, output_dir=out)
 
 print(f"wrote {len(result.reports)} runs to {out}\n")

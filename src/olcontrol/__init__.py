@@ -22,7 +22,6 @@ from .controllers import (
 from .costs import (
     QuadraticBatch,
     QuadraticCost,
-    SmoothnessParams,
     finite_diff_grad,
     smoothness_constant,
 )
@@ -41,7 +40,6 @@ from .harness import (
     Trace,
     compute_regret,
     config_from_dict,
-    default_config,
     default_system_matrices,
     generate_costs,
     generate_disturbances,

@@ -16,6 +16,7 @@ from .harness import (
     run_one_seed,
 )
 from .linalg import spectral_radius_estimate
+from .system import RADIUS_POWER
 
 
 class _UsageError(Exception):
@@ -105,11 +106,11 @@ def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     costs = generate_costs(cfg, make_rng(cfg.seed))
     params = derive_run_params(cfg, costs)
-    print(f"spectral radius estimate: {spectral_radius_estimate(cfg.a):.6f}")
+    print(f"spectral radius estimate: {spectral_radius_estimate(cfg.a, RADIUS_POWER):.6f}")
     print(f"gamma: {params.cert.gamma:.6f}")
     print(f"kappa: {params.cert.kappa:.6f}")
     print(f"state bound D: {params.bound.d:.6f}")
-    print(f"smoothness L: {params.smooth.l:.6f}")
+    print(f"smoothness L: {params.l:.6f}")
     print(f"step size eta: {params.eta:.8g}")
     return 0
 

@@ -123,20 +123,9 @@ def as_batch(costs) -> QuadraticBatch:
     return QuadraticBatch(np.array([cost.q for cost in costs]), np.array([cost.c for cost in costs]))
 
 
-@dataclass(frozen=True)
-class SmoothnessParams:
-    """Constants (L, D) with ||grad f(x)|| <= L*D whenever ||x|| <= D."""
-
-    l: float
-    d: float
-
-    def __post_init__(self):
-        if not (self.l > 0.0 and self.d > 0.0):
-            raise InvalidInputError("smoothness constants must be positive")
-
-
-def smoothness_constant(costs, bound: StateBound, c_max: float) -> SmoothnessParams:
-    """Worst-case gradient scale of a quadratic batch over the D-ball.
+def smoothness_constant(costs, bound: StateBound, c_max: float) -> float:
+    """Worst-case gradient scale L of a quadratic batch over the D-ball,
+    so that ``||grad f_t(x)|| <= L*D`` whenever ``||x|| <= D``.
 
     ``||2 Q (x - c)|| <= 2 ||Q|| (D + c_max)`` for ``||x|| <= D``, so
     L = 2 max_t ||Q_t|| (D + c_max) / D guarantees the L*D gradient bound.
@@ -145,7 +134,7 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> SmoothnessPar
     l = 2.0 * max_q * (bound.d + float(c_max)) / bound.d
     # all-zero cost batches would give L = 0 and an undefined step size;
     # clamp like the state bound does
-    return SmoothnessParams(l=max(l, 1e-12), d=bound.d)
+    return max(l, 1e-12)
 
 
 def finite_diff_grad(cost, x, h: float | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkResult, best_dac, best_fixed_input, best_steady_state
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticBatch, SmoothnessParams, as_batch, smoothness_constant
+from .costs import QuadraticBatch, as_batch, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import spectral_norm
 from .system import (
@@ -64,7 +64,9 @@ class ExperimentConfig:
 
     Left unset, A and B are the ring plant of :func:`default_system_matrices`,
     the boxes are ±5 on each input and ±0.5 on each state, and x1 is the
-    origin.  The plant is built once, here, and shared by every run.
+    origin.  The plant is built once, here, and shared by every run, and
+    every field is checked here too (ConfigError), so a config that exists
+    is one a run can use; ``dataclasses.replace`` checks again.
     """
 
     seed: int = 1
@@ -96,8 +98,6 @@ class ExperimentConfig:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def validate(self) -> "ExperimentConfig":
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.t < 2:
@@ -119,56 +119,60 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not self.b.any():
             raise ConfigError("B is all zeros: no input reaches the plant")
-        if self.u_box.dim != self._system.input_dim:
+        if self.u_box.dim != m:
             raise ConfigError("u_box dimension does not match B")
-        if self.w_box.dim != self._system.state_dim:
+        if self.w_box.dim != n:
             raise ConfigError("w_box dimension does not match A")
-        if self.x1.shape != (self._system.state_dim,):
+        if self.x1.shape != (n,):
             raise ConfigError("x1 dimension does not match A")
         if not np.isfinite(self.x1).all():
             raise ConfigError("x1 must be finite")
-        return self
 
     def system(self) -> LtiSystem:
         return self._system
 
 
-def default_config(**overrides) -> ExperimentConfig:
-    """The stock experiment (see :class:`ExperimentConfig`) with ``overrides``."""
-    return ExperimentConfig(**overrides).validate()
+def _exactly(kind: type, optional: bool = False):
+    """Converter passing values of type ``kind`` only (true is not an int),
+    and null when ``optional``.  A float key takes any JSON number, int or
+    float, and returns it as a float."""
+    kinds, name = ((int, float), "a number") if kind is float else ((kind,), f"of type {kind.__name__}")
 
-
-def _optional_float(value):
-    return None if value is None else float(value)
-
-
-def _array(value):
-    return np.asarray(value, dtype=float)
-
-
-def _exactly(kind: type, key: str):
-    """Converter for ``key`` passing values of type ``kind`` only (true is not an int)."""
-
-    def check(value):
-        if type(value) is not kind:
-            raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
-        return value
+    def check(value, key):
+        if optional and value is None:
+            return None
+        if type(value) not in kinds:
+            raise ConfigError(f"{key} must be {name}, got {value!r}")
+        return kind(value)
 
     return check
 
 
+def _array(value, key):
+    """Nested JSON arrays of numbers as a float array.  Every leaf is
+    checked, since ``np.asarray([True, -1])`` is an int array."""
+    number = _exactly(float)
+
+    def leaves(item):
+        return [leaves(v) for v in item] if isinstance(item, list) else number(item, key)
+
+    return np.asarray(leaves(value), dtype=float)
+
+
 def _fields(doc, schema: dict, where: str) -> dict:
-    """Convert the keys present in ``doc``; absent keys keep the field defaults."""
+    """Convert the keys present in ``doc``; absent keys keep the field defaults.
+    Each converter gets the value and its dotted key, for its messages."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    return {schema[key][0]: schema[key][1](value) for key, value in doc.items()}
+    prefix = "" if where == "config" else f"{where}."
+    return {schema[key][0]: schema[key][1](value, prefix + key) for key, value in doc.items()}
 
 
-def _section(cls, schema: dict, where: str):
-    def build(doc):
+def _section(cls, schema: dict):
+    def build(doc, where):
         fields = _fields(doc, schema, where)
         try:
             return cls(**fields)
@@ -183,28 +187,29 @@ _BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
 # JSON key -> (field name, converter).  The "system" section's A and B
 # become the config's a and b.
 _SCHEMA = {
-    "seed": ("seed", _exactly(int, "seed")),
-    "T": ("t", _exactly(int, "T")),
-    "n_runs": ("n_runs", _exactly(int, "n_runs")),
-    "system": ("system", lambda doc: _fields(doc, {"A": ("a", _array), "B": ("b", _array)}, "system")),
-    "u_box": ("u_box", _section(BoxSet, _BOX, "u_box")),
-    "w_box": ("w_box", _section(BoxSet, _BOX, "w_box")),
+    "seed": ("seed", _exactly(int)),
+    "T": ("t", _exactly(int)),
+    "n_runs": ("n_runs", _exactly(int)),
+    "system": ("system", lambda doc, where: _fields(doc, {"A": ("a", _array), "B": ("b", _array)}, where)),
+    "u_box": ("u_box", _section(BoxSet, _BOX)),
+    "w_box": ("w_box", _section(BoxSet, _BOX)),
     "cost_gen": ("cost_gen", _section(CostGenConfig, {
-        "q_scale": ("q_scale", float), "q_ridge": ("q_ridge", float), "c_max": ("c_max", float),
-    }, "cost_gen")),
-    "olc": ("olc", _section(OlcConfig, {"eta_override": ("eta_override", _optional_float)}, "olc")),
+        "q_scale": ("q_scale", _exactly(float)), "q_ridge": ("q_ridge", _exactly(float)),
+        "c_max": ("c_max", _exactly(float)),
+    })),
+    "olc": ("olc", _section(OlcConfig, {"eta_override": ("eta_override", _exactly(float, optional=True))})),
     "dac": ("dac", _section(DacConfig, {
-        "H_mem": ("h_mem", _exactly(int, "dac.H_mem")),
-        "eta_g": ("eta_g", _optional_float), "radius": ("radius", _optional_float),
-    }, "dac")),
-    "disturbances_on": ("disturbances_on", _exactly(bool, "disturbances_on")),
-    "output_dir": ("output_dir", _exactly(str, "output_dir")),
+        "H_mem": ("h_mem", _exactly(int)),
+        "eta_g": ("eta_g", _exactly(float, optional=True)), "radius": ("radius", _exactly(float, optional=True)),
+    })),
+    "disturbances_on": ("disturbances_on", _exactly(bool)),
+    "output_dir": ("output_dir", _exactly(str)),
     "x1": ("x1", _array),
 }
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a validated config from a JSON-like document.
+    """Build a config from a JSON-like document.
 
     Keys mirror the documented schema exactly (T and dac.H_mem are
     capitalized); unknown keys are rejected at every level, and a key left
@@ -213,8 +218,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     try:
         kwargs = _fields(doc, _SCHEMA, "config")
         kwargs.update(kwargs.pop("system", {}))
-        return ExperimentConfig(**kwargs).validate()
-    except (InvalidInputError, ValueError, TypeError) as exc:
+        return ExperimentConfig(**kwargs)
+    except (InvalidInputError, ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -227,7 +232,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if overrides and isinstance(doc, dict):
@@ -281,8 +290,8 @@ class RunParams:
     and bound checks; each unset step size or radius is resolved here."""
 
     cert: StabilityCert
-    bound: StateBound
-    smooth: SmoothnessParams
+    bound: StateBound   # D
+    l: float            # smoothness L: ||grad f_t(x)|| <= L*D on the D-ball
     eta: float          # OLC step size
     dac_eta_g: float    # DAC gradient step
     dac_radius: float   # DAC per-block Frobenius radius
@@ -295,13 +304,13 @@ def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
     # the smoothness formula needs a bound on ||c_t||; targets are drawn
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)
     c_norm_max = cfg.cost_gen.c_max * np.sqrt(cfg.a.shape[0])
-    smooth = smoothness_constant(costs, bound, c_norm_max)
+    l = smoothness_constant(costs, bound, c_norm_max)
     eta, eta_g, radius = cfg.olc.eta_override, cfg.dac.eta_g, cfg.dac.radius
     return RunParams(
         cert=cert,
         bound=bound,
-        smooth=smooth,
-        eta=regret_optimal_step_size(smooth.l, cfg.t, cert) if eta is None else eta,
+        l=l,
+        eta=regret_optimal_step_size(l, cfg.t, cert) if eta is None else eta,
         dac_eta_g=1.0 / np.sqrt(cfg.t) if eta_g is None else eta_g,
         dac_radius=cert.kappa**3 * spectral_norm(cfg.b) if radius is None else radius,
     )
@@ -309,13 +318,15 @@ def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
 
 @dataclass
 class Trace:
-    """One controller's trajectory through one run."""
+    """One controller's trajectory through one run: what the round loop saw.
+
+    An OLC target is the steady state of the input it plays, so its target
+    at round t is ``S @ inputs[t]``.
+    """
 
     states: np.ndarray   # (T, N)
     inputs: np.ndarray   # (T-1, M)
     costs: np.ndarray    # (T,)
-    targets: np.ndarray | None = None  # (T-1, N) target states, olc only
-    eta: float | None = None
 
     @property
     def total_cost(self) -> float:
@@ -330,25 +341,23 @@ def _build_controller(cfg: ExperimentConfig, kind: str, params: RunParams, sys: 
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
-def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | None = None) -> Trace:
+def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:
     """Run one controller through the round protocol for T steps.
 
     Per round: the controller sees the state and acts, the cost and its
     feedback are revealed at the pre-transition state, and only then does
     the plant move.  ``kind`` is "olc", "dac", or a callable returning a
-    controller (for tests).  Every visited state is checked against the
+    controller (for tests); ``params`` are the run's constants from
+    :func:`derive_run_params`.  Every visited state is checked against the
     bound D.  The step costs are scored once, on the whole trajectory,
     the way the hindsight benchmarks score theirs.
     """
     sys = cfg.system()
-    if params is None:
-        params = derive_run_params(cfg, costs)
     ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params, sys)
     horizon = cfg.t
     n, m = sys.state_dim, sys.input_dim
     states = np.empty((horizon, n))
     inputs = np.empty((horizon - 1, m))
-    targets = np.empty((horizon - 1, n)) if isinstance(ctrl, OlcController) else None
     bound_slack = params.bound.d * (1.0 + 1e-9)
 
     x = cfg.x1.astype(float).copy()
@@ -361,8 +370,6 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
         if t == horizon - 1:
             break
         cost = costs[t]
-        if targets is not None:
-            targets[t] = ctrl.z
         u = ctrl.act(x)
         inputs[t] = u
         x_next = step(sys, x, u, w_seq[t])
@@ -371,8 +378,7 @@ def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams | No
         else:
             ctrl.observe(cost, x_next)
         x = x_next
-    return Trace(states=states, inputs=inputs, costs=as_batch(costs).values(states),
-                 targets=targets, eta=params.eta if kind == "olc" else None)
+    return Trace(states=states, inputs=inputs, costs=as_batch(costs).values(states))
 
 
 @dataclass
@@ -538,7 +544,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
     left by an earlier invocation are removed first, so the directory
     holds this invocation's bundle only; other files are left alone.
     """
-    cfg.validate()
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for path in out.iterdir():

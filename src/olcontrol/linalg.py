@@ -49,7 +49,7 @@ def batch_spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, 2, axis=(1, 2))
 
 
-def spectral_radius_estimate(a, k: int = 64) -> float:
+def spectral_radius_estimate(a, k: int) -> float:
     """Upper-biased spectral radius estimate ``||a^k|| ** (1/k)``.
 
     Converges to the true spectral radius from above as ``k`` grows; for

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from olcontrol import (
+    ExperimentConfig,
     LtiSystem,
     QuadraticCost,
     adjoint_input_gradients,
     best_fixed_input,
     best_steady_state,
     certify_strong_stability,
-    default_config,
     grid_oracle_fixed_input,
     simulate,
     simulate_decomposed,
@@ -56,7 +56,7 @@ class Bundle:
 
 
 def _build_bundle(t: int) -> Bundle:
-    cfg = default_config(t=t, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=True)
+    cfg = ExperimentConfig(t=t, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=True)
     bundle = Bundle(cfg=cfg)
     start = time.perf_counter()
     for k in range(SEEDS):
@@ -77,13 +77,13 @@ def _build_bundle(t: int) -> Bundle:
 def clean_100():
     # criterion 1 clocks the runs plus the steady-state benchmark; the
     # fixed-input benchmark (criterion 3) is solved outside the clock
-    cfg = default_config(t=100, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=False)
+    cfg = ExperimentConfig(t=100, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=False)
     return _timed_clean_bundle(cfg)
 
 
 @pytest.fixture(scope="module")
 def clean_1000():
-    cfg = default_config(t=1000, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=False)
+    cfg = ExperimentConfig(t=1000, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=False)
     return _timed_clean_bundle(cfg)
 
 
@@ -131,7 +131,7 @@ def _regret_u(record, kind="olc") -> float:
 def _regret_limit(record, t: int, kappa_factor: float) -> float:
     p = record.params
     kappa, gamma = p.cert.kappa, p.cert.gamma
-    return (2.0 * p.smooth.l * p.smooth.d**2 / gamma) * (
+    return (2.0 * p.l * p.bound.d**2 / gamma) * (
         np.sqrt(t * (1.0 + 4.0 * kappa**2)) + kappa_factor * kappa
     )
 
@@ -169,7 +169,7 @@ def test_criterion_03_regret_gap(clean_100, clean_1000):
                     bundle.cfg.system(), bundle.cfg.x1, record.w_seq, record.costs, bundle.cfg.u_box
                 )
             p = record.params
-            limit = 2.0 * p.cert.kappa * p.smooth.l * p.smooth.d**2 / p.cert.gamma
+            limit = 2.0 * p.cert.kappa * p.l * p.bound.d**2 / p.cert.gamma
             gap = abs(_regret_u(record) - _regret_x(record))
             worst = max(worst, gap / limit)
     verdict(3, "regret gap within the tracking constant", worst <= 1.0, f"max |gap|/limit {worst:.2e}")
@@ -179,14 +179,14 @@ def test_criterion_04_target_path_increments(clean_100, clean_1000, dist_100, di
     worst = -np.inf
     for bundle in (clean_100, clean_1000, dist_100, dist_250, dist_1000):
         for record in bundle.records:
-            trace = record.traces["olc"]
-            z = trace.targets
-            ld = record.params.smooth.l * record.params.smooth.d
+            # the target at round t is the steady state of the input played
+            z = record.traces["olc"].inputs @ bundle.cfg.system().steady_state_gain.T
+            ld = record.params.l * record.params.bound.d
             for tau in range(1, 21):
                 if tau >= z.shape[0]:
                     break
                 moves = np.linalg.norm(z[tau:] - z[:-tau], axis=1)
-                limit = trace.eta * tau * ld + 1e-9
+                limit = record.params.eta * tau * ld + 1e-9
                 worst = max(worst, float(np.max(moves) - limit))
                 assert np.max(moves) <= limit
     verdict(4, "target-state increments bounded by eta*tau*L*D", worst <= 0.0,
@@ -353,7 +353,7 @@ def test_criterion_11_superposition_and_cost_equivalence(dist_1000):
 
 def test_criterion_12_geometric_tracking():
     rng = np.random.default_rng(777)
-    cfg = default_config()
+    cfg = ExperimentConfig()
     sys = cfg.system()
     cert = certify_strong_stability(sys.a)
     horizon = 25
@@ -372,7 +372,7 @@ def test_criterion_12_geometric_tracking():
 
 
 def test_criterion_13_deterministic_csv_output(tmp_path):
-    cfg = default_config(t=12, n_runs=2, seed=3)
+    cfg = ExperimentConfig(t=12, n_runs=2, seed=3)
     run_experiment(cfg, output_dir=tmp_path / "a")
     run_experiment(cfg, output_dir=tmp_path / "b")
     identical = True

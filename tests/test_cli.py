@@ -88,6 +88,19 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+    def test_unreadable_config_exits_one_without_files(self, unreadable, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"output_dir": "r\u00e9sultats"}'.encode("latin-1"))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(path) in err
+        assert not out_dir.exists()
+
     def test_zero_input_matrix_exits_one_without_files(self, tmp_path, capsys):
         path = tmp_path / "b0.json"
         path.write_text(json.dumps({"T": 20, "n_runs": 1, "system": {"A": [[0.5]], "B": [[0.0]]}}))

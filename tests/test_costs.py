@@ -124,16 +124,14 @@ class TestNominalCost:
 class TestSmoothness:
     def test_unit_example(self):
         cost = QuadraticCost(q=np.eye(2), c=np.zeros(2))
-        params = smoothness_constant([cost], StateBound(1.0), c_max=0.0)
-        assert params.l == pytest.approx(2.0)
-        assert params.d == 1.0
+        assert smoothness_constant([cost], StateBound(1.0), c_max=0.0) == pytest.approx(2.0)
 
     def test_scaling(self):
         costs = [QuadraticCost(q=np.diag([1.0, 2.0]), c=np.zeros(2))]
         scaled = [QuadraticCost(q=3 * np.diag([1.0, 2.0]), c=np.zeros(2))]
         bound = StateBound(2.0)
-        l1 = smoothness_constant(costs, bound, c_max=1.0).l
-        l3 = smoothness_constant(scaled, bound, c_max=1.0).l
+        l1 = smoothness_constant(costs, bound, c_max=1.0)
+        l3 = smoothness_constant(scaled, bound, c_max=1.0)
         assert l3 == pytest.approx(3 * l1, rel=1e-9)
 
     def test_gradient_bound_sampled(self, rng):
@@ -143,12 +141,12 @@ class TestSmoothness:
             costs.append(QuadraticCost(q=s.T @ s / 3 + 0.1 * np.eye(3), c=rng.uniform(0, 5, 3)))
         bound = StateBound(4.0)
         # c_max here is a bound on the target norm, not per coordinate
-        params = smoothness_constant(costs, bound, c_max=5.0 * np.sqrt(3))
+        l = smoothness_constant(costs, bound, c_max=5.0 * np.sqrt(3))
         for _ in range(1000):
             x = rng.standard_normal(3)
             x *= rng.uniform(0, bound.d) / np.linalg.norm(x)
             cost = costs[rng.integers(len(costs))]
-            assert np.linalg.norm(cost.grad(x)) <= params.l * params.d * (1 + 1e-12)
+            assert np.linalg.norm(cost.grad(x)) <= l * bound.d * (1 + 1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -10,17 +10,18 @@ from olcontrol import (
     ConfigError,
     InvalidStateError,
     LtiSystem,
+    OlcController,
     QuadraticBatch,
     QuadraticCost,
     compute_regret,
     config_from_dict,
-    default_config,
     load_config,
 )
 from olcontrol.costs import as_batch
 from olcontrol.harness import (
     REGRET_COLUMNS,
     CostGenConfig,
+    DacConfig,
     ExperimentConfig,
     OlcConfig,
     default_system_matrices,
@@ -37,21 +38,37 @@ from olcontrol.system import StateBound
 
 @pytest.fixture()
 def tiny_cfg():
-    return default_config(t=12, n_runs=2, seed=3)
+    return ExperimentConfig(t=12, n_runs=2, seed=3)
 
 
 class TestConfig:
     def test_defaults_validate(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.t == 1000 and cfg.n_runs == 20
 
     def test_horizon_validated(self):
         with pytest.raises(ConfigError):
-            default_config(t=1)
+            ExperimentConfig(t=1)
 
     def test_q_scale_validated(self):
         with pytest.raises(ConfigError):
-            default_config(cost_gen=CostGenConfig(q_scale=0.0))
+            ExperimentConfig(cost_gen=CostGenConfig(q_scale=0.0))
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1},
+        {"t": 1},
+        {"n_runs": 0},
+        {"b": np.zeros((3, 2))},
+        {"dac": DacConfig(h_mem=0)},
+    ], ids=["seed", "t", "n_runs", "b", "h_mem"])
+    def test_checked_when_built(self, overrides):
+        # no config object exists that a run could not use
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**overrides)
+
+    def test_replace_checks_again(self, tiny_cfg):
+        with pytest.raises(ConfigError, match="n_runs"):
+            replace(tiny_cfg, n_runs=0)
 
     def test_defaults_derived_from_dimensions(self):
         cfg = ExperimentConfig()
@@ -93,6 +110,19 @@ class TestConfig:
         {"disturbances_on": 0},
         {"output_dir": 5},
         {"system": {"A": [[0.5]], "B": [[0.0]]}},
+        {"cost_gen": {"c_max": "5"}},
+        {"cost_gen": {"q_scale": True}},
+        {"cost_gen": {"q_ridge": None}},
+        {"olc": {"eta_override": "0.1"}},
+        {"dac": {"eta_g": True}},
+        {"dac": {"radius": "1"}},
+        {"u_box": {"lower": [True, -1], "upper": [1, 1]}},
+        {"w_box": {"lower": [-0.5] * 3, "upper": [0.5, "0.5", 0.5]}},
+        {"x1": [True, 0, 0]},
+        {"system": {"A": [[0.5]], "B": [[True]]}},
+        {"system": {"A": [["0.5"]], "B": [[1.0]]}},
+        {"cost_gen": {"c_max": 10**400}},
+        {"x1": [10**400, 0, 0]},
     ])
     def test_bad_values_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -107,7 +137,7 @@ class TestConfig:
             post_init(self)
 
         monkeypatch.setattr(LtiSystem, "__post_init__", counting)
-        cfg = ExperimentConfig(t=12, n_runs=1, disturbances_on=False).validate()
+        cfg = ExperimentConfig(t=12, n_runs=1, disturbances_on=False)
         record = run_one_seed(cfg, 0)
         assert record.bench_x is not None
         assert len(builds) == 1 and cfg.system() is builds[0]
@@ -123,7 +153,7 @@ class TestConfig:
             return certify(a)
 
         monkeypatch.setattr(system_mod, "certify_strong_stability", counting)
-        cfg = ExperimentConfig(t=12, n_runs=1).validate()
+        cfg = ExperimentConfig(t=12, n_runs=1)
         assert len(calls) == 1
         record = run_one_seed(cfg, 0)
         assert len(calls) == 1
@@ -148,6 +178,14 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.seed == 5 and cfg.t == 20 and cfg.dac.h_mem == 3
         assert cfg.u_box.lower[0] == -1.0
+
+    def test_json_numbers_accepted(self):
+        cfg = config_from_dict({"cost_gen": {"c_max": 5, "q_scale": 1.5},
+                                "olc": {"eta_override": None}, "dac": {"radius": 2},
+                                "u_box": {"lower": [-1, -1.5], "upper": [1, 2]}})
+        assert type(cfg.cost_gen.c_max) is float and cfg.cost_gen.c_max == 5.0
+        assert cfg.olc.eta_override is None and cfg.dac.radius == 2.0
+        np.testing.assert_array_equal(cfg.u_box.lower, [-1.0, -1.5])
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -203,7 +241,7 @@ class TestGenerators:
         assert np.all(cs >= 0.0) and np.all(cs <= tiny_cfg.cost_gen.c_max)
 
     def test_disturbances_off_zero(self):
-        cfg = default_config(t=50, disturbances_on=False)
+        cfg = ExperimentConfig(t=50, disturbances_on=False)
         w = generate_disturbances(cfg, make_rng(1))
         assert w.shape == (49, 3)
         np.testing.assert_array_equal(w, 0.0)
@@ -214,7 +252,7 @@ class TestGenerators:
         np.testing.assert_array_equal(w1, w2)
 
     def test_disturbance_mean_clt(self):
-        cfg = default_config(t=100_001)
+        cfg = ExperimentConfig(t=100_001)
         w = generate_disturbances(cfg, make_rng(11))
         halfwidth = 0.5
         sigma = halfwidth / np.sqrt(3.0)  # std of U(-h, h) is h/sqrt(3)
@@ -224,10 +262,10 @@ class TestGenerators:
 
 class TestRunSingle:
     def test_zero_costs_zero_disturbances(self):
-        cfg = default_config(t=20, disturbances_on=False, olc=OlcConfig(eta_override=0.1))
+        cfg = ExperimentConfig(t=20, disturbances_on=False, olc=OlcConfig(eta_override=0.1))
         costs = [QuadraticCost(q=np.zeros((3, 3)), c=np.zeros(3))] * 20
         w = np.zeros((19, 3))
-        trace = run_single(cfg, "olc", costs, w)
+        trace = run_single(cfg, "olc", costs, w, derive_run_params(cfg, costs))
         np.testing.assert_array_equal(trace.states, 0.0)
         np.testing.assert_array_equal(trace.inputs, 0.0)
         np.testing.assert_array_equal(trace.costs, 0.0)
@@ -236,7 +274,7 @@ class TestRunSingle:
         rng = make_rng(tiny_cfg.seed)
         costs = generate_costs(tiny_cfg, rng)
         w = generate_disturbances(tiny_cfg, rng)
-        trace = run_single(tiny_cfg, "olc", costs, w)
+        trace = run_single(tiny_cfg, "olc", costs, w, derive_run_params(tiny_cfg, costs))
         from olcontrol import simulate
 
         replay = simulate(tiny_cfg.system(), tiny_cfg.x1, trace.inputs, w)
@@ -271,6 +309,30 @@ class TestRunSingle:
         with pytest.raises(InvalidStateError, match="exceeds"):
             run_single(tiny_cfg, "dac", costs, w, params=squeezed)
 
+    def test_olc_target_is_steady_state_of_input(self, tiny_cfg):
+        # a trace keeps no targets: the OLC target at round t is S @ inputs[t]
+        seen = []
+
+        def recording(sys, cfg, params):
+            ctrl = OlcController(sys, cfg.u_box, params.eta, z0=cfg.x1)
+            act = ctrl.act
+
+            def act_and_record(x):
+                seen.append(ctrl.z.copy())
+                return act(x)
+
+            ctrl.act = act_and_record
+            return ctrl
+
+        rng = make_rng(2)
+        costs = generate_costs(tiny_cfg, rng)
+        w = generate_disturbances(tiny_cfg, rng)
+        trace = run_single(tiny_cfg, recording, costs, w, derive_run_params(tiny_cfg, costs))
+        s = tiny_cfg.system().steady_state_gain
+        assert len(seen) == tiny_cfg.t - 1
+        for t, z in enumerate(seen):
+            np.testing.assert_array_equal(s @ trace.inputs[t], z)
+
     def test_protocol_ordering(self, tiny_cfg):
         calls = []
 
@@ -290,7 +352,7 @@ class TestRunSingle:
         rng = make_rng(1)
         costs = generate_costs(tiny_cfg, rng)
         w = generate_disturbances(tiny_cfg, rng)
-        trace = run_single(tiny_cfg, SpyController, costs, w)
+        trace = run_single(tiny_cfg, SpyController, costs, w, derive_run_params(tiny_cfg, costs))
         kinds = [c[0] for c in calls]
         assert kinds == ["act", "observe"] * (tiny_cfg.t - 1)
         # feedback is the gradient at the pre-transition state
@@ -299,7 +361,7 @@ class TestRunSingle:
             np.testing.assert_allclose(observed, costs[t].grad(trace.states[t]), atol=1e-12)
 
     def test_regret_guarantee_scalar_smoke(self):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             t=100,
             n_runs=1,
             seed=2,
@@ -320,7 +382,7 @@ class TestRunSingle:
         bench = best_steady_state(costs, cfg.system(), cfg.u_box)
         regret = trace.total_cost - bench.value
         kappa, gamma = params.cert.kappa, params.cert.gamma
-        bound = (2 * params.smooth.l * params.smooth.d**2 / gamma) * (
+        bound = (2 * params.l * params.bound.d**2 / gamma) * (
             np.sqrt(cfg.t * (1 + 4 * kappa**2)) + kappa
         )
         assert regret <= bound
@@ -346,7 +408,7 @@ class TestRegret:
     @pytest.mark.parametrize("disturbances_on", [True, False])
     def test_u_and_m_regret_zero_at_first_step(self, disturbances_on):
         # every trajectory starts at x1 and is scored the same way
-        cfg = default_config(t=50, n_runs=3, seed=3, disturbances_on=disturbances_on)
+        cfg = ExperimentConfig(t=50, n_runs=3, seed=3, disturbances_on=disturbances_on)
         for k in range(cfg.n_runs):
             rep = compute_regret(run_one_seed(cfg, k))
             for bench in ("u", "m"):
@@ -355,7 +417,7 @@ class TestRegret:
 
     def test_clean_dac_regret_zero_throughout(self):
         # without disturbances the DAC plays its benchmark's inputs, all zero
-        cfg = default_config(t=50, n_runs=3, seed=3, disturbances_on=False)
+        cfg = ExperimentConfig(t=50, n_runs=3, seed=3, disturbances_on=False)
         for k in range(cfg.n_runs):
             rec = run_one_seed(cfg, k, kinds=("dac",))
             np.testing.assert_array_equal(rec.traces["dac"].inputs, 0.0)
@@ -395,10 +457,10 @@ class TestRegret:
             assert rep.regret_u[kind][-1] >= -1e-8 * scale
 
     def test_benchmark_gap_magnitude(self):
-        cfg = default_config(t=60, n_runs=1, seed=4, disturbances_on=False)
+        cfg = ExperimentConfig(t=60, n_runs=1, seed=4, disturbances_on=False)
         rec = run_one_seed(cfg, 0, kinds=("olc",))
         gap = rec.bench_u.value - rec.bench_x.value
-        limit = 2 * rec.params.cert.kappa * rec.params.smooth.l * rec.params.smooth.d**2 / rec.params.cert.gamma
+        limit = 2 * rec.params.cert.kappa * rec.params.l * rec.params.bound.d**2 / rec.params.cert.gamma
         assert abs(gap) <= limit
 
 
@@ -417,7 +479,7 @@ class TestExperimentOutput:
         assert len(bench) == 1 + tiny_cfg.n_runs
 
     def test_clean_mode_has_x_columns(self, tmp_path):
-        cfg = default_config(t=10, n_runs=1, seed=5, disturbances_on=False)
+        cfg = ExperimentConfig(t=10, n_runs=1, seed=5, disturbances_on=False)
         run_experiment(cfg, output_dir=tmp_path / "out")
         header = (tmp_path / "out" / "run_0.csv").read_text().splitlines()[0]
         assert header.endswith("regret_olc_x,regret_dac_x")
@@ -513,7 +575,7 @@ class TestExperimentOutput:
         assert rows == [["run", "error"], ["0", f"ValueError: {message}"], ["1", f"ValueError: {message}"]]
 
     def test_columns_follow_the_table(self, tmp_path):
-        cfg = default_config(t=10, n_runs=2, seed=5, disturbances_on=False)
+        cfg = ExperimentConfig(t=10, n_runs=2, seed=5, disturbances_on=False)
         result = run_experiment(cfg, output_dir=tmp_path / "out")
         run0 = np.loadtxt(tmp_path / "out" / "run_0.csv", delimiter=",", skiprows=1)
         summary = np.loadtxt(tmp_path / "out" / "summary.csv", delimiter=",", skiprows=1)

@@ -83,7 +83,7 @@ class TestSpectralRadiusEstimate:
 
     def test_non_square_rejected(self):
         with pytest.raises(InvalidInputError):
-            spectral_radius_estimate(np.zeros((2, 3)))
+            spectral_radius_estimate(np.zeros((2, 3)), 64)
 
     def test_small_k_rejected(self):
         with pytest.raises(InvalidInputError):
