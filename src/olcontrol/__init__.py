@@ -46,7 +46,9 @@ from .harness import (
     load_config,
     make_rng,
     run_experiment,
+    run_lockstep,
     run_one_seed,
+    run_seeds,
     run_single,
     solve_run_benchmarks,
 )

@@ -5,6 +5,12 @@ Both controllers follow the same round protocol: ``act`` is called with the
 observed state and returns an admissible input, then ``observe`` delivers the
 round's feedback (a cost gradient for the target-state controller, the full
 cost for the disturbance-action one) together with the next state.
+
+Either controller can also carry a leading run axis: R runs of the same
+plant, each with its own state, iterate and feedback, advanced together.
+Every run then sees exactly the floating-point operations it would see
+alone (products go through :func:`~olcontrol.linalg.matvec` and stacked
+``np.matmul``), so a run's trajectory does not depend on its companions.
 """
 
 import math
@@ -14,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_vector, spectral_norm
+from .linalg import as_points, as_vector, matvec, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, StabilityCert
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -27,22 +33,33 @@ def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float,
     """u in the box minimizing ||s u - y||^2, by fixed-step projected
     gradient descent from u0.
 
-    Raises ProjectionFailureError if the iteration cap is hit while the
+    Leading axes of y and u0 index runs, which iterate together; each run
+    keeps its iterate from the step that first moves it less than
+    PROJECTION_MOVE_TOL, so it ends where it would alone.  The columns
+    (``[..., None]``) keep every product a single matrix-vector one.
+
+    Raises ProjectionFailureError if the iteration cap is hit while an
     iterate is still moving by more than PROJECTION_FAIL_TOL.
     """
-    u = u_set.clamp(u0)
-    moved = np.inf
+    lower, upper = u_set.lower[:, None], u_set.upper[:, None]
+    s_t = s.T
+    y = y[..., None]
+    u = np.minimum(np.maximum(u0[..., None], lower), upper)
+    moving = np.ones(u.shape[:-2], dtype=bool)
     for _ in range(PROJECTION_MAX_ITER):
-        u_next = u_set.clamp(u - step * (s.T @ (s @ u - y)))
-        moved = float(np.linalg.norm(u_next - u))
-        u = u_next
-        if moved < PROJECTION_MOVE_TOL:
-            return u
-    if moved > PROJECTION_FAIL_TOL:
+        u_next = np.minimum(np.maximum(u - step * (s_t @ (s @ u - y)), lower), upper)
+        moved = row_norms((u_next - u)[..., 0])
+        u = np.where(moving[..., None, None], u_next, u)
+        moving &= ~(moved < PROJECTION_MOVE_TOL)
+        if not moving.any():
+            return u[..., 0]
+    stuck = moving & (moved > PROJECTION_FAIL_TOL)
+    if stuck.any():
         raise ProjectionFailureError(
-            f"projection did not converge: still moving {moved:.3e} after {PROJECTION_MAX_ITER} iterations"
+            f"projection did not converge: still moving {np.max(moved[stuck]):.3e} "
+            f"after {PROJECTION_MAX_ITER} iterations"
         )
-    return u
+    return u[..., 0]
 
 
 def _projection_step(s: np.ndarray) -> float:
@@ -78,15 +95,12 @@ def regret_optimal_step_size(l: float, t: int, cert: StabilityCert) -> float:
 
 
 def estimate_disturbance(sys: LtiSystem, x, u, x_next) -> np.ndarray:
-    """Recover the disturbance from one observed transition: x' - A x - B u."""
-    x = as_vector(x, "state")
-    u = as_vector(u, "input")
-    x_next = as_vector(x_next, "next state")
-    if x.shape[0] != sys.state_dim or x_next.shape[0] != sys.state_dim:
-        raise InvalidInputError("state dimension does not match the system")
-    if u.shape[0] != sys.input_dim:
-        raise InvalidInputError("input dimension does not match the system")
-    return x_next - sys.a @ x - sys.b @ u
+    """Recover the disturbance from one observed transition: x' - A x - B u.
+    Leading axes index runs."""
+    x = as_points(x, sys.state_dim, "state")
+    u = as_points(u, sys.input_dim, "input")
+    x_next = as_points(x_next, sys.state_dim, "next state")
+    return x_next - matvec(sys.a, x) - matvec(sys.b, u)
 
 
 class OlcController:
@@ -96,25 +110,33 @@ class OlcController:
     round it plays the input holding the plant at z (independent of the
     observed state), and on receiving the cost gradient it takes one
     projected-OGD step: z <- Pi_X(z - eta * delta).
+
+    A scalar ``eta`` runs one controller: states, z0 and z are (N,), inputs
+    (M,).  An ``eta`` of shape (R,) runs R of them in lockstep, one step
+    size each: z0 and z are (R, N), and states, gradients and inputs carry
+    the same leading axis.
     """
 
     feedback = "gradient"
 
-    def __init__(self, sys: LtiSystem, u_set: BoxSet, eta: float, z0=None):
-        if eta <= 0.0:
+    def __init__(self, sys: LtiSystem, u_set: BoxSet, eta, z0=None):
+        eta = np.asarray(eta, dtype=float)
+        if not np.all(eta > 0.0):
             raise InvalidInputError(f"step size must be positive, got {eta}")
         if u_set.dim != sys.input_dim:
             raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
         self.u_set = u_set
-        self.eta = float(eta)
+        self.eta = eta
         s = sys.steady_state_gain
         self._step = _projection_step(s)
-        if z0 is None:
-            z0 = np.zeros(sys.state_dim)
+        shape = eta.shape + (sys.state_dim,)
+        z0 = np.zeros(shape) if z0 is None else as_points(z0, sys.state_dim, "z0")
+        if z0.shape != shape:
+            raise InvalidInputError(f"z0 must have shape {shape}, got {z0.shape}")
         # start from the manifold point nearest the requested z0
-        self._u = _box_least_squares(s, as_vector(z0, "z0"), u_set, self._step, np.zeros(sys.input_dim))
-        self.z = s @ self._u
+        self._u = _box_least_squares(s, z0, u_set, self._step, np.zeros(eta.shape + (sys.input_dim,)))
+        self.z = matvec(s, self._u)
 
     def act(self, x) -> np.ndarray:
         """Input holding the plant at the current target: ``S u = z``, u in the box.
@@ -128,14 +150,14 @@ class OlcController:
 
     def observe(self, delta, x_next=None) -> None:
         """One projected gradient step on the target state."""
-        delta = as_vector(delta, "gradient")
-        target = self.z - self.eta * delta
+        delta = as_points(delta, self.sys.state_dim, "gradient")
+        target = self.z - self.eta[..., None] * delta
         # warm start at the previous inner minimizer; the projection problem
         # is strongly convex whenever B has full column rank, so the warm
         # start changes the iteration count, not the answer
         s = self.sys.steady_state_gain
         self._u = _box_least_squares(s, target, self.u_set, self._step, self._u)
-        self.z = s @ self._u
+        self.z = matvec(s, self._u)
 
 
 @dataclass(frozen=True)
@@ -180,10 +202,11 @@ def olcxu_update(state: OlcXuState, delta_x, delta_u, sys: LtiSystem, u_set: Box
 
 
 def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Scale each matrix block into its Frobenius ball of radius radii[i]."""
-    norms = np.linalg.norm(blocks, axis=(1, 2))
+    """Scale each matrix block into its Frobenius ball of radius radii[i];
+    ``blocks`` is (..., h_mem, M, N)."""
+    norms = np.linalg.norm(blocks, axis=(-2, -1))
     scale = np.divide(radii, norms, out=np.ones_like(norms), where=(norms > radii) & (norms > 0.0))
-    return blocks * scale[:, None, None]
+    return blocks * scale[..., None, None]
 
 
 def dac_radii(sys: LtiSystem, h_mem: int, radius: float) -> np.ndarray:
@@ -194,10 +217,11 @@ def dac_radii(sys: LtiSystem, h_mem: int, radius: float) -> np.ndarray:
 def dac_inputs(blocks: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Disturbance-action inputs sum_j M^[j-1] w_{t-j}, one per window.
 
-    ``windows`` is (K, h_mem, N), each row of disturbances newest first;
-    the result is (K, M).  One product per block, summed in block order.
+    ``windows`` is (..., K, h_mem, N), each row of disturbances newest
+    first, and ``blocks`` (..., h_mem, M, N); the result is (..., K, M).
+    One product per block, summed in block order.
     """
-    return np.matmul(windows.transpose(1, 0, 2), blocks.transpose(0, 2, 1)).sum(axis=0)
+    return np.matmul(windows.swapaxes(-3, -2), blocks.swapaxes(-1, -2)).sum(axis=-3)
 
 
 class DacController:
@@ -211,6 +235,12 @@ class DacController:
     radius * (1-gamma)^i, gamma from the plant's certificate ``sys.cert``.
     Disturbances are recovered exactly from observed transitions since A
     and B are known.
+
+    With ``runs`` unset it runs one controller: blocks are (h_mem, M, N)
+    and the history (2 h_mem + 1, N).  ``runs=R`` runs R of them in
+    lockstep, sharing eta_g and the radii: blocks (R, h_mem, M, N), history
+    (R, 2 h_mem + 1, N), and states, inputs and the cost's Q and c carry
+    the leading axis.
     """
 
     feedback = "cost"
@@ -222,6 +252,7 @@ class DacController:
         h_mem: int,
         eta_g: float,
         radius: float,
+        runs: int | None = None,
     ):
         if h_mem < 1:
             raise InvalidInputError(f"memory horizon must be >= 1, got {h_mem}")
@@ -234,12 +265,13 @@ class DacController:
         self.h_mem = int(h_mem)
         self.eta_g = float(eta_g)
         self.radii = dac_radii(sys, self.h_mem, radius)
-        self.blocks = np.zeros((self.h_mem, sys.input_dim, sys.state_dim))
+        lead = () if runs is None else (int(runs),)
+        self.blocks = np.zeros(lead + (self.h_mem, sys.input_dim, sys.state_dim))
         # newest-first ring of past disturbances, zero-padded for t <= 0;
         # the surrogate looks back 2*h_mem steps
-        self.history = np.zeros((2 * self.h_mem + 1, sys.state_dim))
-        # history[self._windows[i]] is the window w_{t-i-1..t-i-h_mem} that
-        # fed the input i steps back
+        self.history = np.zeros(lead + (2 * self.h_mem + 1, sys.state_dim))
+        # history[..., self._windows[i], :] is the window w_{t-i-1..t-i-h_mem}
+        # that fed the input i steps back
         self._windows = np.arange(self.h_mem + 1)[:, None] + np.arange(1, self.h_mem + 1)
         # powers A^i and A^i B for i = 0..h_mem
         n = sys.state_dim
@@ -253,8 +285,8 @@ class DacController:
 
     def act(self, x) -> np.ndarray:
         """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
-        x = as_vector(x, "state")
-        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[None, : self.h_mem])[0])
+        x = as_points(x, self.sys.state_dim, "state")
+        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :])
         self._last_x = x
         self._last_u = u
         return u
@@ -264,15 +296,16 @@ class DacController:
         if blocks is None:
             blocks = self.blocks
         # virtual inputs the blocks would have produced i steps back
-        virtual = dac_inputs(blocks, self.history[self._windows])
-        y = np.einsum("ikn,in->k", self._a_pows, self.history[: self.h_mem + 1])
-        y += np.einsum("ikm,im->k", self._ab_pows, virtual)
+        virtual = dac_inputs(blocks, self.history[..., self._windows, :])
+        y = np.einsum("ikn,...in->...k", self._a_pows, self.history[..., : self.h_mem + 1, :])
+        y += np.einsum("ikm,...im->...k", self._ab_pows, virtual)
         return y
 
     def surrogate_grad_blocks(self, delta: np.ndarray) -> np.ndarray:
         """Gradient of cost(surrogate_state) with respect to each block."""
-        q = np.einsum("ikm,k->im", self._ab_pows, delta)  # (A^i B)^T delta
-        return np.matmul(q.T, self.history[self._windows].transpose(1, 0, 2))
+        q = np.einsum("ikm,...k->...im", self._ab_pows, delta)  # (A^i B)^T delta
+        windows = self.history[..., self._windows, :].swapaxes(-3, -2)
+        return np.matmul(q.swapaxes(-1, -2)[..., None, :, :], windows)
 
     def update(self, cost: QuadraticCost) -> None:
         """One OGD step on the surrogate loss, then project the blocks."""
@@ -287,4 +320,4 @@ class DacController:
             raise InvalidInputError("observe called before act")
         self.update(cost)
         w = estimate_disturbance(self.sys, self._last_x, self._last_u, x_next)
-        self.history = np.vstack([w[None, :], self.history[:-1]])
+        self.history = np.concatenate([w[..., None, :], self.history[..., :-1, :]], axis=-2)

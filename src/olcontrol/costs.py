@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, as_vector, batch_spectral_norms
+from .linalg import as_matrix, as_points, as_vector, batch_spectral_norms, matvec
 from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
@@ -61,21 +61,29 @@ class QuadraticCost:
         object.__setattr__(self, "q", qs[0])
         object.__setattr__(self, "c", cs[0])
 
-    def _check_dim(self, x) -> np.ndarray:
+    @classmethod
+    def view(cls, q, c) -> "QuadraticCost":
+        """A cost on ``q`` and ``c`` as given, not re-checked: slices of a
+        checked stack.  Leading axes index runs, one cost each, and ``grad``
+        then takes one point per run."""
+        cost = object.__new__(cls)
+        object.__setattr__(cost, "q", q)
+        object.__setattr__(cost, "c", c)
+        return cost
+
+    def value(self, x) -> float:
         x = as_vector(x, "x")
         if x.shape[0] != self.c.shape[0]:
             raise InvalidInputError(
                 f"point has dimension {x.shape[0]}, cost expects {self.c.shape[0]}"
             )
-        return x
-
-    def value(self, x) -> float:
-        d = self._check_dim(x) - self.c
+        d = x - self.c
         return float(d @ self.q @ d)
 
     def grad(self, x) -> np.ndarray:
-        d = self._check_dim(x) - self.c
-        return 2.0 * (self.q @ d)
+        """2 Q (x - c); leading axes of x index points (or runs)."""
+        d = as_points(x, self.c.shape[-1], "x") - self.c
+        return 2.0 * matvec(self.q, d)
 
 
 class QuadraticBatch:
@@ -94,10 +102,7 @@ class QuadraticBatch:
 
     def __getitem__(self, t) -> QuadraticCost:
         """Step t as a QuadraticCost on views of the stacks (not re-checked)."""
-        cost = object.__new__(QuadraticCost)
-        object.__setattr__(cost, "q", self.qs[t])
-        object.__setattr__(cost, "c", self.cs[t])
-        return cost
+        return QuadraticCost.view(self.qs[t], self.cs[t])
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Per-step values f_t(x_t) of a (T, N) trajectory."""

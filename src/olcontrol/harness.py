@@ -17,9 +17,9 @@ import numpy as np
 
 from .benchmarks import BenchmarkResult, best_dac, best_fixed_input, best_steady_state
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticBatch, as_batch, smoothness_constant
+from .costs import QuadraticBatch, QuadraticCost, as_batch, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
-from .linalg import spectral_norm
+from .linalg import row_norms, spectral_norm
 from .system import (
     BoxSet,
     LtiSystem,
@@ -86,7 +86,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ring_a, ring_b = default_system_matrices()
-        sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
+        try:
+            sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
+            x1 = np.zeros(sys.state_dim) if self.x1 is None else np.asarray(self.x1, dtype=float)
+        except (ValueError, TypeError) as exc:  # the plant's errors are ValueErrors
+            raise ConfigError(f"bad plant or x1: {type(exc).__name__}: {exc}") from exc
         n, m = sys.state_dim, sys.input_dim
         derived = {
             "_system": sys,
@@ -94,7 +98,7 @@ class ExperimentConfig:
             "b": sys.b,
             "u_box": BoxSet.symmetric(5.0, m) if self.u_box is None else self.u_box,
             "w_box": BoxSet.symmetric(0.5, n) if self.w_box is None else self.w_box,
-            "x1": np.zeros(n) if self.x1 is None else np.asarray(self.x1, dtype=float),
+            "x1": x1,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -217,12 +221,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """
     try:
         kwargs = _fields(doc, _SCHEMA, "config")
-        kwargs.update(kwargs.pop("system", {}))
-        return ExperimentConfig(**kwargs)
-    except (InvalidInputError, ValueError, TypeError, OverflowError) as exc:
+    # what the converters can raise past their own checks: a ragged array
+    # (ValueError) and a JSON integer too large for a float (OverflowError)
+    except (ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    kwargs.update(kwargs.pop("system", {}))
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -333,52 +339,94 @@ class Trace:
         return float(self.costs.sum())
 
 
-def _build_controller(cfg: ExperimentConfig, kind: str, params: RunParams, sys: LtiSystem):
+def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams], lead: tuple):
+    """Controller ``kind`` for runs with the given params and leading shape,
+    () for one run, (R,) for R in lockstep."""
+    sys = cfg.system()
     if kind == "olc":
-        return OlcController(sys, cfg.u_box, params.eta, z0=cfg.x1)
+        eta = np.array([p.eta for p in params]).reshape(lead)
+        return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, lead + cfg.x1.shape))
     if kind == "dac":
-        return DacController(sys, cfg.u_box, cfg.dac.h_mem, params.dac_eta_g, params.dac_radius)
+        # eta_g and the radius come from the config, so every run shares them
+        eta_g, radius = params[0].dac_eta_g, params[0].dac_radius
+        if any((p.dac_eta_g, p.dac_radius) != (eta_g, radius) for p in params):
+            raise InvalidInputError("runs in lockstep must share the DAC eta_g and radius")
+        return DacController(sys, cfg.u_box, cfg.dac.h_mem, eta_g, radius, runs=lead[0] if lead else None)
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
-def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:
-    """Run one controller through the round protocol for T steps.
-
-    Per round: the controller sees the state and acts, the cost and its
-    feedback are revealed at the pre-transition state, and only then does
-    the plant move.  ``kind`` is "olc", "dac", or a callable returning a
-    controller (for tests); ``params`` are the run's constants from
-    :func:`derive_run_params`.  Every visited state is checked against the
-    bound D.  The step costs are scored once, on the whole trajectory,
-    the way the hindsight benchmarks score theirs.
-    """
+def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
+    """The round loop, over the leading run shape ``lead`` (see run_lockstep)."""
     sys = cfg.system()
-    ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params, sys)
-    horizon = cfg.t
-    n, m = sys.state_dim, sys.input_dim
-    states = np.empty((horizon, n))
-    inputs = np.empty((horizon - 1, m))
-    bound_slack = params.bound.d * (1.0 + 1e-9)
+    horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
+    batches = [as_batch(costs) for costs, _, _ in draws]
+    params = [p for _, _, p in draws]
+    # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
+    qs = np.stack([b.qs for b in batches], axis=1).reshape((horizon,) + lead + (n, n))
+    cs = np.stack([b.cs for b in batches], axis=1).reshape((horizon,) + lead + (n,))
+    ws = np.stack([np.asarray(w, dtype=float)[: horizon - 1] for _, w, _ in draws], axis=1)
+    ws = ws.reshape((horizon - 1,) + lead + (n,))
+    d = np.array([p.bound.d for p in params]).reshape(lead)
+    bound_slack = d * (1.0 + 1e-9)
+    if callable(kind):
+        ctrl = kind(sys, cfg, params if lead else params[0])
+    else:
+        ctrl = _build_controller(cfg, kind, params, lead)
+    # run-major, so each run's trajectory is one contiguous block
+    states = np.empty(lead + (horizon, n))
+    inputs = np.empty(lead + (horizon - 1, m))
 
-    x = cfg.x1.astype(float).copy()
+    x = np.broadcast_to(cfg.x1, lead + (n,)).astype(float)
     for t in range(horizon):
-        if np.linalg.norm(x) > bound_slack:
+        norms = row_norms(x)
+        over = norms > bound_slack
+        if over.any():
+            r = np.argmax(over)
             raise InvalidStateError(
-                f"state norm {np.linalg.norm(x):.6g} exceeds the certified bound {params.bound.d:.6g} at t={t + 1}"
+                f"state norm {norms.flat[r]:.6g} exceeds the certified bound {d.flat[r]:.6g} at t={t + 1}"
             )
-        states[t] = x
+        states[..., t, :] = x
         if t == horizon - 1:
             break
-        cost = costs[t]
+        cost = QuadraticCost.view(qs[t], cs[t])
         u = ctrl.act(x)
-        inputs[t] = u
-        x_next = step(sys, x, u, w_seq[t])
+        inputs[..., t, :] = u
+        x_next = step(sys, x, u, ws[t])
         if ctrl.feedback == "gradient":
             ctrl.observe(cost.grad(x), x_next)
         else:
             ctrl.observe(cost, x_next)
         x = x_next
-    return Trace(states=states, inputs=inputs, costs=as_batch(costs).values(states))
+    # states[()] is the whole array: the one run when there is no run axis
+    runs = range(lead[0]) if lead else [()]
+    return [Trace(states=states[r], inputs=inputs[r], costs=b.values(states[r])) for r, b in zip(runs, batches)]
+
+
+def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
+    """Run one controller kind through the round protocol for T steps on
+    every run of ``draws`` at once.
+
+    ``draws`` holds each run's (costs, w_seq, params), the params from
+    :func:`derive_run_params`.  Per round: each run's controller sees its
+    state and acts, the cost and its feedback are revealed at the
+    pre-transition state, and only then does the plant move.  One pass of
+    the loop advances all R runs; every product is taken run by run
+    (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
+    it would have alone.  ``kind`` is "olc", "dac", or a callable
+    ``kind(sys, cfg, params_list)`` returning a controller with a leading
+    run axis.  Every visited state is checked against its run's bound D.
+    The step costs are scored once per run, on the whole trajectory, the
+    way the hindsight benchmarks score theirs.
+    """
+    return _play(cfg, kind, list(draws), (len(draws),))
+
+
+def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:
+    """The one-run case of :func:`run_lockstep`: the same round loop with
+    no run axis, so states are (N,) and inputs (M,).  ``kind`` is "olc",
+    "dac", or a callable ``kind(sys, cfg, params)`` returning a one-run
+    controller (for tests)."""
+    return _play(cfg, kind, [(costs, w_seq, params)], ())[0]
 
 
 @dataclass
@@ -444,19 +492,33 @@ def compute_regret(record: RunRecord) -> RegretReport:
     )
 
 
-def run_one_seed(cfg: ExperimentConfig, run_index: int, kinds=CONTROLLER_KINDS) -> RunRecord:
-    """Fresh costs and disturbances for run ``run_index``: every controller
-    in ``kinds``, then the hindsight benchmarks."""
+def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
+    """Run ``run_index``'s (costs, w_seq, params), from seed + run_index."""
     rng = make_rng(cfg.seed + run_index)
     costs = generate_costs(cfg, rng)
     w_seq = generate_disturbances(cfg, rng)
-    params = derive_run_params(cfg, costs)
-    traces = {kind: run_single(cfg, kind, costs, w_seq, params) for kind in kinds}
-    record = RunRecord(
-        run_index=run_index, seed=cfg.seed + run_index, costs=costs,
-        w_seq=w_seq, params=params, traces=traces,
-    )
-    return solve_run_benchmarks(cfg, record)
+    return costs, w_seq, derive_run_params(cfg, costs)
+
+
+def run_seeds(cfg: ExperimentConfig, ks, kinds=CONTROLLER_KINDS) -> list[RunRecord]:
+    """Fresh costs and disturbances for each run k in ``ks``: every
+    controller in ``kinds`` on all of them in lockstep, then each run's
+    hindsight benchmarks."""
+    ks = list(ks)
+    draws = [draw_run(cfg, k) for k in ks]
+    traces = {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
+    return [
+        solve_run_benchmarks(cfg, RunRecord(
+            run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,
+            traces={kind: traces[kind][i] for kind in kinds},
+        ))
+        for i, (k, (costs, w_seq, params)) in enumerate(zip(ks, draws))
+    ]
+
+
+def run_one_seed(cfg: ExperimentConfig, run_index: int, kinds=CONTROLLER_KINDS) -> RunRecord:
+    """The one-seed case of :func:`run_seeds`."""
+    return run_seeds(cfg, [run_index], kinds)[0]
 
 
 def _fmt(x: float) -> str:
@@ -526,17 +588,24 @@ class ExperimentResult:
 _BUNDLE_NAME = re.compile(r"run_[0-9]+\.csv|summary\.csv|benchmarks\.csv|failures\.csv")
 
 
-def _seed_task(cfg: ExperimentConfig, k: int):
-    """One run, isolated: failures come back as messages, not exceptions."""
+def _seed_task(cfg: ExperimentConfig, ks: list[int]) -> dict:
+    """Runs ``ks`` in lockstep, isolated: run k -> (record, report), or the
+    message of the exception that failed it.  If the runs fail together,
+    each is run again alone, so a failure is charged to its own run and the
+    others complete."""
     try:
-        record = run_one_seed(cfg, k)
-        return record, compute_regret(record), None
+        return {rec.run_index: (rec, compute_regret(rec)) for rec in run_seeds(cfg, ks)}
     except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
-        return None, None, f"{type(exc).__name__}: {exc}"
+        if len(ks) == 1:
+            return {ks[0]: f"{type(exc).__name__}: {exc}"}
+    outcomes = {}
+    for k in ks:
+        outcomes.update(_seed_task(cfg, [k]))
+    return outcomes
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
-    """Run all seeds in order, solve all benchmarks, and write the CSV bundle.
+    """Run all seeds in lockstep, solve all benchmarks, and write the CSV bundle.
 
     Emits run_<k>.csv per run, summary.csv with per-step mean/std of each
     regret column, benchmarks.csv with the final benchmark values, and a
@@ -552,11 +621,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
     records: list[RunRecord] = []
     reports: list[RegretReport] = []
     failures: dict[int, str] = {}
-    for k in range(cfg.n_runs):
-        record, report, error = _seed_task(cfg, k)
-        if error is not None:
-            failures[k] = error
+    for k, outcome in _seed_task(cfg, list(range(cfg.n_runs))).items():
+        if isinstance(outcome, str):
+            failures[k] = outcome
             continue
+        record, report = outcome
         records.append(record)
         reports.append(report)
         write_run_csv(out / f"run_{k}.csv", cfg, record, report)

@@ -9,6 +9,21 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+
+def matvec(m, v) -> np.ndarray:
+    """``m @ v`` for each vector along the last axis of ``v``; ``m`` is one
+    matrix or a stack matching ``v``'s leading axes.  Each product is the
+    matrix-vector product ``m @ v`` takes for a single vector, so the bits
+    do not depend on the leading axes (``v @ m.T`` is a different product)."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def row_norms(v) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis of ``v``, with the
+    bits of ``np.linalg.norm`` on that vector alone (one dot product each)."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
 def as_matrix(m, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array or raise InvalidInputError."""
     arr = np.asarray(m, dtype=float)
@@ -25,6 +40,17 @@ def as_vector(v, name="vector") -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_points(v, dim: int, name="vector") -> np.ndarray:
+    """Coerce to finite float ``dim``-vectors along the last axis (leading
+    axes index runs) or raise InvalidInputError."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != dim:
+        raise InvalidInputError(f"{name} must have dimension {dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 

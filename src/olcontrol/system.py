@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotStronglyStableError
-from .linalg import as_matrix, as_vector, spectral_norm, spectral_radius_estimate
+from .linalg import as_matrix, as_points, as_vector, matvec, spectral_norm, spectral_radius_estimate
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
@@ -124,15 +124,12 @@ class LtiSystem:
 
 
 def step(sys: LtiSystem, x, u, w) -> np.ndarray:
-    """One transition ``A x + B u + w``."""
-    x = as_vector(x, "state")
-    u = as_vector(u, "input")
-    w = as_vector(w, "disturbance")
-    if x.shape[0] != sys.state_dim or w.shape[0] != sys.state_dim:
-        raise InvalidInputError("state/disturbance dimension does not match the system")
-    if u.shape[0] != sys.input_dim:
-        raise InvalidInputError("input dimension does not match the system")
-    return sys.a @ x + sys.b @ u + w
+    """One transition ``A x + B u + w``; leading axes of x, u and w index
+    runs, each stepped with the bits of its own single transition."""
+    x = as_points(x, sys.state_dim, "state")
+    u = as_points(u, sys.input_dim, "input")
+    w = as_points(w, sys.state_dim, "disturbance")
+    return matvec(sys.a, x) + matvec(sys.b, u) + w
 
 
 def certify_strong_stability(a) -> StabilityCert:

@@ -29,13 +29,10 @@ from olcontrol.benchmarks import _adjoint_states, _dac_inputs
 from olcontrol.costs import as_batch
 from olcontrol.harness import (
     RunRecord,
-    derive_run_params,
-    generate_costs,
-    generate_disturbances,
-    make_rng,
+    draw_run,
     run_experiment,
-    run_single,
-    solve_run_benchmarks,
+    run_lockstep,
+    run_seeds,
 )
 from olcontrol.system import BoxSet, rollout
 
@@ -56,21 +53,12 @@ class Bundle:
 
 
 def _build_bundle(t: int) -> Bundle:
+    # the path `olcontrol run` takes: all seeds in lockstep, then each
+    # seed's hindsight benchmarks
     cfg = ExperimentConfig(t=t, n_runs=SEEDS, seed=BASE_SEED, disturbances_on=True)
-    bundle = Bundle(cfg=cfg)
     start = time.perf_counter()
-    for k in range(SEEDS):
-        rng = make_rng(cfg.seed + k)
-        costs = generate_costs(cfg, rng)
-        w_seq = generate_disturbances(cfg, rng)
-        params = derive_run_params(cfg, costs)
-        traces = {kind: run_single(cfg, kind, costs, w_seq, params) for kind in ("olc", "dac")}
-        record = RunRecord(run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq,
-                           params=params, traces=traces)
-        solve_run_benchmarks(cfg, record)
-        bundle.records.append(record)
-    bundle.build_seconds = time.perf_counter() - start
-    return bundle
+    records = run_seeds(cfg, range(SEEDS))
+    return Bundle(cfg=cfg, records=records, build_seconds=time.perf_counter() - start)
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +79,11 @@ def _timed_clean_bundle(cfg) -> Bundle:
     bundle = Bundle(cfg=cfg)
     sys = cfg.system()
     start = time.perf_counter()
-    for k in range(SEEDS):
-        rng = make_rng(cfg.seed + k)
-        costs = generate_costs(cfg, rng)
-        w_seq = generate_disturbances(cfg, rng)
-        params = derive_run_params(cfg, costs)
-        traces = {"olc": run_single(cfg, "olc", costs, w_seq, params)}
+    draws = [draw_run(cfg, k) for k in range(SEEDS)]
+    traces = run_lockstep(cfg, "olc", draws)
+    for k, ((costs, w_seq, params), trace) in enumerate(zip(draws, traces)):
         record = RunRecord(run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq,
-                           params=params, traces=traces)
+                           params=params, traces={"olc": trace})
         record.bench_x = best_steady_state(costs, sys, cfg.u_box)
         bundle.records.append(record)
     bundle.build_seconds = time.perf_counter() - start

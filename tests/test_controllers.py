@@ -391,3 +391,59 @@ class TestBoxDescent:
         target = np.array([3.0, 0.2])
         u = _box_least_squares(np.eye(2), target, box, 1.0, np.zeros(2))
         np.testing.assert_allclose(u, [1.0, 0.2], atol=1e-9)
+
+
+def random_cost(rng, n=3):
+    s = rng.standard_normal((n, n))
+    return QuadraticCost(q=s.T @ s / n + 0.1 * np.eye(n), c=rng.uniform(0, 5, n))
+
+
+class TestLockstep:
+    """A controller with a leading run axis plays each run with the bits of
+    that run's own one-run controller."""
+
+    def test_olc_matches_single_runs(self, ring_system, ring_u_box, rng):
+        # run 0's step is so small that each projection stops at its first
+        # iteration, while runs 1 and 2 keep iterating: run 0 is frozen
+        # for most of every lockstep projection
+        eta = np.array([1e-13, 0.05, 0.5])
+        z0 = rng.uniform(-2.0, 2.0, (3, 3))
+        batched = OlcController(ring_system, ring_u_box, eta, z0=z0)
+        singles = [OlcController(ring_system, ring_u_box, eta[r], z0=z0[r]) for r in range(3)]
+        for _ in range(20):
+            x = rng.standard_normal((3, 3))
+            u = batched.act(x)
+            delta = rng.standard_normal((3, 3)) * 5.0
+            for r, single in enumerate(singles):
+                np.testing.assert_array_equal(u[r], single.act(x[r]))
+                single.observe(delta[r])
+            batched.observe(delta)
+            np.testing.assert_array_equal(batched.z, np.stack([single.z for single in singles]))
+
+    def test_dac_matches_single_runs(self, ring_system, rng):
+        batched = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=3)
+        singles = [make_dac(ring_system, h_mem=3, eta_g=0.5, box_width=5.0) for _ in range(3)]
+        x = np.zeros((3, 3))
+        for _ in range(20):
+            u = batched.act(x)
+            costs = [random_cost(rng) for _ in range(3)]
+            x_next = step(ring_system, x, u, rng.uniform(-0.5, 0.5, (3, 3)))
+            for r, single in enumerate(singles):
+                np.testing.assert_array_equal(u[r], single.act(x[r]))
+                single.observe(costs[r], x_next[r])
+            batched.observe(QuadraticCost.view(np.stack([c.q for c in costs]), np.stack([c.c for c in costs])), x_next)
+            np.testing.assert_array_equal(batched.blocks, np.stack([single.blocks for single in singles]))
+            np.testing.assert_array_equal(batched.history, np.stack([single.history for single in singles]))
+            x = x_next
+        # the blocks moved and some reached their radius
+        assert np.any(np.linalg.norm(batched.blocks, axis=(-2, -1)) >= batched.radii - 1e-12)
+
+    def test_projection_failure_in_one_run_raises(self, ring_system, ring_u_box, monkeypatch):
+        # a run that has settled does not hide one still moving at the cap
+        s = ring_system.steady_state_gain
+        u_star = np.array([1.0, -2.0])
+        y = np.stack([s @ u_star, np.array([1.0, 2.0, -1.0])])
+        u0 = np.stack([u_star, np.zeros(2)])
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 1)
+        with pytest.raises(ProjectionFailureError, match="moving"):
+            _box_least_squares(s, y, ring_u_box, 0.5, u0)

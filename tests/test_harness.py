@@ -26,11 +26,14 @@ from olcontrol.harness import (
     OlcConfig,
     default_system_matrices,
     derive_run_params,
+    draw_run,
     generate_costs,
     generate_disturbances,
     make_rng,
     run_experiment,
+    run_lockstep,
     run_one_seed,
+    run_seeds,
     run_single,
 )
 from olcontrol.system import StateBound
@@ -65,6 +68,16 @@ class TestConfig:
         # no config object exists that a run could not use
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"a": np.array([[1.5]]), "b": np.array([[1.0]]),
+         "u_box": BoxSet([-1.0], [1.0]), "w_box": BoxSet([-1.0], [1.0])},
+        {"a": 0.5 * np.eye(2)},
+        {"x1": [0, "a", 0]},
+    ], ids=["unstable", "b_rows", "x1_text"])
+    def test_plant_errors_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError, match="bad plant or x1"):
+            ExperimentConfig(**kwargs)
 
     def test_replace_checks_again(self, tiny_cfg):
         with pytest.raises(ConfigError, match="n_runs"):
@@ -206,7 +219,7 @@ class TestConfig:
             load_config(path)
 
     def test_unstable_system_rejected(self):
-        with pytest.raises((ConfigError, Exception)):
+        with pytest.raises(ConfigError, match="NotStronglyStableError"):
             config_from_dict({"system": {"A": [[1.5]], "B": [[1.0]]}, "u_box": {"lower": [-1], "upper": [1]}, "w_box": {"lower": [-1], "upper": [1]}})
 
 
@@ -388,6 +401,42 @@ class TestRunSingle:
         assert regret <= bound
 
 
+class TestLockstep:
+    @pytest.mark.parametrize("kind", ["olc", "dac"])
+    @pytest.mark.parametrize("plant", [
+        {},
+        # steady-state gain with cond ~ 7.4: long projections of unequal length
+        {"b": np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "disturbances_on": False},
+    ], ids=["ring_disturbed", "skewed_clean"])
+    def test_matches_single_runs(self, plant, kind):
+        cfg = ExperimentConfig(t=60, n_runs=3, seed=4, **plant)
+        draws = [draw_run(cfg, k) for k in range(3)]
+        traces = run_lockstep(cfg, kind, draws)
+        assert len(traces) == 3
+        for trace, (costs, w_seq, params) in zip(traces, draws):
+            single = run_single(cfg, kind, costs, w_seq, params)
+            for name in ("states", "inputs", "costs"):
+                got = getattr(trace, name)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, getattr(single, name)), name
+
+    def test_run_seeds_matches_one_seed_at_a_time(self, tiny_cfg):
+        together = run_seeds(tiny_cfg, [0, 1])
+        for rec in together:
+            alone = run_one_seed(tiny_cfg, rec.run_index)
+            for kind in ("olc", "dac"):
+                np.testing.assert_array_equal(rec.traces[kind].states, alone.traces[kind].states)
+            assert rec.bench_u.value == alone.bench_u.value and rec.bench_m.value == alone.bench_m.value
+
+    def test_bound_violation_in_one_run_aborts(self, tiny_cfg):
+        draws = [draw_run(tiny_cfg, k) for k in range(3)]
+        costs, w_seq, params = draws[1]
+        draws[1] = (costs, w_seq, replace(params, bound=StateBound(1e-9)))
+        for kind in ("olc", "dac"):
+            with pytest.raises(InvalidStateError, match="exceeds the certified bound 1e-09"):
+                run_lockstep(tiny_cfg, kind, draws)
+
+
 class TestRegret:
     def test_last_row_matches_totals(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
@@ -501,14 +550,14 @@ class TestExperimentOutput:
     def test_failed_run_recorded_and_isolated(self, tiny_cfg, tmp_path, monkeypatch):
         import olcontrol.harness as harness_mod
 
-        real = harness_mod.run_one_seed
+        real = harness_mod.run_seeds
 
-        def flaky(cfg, k, **kwargs):
-            if k == 0:
+        def flaky(cfg, ks, **kwargs):
+            if 0 in ks:
                 raise RuntimeError("synthetic failure")
-            return real(cfg, k, **kwargs)
+            return real(cfg, ks, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "run_one_seed", flaky)
+        monkeypatch.setattr(harness_mod, "run_seeds", flaky)
         result = run_experiment(tiny_cfg, output_dir=tmp_path / "out")
         assert result.failures == {0: "RuntimeError: synthetic failure"}
         assert not (tmp_path / "out" / "run_0.csv").exists()
@@ -520,15 +569,15 @@ class TestExperimentOutput:
     def test_clean_rerun_removes_stale_failures(self, tiny_cfg, tmp_path, monkeypatch):
         import olcontrol.harness as harness_mod
 
-        real = harness_mod.run_one_seed
+        real = harness_mod.run_seeds
 
-        def failing(cfg, k, **kwargs):
+        def failing(cfg, ks, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(harness_mod, "run_one_seed", failing)
+        monkeypatch.setattr(harness_mod, "run_seeds", failing)
         assert run_experiment(tiny_cfg, output_dir=tmp_path / "out").failures
         assert (tmp_path / "out" / "failures.csv").exists()
-        monkeypatch.setattr(harness_mod, "run_one_seed", real)
+        monkeypatch.setattr(harness_mod, "run_seeds", real)
         assert not run_experiment(tiny_cfg, output_dir=tmp_path / "out").failures
         assert not (tmp_path / "out" / "failures.csv").exists()
 
@@ -544,31 +593,57 @@ class TestExperimentOutput:
         assert sorted(p.name for p in out.iterdir()) == [
             "benchmarks.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
 
-        real = harness_mod.run_one_seed
+        real = harness_mod.run_seeds
 
-        def flaky(cfg, k, **kwargs):
-            if k == 1:
+        def flaky(cfg, ks, **kwargs):
+            if 1 in ks:
                 raise RuntimeError("synthetic failure")
-            return real(cfg, k, **kwargs)
+            return real(cfg, ks, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "run_one_seed", flaky)
+        monkeypatch.setattr(harness_mod, "run_seeds", flaky)
         run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
             "benchmarks.csv", "failures.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
 
-        monkeypatch.setattr(harness_mod, "run_one_seed", lambda cfg, k: flaky(cfg, 1))
+        monkeypatch.setattr(harness_mod, "run_seeds", lambda cfg, ks: flaky(cfg, [1]))
         run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
         assert sorted(p.name for p in out.iterdir()) == ["failures.csv", "notes.txt", "run_x.csv"]
+
+    def test_failing_seed_isolated_under_lockstep(self, tmp_path, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        cfg = ExperimentConfig(t=30, n_runs=3, seed=6)
+        run_experiment(cfg, output_dir=tmp_path / "clean")
+        seed_1_qs = generate_costs(cfg, make_rng(cfg.seed + 1)).qs
+        real = harness_mod.derive_run_params
+
+        def squeeze_seed_1(cfg, costs):
+            params = real(cfg, costs)
+            if np.array_equal(costs.qs, seed_1_qs):
+                return replace(params, bound=StateBound(1e-9))
+            return params
+
+        monkeypatch.setattr(harness_mod, "derive_run_params", squeeze_seed_1)
+        result = run_experiment(cfg, output_dir=tmp_path / "out")
+        assert list(result.failures) == [1]
+        with open(tmp_path / "out" / "failures.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == ["run", "1"]
+        assert rows[1][1].startswith("InvalidStateError: state norm")
+        for k in (0, 2):
+            name = f"run_{k}.csv"
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert not (tmp_path / "out" / "run_1.csv").exists()
 
     def test_failure_message_is_one_field(self, tiny_cfg, tmp_path, monkeypatch):
         import olcontrol.harness as harness_mod
 
         message = 'shapes (2,) and (3,) not aligned: "quoted"\nsecond line'
 
-        def failing(cfg, k):
+        def failing(cfg, ks):
             raise ValueError(message)
 
-        monkeypatch.setattr(harness_mod, "run_one_seed", failing)
+        monkeypatch.setattr(harness_mod, "run_seeds", failing)
         run_experiment(tiny_cfg, output_dir=tmp_path / "out")
         with open(tmp_path / "out" / "failures.csv", newline="") as fh:
             rows = list(csv.reader(fh))
