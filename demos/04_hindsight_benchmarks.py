@@ -33,7 +33,7 @@ u_box = BoxSet.symmetric(2.0, 2)
 fixed = best_fixed_input(sys, x1, w_seq, costs, u_box)
 print(f"best fixed input: u* = {np.array_str(fixed.optimizer, precision=4)}")
 print(f"  value {fixed.value:.4f} in {fixed.iterations} descent iterations (converged={fixed.converged})")
-print(f"  same value through the nominal decomposition: {fixed.value_nominal:.4f}")
+print(f"  same value through the assembled model: {fixed.value_nominal:.4f}")
 
 steady = best_steady_state(costs, sys, u_box)
 print(f"\nbest holdable state: x* = {np.array_str(steady.optimizer, precision=4)}")

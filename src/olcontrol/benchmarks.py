@@ -6,7 +6,9 @@ decision variable, because the trajectory is affine in it.  Each solver
 assembles that quadratic once, f(x) = x^T H x + 2 g^T x + k, from the
 per-step costs and the state's response to the decision variable, and
 then runs projected descent with a backtracking line search on the
-assembled model; no descent iteration simulates the plant.  The solvers
+assembled model; no descent iteration simulates the plant.  The optimum
+is simulated once, and the model's value there is kept beside the
+realized cost, so a wrong assembly shows as a gap between them.  The solvers
 take the costs as one QuadraticBatch (or a list of QuadraticCost, stacked
 once on entry).  A brute-force grid oracle validates the fixed-input
 solver on low-dimensional inputs.
@@ -33,10 +35,10 @@ class BenchmarkResult:
     ``optimizer`` is the argmin (an input, a steady state, or a stack of
     disturbance-action blocks); ``step_costs`` are the per-step costs of
     the optimizer's trajectory, which regret curves are computed against,
-    and ``value`` is their sum.  For the input-sequence optima (fixed
-    input, DAC) ``value_nominal`` re-evaluates the same objective through
-    the superposition route (nominal trajectory plus disturbance
-    response) and must match ``value``.
+    and ``value`` is their sum.  ``value_nominal`` is the value at the
+    optimum of the quadratic the solver minimized, assembled from the
+    nominal trajectory and the costs' centres shifted by it, so it matches
+    ``value`` only if that model is the cost of the realized trajectory.
     """
 
     optimizer: np.ndarray
@@ -44,7 +46,7 @@ class BenchmarkResult:
     iterations: int
     converged: bool
     step_costs: np.ndarray = field(repr=False)
-    value_nominal: float | None = None
+    value_nominal: float
 
 
 def _check_costs(sys: LtiSystem, costs) -> QuadraticBatch:
@@ -175,17 +177,16 @@ def _assemble_quadratic(
     return _Quadratic(h=h.reshape(size, size), g=g.ravel(), k=float(np.vdot(d, qd)))
 
 
-def _realize(sys: LtiSystem, x1, w_seq, costs: QuadraticBatch, u_seq) -> dict:
-    """The trajectory of the inputs ``u_seq`` under the disturbances, scored:
-    its step costs and their sum ``value``, and ``value_nominal``, the same
-    objective through the nominal trajectory plus the disturbance response."""
-    step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
-    superposed = rollout(sys, x1, np.zeros_like(w_seq), u_seq) + rollout(sys, np.zeros(sys.state_dim), w_seq)
-    return {
-        "value": float(np.sum(step_costs)),
-        "step_costs": step_costs,
-        "value_nominal": float(np.sum(costs.values(superposed))),
-    }
+def _solve(model: _Quadratic, project, x0, costs: QuadraticBatch, trajectory) -> BenchmarkResult:
+    """Minimize ``model`` by projected descent from ``x0``, then score the
+    optimum's trajectory ``trajectory(x)``: its step costs, their sum
+    ``value``, and ``value_nominal``, the model's own value at the optimum."""
+    x, iters, converged = _projected_descent(model, project, x0)
+    step_costs = costs.values(trajectory(x))
+    return BenchmarkResult(
+        optimizer=x, value=float(np.sum(step_costs)), iterations=iters, converged=converged,
+        step_costs=step_costs, value_nominal=model.value(x),
+    )
 
 
 def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
@@ -201,14 +202,12 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     the input box.  The trajectory is affine in u, x_t(u) = x_t^0 + G_t u
     with G_1 = 0 and G_{t+1} = A G_t + B, so the objective is a convex
     quadratic in u; it is assembled once and minimized by projected
-    descent, and the optimum is realized by :func:`_realize`.
+    descent; the optimum is realized by one rollout of the plant.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
-    model = _fixed_input_model(sys, x1, w_seq, costs)
-    u_star, iters, converged = _projected_descent(model, u_set.clamp, np.zeros(sys.input_dim))
-    u_seq = np.broadcast_to(u_star, (w_seq.shape[0], sys.input_dim))
-    return BenchmarkResult(
-        optimizer=u_star, iterations=iters, converged=converged, **_realize(sys, x1, w_seq, costs, u_seq)
+    return _solve(
+        _fixed_input_model(sys, x1, w_seq, costs), u_set.clamp, np.zeros(sys.input_dim), costs,
+        lambda u: rollout(sys, x1, w_seq, np.broadcast_to(u, (w_seq.shape[0], sys.input_dim))),
     )
 
 
@@ -230,17 +229,13 @@ def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     """
     costs = _check_costs(sys, costs)
     _check_input_box(sys, u_set)
-    model = _steady_state_model(sys, costs)
-    u_star, iters, converged = _projected_descent(model, u_set.clamp, np.zeros(sys.input_dim))
-    x_star = sys.steady_state_gain @ u_star
-    step_costs = costs.values(np.broadcast_to(x_star, (len(costs), x_star.shape[0])))
-    return BenchmarkResult(
-        optimizer=x_star,
-        value=float(np.sum(step_costs)),
-        iterations=iters,
-        converged=converged,
-        step_costs=step_costs,
+    s = sys.steady_state_gain
+    res = _solve(
+        _steady_state_model(sys, costs), u_set.clamp, np.zeros(sys.input_dim), costs,
+        lambda u: np.broadcast_to(s @ u, (len(costs), sys.state_dim)),
     )
+    res.optimizer = s @ res.optimizer  # reported as the state x* = S u*
+    return res
 
 
 def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
@@ -272,18 +267,15 @@ def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> Ben
     feeds w_{t-j} into the input, so the state's response to block j is
     the response to block 1 delayed by j-1 steps; the quadratic is
     assembled from that one (T, N, M*N) response and minimized by
-    projected descent.  The optimum is realized through the inputs the
-    blocks play by :func:`_realize`, as the fixed input's is.
+    projected descent.  The optimum is realized by one rollout of the
+    inputs the blocks play, as the fixed input's is.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
     radii = dac_radii(sys, h_mem, radius)
-    model = _dac_model(sys, x1, w_seq, costs, h_mem)
-    blocks, iters, converged = _projected_descent(
-        model, lambda b: project_dac_blocks(b, radii), np.zeros((h_mem, sys.input_dim, sys.state_dim))
-    )
-    return BenchmarkResult(
-        optimizer=blocks, iterations=iters, converged=converged,
-        **_realize(sys, x1, w_seq, costs, _dac_inputs(blocks, w_seq)),
+    return _solve(
+        _dac_model(sys, x1, w_seq, costs, h_mem), lambda b: project_dac_blocks(b, radii),
+        np.zeros((h_mem, sys.input_dim, sys.state_dim)), costs,
+        lambda blocks: rollout(sys, x1, w_seq, _dac_inputs(blocks, w_seq)),
     )
 
 
@@ -301,6 +293,7 @@ def grid_oracle_fixed_input(
     including both box edges); coarse grids are exact subsets of any
     refinement by an integer factor.  Only 1- and 2-dimensional input
     spaces are supported -- this is a validation oracle, not a solver.
+    ``value_nominal`` is the grid's own total at the chosen point.
     """
     x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
     if sys.input_dim > 2:
@@ -334,8 +327,9 @@ def grid_oracle_fixed_input(
     step_costs = costs.values(rollout(sys, x1, w_seq, u_seq))
     return BenchmarkResult(
         optimizer=u_star,
-        value=float(totals[best]),
+        value=float(np.sum(step_costs)),
         iterations=points,
         converged=True,
         step_costs=step_costs,
+        value_nominal=float(totals[best]),
     )

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BenchmarkResult, best_dac, best_fixed_input, best_steady_state
+from .benchmarks import BenchmarkResult, _check_problem, best_dac, best_fixed_input, best_steady_state
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticBatch, QuadraticCost, as_batch, smoothness_constant
+from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import row_norms, spectral_norm
 from .system import (
@@ -359,13 +359,23 @@ def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
     """The round loop, over the leading run shape ``lead`` (see run_lockstep)."""
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
-    batches = [as_batch(costs) for costs, _, _ in draws]
+    if not draws:
+        raise InvalidInputError("no runs to play")
+    batches, w_seqs = [], []
+    for r, (costs, w_seq, _) in enumerate(draws):
+        try:
+            _, _, w_seq, costs = _check_problem(sys, cfg.x1, w_seq, costs)
+            if len(costs) != horizon:
+                raise InvalidInputError(f"got {len(costs)} costs for horizon T={horizon}")
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"draw {r} of {len(draws)}: {exc}") from exc
+        batches.append(costs)
+        w_seqs.append(w_seq)
     params = [p for _, _, p in draws]
     # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
     qs = np.stack([b.qs for b in batches], axis=1).reshape((horizon,) + lead + (n, n))
     cs = np.stack([b.cs for b in batches], axis=1).reshape((horizon,) + lead + (n,))
-    ws = np.stack([np.asarray(w, dtype=float)[: horizon - 1] for _, w, _ in draws], axis=1)
-    ws = ws.reshape((horizon - 1,) + lead + (n,))
+    ws = np.stack(w_seqs, axis=1).reshape((horizon - 1,) + lead + (n,))
     d = np.array([p.bound.d for p in params]).reshape(lead)
     bound_slack = d * (1.0 + 1e-9)
     if callable(kind):
@@ -414,9 +424,11 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
     it would have alone.  ``kind`` is "olc", "dac", or a callable
     ``kind(sys, cfg, params_list)`` returning a controller with a leading
-    run axis.  Every visited state is checked against its run's bound D.
-    The step costs are scored once per run, on the whole trajectory, the
-    way the hindsight benchmarks score theirs.
+    run axis.  Each draw is checked first, for T costs on the plant's
+    states and T-1 disturbances of its width; InvalidInputError names the
+    draw that fails.  Every visited state is checked against its run's
+    bound D.  The step costs are scored once per run, on the whole
+    trajectory, the way the hindsight benchmarks score theirs.
     """
     return _play(cfg, kind, list(draws), (len(draws),))
 

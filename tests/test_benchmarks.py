@@ -114,13 +114,6 @@ class TestBestFixedInput:
         assert abs(solved.value - grid.value) <= 1e-3
         assert solved.value <= grid.value + 1e-9  # solver at least as good as the grid
 
-    def test_dual_route_values_agree(self, ring_system, rng):
-        horizon = 40
-        costs = random_quadratics(rng, horizon)
-        w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
-        res = best_fixed_input(ring_system, rng.standard_normal(3), w_seq, costs, BoxSet.symmetric(5.0, 2))
-        assert res.value_nominal == pytest.approx(res.value, rel=1e-9)
-
     def test_non_convergence_flagged(self, ring_system, rng, monkeypatch):
         monkeypatch.setattr(bench_mod, "DESCENT_MAX_ITER", 2)
         costs = random_quadratics(rng, 20)
@@ -188,13 +181,6 @@ class TestBestDac:
             c.value(x) for c, x in zip(costs, simulate(ring_system, np.zeros(3), np.zeros((horizon - 1, 2)), w_seq))
         )
         assert res.value <= zero_value + 1e-9
-
-    def test_dual_route_values_agree(self, ring_system, rng):
-        horizon = 40
-        costs = random_quadratics(rng, horizon)
-        w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
-        res = best_dac(ring_system, rng.standard_normal(3), w_seq, costs, h_mem=4, radius=1.0)
-        assert res.value_nominal == pytest.approx(res.value, rel=1e-9)
 
     def test_blocks_feasible(self, ring_system, rng):
         horizon = 40
@@ -319,6 +305,51 @@ class TestDacInputs:
         for j in range(1, min(h_mem, steps) + 1):
             expected[j:] += w_seq[: steps - j] @ blocks[j - 1].T
         np.testing.assert_array_equal(_dac_inputs(blocks, w_seq), expected)
+
+
+SOLVERS = {
+    "fixed_input": lambda sys, x1, w_seq, costs: best_fixed_input(sys, x1, w_seq, costs, BoxSet.symmetric(5.0, 2)),
+    "steady_state": lambda sys, x1, w_seq, costs: best_steady_state(costs, sys, BoxSet.symmetric(5.0, 2)),
+    "dac": lambda sys, x1, w_seq, costs: best_dac(sys, x1, w_seq, costs, h_mem=4, radius=1.0),
+}
+
+
+def dac_model_forced_a_step_early(sys, x1, w_seq, costs, h_mem):
+    """_dac_model with block 1 forced by w_t instead of w_{t-1}."""
+    n, m = sys.state_dim, sys.input_dim
+    forcing = np.einsum("ki,tj->tkij", sys.b, w_seq).reshape(w_seq.shape[0], n, m * n)
+    response = rollout(sys, np.zeros((n, m * n)), forcing)
+    return bench_mod._assemble_quadratic(costs, rollout(sys, x1, w_seq), response, n_blocks=h_mem)
+
+
+def fixed_input_model_gains_a_step_late(sys, x1, w_seq, costs):
+    """_fixed_input_model with G_{t+1} in place of G_t."""
+    steps = w_seq.shape[0]
+    gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (steps + 1,) + sys.b.shape))[1:]
+    return bench_mod._assemble_quadratic(costs, rollout(sys, x1, w_seq), gains)
+
+
+class TestValueCheck:
+    """``value_nominal`` is the minimized model's value at the optimum, so
+    it matches the realized ``value`` exactly when the model is right."""
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_dual_route_values_agree(self, ring_system, rng, solver):
+        horizon = 40
+        costs = random_quadratics(rng, horizon)
+        w_seq = rng.uniform(-0.5, 0.5, (horizon - 1, 3))
+        res = SOLVERS[solver](ring_system, rng.standard_normal(3), w_seq, costs)
+        assert res.value_nominal == pytest.approx(res.value, rel=1e-9)
+
+    @pytest.mark.parametrize("solver, model, mutant", [
+        ("dac", "_dac_model", dac_model_forced_a_step_early),
+        ("fixed_input", "_fixed_input_model", fixed_input_model_gains_a_step_late),
+    ], ids=["dac", "fixed_input"])
+    def test_wrong_model_shows_a_gap(self, monkeypatch, solver, model, mutant):
+        _, sys, costs, w_seq, x1 = random_instance(0)
+        monkeypatch.setattr(bench_mod, model, mutant)
+        res = SOLVERS[solver](sys, x1, w_seq, costs)
+        assert abs(res.value - res.value_nominal) > 1e-6
 
 
 class TestAssembledModels:

@@ -8,6 +8,7 @@ import pytest
 from olcontrol import (
     BoxSet,
     ConfigError,
+    InvalidInputError,
     InvalidStateError,
     LtiSystem,
     OlcController,
@@ -435,6 +436,36 @@ class TestLockstep:
         for kind in ("olc", "dac"):
             with pytest.raises(InvalidStateError, match="exceeds the certified bound 1e-09"):
                 run_lockstep(tiny_cfg, kind, draws)
+
+    @pytest.mark.parametrize("bad", [
+        lambda costs, w: (costs, np.vstack([w, w[:1]])),          # one disturbance too many
+        lambda costs, w: (costs, w[:-1]),                         # one disturbance too few
+        lambda costs, w: (costs, np.hstack([w, w[:, :1]])),       # disturbances one state too wide
+        lambda costs, w: (QuadraticBatch(costs.qs[:-1], costs.cs[:-1]), w[:-1]),  # T-1 costs
+        None,                                                     # no draws at all
+    ], ids=["long_w", "short_w", "wide_w", "short_horizon", "no_draws"])
+    def test_unusable_draw_rejected(self, tiny_cfg, bad):
+        if bad is None:
+            with pytest.raises(InvalidInputError, match="no runs"):
+                run_lockstep(tiny_cfg, "olc", [])
+            return
+        draws = [draw_run(tiny_cfg, k) for k in range(2)]
+        costs, w_seq, params = draws[1]
+        costs, w_seq = bad(costs, w_seq)
+        draws[1] = (costs, w_seq, params)
+        for kind in ("olc", "dac"):
+            with pytest.raises(InvalidInputError, match="draw 1 of 2"):
+                run_lockstep(tiny_cfg, kind, draws)
+            with pytest.raises(InvalidInputError, match="draw 0 of 1"):
+                run_single(tiny_cfg, kind, costs, w_seq, params)
+
+    @pytest.mark.parametrize("name", ["dac_eta_g", "dac_radius"])
+    def test_dac_runs_must_share_step_and_radius(self, tiny_cfg, name):
+        draws = [draw_run(tiny_cfg, k) for k in range(2)]
+        costs, w_seq, params = draws[1]
+        draws[1] = (costs, w_seq, replace(params, **{name: 2.0 * getattr(params, name)}))
+        with pytest.raises(InvalidInputError, match="must share the DAC eta_g and radius"):
+            run_lockstep(tiny_cfg, "dac", draws)
 
 
 class TestRegret:

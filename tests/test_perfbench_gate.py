@@ -1,7 +1,9 @@
 """The benchmark's correctness gate (perfbench/gate.py), run in-process on
 both workloads at base seed 0: each bundle must be complete and match
 perfbench/reference.json to the gate's relative tolerance, so a change in
-output digits is checked against that contract by the test suite too."""
+output digits is checked against that contract by the test suite too.  The
+gate's other half, the value gap that perfbench/worker.py reports, is
+checked here the same way."""
 
 import importlib
 from pathlib import Path
@@ -23,7 +25,12 @@ def perfbench(monkeypatch):
 def test_bundle_passes_the_gate(perfbench, name, tmp_path):
     gate, workloads = perfbench
     doc = workloads.workload_config(ROOT, workloads.WORKLOADS[name], 0)
-    run_experiment(config_from_dict(doc), tmp_path)
+    exp = run_experiment(config_from_dict(doc), tmp_path)
     assert gate.bundle_problems(tmp_path, doc) == []
     entry = gate.reference_entry(gate.load_reference(), name, doc)
     assert gate.reference_problems(tmp_path, doc, entry) == []
+    # the worker's value_gap: every hindsight optimum's realized cost
+    # against its solver's model, relative to max(|value|, 1)
+    value_gap = max(abs(b.value - b.value_nominal) / max(abs(b.value), 1.0)
+                    for rec in exp.records for b in (rec.bench_u, rec.bench_m))
+    assert value_gap <= gate.VALUE_GAP_TOL
