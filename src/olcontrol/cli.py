@@ -7,14 +7,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .harness import (
-    derive_run_params,
-    generate_costs,
-    load_config,
-    make_rng,
-    run_experiment,
-    run_one_seed,
-)
+from .harness import draw_run, load_config, run_experiment, run_one_seed
 from .linalg import spectral_radius_estimate
 from .system import RADIUS_POWER
 
@@ -104,8 +97,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
-    costs = generate_costs(cfg, make_rng(cfg.seed))
-    params = derive_run_params(cfg, costs)
+    _, _, params = draw_run(cfg, 0)
     print(f"spectral radius estimate: {spectral_radius_estimate(cfg.a, RADIUS_POWER):.6f}")
     print(f"gamma: {params.cert.gamma:.6f}")
     print(f"kappa: {params.cert.kappa:.6f}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_points, as_vector, matvec, row_norms, spectral_norm
+from .linalg import as_array, matvec, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, StabilityCert
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -78,9 +78,7 @@ def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
     gradient descent with step 1/lambda_max(S^T S).  The returned point is
     exactly of the form S u with u in the box.
     """
-    y = as_vector(y, "point")
-    if y.shape[0] != sys.state_dim:
-        raise InvalidInputError("point dimension does not match the system")
+    y = as_array(y, "point", (sys.state_dim,))
     s = sys.steady_state_gain
     return s @ _box_least_squares(s, y, u_set, _projection_step(s), np.zeros(sys.input_dim))
 
@@ -96,10 +94,10 @@ def regret_optimal_step_size(l: float, t: int, cert: StabilityCert) -> float:
 
 def estimate_disturbance(sys: LtiSystem, x, u, x_next) -> np.ndarray:
     """Recover the disturbance from one observed transition: x' - A x - B u.
-    Leading axes index runs."""
-    x = as_points(x, sys.state_dim, "state")
-    u = as_points(u, sys.input_dim, "input")
-    x_next = as_points(x_next, sys.state_dim, "next state")
+    Leading axes of x, u and x' index the same runs."""
+    x = as_array(x, "state", (..., sys.state_dim))
+    u = as_array(u, "input", x.shape[:-1] + (sys.input_dim,))
+    x_next = as_array(x_next, "next state", x.shape)
     return x_next - matvec(sys.a, x) - matvec(sys.b, u)
 
 
@@ -120,7 +118,7 @@ class OlcController:
     feedback = "gradient"
 
     def __init__(self, sys: LtiSystem, u_set: BoxSet, eta, z0=None):
-        eta = np.asarray(eta, dtype=float)
+        eta = as_array(eta, "step size", (...,))
         if not np.all(eta > 0.0):
             raise InvalidInputError(f"step size must be positive, got {eta}")
         if u_set.dim != sys.input_dim:
@@ -131,9 +129,7 @@ class OlcController:
         s = sys.steady_state_gain
         self._step = _projection_step(s)
         shape = eta.shape + (sys.state_dim,)
-        z0 = np.zeros(shape) if z0 is None else as_points(z0, sys.state_dim, "z0")
-        if z0.shape != shape:
-            raise InvalidInputError(f"z0 must have shape {shape}, got {z0.shape}")
+        z0 = np.zeros(shape) if z0 is None else as_array(z0, "z0", shape)
         # start from the manifold point nearest the requested z0
         self._u = _box_least_squares(s, z0, u_set, self._step, np.zeros(eta.shape + (sys.input_dim,)))
         self.z = matvec(s, self._u)
@@ -150,7 +146,7 @@ class OlcController:
 
     def observe(self, delta, x_next=None) -> None:
         """One projected gradient step on the target state."""
-        delta = as_points(delta, self.sys.state_dim, "gradient")
+        delta = as_array(delta, "gradient", self.z.shape)
         target = self.z - self.eta[..., None] * delta
         # warm start at the previous inner minimizer; the projection problem
         # is strongly convex whenever B has full column rank, so the warm
@@ -177,20 +173,20 @@ def project_joint_steady_state(sys: LtiSystem, u_set: BoxSet, z_target, u_target
     the box least-squares problem of the stacked ``[S; I]`` and target
     ``[z_target; u_target]``, and returns (S u, u).
     """
-    z_target = as_vector(z_target, "z target")
-    u_target = as_vector(u_target, "u target")
+    z_target = as_array(z_target, "z target", (sys.state_dim,))
+    u_target = as_array(u_target, "u target", (sys.input_dim,))
+    u0 = np.zeros(sys.input_dim) if u0 is None else as_array(u0, "u0", (sys.input_dim,))
     s = sys.steady_state_gain
     stacked = np.vstack([s, np.eye(sys.input_dim)])
     step = 1.0 / (spectral_norm(s) ** 2 + 1.0)
-    u0 = np.zeros(sys.input_dim) if u0 is None else u0
     u = _box_least_squares(stacked, np.concatenate([z_target, u_target]), u_set, step, u0)
     return s @ u, u
 
 
 def olcxu_update(state: OlcXuState, delta_x, delta_u, sys: LtiSystem, u_set: BoxSet) -> OlcXuState:
     """Joint gradient step followed by projection onto the augmented manifold."""
-    delta_x = as_vector(delta_x, "state gradient")
-    delta_u = as_vector(delta_u, "input gradient")
+    delta_x = as_array(delta_x, "state gradient", (sys.state_dim,))
+    delta_u = as_array(delta_u, "input gradient", (sys.input_dim,))
     z, u = project_joint_steady_state(
         sys,
         u_set,
@@ -285,7 +281,7 @@ class DacController:
 
     def act(self, x) -> np.ndarray:
         """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
-        x = as_points(x, self.sys.state_dim, "state")
+        x = as_array(x, "state", (..., self.sys.state_dim))
         u = self.u_set.clamp(dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :])
         self._last_x = x
         self._last_u = u

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, as_points, as_vector, batch_spectral_norms, matvec
+from .linalg import as_array, batch_spectral_norms, matvec
 from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
@@ -57,7 +57,8 @@ class QuadraticCost:
     c: np.ndarray
 
     def __post_init__(self):
-        qs, cs = _check_quadratics(as_matrix(self.q, "Q")[None], as_vector(self.c, "c")[None])
+        q = as_array(self.q, "Q", (None, None))
+        qs, cs = _check_quadratics(q[None], as_array(self.c, "c", q.shape[:1])[None])
         object.__setattr__(self, "q", qs[0])
         object.__setattr__(self, "c", cs[0])
 
@@ -72,17 +73,12 @@ class QuadraticCost:
         return cost
 
     def value(self, x) -> float:
-        x = as_vector(x, "x")
-        if x.shape[0] != self.c.shape[0]:
-            raise InvalidInputError(
-                f"point has dimension {x.shape[0]}, cost expects {self.c.shape[0]}"
-            )
-        d = x - self.c
+        d = as_array(x, "x", self.c.shape) - self.c
         return float(d @ self.q @ d)
 
     def grad(self, x) -> np.ndarray:
         """2 Q (x - c); leading axes of x index points (or runs)."""
-        d = as_points(x, self.c.shape[-1], "x") - self.c
+        d = as_array(x, "x", (..., self.c.shape[-1])) - self.c
         return 2.0 * matvec(self.q, d)
 
 
@@ -106,12 +102,12 @@ class QuadraticBatch:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Per-step values f_t(x_t) of a (T, N) trajectory."""
-        d = xs - self.cs
+        d = as_array(xs, "trajectory", self.cs.shape) - self.cs
         return np.einsum("ti,tij,tj->t", d, self.qs, d)
 
     def grads(self, xs: np.ndarray) -> np.ndarray:
         """Per-step gradients 2 Q_t (x_t - c_t) of a (T, N) trajectory."""
-        return 2.0 * np.einsum("tij,tj->ti", self.qs, xs - self.cs)
+        return 2.0 * np.einsum("tij,tj->ti", self.qs, as_array(xs, "trajectory", self.cs.shape) - self.cs)
 
 
 def as_batch(costs) -> QuadraticBatch:
@@ -145,7 +141,7 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> float:
 def finite_diff_grad(cost, x, h: float | None = None) -> np.ndarray:
     """Central-difference gradient of anything with a ``value(x)`` method,
     the test oracle for analytic gradients."""
-    x = as_vector(x, "x")
+    x = as_array(x, "x", (None,))
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
     if h <= 0.0:

@@ -19,7 +19,7 @@ from .benchmarks import BenchmarkResult, _check_problem, best_dac, best_fixed_in
 from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
-from .linalg import row_norms, spectral_norm
+from .linalg import as_array, row_norms, spectral_norm
 from .system import (
     BoxSet,
     LtiSystem,
@@ -88,7 +88,7 @@ class ExperimentConfig:
         ring_a, ring_b = default_system_matrices()
         try:
             sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
-            x1 = np.zeros(sys.state_dim) if self.x1 is None else np.asarray(self.x1, dtype=float)
+            x1 = np.zeros(sys.state_dim) if self.x1 is None else as_array(self.x1, "x1", (sys.state_dim,))
         except (ValueError, TypeError) as exc:  # the plant's errors are ValueErrors
             raise ConfigError(f"bad plant or x1: {type(exc).__name__}: {exc}") from exc
         n, m = sys.state_dim, sys.input_dim
@@ -127,10 +127,6 @@ class ExperimentConfig:
             raise ConfigError("u_box dimension does not match B")
         if self.w_box.dim != n:
             raise ConfigError("w_box dimension does not match A")
-        if self.x1.shape != (n,):
-            raise ConfigError("x1 dimension does not match A")
-        if not np.isfinite(self.x1).all():
-            raise ConfigError("x1 must be finite")
 
     def system(self) -> LtiSystem:
         return self._system
@@ -533,10 +529,6 @@ def run_one_seed(cfg: ExperimentConfig, run_index: int, kinds=CONTROLLER_KINDS) 
     return run_seeds(cfg, [run_index], kinds)[0]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 # (CSV column, benchmark, controller) of every regret curve, in file order.
 REGRET_COLUMNS = (
     ("regret_olc_u", "u", "olc"),
@@ -553,40 +545,38 @@ def _regret_columns(report: RegretReport):
     return [col for col in REGRET_COLUMNS if getattr(report, f"regret_{col[1]}") is not None]
 
 
-def _write_table(path, header: list[str], curves: list[np.ndarray], t: int) -> None:
-    """One row per step: the step number, then each curve's value."""
-    lines = [",".join(["t"] + header)]
-    for i in range(t):
-        lines.append(",".join([str(i + 1)] + [_fmt(curve[i]) for curve in curves]))
+def _write_table(path, header: list[str], index, columns: list) -> None:
+    """The header, then one row per entry of ``index``: that integer, then
+    each column's value there to 12 significant digits."""
+    row = "%d" + ",%.12g" * len(columns)
+    lines = [",".join(header)] + [row % values for values in zip(index, *columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_run_csv(path, cfg: ExperimentConfig, record: RunRecord, report: RegretReport) -> None:
     cols = _regret_columns(report)
-    header = ["cost_olc", "cost_dac", "cum_olc", "cum_dac"] + [col for col, _, _ in cols]
+    header = ["t", "cost_olc", "cost_dac", "cum_olc", "cum_dac"] + [col for col, _, _ in cols]
     curves = [record.traces["olc"].costs, record.traces["dac"].costs,
               report.cum_costs["olc"], report.cum_costs["dac"]]
     curves += [report.curve(bench, kind) for _, bench, kind in cols]
-    _write_table(path, header, curves, cfg.t)
+    _write_table(path, header, range(1, cfg.t + 1), curves)
 
 
 def write_summary_csv(path, cfg: ExperimentConfig, reports: list[RegretReport]) -> None:
     """Per-step mean and standard deviation of each regret column."""
-    header, curves = [], []
+    header, curves = ["t"], []
     for col, bench, kind in _regret_columns(reports[0]):
         # (T, runs): each step's values are contiguous, so every step is
         # reduced exactly as a 1-d array of the runs' values
         stack = np.stack([rep.curve(bench, kind) for rep in reports], axis=1)
         header += [f"mean_{col}", f"std_{col}"]
         curves += [stack.mean(axis=1), stack.std(axis=1)]
-    _write_table(path, header, curves, cfg.t)
+    _write_table(path, header, range(1, cfg.t + 1), curves)
 
 
 def write_benchmarks_csv(path, records: list[RunRecord]) -> None:
-    lines = ["run,bench_u,bench_m"]
-    for rec in records:
-        lines.append(f"{rec.run_index},{_fmt(rec.bench_u.value)},{_fmt(rec.bench_m.value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, ["run", "bench_u", "bench_m"], [rec.run_index for rec in records],
+                 [[rec.bench_u.value for rec in records], [rec.bench_m.value for rec in records]])
 
 
 @dataclass

@@ -24,40 +24,41 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
-def as_matrix(m, name="matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array or raise InvalidInputError."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
+def as_array(v, name: str, shape: tuple) -> np.ndarray:
+    """``v`` as a float array of the declared ``shape`` with every entry
+    finite, or InvalidInputError.
 
-
-def as_vector(v, name="vector") -> np.ndarray:
-    """Coerce to a finite 1-d float array or raise InvalidInputError."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_points(v, dim: int, name="vector") -> np.ndarray:
-    """Coerce to finite float ``dim``-vectors along the last axis (leading
-    axes index runs) or raise InvalidInputError."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != dim:
-        raise InvalidInputError(f"{name} must have dimension {dim}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    In ``shape`` an int fixes an axis, None takes any length, and a leading
+    ``...`` takes any number of leading (run) axes: ``(..., 3)`` is one
+    3-vector or a stack of them, ``(None, None)`` any matrix.
+    """
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (ValueError, TypeError) as exc:  # text, a ragged nest, an object
+        raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
+    dims = arr.shape
+    k = len(shape)  # declared axes, matched against the last k of dims
+    if k and shape[0] is ...:
+        k -= 1
+        ok = len(dims) >= k
+    else:
+        ok = len(dims) == k
+    # a loop, not a generator: this runs several times per round of the control loop
+    for i in range(-k if ok else 0, 0):
+        want = shape[i]
+        if want is not None and dims[i] != want:
+            ok = False
+    if not ok:
+        spelled = ", ".join("..." if s is ... else "any" if s is None else str(s) for s in shape)
+        raise InvalidInputError(f"{name} must have shape ({spelled}), got {arr.shape}")
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
 def spectral_norm(m) -> float:
     """Largest singular value of ``m`` (``np.linalg.norm(m, 2)``)."""
-    m = as_matrix(m)
+    m = as_array(m, "matrix", (None, None))
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -65,11 +66,7 @@ def spectral_norm(m) -> float:
 
 def batch_spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norm of every matrix in a (T, n, m) stack at once."""
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim != 3:
-        raise InvalidInputError(f"expected a (T, n, m) stack, got shape {mats.shape}")
-    if not np.isfinite(mats).all():
-        raise InvalidInputError("matrix stack contains non-finite entries")
+    mats = as_array(mats, "matrix stack", (None, None, None))
     if mats.size == 0:
         return np.zeros(mats.shape[0])
     return np.linalg.norm(mats, 2, axis=(1, 2))
@@ -81,7 +78,7 @@ def spectral_radius_estimate(a, k: int) -> float:
     Converges to the true spectral radius from above as ``k`` grows; for
     normal matrices it is exact for every ``k``.
     """
-    a = as_matrix(a)
+    a = as_array(a, "matrix", (None, None))
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
     if k < 8:

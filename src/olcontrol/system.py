@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotStronglyStableError
-from .linalg import as_matrix, as_points, as_vector, matvec, spectral_norm, spectral_radius_estimate
+from .linalg import as_array, matvec, spectral_norm, spectral_radius_estimate
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
@@ -47,10 +47,9 @@ class BoxSet:
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", as_vector(self.lower, "lower"))
-        object.__setattr__(self, "upper", as_vector(self.upper, "upper"))
-        if self.lower.shape != self.upper.shape:
-            raise InvalidInputError("box bounds must have equal dimension")
+        lower = as_array(self.lower, "lower", (None,))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", as_array(self.upper, "upper", lower.shape))
         if np.any(self.lower > self.upper):
             raise InvalidInputError("box lower bound exceeds upper bound")
 
@@ -67,7 +66,7 @@ class BoxSet:
         return np.clip(v, self.lower, self.upper)
 
     def contains(self, v, tol: float = 0.0) -> bool:
-        v = np.asarray(v, dtype=float)
+        v = as_array(v, "point", (..., self.dim))
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
     def max_corner_norm(self) -> float:
@@ -96,14 +95,10 @@ class LtiSystem:
     cert: StabilityCert = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = as_matrix(self.a, "A")
-        b = as_matrix(self.b, "B")
+        a = as_array(self.a, "A", (None, None))
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"A must be square, got shape {a.shape}")
-        if b.shape[0] != a.shape[0]:
-            raise InvalidInputError(
-                f"B must have {a.shape[0]} rows to match A, got shape {b.shape}"
-            )
+        b = as_array(self.b, "B", (a.shape[0], None))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "cert", certify_strong_stability(a))
@@ -125,10 +120,10 @@ class LtiSystem:
 
 def step(sys: LtiSystem, x, u, w) -> np.ndarray:
     """One transition ``A x + B u + w``; leading axes of x, u and w index
-    runs, each stepped with the bits of its own single transition."""
-    x = as_points(x, sys.state_dim, "state")
-    u = as_points(u, sys.input_dim, "input")
-    w = as_points(w, sys.state_dim, "disturbance")
+    the same runs, each stepped with the bits of its own single transition."""
+    x = as_array(x, "state", (..., sys.state_dim))
+    u = as_array(u, "input", x.shape[:-1] + (sys.input_dim,))
+    w = as_array(w, "disturbance", x.shape)
     return matvec(sys.a, x) + matvec(sys.b, u) + w
 
 
@@ -146,7 +141,7 @@ def certify_strong_stability(a) -> StabilityCert:
     defeats that, NotStronglyStableError is raised.  The zero matrix is
     the one case where gamma = 1 is valid (A^k = 0 for k >= 1).
     """
-    a = as_matrix(a, "A")
+    a = as_array(a, "A", (None, None))
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"A must be square, got shape {a.shape}")
     if spectral_norm(a) == 0.0:
@@ -174,29 +169,22 @@ def certify_strong_stability(a) -> StabilityCert:
 
 def steady_state_of_input(sys: LtiSystem, u) -> np.ndarray:
     """The state the plant settles at under constant input u (no disturbance)."""
-    u = as_vector(u, "input")
-    if u.shape[0] != sys.input_dim:
-        raise InvalidInputError("input dimension does not match the system")
+    u = as_array(u, "input", (sys.input_dim,))
     return sys.steady_state_gain @ u
 
 
-def _as_step_array(seq, dim: int, name: str) -> np.ndarray:
+def _as_steps(seq, dim: int, name: str) -> np.ndarray:
+    """``seq`` as (K, dim) rows, one per step: an empty list is zero steps
+    and a single vector one step."""
     arr = np.asarray(seq, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, dim)
-    arr = np.atleast_2d(arr)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InvalidInputError(f"{name} sequence dimension does not match the system")
-    return arr
+    return as_array(np.empty((0, dim)) if arr.shape == (0,) else np.atleast_2d(arr), name, (None, dim))
 
 
 def _check_sequences(sys: LtiSystem, x1, u_seq, w_seq):
-    x1 = as_vector(x1, "initial state")
-    if x1.shape[0] != sys.state_dim:
-        raise InvalidInputError("initial state dimension does not match the system")
-    w_seq = _as_step_array(w_seq, sys.state_dim, "disturbance")
+    x1 = as_array(x1, "initial state", (sys.state_dim,))
+    w_seq = _as_steps(w_seq, sys.state_dim, "disturbance sequence")
     if u_seq is not None:
-        u_seq = _as_step_array(u_seq, sys.input_dim, "input")
+        u_seq = _as_steps(u_seq, sys.input_dim, "input sequence")
         if u_seq.shape[0] != w_seq.shape[0]:
             raise InvalidInputError(
                 f"input sequence has {u_seq.shape[0]} steps but disturbance sequence has {w_seq.shape[0]}"
@@ -255,7 +243,7 @@ def state_bound(sys: LtiSystem, x1, u_set: BoxSet, w_set: BoxSet) -> StateBound:
     away from zero so downstream constants stay finite.
     """
     cert = sys.cert
-    x1 = as_vector(x1, "initial state")
+    x1 = as_array(x1, "initial state", (sys.state_dim,))
     u_max = u_set.max_corner_norm()
     w_max = w_set.max_corner_norm()
     d = cert.kappa * float(np.linalg.norm(x1))

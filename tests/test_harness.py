@@ -442,8 +442,9 @@ class TestLockstep:
         lambda costs, w: (costs, w[:-1]),                         # one disturbance too few
         lambda costs, w: (costs, np.hstack([w, w[:, :1]])),       # disturbances one state too wide
         lambda costs, w: (QuadraticBatch(costs.qs[:-1], costs.cs[:-1]), w[:-1]),  # T-1 costs
+        lambda costs, w: (costs, np.vstack([w[:-1], np.full((1, w.shape[1]), np.nan)])),  # a NaN disturbance
         None,                                                     # no draws at all
-    ], ids=["long_w", "short_w", "wide_w", "short_horizon", "no_draws"])
+    ], ids=["long_w", "short_w", "wide_w", "short_horizon", "nan_w", "no_draws"])
     def test_unusable_draw_rejected(self, tiny_cfg, bad):
         if bad is None:
             with pytest.raises(InvalidInputError, match="no runs"):

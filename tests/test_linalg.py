@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from olcontrol import InvalidInputError, spectral_norm, spectral_radius_estimate
-from olcontrol.linalg import batch_spectral_norms
+import olcontrol.benchmarks as benchmarks_mod
+from olcontrol import (
+    BoxSet,
+    InvalidInputError,
+    OlcXuState,
+    QuadraticBatch,
+    adjoint_input_gradients,
+    best_dac,
+    best_fixed_input,
+    grid_oracle_fixed_input,
+    olcxu_update,
+    simulate,
+    spectral_norm,
+    spectral_radius_estimate,
+    state_bound,
+)
+from olcontrol.controllers import project_joint_steady_state
+from olcontrol.linalg import as_array, batch_spectral_norms
 
 
 class TestSpectralNorm:
@@ -104,3 +120,90 @@ class TestSpectralRadiusEstimate:
             np.fill_diagonal(tri, rng.uniform(-0.8, 0.8, 4))
             rho = np.max(np.abs(np.diag(tri)))
             assert spectral_radius_estimate(tri, 64) >= rho - 1e-9
+
+
+class TestAsArray:
+    @pytest.mark.parametrize("shape, accepted, rejected", [
+        ((3,), [(3,)], [(), (2,), (1, 3)]),
+        ((None, 2), [(0, 2), (5, 2)], [(2,), (5, 3), (1, 5, 2)]),
+        ((..., 3), [(3,), (4, 3), (2, 4, 3)], [(), (4, 2)]),
+        ((...,), [(), (4,), (2, 4)], []),
+    ])
+    def test_declared_shape(self, shape, accepted, rejected):
+        for got in accepted:
+            assert as_array(np.zeros(got), "v", shape).shape == got
+        for got in rejected:
+            with pytest.raises(InvalidInputError, match="v must have shape"):
+                as_array(np.zeros(got), "v", shape)
+
+    def test_non_finite_and_non_numeric_rejected(self):
+        for bad in ([1.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0]):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                as_array(bad, "v", (2,))
+        for bad in ([1.0, "a"], [[1.0], [1.0, 2.0]], [{}, 1.0]):
+            with pytest.raises(InvalidInputError, match="not an array of numbers"):
+                as_array(bad, "v", (2,))
+        assert as_array([1, 2], "v", (2,)).dtype == float
+
+
+# The public entry points the cases below feed, by name, called on the ring
+# plant; ``a`` holds the array arguments, one of which a case spoils.
+ENTRY_POINTS = {
+    "simulate": lambda sys, box, a: simulate(sys, a["x1"], a["u_seq"], a["w_seq"]),
+    "best_fixed_input": lambda sys, box, a: best_fixed_input(sys, a["x1"], a["w_seq"], a["costs"], box),
+    "best_dac": lambda sys, box, a: best_dac(sys, a["x1"], a["w_seq"], a["costs"], 2, 1.0),
+    "adjoint_input_gradients":
+        lambda sys, box, a: adjoint_input_gradients(sys, a["x1"], a["u_seq"], a["w_seq"], a["costs"]),
+    "grid_oracle_fixed_input":
+        lambda sys, box, a: grid_oracle_fixed_input(sys, a["x1"], a["w_seq"], a["costs"], box, 4),
+    "olcxu_update": lambda sys, box, a: olcxu_update(
+        OlcXuState(z=np.zeros(3), u=np.zeros(2), eta=0.1), a["delta_x"], a["delta_u"], sys, box),
+    "project_joint_steady_state":
+        lambda sys, box, a: project_joint_steady_state(sys, box, a["z_target"], a["u_target"]),
+    "state_bound": lambda sys, box, a: state_bound(sys, a["x1"], box, BoxSet.symmetric(0.5, 3)),
+}
+SOLVERS = ("simulate", "best_fixed_input", "best_dac", "adjoint_input_gradients", "grid_oracle_fixed_input")
+
+
+def _clean_arrays(horizon=8):
+    return {
+        "x1": np.zeros(3), "u_seq": np.ones((horizon - 1, 2)), "w_seq": np.full((horizon - 1, 3), 0.1),
+        "costs": QuadraticBatch(np.broadcast_to(np.eye(3), (horizon, 3, 3)), np.ones((horizon, 3))),
+        "delta_x": np.ones(3), "delta_u": np.ones(2), "z_target": np.ones(3), "u_target": np.ones(2),
+    }
+
+
+# (entry point, argument, bad value): a float is written into the last
+# entry of the clean array, an array replaces it
+BAD_ARRAYS = [
+    *[(entry, "w_seq", bad) for entry in SOLVERS for bad in (np.nan, np.inf)],
+    ("simulate", "u_seq", np.nan),
+    ("simulate", "u_seq", -np.inf),
+    ("olcxu_update", "delta_x", np.ones(1)),
+    ("olcxu_update", "delta_u", np.ones(1)),
+    ("project_joint_steady_state", "z_target", np.ones(2)),
+    ("project_joint_steady_state", "u_target", np.ones(3)),
+    ("state_bound", "x1", np.ones(5)),
+]
+
+
+@pytest.mark.parametrize("entry, arg, bad", BAD_ARRAYS, ids=[
+    f"{e}-{a}-{b!r}" if isinstance(b, float) else f"{e}-{a}-length_{len(b)}" for e, a, b in BAD_ARRAYS
+])
+def test_bad_array_rejected(ring_system, ring_u_box, monkeypatch, entry, arg, bad):
+    call = ENTRY_POINTS[entry]
+    arrays = _clean_arrays()
+    call(ring_system, ring_u_box, arrays)
+    if isinstance(bad, float):
+        spoiled = arrays[arg].copy()
+        spoiled.flat[-1] = bad
+        arrays[arg] = spoiled
+    else:
+        arrays[arg] = bad
+
+    def no_descent(*args):
+        raise AssertionError("a bad array reached the descent")
+
+    monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
+    with pytest.raises(InvalidInputError):
+        call(ring_system, ring_u_box, arrays)

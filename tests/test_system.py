@@ -57,8 +57,14 @@ class TestStep:
         np.testing.assert_allclose(out, ring_system.a @ e1 + ring_system.b @ u, atol=1e-14)
 
     def test_dimension_mismatch(self, ring_system):
-        with pytest.raises(InvalidInputError):
-            step(ring_system, np.zeros(2), np.zeros(2), np.zeros(3))
+        for x, u, w in [
+            ((2,), (2,), (3,)),
+            ((4, 3), (2,), (4, 3)),  # one input for four runs
+            ((4, 3), (5, 2), (4, 3)),
+            ((4, 3), (4, 2), (3,)),
+        ]:
+            with pytest.raises(InvalidInputError):
+                step(ring_system, np.zeros(x), np.zeros(u), np.zeros(w))
 
 
 class TestCertify:
