@@ -9,6 +9,7 @@ from .benchmarks import (
     best_fixed_input,
     best_steady_state,
     grid_oracle_fixed_input,
+    solve_benchmarks,
 )
 from .controllers import (
     DacController,
@@ -50,7 +51,6 @@ from .harness import (
     run_one_seed,
     run_seeds,
     run_single,
-    solve_run_benchmarks,
 )
 from .linalg import spectral_norm, spectral_radius_estimate
 from .system import (

@@ -10,17 +10,22 @@ assembled model; no descent iteration simulates the plant.  The optimum
 is simulated once, and the model's value there is kept beside the
 realized cost, so a wrong assembly shows as a gap between them.  The solvers
 take the costs as one QuadraticBatch (or a list of QuadraticCost, stacked
-once on entry).  A brute-force grid oracle validates the fixed-input
-solver on low-dimensional inputs.
+once on entry).  :func:`solve_benchmarks` solves many runs of one plant in
+one batched pass, every rollout over a leading run axis and each assembly
+and descent per run; the one-run solvers are its one-run case.  A
+brute-force grid oracle validates the fixed-input solver on
+low-dimensional inputs.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
+from .linalg import matvec
 from .system import BoxSet, LtiSystem, _check_sequences, rollout
 
 DESCENT_MOVE_TOL = 1e-9
@@ -148,9 +153,7 @@ class _Quadratic:
         return (2.0 * (self.h @ v + self.g)).reshape(np.shape(x))
 
 
-def _assemble_quadratic(
-    costs: QuadraticBatch, offsets: np.ndarray, response: np.ndarray, n_blocks: int = 1
-) -> _Quadratic:
+def _assemble_quadratic(costs: QuadraticBatch, offsets, response, n_blocks: int = 1) -> _Quadratic:
     """Assemble sum_t f_t(x_t) as a quadratic in the decision variable.
 
     The trajectory is x_t = offsets[t] + sum_j J_t^(j) x^(j), where the
@@ -177,22 +180,69 @@ def _assemble_quadratic(
     return _Quadratic(h=h.reshape(size, size), g=g.ravel(), k=float(np.vdot(d, qd)))
 
 
-def _solve(model: _Quadratic, project, x0, costs: QuadraticBatch, trajectory) -> BenchmarkResult:
-    """Minimize ``model`` by projected descent from ``x0``, then score the
-    optimum's trajectory ``trajectory(x)``: its step costs, their sum
-    ``value``, and ``value_nominal``, the model's own value at the optimum."""
-    x, iters, converged = _projected_descent(model, project, x0)
-    step_costs = costs.values(trajectory(x))
-    return BenchmarkResult(
-        optimizer=x, value=float(np.sum(step_costs)), iterations=iters, converged=converged,
-        step_costs=step_costs, value_nominal=model.value(x),
+@dataclass
+class _Runs:
+    """R hindsight problems on one plant: each run's checked costs and, for
+    the solvers that simulate, its disturbances, stacked as ``ws``
+    (R, T-1, N), every run starting from ``x1``."""
+
+    sys: LtiSystem
+    costs: list[QuadraticBatch]
+    x1: np.ndarray | None = None
+    ws: np.ndarray | None = None
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """The free response x_t^0 of every run: no input, its own disturbances."""
+        return rollout(self.sys, self.x1, self.ws)
+
+
+def _runs(sys: LtiSystem, x1, draws, u_set: BoxSet | None = None) -> _Runs:
+    """``draws``' (w_seq, costs) pairs, each checked once by _check_problem,
+    as one _Runs; the runs must share a horizon."""
+    if not draws:
+        raise InvalidInputError("no runs to solve")
+    checked = [_check_problem(sys, x1, w_seq, costs, u_set) for w_seq, costs in draws]
+    ws = [w_seq for _, _, w_seq, _ in checked]
+    if any(w_seq.shape != ws[0].shape for w_seq in ws):
+        raise InvalidInputError("runs solved together must share one horizon")
+    return _Runs(sys, [costs for *_, costs in checked], checked[0][0], np.stack(ws))
+
+
+def _solve(models, projects, x0, runs: _Runs, trajectories) -> list[BenchmarkResult]:
+    """Minimize each run's model by projected descent from ``x0``, each
+    under its own projection and stopping test; realize all the optima at
+    once as the (R, T, N) ``trajectories(xs)``; and score each run: its step
+    costs, their sum ``value``, and ``value_nominal``, the model's own value
+    at the optimum."""
+    found = [_projected_descent(model, project, x0) for model, project in zip(models, projects)]
+    states = trajectories(np.stack([x for x, _, _ in found]))
+    results = []
+    for (x, iters, converged), model, costs, xs in zip(found, models, runs.costs, states):
+        step_costs = costs.values(xs)
+        results.append(BenchmarkResult(
+            optimizer=x, value=float(np.sum(step_costs)), iterations=iters, converged=converged,
+            step_costs=step_costs, value_nominal=model.value(x),
+        ))
+    return results
+
+
+def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
+    """Each run's total cost of the constant input u, with x_t = x_t^0 + G_t u.
+    The gains G_t depend on the plant and T alone, so one rollout serves
+    every run."""
+    sys = runs.sys
+    steps = runs.ws.shape[1]
+    gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (steps,) + sys.b.shape))
+    return [_assemble_quadratic(costs, free, gains) for costs, free in zip(runs.costs, runs.free)]
+
+
+def _fixed_inputs(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
+    m = runs.sys.input_dim
+    return _solve(
+        _fixed_input_models(runs), [u_set.clamp] * len(runs.costs), np.zeros(m), runs,
+        lambda us: rollout(runs.sys, runs.x1, runs.ws, np.broadcast_to(us[:, None], runs.ws.shape[:2] + (m,))),
     )
-
-
-def _fixed_input_model(sys: LtiSystem, x1, w_seq, costs) -> _Quadratic:
-    """Total cost of the constant input u, with x_t = x_t^0 + G_t u."""
-    gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (w_seq.shape[0],) + sys.b.shape))
-    return _assemble_quadratic(costs, rollout(sys, x1, w_seq), gains)
 
 
 def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> BenchmarkResult:
@@ -202,22 +252,30 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     the input box.  The trajectory is affine in u, x_t(u) = x_t^0 + G_t u
     with G_1 = 0 and G_{t+1} = A G_t + B, so the objective is a convex
     quadratic in u; it is assembled once and minimized by projected
-    descent; the optimum is realized by one rollout of the plant.
+    descent; the optimum is realized by one rollout of the plant.  This is
+    the one-run case of :func:`solve_benchmarks`.
     """
-    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
-    return _solve(
-        _fixed_input_model(sys, x1, w_seq, costs), u_set.clamp, np.zeros(sys.input_dim), costs,
-        lambda u: rollout(sys, x1, w_seq, np.broadcast_to(u, (w_seq.shape[0], sys.input_dim))),
-    )
+    return _fixed_inputs(_runs(sys, x1, [(w_seq, costs)], u_set), u_set)[0]
 
 
-def _steady_state_model(sys: LtiSystem, costs) -> _Quadratic:
-    """Total cost of holding the steady state x = S u at every step."""
-    s = sys.steady_state_gain
-    horizon = len(costs)
-    return _assemble_quadratic(
-        costs, np.zeros((horizon, sys.state_dim)), np.broadcast_to(s, (horizon,) + s.shape)
+def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
+    """Each run's total cost of holding the steady state x = S u at every step."""
+    s = runs.sys.steady_state_gain
+    return [
+        _assemble_quadratic(costs, np.zeros(costs.cs.shape), np.broadcast_to(s, (len(costs),) + s.shape))
+        for costs in runs.costs
+    ]
+
+
+def _steady_states(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
+    s = runs.sys.steady_state_gain
+    results = _solve(
+        _steady_state_models(runs), [u_set.clamp] * len(runs.costs), np.zeros(runs.sys.input_dim), runs,
+        lambda us: np.broadcast_to(matvec(s, us)[:, None], (len(us), len(runs.costs[0]), s.shape[0])),
     )
+    for res in results:
+        res.optimizer = s @ res.optimizer  # reported as the state x* = S u*
+    return results
 
 
 def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
@@ -226,16 +284,12 @@ def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     Works in the input parametrization x = S u, so the feasible set is
     the input box and the projection is a clamp.  Every step sees the
     same state, so the assembled quadratic has H = S^T (sum_t Q_t) S.
+    This is the one-run case of the steady-state solve of
+    :func:`solve_benchmarks`.
     """
     costs = _check_costs(sys, costs)
     _check_input_box(sys, u_set)
-    s = sys.steady_state_gain
-    res = _solve(
-        _steady_state_model(sys, costs), u_set.clamp, np.zeros(sys.input_dim), costs,
-        lambda u: np.broadcast_to(s @ u, (len(costs), sys.state_dim)),
-    )
-    res.optimizer = s @ res.optimizer  # reported as the state x* = S u*
-    return res
+    return _steady_states(_Runs(sys, [costs]), u_set)[0]
 
 
 def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
@@ -247,15 +301,33 @@ def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
     return dac_inputs(blocks, padded[windows])
 
 
-def _dac_model(sys: LtiSystem, x1, w_seq, costs, h_mem: int) -> _Quadratic:
-    """Total cost of the disturbance-action blocks, flattened (h_mem, M, N)."""
+def _dac_models(runs: _Runs, h_mem: int) -> list[_Quadratic]:
+    """Each run's total cost of the disturbance-action blocks, flattened (h_mem, M, N)."""
+    sys, ws = runs.sys, runs.ws
     n, m = sys.state_dim, sys.input_dim
-    horizon_inputs = w_seq.shape[0]
-    # entry (i, j) of block 1 forces the state with B[:, i] * w_{t-1}[j]
-    forcing = np.zeros((horizon_inputs, n, m, n))
-    forcing[1:] = np.einsum("ki,tj->tkij", sys.b, w_seq[:-1])
-    response = rollout(sys, np.zeros((n, m * n)), forcing.reshape(horizon_inputs, n, m * n))
-    return _assemble_quadratic(costs, rollout(sys, x1, w_seq), response, n_blocks=h_mem)
+    runs_count, steps = ws.shape[:2]
+    # entry (i, j) of block 1 forces the state with B[:, i] * w_{t-1}[j]; the
+    # forcing of x_{t+1} is written where x_{t+1} goes and rolled out in place
+    response = np.zeros((runs_count, steps + 1, n, m, n))
+    np.einsum("ki,rtj->rtkij", sys.b, ws[:, :-1], out=response[:, 2:])
+    response = response.reshape((runs_count, steps + 1, n, m * n))
+    rollout(sys, np.zeros((n, m * n)), response[:, 1:], out=response)
+    return [
+        _assemble_quadratic(costs, free, resp, n_blocks=h_mem)
+        for costs, free, resp in zip(runs.costs, runs.free, response)
+    ]
+
+
+def _dacs(runs: _Runs, radii: np.ndarray) -> list[BenchmarkResult]:
+    """The DAC solve of each run, the blocks in the balls of ``radii``."""
+    sys = runs.sys
+    h_mem = radii.shape[0]
+    return _solve(
+        _dac_models(runs, h_mem), [partial(project_dac_blocks, radii=radii)] * len(runs.costs),
+        np.zeros((h_mem, sys.input_dim, sys.state_dim)), runs,
+        # inputs run by run: their windows take h_mem times the disturbances' memory
+        lambda blocks: rollout(sys, runs.x1, runs.ws, np.stack(list(map(_dac_inputs, blocks, runs.ws)))),
+    )
 
 
 def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> BenchmarkResult:
@@ -268,15 +340,37 @@ def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> Ben
     the response to block 1 delayed by j-1 steps; the quadratic is
     assembled from that one (T, N, M*N) response and minimized by
     projected descent.  The optimum is realized by one rollout of the
-    inputs the blocks play, as the fixed input's is.
+    inputs the blocks play, as the fixed input's is.  This is the one-run
+    case of :func:`solve_benchmarks`.
     """
-    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
     radii = dac_radii(sys, h_mem, radius)
-    return _solve(
-        _dac_model(sys, x1, w_seq, costs, h_mem), lambda b: project_dac_blocks(b, radii),
-        np.zeros((h_mem, sys.input_dim, sys.state_dim)), costs,
-        lambda blocks: rollout(sys, x1, w_seq, _dac_inputs(blocks, w_seq)),
-    )
+    return _dacs(_runs(sys, x1, [(w_seq, costs)]), radii)[0]
+
+
+def solve_benchmarks(
+    sys: LtiSystem, x1, draws, u_set: BoxSet, h_mem: int, radius: float, steady_state: bool = False
+) -> list[tuple]:
+    """Every run's hindsight benchmarks in one batched pass.
+
+    ``draws`` holds each run's (w_seq, costs), all on one horizon and all
+    starting from ``x1``; each is checked once.  Returns one (best fixed
+    input, best DAC, best steady state) triple of BenchmarkResults per
+    run, the steady state None unless ``steady_state``; every run's DAC
+    blocks lie in the balls of :func:`~olcontrol.controllers.dac_radii`
+    for ``radius``.  Each run's free response is rolled out once and serves
+    both its fixed-input and DAC models, and the fixed-input gains are
+    rolled out once for all runs.  Every rollout steps the runs in
+    lockstep; each run's models are assembled from its own slice of them,
+    and each run's descent stops at its own test.  A run's results have
+    the bits of its one-run solves (:func:`best_fixed_input`,
+    :func:`best_dac`, :func:`best_steady_state`).
+    """
+    radii = dac_radii(sys, h_mem, radius)
+    runs = _runs(sys, x1, draws, u_set)
+    fixed = _fixed_inputs(runs, u_set)
+    dac = _dacs(runs, radii)
+    steady = _steady_states(runs, u_set) if steady_state else [None] * len(draws)
+    return list(zip(fixed, dac, steady))
 
 
 def grid_oracle_fixed_input(

@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .harness import draw_run, load_config, run_experiment, run_one_seed
+from .harness import draw_run, load_config, run_experiment, run_seeds
 from .linalg import spectral_radius_estimate
 from .system import RADIUS_POWER
 
@@ -84,13 +84,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    for k in range(cfg.n_runs):
-        record = run_one_seed(cfg, k, kinds=())
+    for record in run_seeds(cfg, range(cfg.n_runs), kinds=()):
         fields = [
             f"{attr}={res.value:.6f} (iterations={res.iterations}, converged={res.converged})"
             for attr, _, res in _solves(record)
         ]
-        print(f"run {k}: " + " ".join(fields))
+        print(f"run {record.run_index}: " + " ".join(fields))
         _warn_unconverged(record)
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_array, matvec, row_norms, spectral_norm
+from .linalg import as_array, matvec, positive, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, StabilityCert
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -85,8 +85,7 @@ def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
 
 def regret_optimal_step_size(l: float, t: int, cert: StabilityCert) -> float:
     """Regret-optimal step size 2*gamma / (L * sqrt(T * (1 + 4 kappa^2)))."""
-    if l <= 0.0:
-        raise InvalidInputError(f"smoothness constant must be positive, got {l}")
+    l = positive(l, "smoothness constant")
     if t < 1:
         raise InvalidInputError(f"horizon must be at least 1, got {t}")
     return 2.0 * cert.gamma / (l * math.sqrt(t * (1.0 + 4.0 * cert.kappa**2)))
@@ -206,8 +205,11 @@ def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def dac_radii(sys: LtiSystem, h_mem: int, radius: float) -> np.ndarray:
-    """Per-block Frobenius radii radius * (1-gamma)^i, gamma from ``sys.cert``."""
-    return float(radius) * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
+    """Per-block Frobenius radii radius * (1-gamma)^i, gamma from ``sys.cert``,
+    for h_mem >= 1 blocks and a positive, finite radius."""
+    if h_mem < 1:
+        raise InvalidInputError(f"memory horizon must be >= 1, got {h_mem}")
+    return positive(radius, "DAC radius") * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
 
 
 def dac_inputs(blocks: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -250,16 +252,12 @@ class DacController:
         radius: float,
         runs: int | None = None,
     ):
-        if h_mem < 1:
-            raise InvalidInputError(f"memory horizon must be >= 1, got {h_mem}")
-        if eta_g <= 0.0 or radius <= 0.0:
-            raise InvalidInputError("eta_g and radius must be positive")
         if u_set.dim != sys.input_dim:
             raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
         self.u_set = u_set
         self.h_mem = int(h_mem)
-        self.eta_g = float(eta_g)
+        self.eta_g = positive(eta_g, "eta_g")
         self.radii = dac_radii(sys, self.h_mem, radius)
         lead = () if runs is None else (int(runs),)
         self.blocks = np.zeros(lead + (self.h_mem, sys.input_dim, sys.state_dim))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BenchmarkResult, _check_problem, best_dac, best_fixed_input, best_steady_state
+from .benchmarks import BenchmarkResult, _check_problem, solve_benchmarks
 from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
@@ -262,15 +262,13 @@ def generate_costs(cfg: ExperimentConfig, rng: np.random.Generator) -> Quadratic
     """
     n = cfg.a.shape[0]
     gen = cfg.cost_gen
-    qs = np.empty((cfg.t, n, n))
+    ss = np.empty((cfg.t, n, n))
     cs = np.empty((cfg.t, n))
-    eye = np.eye(n)
-    for t in range(cfg.t):
-        s = rng.standard_normal((n, n))
-        q = gen.q_scale * (s.T @ s / n + gen.q_ridge * eye)
-        qs[t] = 0.5 * (q + q.T)
+    for t in range(cfg.t):  # one S, then one c, per step: the stream's order
+        ss[t] = rng.standard_normal((n, n))
         cs[t] = rng.uniform(0.0, gen.c_max, size=n)
-    return QuadraticBatch(qs, cs)
+    q = gen.q_scale * (np.matmul(ss.swapaxes(1, 2), ss) / n + gen.q_ridge * np.eye(n))
+    return QuadraticBatch(0.5 * (q + q.swapaxes(1, 2)), cs)
 
 
 def generate_disturbances(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -466,20 +464,6 @@ class RegretReport:
         return getattr(self, f"regret_{bench}")[kind]
 
 
-def solve_run_benchmarks(cfg: ExperimentConfig, record: RunRecord) -> RunRecord:
-    """Attach the hindsight baselines for this run's realization: the best
-    fixed input and DAC policy always, the best steady state when the run
-    has no disturbances."""
-    sys = cfg.system()
-    record.bench_u = best_fixed_input(sys, cfg.x1, record.w_seq, record.costs, cfg.u_box)
-    record.bench_m = best_dac(
-        sys, cfg.x1, record.w_seq, record.costs, cfg.dac.h_mem, record.params.dac_radius
-    )
-    if not cfg.disturbances_on:
-        record.bench_x = best_steady_state(record.costs, sys, cfg.u_box)
-    return record
-
-
 def compute_regret(record: RunRecord) -> RegretReport:
     """Prefix-sum regret curves against the full-horizon benchmark optimizers."""
     if record.bench_u is None:
@@ -510,17 +494,26 @@ def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
 
 def run_seeds(cfg: ExperimentConfig, ks, kinds=CONTROLLER_KINDS) -> list[RunRecord]:
     """Fresh costs and disturbances for each run k in ``ks``: every
-    controller in ``kinds`` on all of them in lockstep, then each run's
-    hindsight benchmarks."""
+    controller in ``kinds`` on all of them in lockstep, then the hindsight
+    benchmarks of all of them in one batched pass: the best fixed input and
+    DAC policy always, the best steady state when the runs have no
+    disturbances."""
     ks = list(ks)
+    if not ks:
+        raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
     traces = {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
+    # the radius comes from the config, so every run shares it
+    benches = solve_benchmarks(
+        cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box, cfg.dac.h_mem,
+        draws[0][2].dac_radius, steady_state=not cfg.disturbances_on,
+    )
     return [
-        solve_run_benchmarks(cfg, RunRecord(
+        RunRecord(
             run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,
-            traces={kind: traces[kind][i] for kind in kinds},
-        ))
-        for i, (k, (costs, w_seq, params)) in enumerate(zip(ks, draws))
+            traces={kind: traces[kind][i] for kind in kinds}, bench_u=bench_u, bench_m=bench_m, bench_x=bench_x,
+        )
+        for i, (k, (costs, w_seq, params), (bench_u, bench_m, bench_x)) in enumerate(zip(ks, draws, benches))
     ]
 
 

@@ -5,6 +5,8 @@ Spectral norms go through LAPACK's SVD, so they are exact to roundoff
 inputs give bit-identical results.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -54,6 +56,14 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def positive(x, name: str) -> float:
+    """``x`` as a float in (0, inf), or InvalidInputError (NaN included)."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {x}")
+    return x
 
 
 def spectral_norm(m) -> float:

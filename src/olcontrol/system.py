@@ -192,21 +192,37 @@ def _check_sequences(sys: LtiSystem, x1, u_seq, w_seq):
     return x1, u_seq, w_seq
 
 
-def rollout(sys: LtiSystem, x0, w_seq, u_seq=None) -> np.ndarray:
+def rollout(sys: LtiSystem, x0, w_seq, u_seq=None, out=None) -> np.ndarray:
     """States ``x_0 = x0``, ``x_{t+1} = A x_t (+ B u_t) + w_t``, unchecked.
 
-    Rows of ``w_seq`` are state vectors, or (N, P) blocks with an (N, P)
-    ``x0`` to roll P forcings at once.  A step is ``(A x_t + B u_t) + w_t``
-    with ``B u_t`` formed per step, the same bits as :func:`step`.
+    A state has ``x0``'s shape: a vector, or an (N, P) block to roll P
+    forcings at once.  ``w_seq`` is (..., K) + x0.shape and ``u_seq``
+    (..., K, M); leading axes index runs, all started from ``x0``, and the
+    result is (..., K+1) + x0.shape.  A step is ``(A x_t + B u_t) + w_t``
+    with ``B u_t`` formed per step, and every product is a stacked
+    ``np.matmul`` with a vector as one column, so each run has the bits of
+    its own rollout and of :func:`step`.  ``out``, if given, receives the
+    states in place of a new array; ``w_seq`` may be ``out`` one step on,
+    since each ``w_t`` is read before ``x_{t+1}`` overwrites it.
     """
-    states = np.empty((len(w_seq) + 1,) + np.shape(x0))
-    states[0] = x0
-    for t, w in enumerate(w_seq):
-        x = sys.a @ states[t]
-        if u_seq is not None:
-            x += sys.b @ u_seq[t]
-        states[t + 1] = x + w
-    return states
+    x0 = np.asarray(x0, dtype=float)
+    w_seq = np.asarray(w_seq, dtype=float)
+    column = x0.reshape(x0.shape[:1] + (-1,))  # (N, P); a vector is one column
+    lead = w_seq.shape[: w_seq.ndim - x0.ndim - 1]
+    # stored run-major, so each run's trajectory is one contiguous block,
+    # and stepped through time-major views, so step t indexes one axis
+    w_steps = np.moveaxis(w_seq.reshape(lead + (-1,) + column.shape), -3, 0)
+    u_steps = None if u_seq is None else np.moveaxis(u_seq, -2, 0)[..., None]
+    shape = lead + (len(w_steps) + 1,) + column.shape
+    states = np.empty(shape) if out is None else np.reshape(out, shape, copy=False)
+    steps = np.moveaxis(states, -3, 0)
+    steps[0] = column
+    for t, w in enumerate(w_steps):
+        x = np.matmul(sys.a, steps[t])
+        if u_steps is not None:
+            x += np.matmul(sys.b, u_steps[t])
+        steps[t + 1] = x + w
+    return states.reshape(lead + (len(w_steps) + 1,) + x0.shape)
 
 
 def simulate(sys: LtiSystem, x1, u_seq, w_seq=None) -> np.ndarray:

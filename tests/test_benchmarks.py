@@ -14,13 +14,15 @@ from olcontrol import (
     best_steady_state,
     grid_oracle_fixed_input,
     simulate,
+    solve_benchmarks,
 )
 from olcontrol.benchmarks import (
     _adjoint_states,
     _dac_inputs,
-    _dac_model,
-    _fixed_input_model,
-    _steady_state_model,
+    _dac_models,
+    _fixed_input_models,
+    _runs,
+    _steady_state_models,
 )
 from olcontrol.controllers import project_dac_blocks
 from olcontrol.costs import as_batch
@@ -314,19 +316,31 @@ SOLVERS = {
 }
 
 
-def dac_model_forced_a_step_early(sys, x1, w_seq, costs, h_mem):
-    """_dac_model with block 1 forced by w_t instead of w_{t-1}."""
+def dac_models_forced_a_step_early(runs, h_mem):
+    """_dac_models with block 1 forced by w_t instead of w_{t-1}."""
+    sys, ws = runs.sys, runs.ws
     n, m = sys.state_dim, sys.input_dim
-    forcing = np.einsum("ki,tj->tkij", sys.b, w_seq).reshape(w_seq.shape[0], n, m * n)
+    forcing = np.einsum("ki,rtj->rtkij", sys.b, ws).reshape(ws.shape[:2] + (n, m * n))
     response = rollout(sys, np.zeros((n, m * n)), forcing)
-    return bench_mod._assemble_quadratic(costs, rollout(sys, x1, w_seq), response, n_blocks=h_mem)
+    return [
+        bench_mod._assemble_quadratic(costs, free, resp, n_blocks=h_mem)
+        for costs, free, resp in zip(runs.costs, runs.free, response)
+    ]
 
 
-def fixed_input_model_gains_a_step_late(sys, x1, w_seq, costs):
-    """_fixed_input_model with G_{t+1} in place of G_t."""
-    steps = w_seq.shape[0]
+def fixed_input_models_gains_a_step_late(runs):
+    """_fixed_input_models with G_{t+1} in place of G_t."""
+    sys, steps = runs.sys, runs.ws.shape[1]
     gains = rollout(sys, np.zeros_like(sys.b), np.broadcast_to(sys.b, (steps + 1,) + sys.b.shape))[1:]
-    return bench_mod._assemble_quadratic(costs, rollout(sys, x1, w_seq), gains)
+    return [bench_mod._assemble_quadratic(costs, free, gains) for costs, free in zip(runs.costs, runs.free)]
+
+
+def batched_instance(seed, runs=3, horizon=40):
+    """Instance ``seed``'s plant and x1, with the costs and disturbances of
+    instances seed .. seed + runs - 1 as (w_seq, costs) draws."""
+    _, sys, _, _, x1 = random_instance(seed, horizon)
+    draws = [(w_seq, costs) for _, _, costs, w_seq, _ in (random_instance(seed + r, horizon) for r in range(runs))]
+    return sys, x1, draws
 
 
 class TestValueCheck:
@@ -342,55 +356,113 @@ class TestValueCheck:
         assert res.value_nominal == pytest.approx(res.value, rel=1e-9)
 
     @pytest.mark.parametrize("solver, model, mutant", [
-        ("dac", "_dac_model", dac_model_forced_a_step_early),
-        ("fixed_input", "_fixed_input_model", fixed_input_model_gains_a_step_late),
+        ("dac", "_dac_models", dac_models_forced_a_step_early),
+        ("fixed_input", "_fixed_input_models", fixed_input_models_gains_a_step_late),
     ], ids=["dac", "fixed_input"])
     def test_wrong_model_shows_a_gap(self, monkeypatch, solver, model, mutant):
-        _, sys, costs, w_seq, x1 = random_instance(0)
+        sys, x1, draws = batched_instance(0)
         monkeypatch.setattr(bench_mod, model, mutant)
-        res = SOLVERS[solver](sys, x1, w_seq, costs)
-        assert abs(res.value - res.value_nominal) > 1e-6
+        # the batched pass, every run of it, and its one-run case
+        results = [triple[0 if solver == "fixed_input" else 1] for triple in solve_benchmarks(
+            sys, x1, draws, BoxSet.symmetric(5.0, 2), h_mem=4, radius=1.0)]
+        w_seq, costs = draws[0]
+        results.append(SOLVERS[solver](sys, x1, w_seq, costs))
+        for res in results:
+            assert abs(res.value - res.value_nominal) > 1e-6
 
 
 class TestAssembledModels:
-    """The assembled quadratic equals the simulated total cost everywhere."""
+    """Each run's assembled quadratic, built from one lockstep pass over
+    three runs, equals the simulated total cost of that run everywhere."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fixed_input(self, seed):
-        rng, sys, costs, w_seq, x1 = random_instance(seed)
-        model = _fixed_input_model(sys, x1, w_seq, costs)
-        for _ in range(10):
-            u = rng.uniform(-1.0, 1.0, 2)
-            direct = simulated_total(sys, x1, np.tile(u, (w_seq.shape[0], 1)), w_seq, costs)
-            assert model.value(u) == pytest.approx(direct, rel=1e-10)
+        sys, x1, draws = batched_instance(seed)
+        models = _fixed_input_models(_runs(sys, x1, draws))
+        rng = np.random.default_rng(seed)
+        for model, (w_seq, costs) in zip(models, draws, strict=True):
+            for _ in range(10):
+                u = rng.uniform(-1.0, 1.0, 2)
+                direct = simulated_total(sys, x1, np.tile(u, (w_seq.shape[0], 1)), w_seq, costs)
+                assert model.value(u) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_steady_state(self, seed):
-        rng, sys, costs, _, _ = random_instance(seed)
-        model = _steady_state_model(sys, costs)
-        for _ in range(10):
-            u = rng.uniform(-1.0, 1.0, 2)
-            x = sys.steady_state_gain @ u
-            direct = sum(c.value(x) for c in costs)
-            assert model.value(u) == pytest.approx(direct, rel=1e-10)
+        sys, x1, draws = batched_instance(seed)
+        models = _steady_state_models(_runs(sys, x1, draws))
+        rng = np.random.default_rng(seed)
+        for model, (_, costs) in zip(models, draws, strict=True):
+            for _ in range(10):
+                u = rng.uniform(-1.0, 1.0, 2)
+                x = sys.steady_state_gain @ u
+                direct = sum(c.value(x) for c in costs)
+                assert model.value(u) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("seed, h_mem", [(0, 3), (1, 4), (2, 6)])
     def test_dac(self, seed, h_mem):
-        rng, sys, costs, w_seq, x1 = random_instance(seed)
-        model = _dac_model(sys, x1, w_seq, costs, h_mem)
+        sys, x1, draws = batched_instance(seed)
+        models = _dac_models(_runs(sys, x1, draws), h_mem)
+        rng = np.random.default_rng(seed)
         radii = 0.7 ** np.arange(h_mem)
-        for _ in range(10):
-            blocks = project_dac_blocks(rng.standard_normal((h_mem, 2, 3)), radii)
-            direct = simulated_total(sys, x1, _dac_inputs(blocks, w_seq), w_seq, costs)
-            assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
+        for model, (w_seq, costs) in zip(models, draws, strict=True):
+            for _ in range(10):
+                blocks = project_dac_blocks(rng.standard_normal((h_mem, 2, 3)), radii)
+                direct = simulated_total(sys, x1, _dac_inputs(blocks, w_seq), w_seq, costs)
+                assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
 
     def test_memory_longer_than_horizon(self, ring_system, rng):
         costs = as_batch(random_quadratics(rng, 4))
         w_seq = rng.uniform(-0.5, 0.5, (3, 3))
-        model = _dac_model(ring_system, np.zeros(3), w_seq, costs, h_mem=6)
+        [model] = _dac_models(_runs(ring_system, np.zeros(3), [(w_seq, costs)]), h_mem=6)
         blocks = rng.standard_normal((6, 2, 3))
         direct = simulated_total(ring_system, np.zeros(3), _dac_inputs(blocks, w_seq), w_seq, costs)
         assert model.value(blocks) == pytest.approx(direct, rel=1e-10)
+
+
+class TestSolveBenchmarks:
+    """The batched pass gives each run the bits of its one-run solves."""
+
+    @pytest.mark.parametrize("steady_state", [False, True])
+    def test_matches_one_run_solves(self, steady_state):
+        sys, x1, draws = batched_instance(0, runs=4)
+        box = BoxSet.symmetric(1.0, 2)
+        triples = solve_benchmarks(sys, x1, draws, box, 3, 0.5, steady_state=steady_state)
+        for (w_seq, costs), (u, m, x) in zip(draws, triples, strict=True):
+            alone = [best_fixed_input(sys, x1, w_seq, costs, box), best_dac(sys, x1, w_seq, costs, 3, 0.5)]
+            if steady_state:
+                alone.append(best_steady_state(costs, sys, box))
+            else:
+                assert x is None
+            for got, want in zip((u, m, x), alone):
+                for name in ("optimizer", "value", "iterations", "converged", "step_costs", "value_nominal"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_one_rollout_per_product(self, monkeypatch):
+        sys, x1, draws = batched_instance(0, runs=5)
+        calls = []
+        real = bench_mod.rollout
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "rollout", counting)
+        solve_benchmarks(sys, x1, draws, BoxSet.symmetric(1.0, 2), 3, 1.0)
+        # over the five runs: the free response, the DAC response and the two
+        # optima's realizations; once for all of them: the fixed-input gains
+        assert len(calls) == 5
+        assert sorted(shape[0] == 5 for shape in calls) == [False, True, True, True, True]
+
+    @pytest.mark.parametrize("bad", ["no_runs", "mixed_horizons"])
+    def test_rejected(self, bad):
+        sys, x1, draws = batched_instance(0, runs=2)
+        if bad == "no_runs":
+            draws = []
+        else:
+            _, _, costs, w_seq, _ = random_instance(5, horizon=30)
+            draws[1] = (w_seq, costs)
+        with pytest.raises(InvalidInputError):
+            solve_benchmarks(sys, x1, draws, BoxSet.symmetric(1.0, 2), 3, 1.0)
 
 
 class AbsCost:

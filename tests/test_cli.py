@@ -144,12 +144,16 @@ class TestBench:
 
 
 def force_unconverged(monkeypatch, solver: str) -> None:
-    """Make the harness's hindsight solver ``solver`` report converged=False."""
-    solve = getattr(olcontrol.harness, solver)
-    monkeypatch.setattr(
-        olcontrol.harness, solver,
-        lambda *args, **kwargs: replace(solve(*args, **kwargs), converged=False),
-    )
+    """Make the harness's batched hindsight pass report converged=False for
+    every run's ``solver`` ("best_fixed_input" or "best_dac")."""
+    index = ("best_fixed_input", "best_dac").index(solver)
+    solve = olcontrol.harness.solve_benchmarks
+
+    def flagged(*args, **kwargs):
+        return [tuple(replace(res, converged=False) if i == index else res for i, res in enumerate(triple))
+                for triple in solve(*args, **kwargs)]
+
+    monkeypatch.setattr(olcontrol.harness, "solve_benchmarks", flagged)
 
 
 class TestUnconvergedWarning:

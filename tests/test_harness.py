@@ -429,6 +429,21 @@ class TestLockstep:
                 np.testing.assert_array_equal(rec.traces[kind].states, alone.traces[kind].states)
             assert rec.bench_u.value == alone.bench_u.value and rec.bench_m.value == alone.bench_m.value
 
+    @pytest.mark.parametrize("plant", [
+        {},
+        {"b": np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "disturbances_on": False},
+    ], ids=["ring_disturbed", "skewed_clean"])
+    def test_benchmarks_match_one_seed_at_a_time(self, plant):
+        cfg = ExperimentConfig(t=40, n_runs=3, seed=8, **plant)
+        together = run_seeds(cfg, range(3), kinds=())
+        for rec in together:
+            alone = run_one_seed(cfg, rec.run_index, kinds=())
+            assert (rec.bench_x is None) == cfg.disturbances_on
+            for bench in ("bench_u", "bench_m") + (() if cfg.disturbances_on else ("bench_x",)):
+                for name in ("optimizer", "value", "iterations", "converged", "step_costs", "value_nominal"):
+                    got, want = getattr(getattr(rec, bench), name), getattr(getattr(alone, bench), name)
+                    assert np.array_equal(got, want), (bench, name)
+
     def test_bound_violation_in_one_run_aborts(self, tiny_cfg):
         draws = [draw_run(tiny_cfg, k) for k in range(3)]
         costs, w_seq, params = draws[1]
@@ -449,6 +464,8 @@ class TestLockstep:
         if bad is None:
             with pytest.raises(InvalidInputError, match="no runs"):
                 run_lockstep(tiny_cfg, "olc", [])
+            with pytest.raises(InvalidInputError, match="no runs"):
+                run_seeds(tiny_cfg, [], kinds=())
             return
         draws = [draw_run(tiny_cfg, k) for k in range(2)]
         costs, w_seq, params = draws[1]
@@ -662,6 +679,31 @@ class TestExperimentOutput:
             rows = list(csv.reader(fh))
         assert [row[0] for row in rows] == ["run", "1"]
         assert rows[1][1].startswith("InvalidStateError: state norm")
+        for k in (0, 2):
+            name = f"run_{k}.csv"
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert not (tmp_path / "out" / "run_1.csv").exists()
+
+    def test_hindsight_failure_isolated_under_lockstep(self, tmp_path, monkeypatch):
+        import olcontrol.benchmarks as bench_mod
+
+        cfg = ExperimentConfig(t=30, n_runs=3, seed=6)
+        run_experiment(cfg, output_dir=tmp_path / "clean")
+        # seed 1's fixed-input model, which the batched pass builds bit for bit
+        costs, w_seq, _ = draw_run(cfg, 1)
+        [seed_1_model] = bench_mod._fixed_input_models(bench_mod._runs(cfg.system(), cfg.x1, [(w_seq, costs)]))
+        real = bench_mod._projected_descent
+
+        def fail_seed_1(model, project, x0):
+            if np.array_equal(model.g, seed_1_model.g):
+                raise RuntimeError("synthetic hindsight failure")
+            return real(model, project, x0)
+
+        monkeypatch.setattr(bench_mod, "_projected_descent", fail_seed_1)
+        result = run_experiment(cfg, output_dir=tmp_path / "out")
+        assert result.failures == {1: "RuntimeError: synthetic hindsight failure"}
+        with open(tmp_path / "out" / "failures.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["run", "error"], ["1", "RuntimeError: synthetic hindsight failure"]]
         for k in (0, 2):
             name = f"run_{k}.csv"
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()

@@ -4,6 +4,7 @@ import pytest
 import olcontrol.benchmarks as benchmarks_mod
 from olcontrol import (
     BoxSet,
+    DacController,
     InvalidInputError,
     OlcXuState,
     QuadraticBatch,
@@ -12,6 +13,7 @@ from olcontrol import (
     best_fixed_input,
     grid_oracle_fixed_input,
     olcxu_update,
+    regret_optimal_step_size,
     simulate,
     spectral_norm,
     spectral_radius_estimate,
@@ -207,3 +209,32 @@ def test_bad_array_rejected(ring_system, ring_u_box, monkeypatch, entry, arg, ba
     monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
     with pytest.raises(InvalidInputError):
         call(ring_system, ring_u_box, arrays)
+
+
+# (entry point, the scalar it spoils): not positive and finite, or h_mem < 1
+BAD_SCALARS = [
+    *[("dac_controller", name, bad) for name in ("eta_g", "radius") for bad in (np.nan, np.inf)],
+    *[("regret_optimal_step_size", "l", bad) for bad in (np.nan, np.inf)],
+    *[("best_dac", "radius", bad) for bad in (-1.0, 0.0, np.nan, np.inf)],
+    *[("best_dac", "h_mem", bad) for bad in (0, -1)],
+]
+
+
+@pytest.mark.parametrize("entry, name, bad", BAD_SCALARS, ids=[f"{e}-{n}-{b!r}" for e, n, b in BAD_SCALARS])
+def test_bad_scalar_rejected(ring_system, ring_u_box, monkeypatch, entry, name, bad):
+    scalars = {"eta_g": 0.1, "radius": 1.0, "l": 2.0, "h_mem": 2}
+    arrays = _clean_arrays()
+    calls = {
+        "dac_controller": lambda s: DacController(ring_system, ring_u_box, 3, s["eta_g"], s["radius"]),
+        "regret_optimal_step_size": lambda s: regret_optimal_step_size(s["l"], 10, ring_system.cert),
+        "best_dac": lambda s: best_dac(ring_system, arrays["x1"], arrays["w_seq"], arrays["costs"],
+                                       s["h_mem"], s["radius"]),
+    }
+    calls[entry](scalars)
+
+    def no_descent(*args):
+        raise AssertionError("a bad scalar reached the descent")
+
+    monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
+    with pytest.raises(InvalidInputError):
+        calls[entry]({**scalars, name: bad})

@@ -166,6 +166,18 @@ class TestSimulation:
                 column = rollout(ring_system, x0[:, p], forcing[:, :, p])
                 np.testing.assert_allclose(blocks[:, :, p], column, rtol=tol, atol=tol)
 
+    def test_rollout_in_place_over_its_forcing(self, ring_system, rng):
+        # two runs of (3, 4) blocks, the forcing of x_{t+1} stored where
+        # x_{t+1} goes: the same bits as a rollout into a new array
+        forcing = rng.standard_normal((2, 20, 3, 4))
+        x0 = rng.standard_normal((3, 4))
+        fresh = rollout(ring_system, x0, forcing)
+        out = np.empty((2, 21, 3, 4))
+        out[:, 1:] = forcing
+        states = rollout(ring_system, x0, out[:, 1:], out=out)
+        assert np.shares_memory(states, out)
+        np.testing.assert_array_equal(out, fresh)
+
     def test_no_disturbance_decomposition(self, ring_system, rng):
         u_seq = rng.uniform(-1, 1, (10, 2))
         w_seq = np.zeros((10, 3))
