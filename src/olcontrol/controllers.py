@@ -27,16 +27,20 @@ PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less t
 PROJECTION_MAX_ITER = 5000
 PROJECTION_FAIL_TOL = 1e-6    # movement above this at the cap is a hard failure
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
+PROJECTION_BLOCK = 16         # steps taken between two stop tests of the projection
 
 
 def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float, u0) -> np.ndarray:
     """u in the box minimizing ||s u - y||^2, by fixed-step projected
     gradient descent from u0.
 
-    Leading axes of y and u0 index runs, which iterate together; each run
-    keeps its iterate from the step that first moves it less than
-    PROJECTION_MOVE_TOL, so it ends where it would alone.  The columns
-    (``[..., None]``) keep every product a single matrix-vector one.
+    Leading axes of y and u0 index runs, which iterate together.  The runs
+    take PROJECTION_BLOCK steps at a time, and the stop rule is tested once
+    per block: each run returns the iterate of its first step that moved it
+    less than PROJECTION_MOVE_TOL, the one a test after every step returns
+    and the one it reaches alone.  The steps it takes after that one, to
+    the end of the block, are discarded.  The columns (``[..., None]``)
+    keep every product a single matrix-vector one.
 
     Raises ProjectionFailureError if the iteration cap is hit while an
     iterate is still moving by more than PROJECTION_FAIL_TOL.
@@ -44,21 +48,44 @@ def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float,
     lower, upper = u_set.lower[:, None], u_set.upper[:, None]
     s_t = s.T
     y = y[..., None]
-    u = np.minimum(np.maximum(u0[..., None], lower), upper)
-    moving = np.ones(u.shape[:-2], dtype=bool)
-    for _ in range(PROJECTION_MAX_ITER):
-        u_next = np.minimum(np.maximum(u - step * (s_t @ (s @ u - y)), lower), upper)
-        moved = row_norms((u_next - u)[..., 0])
-        u = np.where(moving[..., None, None], u_next, u)
-        moving &= ~(moved < PROJECTION_MOVE_TOL)
-        if not moving.any():
+    # iterates of one block: iters[0] starts it, iters[i + 1] is its step i
+    iters = np.empty((PROJECTION_BLOCK + 1,) + u0.shape + (1,))
+    np.minimum(np.maximum(u0[..., None], lower), upper, out=iters[0])
+    residual = np.empty(u0.shape[:-1] + y.shape[-2:])
+    grad = np.empty(iters.shape[1:])
+    u = np.empty(iters.shape[1:])  # each run's iterate once it has stopped
+    pending = np.ones(u0.shape[:-1], dtype=bool)
+    for start in range(0, PROJECTION_MAX_ITER, PROJECTION_BLOCK):
+        k = min(PROJECTION_BLOCK, PROJECTION_MAX_ITER - start)
+        for i in range(k):
+            # u - step * (s_t @ (s @ u - y)), then max, then min: the
+            # operations, and their order, of one step taken alone
+            np.matmul(s, iters[i], out=residual)
+            np.subtract(residual, y, out=residual)
+            np.matmul(s_t, residual, out=grad)
+            np.multiply(step, grad, out=grad)
+            nxt = np.subtract(iters[i], grad, out=iters[i + 1])
+            np.maximum(nxt, lower, out=nxt)
+            np.minimum(nxt, upper, out=nxt)
+        moved = row_norms((iters[1 : k + 1] - iters[:k])[..., 0])
+        stops = pending & (moved < PROJECTION_MOVE_TOL)
+        stopped = stops.any(axis=0)
+        if stopped.any():
+            first = stops.argmax(axis=0) + 1
+            picked = np.take_along_axis(iters, first[None, ..., None, None], axis=0)[0]
+            np.copyto(u, picked, where=stopped[..., None, None])
+            pending &= ~stopped
+        if not pending.any():
             return u[..., 0]
-    stuck = moving & (moved > PROJECTION_FAIL_TOL)
+        iters[0] = iters[k]
+    moved = moved[k - 1]
+    stuck = pending & (moved > PROJECTION_FAIL_TOL)
     if stuck.any():
         raise ProjectionFailureError(
             f"projection did not converge: still moving {np.max(moved[stuck]):.3e} "
             f"after {PROJECTION_MAX_ITER} iterations"
         )
+    np.copyto(u, iters[0], where=pending[..., None, None])
     return u[..., 0]
 
 

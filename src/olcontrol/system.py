@@ -63,7 +63,15 @@ class BoxSet:
         return self.lower.shape[0]
 
     def clamp(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(v, self.lower, self.upper)
+        """``v`` clipped into the box, or InvalidInputError if it holds a NaN.
+
+        An infinite entry clips to its bound, so one NaN check on the
+        clipped result covers the input; it is kept cheap because the
+        clamp is every hindsight descent's projection."""
+        out = np.clip(v, self.lower, self.upper)
+        if np.count_nonzero(np.isnan(out)):
+            raise InvalidInputError("point to clamp contains NaN")
+        return out
 
     def contains(self, v, tol: float = 0.0) -> bool:
         v = as_array(v, "point", (..., self.dim))

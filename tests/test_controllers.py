@@ -21,6 +21,8 @@ from olcontrol import (
     regret_optimal_step_size,
 )
 from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks, project_joint_steady_state
+from olcontrol.harness import ExperimentConfig, draw_run, run_lockstep
+from olcontrol.linalg import matvec, row_norms
 
 
 @pytest.fixture()
@@ -391,6 +393,130 @@ class TestBoxDescent:
         target = np.array([3.0, 0.2])
         u = _box_least_squares(np.eye(2), target, box, 1.0, np.zeros(2))
         np.testing.assert_allclose(u, [1.0, 0.2], atol=1e-9)
+
+
+def per_step_box_least_squares(s, y, u_set, step, u0):
+    """The projection with its stop rule tested after every step, the
+    reference ``_box_least_squares`` (one test per block) must match bit for
+    bit.  Returns the iterates and each run's stop step (0 for a run still
+    moving at the cap)."""
+    lower, upper = u_set.lower[:, None], u_set.upper[:, None]
+    s_t = s.T
+    y = y[..., None]
+    u = np.minimum(np.maximum(u0[..., None], lower), upper)
+    moving = np.ones(u.shape[:-2], dtype=bool)
+    stops = np.zeros(u.shape[:-2], dtype=int)
+    for it in range(1, ctrl_mod.PROJECTION_MAX_ITER + 1):
+        u_next = np.minimum(np.maximum(u - step * (s_t @ (s @ u - y)), lower), upper)
+        moved = row_norms((u_next - u)[..., 0])
+        u = np.where(moving[..., None, None], u_next, u)
+        stopped = moving & (moved < ctrl_mod.PROJECTION_MOVE_TOL)
+        stops = np.where(stopped, it, stops)
+        moving &= ~stopped
+        if not moving.any():
+            return u[..., 0], stops
+    stuck = moving & (moved > ctrl_mod.PROJECTION_FAIL_TOL)
+    if stuck.any():
+        raise ProjectionFailureError(
+            f"projection did not converge: still moving {np.max(moved[stuck]):.3e} "
+            f"after {ctrl_mod.PROJECTION_MAX_ITER} iterations"
+        )
+    return u[..., 0], stops
+
+
+def stopping_problem(rng, stops):
+    """Runs of one projection, run r stopping at step ``stops[r]``.
+
+    S has orthonormal columns and the step is 1/4, so each step shrinks the
+    distance to the interior solution u* by 3/4 and moves the iterate by a
+    quarter of it.  Run r starts where its step ``stops[r]`` moves it by
+    0.9e-10 and the step before by 1.2e-10, either side of the tolerance.
+    """
+    s = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    u_star = rng.uniform(-1.0, 1.0, (len(stops), 2))
+    direction = rng.standard_normal((len(stops), 2))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    dist = 0.9e-10 / (0.25 * 0.75 ** (np.array(stops) - 1.0))
+    return s, matvec(s, u_star), 0.25, u_star + dist[:, None] * direction
+
+
+class TestBlockedStopRule:
+    """Testing the stop rule once per block of steps returns the bits of the
+    per-step test: each run's iterate of its first step below tolerance."""
+
+    BOX = BoxSet.symmetric(5.0, 2)
+
+    def assert_matches_per_step(self, s, y, step, u0):
+        want, stops = per_step_box_least_squares(s, y, self.BOX, step, u0)
+        got = _box_least_squares(s, y, self.BOX, step, u0)
+        assert np.array_equal(got, want)
+        return got, stops
+
+    def test_one_run(self, ring_system, rng):
+        s = ring_system.steady_state_gain
+        for _ in range(5):
+            y, u0 = rng.standard_normal(3) * 6.0, rng.uniform(-5.0, 5.0, 2)
+            self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
+
+    def test_runs_stopping_in_and_across_blocks(self, rng):
+        block = ctrl_mod.PROJECTION_BLOCK
+        wanted = [1, block, block + 1, 3 * block + 5, 4 * block]
+        _, stops = self.assert_matches_per_step(*stopping_problem(rng, wanted))
+        np.testing.assert_array_equal(stops, wanted)
+
+    def test_skewed_plant(self, ring_matrices, rng):
+        # cond(S) ~ 7.4: up to hundreds of steps, a different count in each run
+        sys = LtiSystem(ring_matrices[0], [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        s = sys.steady_state_gain
+        y, u0 = rng.standard_normal((4, 3)) * 6.0, rng.uniform(-5.0, 5.0, (4, 2))
+        _, stops = self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
+        assert len(set(stops)) == 4 and stops.max() > 10 * ctrl_mod.PROJECTION_BLOCK
+
+    def test_joint_projection(self, ring_system, ring_u_box, rng):
+        s = ring_system.steady_state_gain
+        stacked = np.vstack([s, np.eye(2)])
+        step = 1.0 / (np.linalg.norm(s, 2) ** 2 + 1.0)
+        for _ in range(5):
+            z_target, u_target, u0 = rng.standard_normal(3) * 6.0, rng.standard_normal(2) * 6.0, rng.uniform(-5.0, 5.0, 2)
+            z, u = project_joint_steady_state(ring_system, ring_u_box, z_target, u_target, u0)
+            want, _ = per_step_box_least_squares(stacked, np.concatenate([z_target, u_target]), ring_u_box, step, u0)
+            assert np.array_equal(u, want) and np.array_equal(z, s @ want)
+
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
+    def test_cap_returns_as_per_step(self, rng, monkeypatch, extra):
+        block = ctrl_mod.PROJECTION_BLOCK
+        cap = block + extra
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
+        # runs 0-2 stop by the cap; runs 3 and 4 still move, by less than
+        # PROJECTION_FAIL_TOL, and return their iterate at the cap
+        problem = stopping_problem(rng, [1, min(block, cap), min(block + 1, cap), cap + 20, cap + 30])
+        got, stops = self.assert_matches_per_step(*problem)
+        np.testing.assert_array_equal(stops[3:], 0)
+        # a run that stopped in an earlier block keeps that block's iterate
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 5000)
+        uncapped = _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+        assert np.array_equal(got[:3], uncapped[:3])
+        assert not np.array_equal(got[3:], uncapped[3:])
+
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
+    def test_cap_raises_as_per_step(self, rng, monkeypatch, extra):
+        cap = ctrl_mod.PROJECTION_BLOCK + extra
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
+        # run 2 moves by 0.9e-10 / 0.75**60 ~ 3e-3 at the cap
+        problem = stopping_problem(rng, [1, cap, cap + 60, cap + 20])
+        with pytest.raises(ProjectionFailureError) as want:
+            per_step_box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+        with pytest.raises(ProjectionFailureError) as got:
+            _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+        assert str(got.value) == str(want.value)
+
+    def test_ill_conditioned_plant_still_fails(self):
+        # B = [[1, 1 + eps], [0, 0], [1, 1]] with eps = 1e-3: cond(S) ~ 4e3,
+        # too slow for the fixed-step projection within its cap
+        cfg = ExperimentConfig(t=200, n_runs=3, b=np.array([[1.0, 1.001], [0.0, 0.0], [1.0, 1.0]]))
+        draws = [draw_run(cfg, k) for k in range(3)]
+        with pytest.raises(ProjectionFailureError, match="still moving 3.927e-06 after 5000 iterations"):
+            run_lockstep(cfg, "olc", draws)
 
 
 def random_cost(rng, n=3):

@@ -283,3 +283,10 @@ class TestStateBound:
         box = BoxSet([-1.0, -2.0], [3.0, 0.5])
         assert box.max_corner_norm() == pytest.approx(np.hypot(3.0, 2.0))
         np.testing.assert_allclose(box.clamp([10.0, -10.0]), [3.0, -2.0])
+
+    def test_clamp_rejects_nan(self):
+        box = BoxSet([-1.0, -2.0], [3.0, 0.5])
+        np.testing.assert_array_equal(box.clamp([np.inf, -np.inf]), [3.0, -2.0])
+        for v in ([np.nan, 1.0], [[0.0, 0.0], [0.0, np.nan]]):
+            with pytest.raises(InvalidInputError, match="NaN"):
+                box.clamp(v)
