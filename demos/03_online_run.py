@@ -17,9 +17,9 @@ cfg = ExperimentConfig(t=1000, n_runs=1, seed=7)
 record = run_one_seed(cfg, 0)
 report = compute_regret(record)
 
-p = record.params
-print(f"certificate: gamma={p.cert.gamma:.4f} kappa={p.cert.kappa:.4f}")
-print(f"state bound D={p.bound.d:.2f}, smoothness L={p.l:.2f}, step size eta={p.eta:.5f}")
+cert, p = cfg.system().cert, record.params
+print(f"certificate: gamma={cert.gamma:.4f} kappa={cert.kappa:.4f}")
+print(f"state bound D={cfg.bound.d:.2f}, smoothness L={p.l:.2f}, step size eta={p.eta:.5f}")
 
 olc, dac = record.traces["olc"], record.traces["dac"]
 print(f"\ncumulative cost, target-state controller: {olc.total_cost:12.1f}")

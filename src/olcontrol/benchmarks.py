@@ -209,13 +209,13 @@ def _runs(sys: LtiSystem, x1, draws, u_set: BoxSet | None = None) -> _Runs:
     return _Runs(sys, [costs for *_, costs in checked], checked[0][0], np.stack(ws))
 
 
-def _solve(models, projects, x0, runs: _Runs, trajectories) -> list[BenchmarkResult]:
-    """Minimize each run's model by projected descent from ``x0``, each
-    under its own projection and stopping test; realize all the optima at
-    once as the (R, T, N) ``trajectories(xs)``; and score each run: its step
-    costs, their sum ``value``, and ``value_nominal``, the model's own value
-    at the optimum."""
-    found = [_projected_descent(model, project, x0) for model, project in zip(models, projects)]
+def _solve(models, project, x0, runs: _Runs, trajectories) -> list[BenchmarkResult]:
+    """Minimize each run's model by projected descent from ``x0`` onto the
+    feasible set every run shares, ``project``, each run stopping at its own
+    test; realize all the optima at once as the (R, T, N)
+    ``trajectories(xs)``; and score each run: its step costs, their sum
+    ``value``, and ``value_nominal``, the model's own value at the optimum."""
+    found = [_projected_descent(model, project, x0) for model in models]
     states = trajectories(np.stack([x for x, _, _ in found]))
     results = []
     for (x, iters, converged), model, costs, xs in zip(found, models, runs.costs, states):
@@ -240,7 +240,7 @@ def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
 def _fixed_inputs(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
     m = runs.sys.input_dim
     return _solve(
-        _fixed_input_models(runs), [u_set.clamp] * len(runs.costs), np.zeros(m), runs,
+        _fixed_input_models(runs), u_set.clamp, np.zeros(m), runs,
         lambda us: rollout(runs.sys, runs.x1, runs.ws, np.broadcast_to(us[:, None], runs.ws.shape[:2] + (m,))),
     )
 
@@ -270,7 +270,7 @@ def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
 def _steady_states(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
     s = runs.sys.steady_state_gain
     results = _solve(
-        _steady_state_models(runs), [u_set.clamp] * len(runs.costs), np.zeros(runs.sys.input_dim), runs,
+        _steady_state_models(runs), u_set.clamp, np.zeros(runs.sys.input_dim), runs,
         lambda us: np.broadcast_to(matvec(s, us)[:, None], (len(us), len(runs.costs[0]), s.shape[0])),
     )
     for res in results:
@@ -323,7 +323,7 @@ def _dacs(runs: _Runs, radii: np.ndarray) -> list[BenchmarkResult]:
     sys = runs.sys
     h_mem = radii.shape[0]
     return _solve(
-        _dac_models(runs, h_mem), [partial(project_dac_blocks, radii=radii)] * len(runs.costs),
+        _dac_models(runs, h_mem), partial(project_dac_blocks, radii=radii),
         np.zeros((h_mem, sys.input_dim, sys.state_dim)), runs,
         # inputs run by run: their windows take h_mem times the disturbances' memory
         lambda blocks: rollout(sys, runs.x1, runs.ws, np.stack(list(map(_dac_inputs, blocks, runs.ws)))),

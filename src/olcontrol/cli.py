@@ -97,10 +97,11 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     _, _, params = draw_run(cfg, 0)
+    cert = cfg.system().cert
     print(f"spectral radius estimate: {spectral_radius_estimate(cfg.a, RADIUS_POWER):.6f}")
-    print(f"gamma: {params.cert.gamma:.6f}")
-    print(f"kappa: {params.cert.kappa:.6f}")
-    print(f"state bound D: {params.bound.d:.6f}")
+    print(f"gamma: {cert.gamma:.6f}")
+    print(f"kappa: {cert.kappa:.6f}")
+    print(f"state bound D: {cfg.bound.d:.6f}")
     print(f"smoothness L: {params.l:.6f}")
     print(f"step size eta: {params.eta:.8g}")
     return 0

@@ -21,11 +21,10 @@ import numpy as np
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
 from .linalg import as_array, matvec, positive, row_norms, spectral_norm
-from .system import BoxSet, LtiSystem, StabilityCert
+from .system import BoxSet, LtiSystem
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
-PROJECTION_MAX_ITER = 5000
-PROJECTION_FAIL_TOL = 1e-6    # movement above this at the cap is a hard failure
+PROJECTION_MAX_ITER = 5000    # a run still moving after this many steps fails
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
 PROJECTION_BLOCK = 16         # steps taken between two stop tests of the projection
 
@@ -42,8 +41,8 @@ def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float,
     the end of the block, are discarded.  The columns (``[..., None]``)
     keep every product a single matrix-vector one.
 
-    Raises ProjectionFailureError if the iteration cap is hit while an
-    iterate is still moving by more than PROJECTION_FAIL_TOL.
+    Raises ProjectionFailureError if any run is still moving after
+    PROJECTION_MAX_ITER steps, however little.
     """
     lower, upper = u_set.lower[:, None], u_set.upper[:, None]
     s_t = s.T
@@ -78,15 +77,10 @@ def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float,
         if not pending.any():
             return u[..., 0]
         iters[0] = iters[k]
-    moved = moved[k - 1]
-    stuck = pending & (moved > PROJECTION_FAIL_TOL)
-    if stuck.any():
-        raise ProjectionFailureError(
-            f"projection did not converge: still moving {np.max(moved[stuck]):.3e} "
-            f"after {PROJECTION_MAX_ITER} iterations"
-        )
-    np.copyto(u, iters[0], where=pending[..., None, None])
-    return u[..., 0]
+    raise ProjectionFailureError(
+        f"projection did not converge: still moving {np.max(moved[k - 1][pending]):.3e} "
+        f"after {PROJECTION_MAX_ITER} iterations"
+    )
 
 
 def _projection_step(s: np.ndarray) -> float:
@@ -110,11 +104,13 @@ def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
     return s @ _box_least_squares(s, y, u_set, _projection_step(s), np.zeros(sys.input_dim))
 
 
-def regret_optimal_step_size(l: float, t: int, cert: StabilityCert) -> float:
-    """Regret-optimal step size 2*gamma / (L * sqrt(T * (1 + 4 kappa^2)))."""
+def regret_optimal_step_size(l: float, t: int, sys: LtiSystem) -> float:
+    """Regret-optimal step size 2*gamma / (L * sqrt(T * (1 + 4 kappa^2))),
+    gamma and kappa from the plant's certificate ``sys.cert``."""
     l = positive(l, "smoothness constant")
     if t < 1:
         raise InvalidInputError(f"horizon must be at least 1, got {t}")
+    cert = sys.cert
     return 2.0 * cert.gamma / (l * math.sqrt(t * (1.0 + 4.0 * cert.kappa**2)))
 
 

@@ -20,14 +20,7 @@ from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import as_array, row_norms, spectral_norm
-from .system import (
-    BoxSet,
-    LtiSystem,
-    StabilityCert,
-    StateBound,
-    state_bound,
-    step,
-)
+from .system import BoxSet, LtiSystem, StateBound, state_bound, step
 
 CONTROLLER_KINDS = ("olc", "dac")
 
@@ -66,7 +59,10 @@ class ExperimentConfig:
     the boxes are ±5 on each input and ±0.5 on each state, and x1 is the
     origin.  The plant is built once, here, and shared by every run, and
     every field is checked here too (ConfigError), so a config that exists
-    is one a run can use; ``dataclasses.replace`` checks again.
+    is one a run can use; ``dataclasses.replace`` checks again.  What the
+    config alone fixes is derived here as well, once for every run: the
+    state bound D (``bound``) and the DAC step and radius, each the
+    ``dac`` value or, left unset, 1/sqrt(T) and kappa^3 ||B||.
     """
 
     seed: int = 1
@@ -83,6 +79,9 @@ class ExperimentConfig:
     output_dir: str = "results"
     x1: np.ndarray = None
     _system: LtiSystem = field(init=False, repr=False, compare=False)
+    bound: StateBound = field(init=False, repr=False, compare=False)    # D
+    dac_eta_g: float = field(init=False, repr=False, compare=False)
+    dac_radius: float = field(init=False, repr=False, compare=False)  # of the first block
 
     def __post_init__(self):
         ring_a, ring_b = default_system_matrices()
@@ -127,6 +126,14 @@ class ExperimentConfig:
             raise ConfigError("u_box dimension does not match B")
         if self.w_box.dim != n:
             raise ConfigError("w_box dimension does not match A")
+        eta_g, radius = self.dac.eta_g, self.dac.radius
+        derived = {
+            "bound": state_bound(sys, x1, self.u_box, self.w_box),
+            "dac_eta_g": 1.0 / np.sqrt(self.t) if eta_g is None else eta_g,
+            "dac_radius": sys.cert.kappa**3 * spectral_norm(sys.b) if radius is None else radius,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def system(self) -> LtiSystem:
         return self._system
@@ -286,34 +293,21 @@ def generate_disturbances(cfg: ExperimentConfig, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True)
 class RunParams:
-    """Per-run derived constants shared by controllers, hindsight solves
-    and bound checks; each unset step size or radius is resolved here."""
+    """The constants a run's own costs fix.  What every run shares, the
+    certificate ``cfg.system().cert``, D and the DAC step and radius, is
+    derived on the config."""
 
-    cert: StabilityCert
-    bound: StateBound   # D
     l: float            # smoothness L: ||grad f_t(x)|| <= L*D on the D-ball
     eta: float          # OLC step size
-    dac_eta_g: float    # DAC gradient step
-    dac_radius: float   # DAC per-block Frobenius radius
 
 
 def derive_run_params(cfg: ExperimentConfig, costs) -> RunParams:
-    sys = cfg.system()
-    cert = sys.cert
-    bound = state_bound(sys, cfg.x1, cfg.u_box, cfg.w_box)
     # the smoothness formula needs a bound on ||c_t||; targets are drawn
     # per coordinate from [0, c_max], so the norm bound is c_max * sqrt(N)
     c_norm_max = cfg.cost_gen.c_max * np.sqrt(cfg.a.shape[0])
-    l = smoothness_constant(costs, bound, c_norm_max)
-    eta, eta_g, radius = cfg.olc.eta_override, cfg.dac.eta_g, cfg.dac.radius
-    return RunParams(
-        cert=cert,
-        bound=bound,
-        l=l,
-        eta=regret_optimal_step_size(l, cfg.t, cert) if eta is None else eta,
-        dac_eta_g=1.0 / np.sqrt(cfg.t) if eta_g is None else eta_g,
-        dac_radius=cert.kappa**3 * spectral_norm(cfg.b) if radius is None else radius,
-    )
+    l = smoothness_constant(costs, cfg.bound, c_norm_max)
+    eta = cfg.olc.eta_override
+    return RunParams(l=l, eta=regret_optimal_step_size(l, cfg.t, cfg.system()) if eta is None else eta)
 
 
 @dataclass
@@ -341,11 +335,8 @@ def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams],
         eta = np.array([p.eta for p in params]).reshape(lead)
         return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, lead + cfg.x1.shape))
     if kind == "dac":
-        # eta_g and the radius come from the config, so every run shares them
-        eta_g, radius = params[0].dac_eta_g, params[0].dac_radius
-        if any((p.dac_eta_g, p.dac_radius) != (eta_g, radius) for p in params):
-            raise InvalidInputError("runs in lockstep must share the DAC eta_g and radius")
-        return DacController(sys, cfg.u_box, cfg.dac.h_mem, eta_g, radius, runs=lead[0] if lead else None)
+        return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius,
+                             runs=lead[0] if lead else None)
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
@@ -370,8 +361,7 @@ def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
     qs = np.stack([b.qs for b in batches], axis=1).reshape((horizon,) + lead + (n, n))
     cs = np.stack([b.cs for b in batches], axis=1).reshape((horizon,) + lead + (n,))
     ws = np.stack(w_seqs, axis=1).reshape((horizon - 1,) + lead + (n,))
-    d = np.array([p.bound.d for p in params]).reshape(lead)
-    bound_slack = d * (1.0 + 1e-9)
+    bound_slack = cfg.bound.d * (1.0 + 1e-9)
     if callable(kind):
         ctrl = kind(sys, cfg, params if lead else params[0])
     else:
@@ -387,7 +377,7 @@ def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
         if over.any():
             r = np.argmax(over)
             raise InvalidStateError(
-                f"state norm {norms.flat[r]:.6g} exceeds the certified bound {d.flat[r]:.6g} at t={t + 1}"
+                f"state norm {norms.flat[r]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={t + 1}"
             )
         states[..., t, :] = x
         if t == horizon - 1:
@@ -420,8 +410,8 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     ``kind(sys, cfg, params_list)`` returning a controller with a leading
     run axis.  Each draw is checked first, for T costs on the plant's
     states and T-1 disturbances of its width; InvalidInputError names the
-    draw that fails.  Every visited state is checked against its run's
-    bound D.  The step costs are scored once per run, on the whole
+    draw that fails.  Every visited state is checked against the bound D,
+    ``cfg.bound``.  The step costs are scored once per run, on the whole
     trajectory, the way the hindsight benchmarks score theirs.
     """
     return _play(cfg, kind, list(draws), (len(draws),))
@@ -503,10 +493,9 @@ def run_seeds(cfg: ExperimentConfig, ks, kinds=CONTROLLER_KINDS) -> list[RunReco
         raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
     traces = {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
-    # the radius comes from the config, so every run shares it
     benches = solve_benchmarks(
         cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box, cfg.dac.h_mem,
-        draws[0][2].dac_radius, steady_state=not cfg.disturbances_on,
+        cfg.dac_radius, steady_state=not cfg.disturbances_on,
     )
     return [
         RunRecord(

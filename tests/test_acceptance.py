@@ -113,10 +113,9 @@ def _regret_u(record, kind="olc") -> float:
     return record.traces[kind].total_cost - record.bench_u.value
 
 
-def _regret_limit(record, t: int, kappa_factor: float) -> float:
-    p = record.params
-    kappa, gamma = p.cert.kappa, p.cert.gamma
-    return (2.0 * p.l * p.bound.d**2 / gamma) * (
+def _regret_limit(cfg, record, t: int, kappa_factor: float) -> float:
+    kappa, gamma = cfg.system().cert.kappa, cfg.system().cert.gamma
+    return (2.0 * record.params.l * cfg.bound.d**2 / gamma) * (
         np.sqrt(t * (1.0 + 4.0 * kappa**2)) + kappa_factor * kappa
     )
 
@@ -125,8 +124,8 @@ def test_criterion_01_disturbance_free_regret_bound(clean_100, clean_1000):
     worst = -np.inf
     for bundle, t in ((clean_100, 100), (clean_1000, 1000)):
         for record in bundle.records:
-            slack = _regret_limit(record, t, 1.0) - _regret_x(record)
-            worst = max(worst, _regret_x(record) / _regret_limit(record, t, 1.0))
+            slack = _regret_limit(bundle.cfg, record, t, 1.0) - _regret_x(record)
+            worst = max(worst, _regret_x(record) / _regret_limit(bundle.cfg, record, t, 1.0))
             assert slack >= 0.0, f"seed {record.seed} at T={t}: regret exceeds the bound by {-slack}"
     elapsed = clean_100.build_seconds + clean_1000.build_seconds
     ok = elapsed < 30.0
@@ -138,7 +137,7 @@ def test_criterion_02_disturbed_regret_bound(dist_100, dist_1000):
     worst = -np.inf
     for bundle, t in ((dist_100, 100), (dist_1000, 1000)):
         for record in bundle.records:
-            ratio = _regret_u(record) / _regret_limit(record, t, 2.0)
+            ratio = _regret_u(record) / _regret_limit(bundle.cfg, record, t, 2.0)
             worst = max(worst, ratio)
     verdict(2, "disturbed regret bound", worst <= 1.0, f"max regret/bound {worst:.4f}")
 
@@ -153,8 +152,8 @@ def test_criterion_03_regret_gap(clean_100, clean_1000):
                 record.bench_u = best_fixed_input(
                     bundle.cfg.system(), bundle.cfg.x1, record.w_seq, record.costs, bundle.cfg.u_box
                 )
-            p = record.params
-            limit = 2.0 * p.cert.kappa * p.l * p.bound.d**2 / p.cert.gamma
+            cert = bundle.cfg.system().cert
+            limit = 2.0 * cert.kappa * record.params.l * bundle.cfg.bound.d**2 / cert.gamma
             gap = abs(_regret_u(record) - _regret_x(record))
             worst = max(worst, gap / limit)
     verdict(3, "regret gap within the tracking constant", worst <= 1.0, f"max |gap|/limit {worst:.2e}")
@@ -166,7 +165,7 @@ def test_criterion_04_target_path_increments(clean_100, clean_1000, dist_100, di
         for record in bundle.records:
             # the target at round t is the steady state of the input played
             z = record.traces["olc"].inputs @ bundle.cfg.system().steady_state_gain.T
-            ld = record.params.l * record.params.bound.d
+            ld = record.params.l * bundle.cfg.bound.d
             for tau in range(1, 21):
                 if tau >= z.shape[0]:
                     break

@@ -32,23 +32,21 @@ def integrator():
 
 
 class TestStepSize:
-    def test_reference_value(self):
-        cert = certify_strong_stability(np.zeros((1, 1)))  # gamma = kappa = 1
-        eta = regret_optimal_step_size(1.0, 100, cert)
+    def test_reference_value(self, integrator):
+        assert (integrator.cert.gamma, integrator.cert.kappa) == (1.0, 1.0)
+        eta = regret_optimal_step_size(1.0, 100, integrator)
         assert eta == pytest.approx(2.0 / np.sqrt(500.0), rel=1e-12)
 
-    def test_scalings(self):
-        cert = certify_strong_stability(np.zeros((1, 1)))
-        base = regret_optimal_step_size(1.0, 100, cert)
-        assert regret_optimal_step_size(2.0, 100, cert) == pytest.approx(base / 2)
-        assert regret_optimal_step_size(1.0, 400, cert) == pytest.approx(base / 2)
+    def test_scalings(self, integrator):
+        base = regret_optimal_step_size(1.0, 100, integrator)
+        assert regret_optimal_step_size(2.0, 100, integrator) == pytest.approx(base / 2)
+        assert regret_optimal_step_size(1.0, 400, integrator) == pytest.approx(base / 2)
 
-    def test_validation(self):
-        cert = certify_strong_stability(np.zeros((1, 1)))
+    def test_validation(self, integrator):
         with pytest.raises(InvalidInputError):
-            regret_optimal_step_size(0.0, 100, cert)
+            regret_optimal_step_size(0.0, 100, integrator)
         with pytest.raises(InvalidInputError):
-            regret_optimal_step_size(1.0, 0, cert)
+            regret_optimal_step_size(1.0, 0, integrator)
 
 
 class TestProjection:
@@ -398,8 +396,8 @@ class TestBoxDescent:
 def per_step_box_least_squares(s, y, u_set, step, u0):
     """The projection with its stop rule tested after every step, the
     reference ``_box_least_squares`` (one test per block) must match bit for
-    bit.  Returns the iterates and each run's stop step (0 for a run still
-    moving at the cap)."""
+    bit.  Returns the iterates and each run's stop step; a run still moving
+    at the cap fails."""
     lower, upper = u_set.lower[:, None], u_set.upper[:, None]
     s_t = s.T
     y = y[..., None]
@@ -415,13 +413,10 @@ def per_step_box_least_squares(s, y, u_set, step, u0):
         moving &= ~stopped
         if not moving.any():
             return u[..., 0], stops
-    stuck = moving & (moved > ctrl_mod.PROJECTION_FAIL_TOL)
-    if stuck.any():
-        raise ProjectionFailureError(
-            f"projection did not converge: still moving {np.max(moved[stuck]):.3e} "
-            f"after {ctrl_mod.PROJECTION_MAX_ITER} iterations"
-        )
-    return u[..., 0], stops
+    raise ProjectionFailureError(
+        f"projection did not converge: still moving {np.max(moved[moving]):.3e} "
+        f"after {ctrl_mod.PROJECTION_MAX_ITER} iterations"
+    )
 
 
 def stopping_problem(rng, stops):
@@ -487,36 +482,46 @@ class TestBlockedStopRule:
         block = ctrl_mod.PROJECTION_BLOCK
         cap = block + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
-        # runs 0-2 stop by the cap; runs 3 and 4 still move, by less than
-        # PROJECTION_FAIL_TOL, and return their iterate at the cap
-        problem = stopping_problem(rng, [1, min(block, cap), min(block + 1, cap), cap + 20, cap + 30])
+        # every run stops by the cap, the last one at its very step
+        problem = stopping_problem(rng, [1, min(block, cap), min(block + 1, cap), cap])
         got, stops = self.assert_matches_per_step(*problem)
-        np.testing.assert_array_equal(stops[3:], 0)
+        assert stops.max() == cap
         # a run that stopped in an earlier block keeps that block's iterate
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 5000)
         uncapped = _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
-        assert np.array_equal(got[:3], uncapped[:3])
-        assert not np.array_equal(got[3:], uncapped[3:])
+        assert np.array_equal(got, uncapped)
 
     @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_raises_as_per_step(self, rng, monkeypatch, extra):
         cap = ctrl_mod.PROJECTION_BLOCK + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
-        # run 2 moves by 0.9e-10 / 0.75**60 ~ 3e-3 at the cap
-        problem = stopping_problem(rng, [1, cap, cap + 60, cap + 20])
-        with pytest.raises(ProjectionFailureError) as want:
-            per_step_box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
-        with pytest.raises(ProjectionFailureError) as got:
-            _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
-        assert str(got.value) == str(want.value)
+        # run 2 still moves at the cap, by 0.9e-10 / 0.75**late: 1.2e-10,
+        # 2.8e-8 or 3e-3.  However little, that fails the projection
+        for late in (1, 20, 60):
+            problem = stopping_problem(rng, [1, cap, cap + late])
+            with pytest.raises(ProjectionFailureError) as want:
+                per_step_box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+            with pytest.raises(ProjectionFailureError) as got:
+                _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+            assert str(got.value) == str(want.value)
 
     def test_ill_conditioned_plant_still_fails(self):
         # B = [[1, 1 + eps], [0, 0], [1, 1]] with eps = 1e-3: cond(S) ~ 4e3,
-        # too slow for the fixed-step projection within its cap
+        # too slow for the fixed-step projection within its cap: the first
+        # round's projection fails
         cfg = ExperimentConfig(t=200, n_runs=3, b=np.array([[1.0, 1.001], [0.0, 0.0], [1.0, 1.0]]))
         draws = [draw_run(cfg, k) for k in range(3)]
-        with pytest.raises(ProjectionFailureError, match="still moving 3.927e-06 after 5000 iterations"):
+        with pytest.raises(ProjectionFailureError, match="still moving 9.079e-07 after 5000 iterations"):
             run_lockstep(cfg, "olc", draws)
+
+    def test_slow_projection_fails_at_the_cap(self):
+        # B = [[1, 1.2], [0, 0], [1, 1]]: cond(S) ~ 24.  Its OLC projections
+        # hit the cap still moving by less than 1e-6, up to 2.3e-4 from
+        # their answer; they fail rather than return that iterate
+        cfg = ExperimentConfig(t=20, n_runs=1, b=np.array([[1.0, 1.2], [0.0, 0.0], [1.0, 1.0]]),
+                               disturbances_on=False)
+        with pytest.raises(ProjectionFailureError, match="after 5000 iterations"):
+            run_lockstep(cfg, "olc", [draw_run(cfg, 0)])
 
 
 def random_cost(rng, n=3):

@@ -8,6 +8,7 @@ import pytest
 from olcontrol import (
     BoxSet,
     ConfigError,
+    DacController,
     InvalidInputError,
     InvalidStateError,
     LtiSystem,
@@ -37,7 +38,9 @@ from olcontrol.harness import (
     run_seeds,
     run_single,
 )
-from olcontrol.system import StateBound
+from olcontrol.controllers import dac_radii, project_dac_blocks
+from olcontrol.linalg import spectral_norm
+from olcontrol.system import state_bound
 
 
 @pytest.fixture()
@@ -83,6 +86,47 @@ class TestConfig:
     def test_replace_checks_again(self, tiny_cfg):
         with pytest.raises(ConfigError, match="n_runs"):
             replace(tiny_cfg, n_runs=0)
+
+    def test_shared_values_derived_once(self, tiny_cfg):
+        sys = tiny_cfg.system()
+        assert tiny_cfg.bound == state_bound(sys, tiny_cfg.x1, tiny_cfg.u_box, tiny_cfg.w_box)
+        assert tiny_cfg.dac_radius == sys.cert.kappa**3 * spectral_norm(sys.b)
+        # replace derives them again, and a dac value wins over its default
+        longer = replace(tiny_cfg, t=250)
+        assert longer.dac_eta_g == 1.0 / np.sqrt(250)
+        assert longer.bound == tiny_cfg.bound
+        explicit = replace(tiny_cfg, dac=DacConfig(eta_g=0.3, radius=2.5))
+        assert (explicit.dac_eta_g, explicit.dac_radius) == (0.3, 2.5)
+        wider = replace(tiny_cfg, w_box=BoxSet.symmetric(1.0, 3))
+        assert wider.bound == state_bound(sys, wider.x1, wider.u_box, wider.w_box)
+        assert wider.bound.d > tiny_cfg.bound.d
+
+    def test_runs_share_the_dac_radii(self, tiny_cfg, monkeypatch):
+        import olcontrol.benchmarks as bench_mod
+        import olcontrol.harness as harness_mod
+
+        radii = dac_radii(tiny_cfg.system(), tiny_cfg.dac.h_mem, tiny_cfg.dac_radius)
+        built, projected = [], []
+
+        class Recording(DacController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        def recording_project(blocks, radii):
+            projected.append(radii)
+            return project_dac_blocks(blocks, radii)
+
+        monkeypatch.setattr(harness_mod, "DacController", Recording)
+        monkeypatch.setattr(bench_mod, "project_dac_blocks", recording_project)
+        records = run_seeds(tiny_cfg, [0, 1, 2])
+        [ctrl] = built
+        assert ctrl.blocks.shape[0] == 3 and ctrl.eta_g == tiny_cfg.dac_eta_g
+        assert np.array_equal(ctrl.radii, radii)
+        assert projected and all(np.array_equal(r, radii) for r in projected)
+        for rec in records:
+            norms = np.linalg.norm(rec.bench_m.optimizer, axis=(-2, -1))
+            assert np.all(norms <= radii * (1.0 + 1e-12))
 
     def test_defaults_derived_from_dimensions(self):
         cfg = ExperimentConfig()
@@ -169,9 +213,8 @@ class TestConfig:
         monkeypatch.setattr(system_mod, "certify_strong_stability", counting)
         cfg = ExperimentConfig(t=12, n_runs=1)
         assert len(calls) == 1
-        record = run_one_seed(cfg, 0)
+        run_one_seed(cfg, 0)
         assert len(calls) == 1
-        assert record.params.cert is cfg.system().cert
 
     def test_json_round_trip(self, tmp_path):
         doc = {
@@ -312,16 +355,17 @@ class TestRunSingle:
     def test_states_within_bound(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
         for trace in rec.traces.values():
-            assert np.max(np.linalg.norm(trace.states, axis=1)) <= rec.params.bound.d
+            assert np.max(np.linalg.norm(trace.states, axis=1)) <= tiny_cfg.bound.d
 
     def test_bound_violation_aborts(self, tiny_cfg):
         rng = make_rng(0)
         costs = generate_costs(tiny_cfg, rng)
         w = generate_disturbances(tiny_cfg, rng)
         params = derive_run_params(tiny_cfg, costs)
-        squeezed = replace(params, bound=StateBound(1e-9))
+        # disturbances far outside the box: the round loop checks their
+        # shape and finiteness, and the states they drive against D
         with pytest.raises(InvalidStateError, match="exceeds"):
-            run_single(tiny_cfg, "dac", costs, w, params=squeezed)
+            run_single(tiny_cfg, "dac", costs, 1e6 * w, params=params)
 
     def test_olc_target_is_steady_state_of_input(self, tiny_cfg):
         # a trace keeps no targets: the OLC target at round t is S @ inputs[t]
@@ -395,8 +439,8 @@ class TestRunSingle:
 
         bench = best_steady_state(costs, cfg.system(), cfg.u_box)
         regret = trace.total_cost - bench.value
-        kappa, gamma = params.cert.kappa, params.cert.gamma
-        bound = (2 * params.l * params.bound.d**2 / gamma) * (
+        kappa, gamma = cfg.system().cert.kappa, cfg.system().cert.gamma
+        bound = (2 * params.l * cfg.bound.d**2 / gamma) * (
             np.sqrt(cfg.t * (1 + 4 * kappa**2)) + kappa
         )
         assert regret <= bound
@@ -447,9 +491,9 @@ class TestLockstep:
     def test_bound_violation_in_one_run_aborts(self, tiny_cfg):
         draws = [draw_run(tiny_cfg, k) for k in range(3)]
         costs, w_seq, params = draws[1]
-        draws[1] = (costs, w_seq, replace(params, bound=StateBound(1e-9)))
+        draws[1] = (costs, 1e6 * w_seq, params)  # far outside the disturbance box
         for kind in ("olc", "dac"):
-            with pytest.raises(InvalidStateError, match="exceeds the certified bound 1e-09"):
+            with pytest.raises(InvalidStateError, match=f"exceeds the certified bound {tiny_cfg.bound.d:.6g} at t=2"):
                 run_lockstep(tiny_cfg, kind, draws)
 
     @pytest.mark.parametrize("bad", [
@@ -476,14 +520,6 @@ class TestLockstep:
                 run_lockstep(tiny_cfg, kind, draws)
             with pytest.raises(InvalidInputError, match="draw 0 of 1"):
                 run_single(tiny_cfg, kind, costs, w_seq, params)
-
-    @pytest.mark.parametrize("name", ["dac_eta_g", "dac_radius"])
-    def test_dac_runs_must_share_step_and_radius(self, tiny_cfg, name):
-        draws = [draw_run(tiny_cfg, k) for k in range(2)]
-        costs, w_seq, params = draws[1]
-        draws[1] = (costs, w_seq, replace(params, **{name: 2.0 * getattr(params, name)}))
-        with pytest.raises(InvalidInputError, match="must share the DAC eta_g and radius"):
-            run_lockstep(tiny_cfg, "dac", draws)
 
 
 class TestRegret:
@@ -558,7 +594,8 @@ class TestRegret:
         cfg = ExperimentConfig(t=60, n_runs=1, seed=4, disturbances_on=False)
         rec = run_one_seed(cfg, 0, kinds=("olc",))
         gap = rec.bench_u.value - rec.bench_x.value
-        limit = 2 * rec.params.cert.kappa * rec.params.l * rec.params.bound.d**2 / rec.params.cert.gamma
+        cert = cfg.system().cert
+        limit = 2 * cert.kappa * rec.params.l * cfg.bound.d**2 / cert.gamma
         assert abs(gap) <= limit
 
 
@@ -663,16 +700,15 @@ class TestExperimentOutput:
 
         cfg = ExperimentConfig(t=30, n_runs=3, seed=6)
         run_experiment(cfg, output_dir=tmp_path / "clean")
-        seed_1_qs = generate_costs(cfg, make_rng(cfg.seed + 1)).qs
-        real = harness_mod.derive_run_params
+        real = harness_mod.draw_run
 
-        def squeeze_seed_1(cfg, costs):
-            params = real(cfg, costs)
-            if np.array_equal(costs.qs, seed_1_qs):
-                return replace(params, bound=StateBound(1e-9))
-            return params
+        def blow_up_seed_1(cfg, run_index):
+            costs, w_seq, params = real(cfg, run_index)
+            if run_index == 1:
+                w_seq = 1e6 * w_seq  # far outside the disturbance box: the state leaves the D-ball
+            return costs, w_seq, params
 
-        monkeypatch.setattr(harness_mod, "derive_run_params", squeeze_seed_1)
+        monkeypatch.setattr(harness_mod, "draw_run", blow_up_seed_1)
         result = run_experiment(cfg, output_dir=tmp_path / "out")
         assert list(result.failures) == [1]
         with open(tmp_path / "out" / "failures.csv", newline="") as fh:

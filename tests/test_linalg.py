@@ -226,7 +226,7 @@ def test_bad_scalar_rejected(ring_system, ring_u_box, monkeypatch, entry, name, 
     arrays = _clean_arrays()
     calls = {
         "dac_controller": lambda s: DacController(ring_system, ring_u_box, 3, s["eta_g"], s["radius"]),
-        "regret_optimal_step_size": lambda s: regret_optimal_step_size(s["l"], 10, ring_system.cert),
+        "regret_optimal_step_size": lambda s: regret_optimal_step_size(s["l"], 10, ring_system),
         "best_dac": lambda s: best_dac(ring_system, arrays["x1"], arrays["w_seq"], arrays["costs"],
                                        s["h_mem"], s["radius"]),
     }
