@@ -14,9 +14,7 @@ from .benchmarks import (
 from .controllers import (
     DacController,
     OlcController,
-    OlcXuState,
     estimate_disturbance,
-    olcxu_update,
     project_steady_state,
     regret_optimal_step_size,
 )

@@ -14,7 +14,6 @@ alone (products go through :func:`~olcontrol.linalg.matvec` and stacked
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,47 +177,6 @@ class OlcController:
         self.z = matvec(s, self._u)
 
 
-@dataclass(frozen=True)
-class OlcXuState:
-    """Joint iterate (z, u) on the input-augmented manifold, for costs that
-    charge the input as well as the state."""
-
-    z: np.ndarray
-    u: np.ndarray
-    eta: float
-
-
-def project_joint_steady_state(sys: LtiSystem, u_set: BoxSet, z_target, u_target, u0=None):
-    """Project (z_target, u_target) onto {(S u, u) : u in U}.
-
-    Minimizes ``||S u - z_target||^2 + ||u - u_target||^2`` over the box,
-    the box least-squares problem of the stacked ``[S; I]`` and target
-    ``[z_target; u_target]``, and returns (S u, u).
-    """
-    z_target = as_array(z_target, "z target", (sys.state_dim,))
-    u_target = as_array(u_target, "u target", (sys.input_dim,))
-    u0 = np.zeros(sys.input_dim) if u0 is None else as_array(u0, "u0", (sys.input_dim,))
-    s = sys.steady_state_gain
-    stacked = np.vstack([s, np.eye(sys.input_dim)])
-    step = 1.0 / (spectral_norm(s) ** 2 + 1.0)
-    u = _box_least_squares(stacked, np.concatenate([z_target, u_target]), u_set, step, u0)
-    return s @ u, u
-
-
-def olcxu_update(state: OlcXuState, delta_x, delta_u, sys: LtiSystem, u_set: BoxSet) -> OlcXuState:
-    """Joint gradient step followed by projection onto the augmented manifold."""
-    delta_x = as_array(delta_x, "state gradient", (sys.state_dim,))
-    delta_u = as_array(delta_u, "input gradient", (sys.input_dim,))
-    z, u = project_joint_steady_state(
-        sys,
-        u_set,
-        state.z - state.eta * delta_x,
-        state.u - state.eta * delta_u,
-        u0=state.u,
-    )
-    return OlcXuState(z=z, u=u, eta=state.eta)
-
-
 def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Scale each matrix block into its Frobenius ball of radius radii[i];
     ``blocks`` is (..., h_mem, M, N)."""
@@ -308,26 +266,38 @@ class DacController:
         self._last_u = u
         return u
 
-    def surrogate_state(self, blocks=None) -> np.ndarray:
-        """Truncated prediction of the current state under the given blocks."""
+    def _gather_windows(self) -> np.ndarray:
+        """The surrogate's h_mem + 1 disturbance windows from the history,
+        (..., h_mem + 1, h_mem, N): window i fed the input i steps back."""
+        return self.history[..., self._windows, :]
+
+    def surrogate_state(self, blocks=None, windows=None) -> np.ndarray:
+        """Truncated prediction of the current state under the given blocks
+        (default: the current ones), from ``windows`` (default: gathered
+        from the history)."""
         if blocks is None:
             blocks = self.blocks
+        if windows is None:
+            windows = self._gather_windows()
         # virtual inputs the blocks would have produced i steps back
-        virtual = dac_inputs(blocks, self.history[..., self._windows, :])
+        virtual = dac_inputs(blocks, windows)
         y = np.einsum("ikn,...in->...k", self._a_pows, self.history[..., : self.h_mem + 1, :])
         y += np.einsum("ikm,...im->...k", self._ab_pows, virtual)
         return y
 
-    def surrogate_grad_blocks(self, delta: np.ndarray) -> np.ndarray:
+    def surrogate_grad_blocks(self, delta: np.ndarray, windows=None) -> np.ndarray:
         """Gradient of cost(surrogate_state) with respect to each block."""
+        if windows is None:
+            windows = self._gather_windows()
         q = np.einsum("ikm,...k->...im", self._ab_pows, delta)  # (A^i B)^T delta
-        windows = self.history[..., self._windows, :].swapaxes(-3, -2)
-        return np.matmul(q.swapaxes(-1, -2)[..., None, :, :], windows)
+        return np.matmul(q.swapaxes(-1, -2)[..., None, :, :], windows.swapaxes(-3, -2))
 
     def update(self, cost: QuadraticCost) -> None:
-        """One OGD step on the surrogate loss, then project the blocks."""
-        delta = cost.grad(self.surrogate_state())
-        stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
+        """One OGD step on the surrogate loss, then project the blocks; the
+        state and its gradient share one gather of the windows."""
+        windows = self._gather_windows()
+        delta = cost.grad(self.surrogate_state(windows=windows))
+        stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta, windows)
         self.blocks = project_dac_blocks(stepped, self.radii)
 
     def observe(self, cost: QuadraticCost, x_next) -> None:

@@ -9,7 +9,10 @@ invocations with the same config produce byte-identical files.
 
 import csv
 import json
+import os
+import pickle
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -482,21 +485,115 @@ def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
     return costs, w_seq, derive_run_params(cfg, costs)
 
 
+# Only Linux forks: macOS's Accelerate BLAS is not fork-safe, and Windows
+# has no fork.
+_CAN_FORK = sys.platform == "linux"
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked child."""
+
+
+class _Forked:
+    """``fn(*args)``, called in a forked child process beside the caller.
+
+    The child inherits the caller's memory copy-on-write, so the arguments
+    are not copied.  It sends back what the call returned, or the exception
+    it raised, pickled over a pipe, and always leaves through ``os._exit``:
+    it never returns into the caller's stack.  Where the platform cannot
+    fork (``_CAN_FORK``), and with ``fork`` false, :meth:`join` makes the
+    same call in-process instead.  Used as a context manager, it kills and
+    reaps a child that was not joined.
+    """
+
+    def __init__(self, fn, *args, fork=True):
+        self.fn, self.args, self.pid = fn, args, None
+        if not (fork and _CAN_FORK):
+            return
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = (True, fn(*args), None)
+                except Exception as exc:  # noqa: BLE001 - the parent raises it
+                    import traceback  # here, not at the top: importing the package stays light
+
+                    outcome = (False, exc, traceback.format_exc())
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.pid, self.pipe = pid, open(read, "rb")
+
+    def join(self):
+        """What the call returned, or raise what it raised: the same type
+        and message, with the child's traceback as its cause.  Call it once."""
+        if self.pid is None:
+            return self.fn(*self.args)
+        # to EOF before waiting: a payload larger than the pipe's buffer
+        # keeps the child writing until it is read
+        with self.pipe:
+            payload = self.pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status != 0:  # the child exits 0 only once its whole outcome is sent
+            how = f"exit status {status}" if status > 0 else f"signal {-status}"
+            raise ChildProcessError(f"the child calling {self.fn.__name__} ended with {how} before reporting")
+        returned, value, trace = pickle.loads(payload)
+        if returned:
+            return value
+        raise value from _ChildTraceback(trace)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            import signal  # here, as traceback above
+
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _play_kinds(cfg: ExperimentConfig, kinds, draws) -> dict[str, list[Trace]]:
+    return {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
+
+
 def run_seeds(cfg: ExperimentConfig, ks, kinds=CONTROLLER_KINDS) -> list[RunRecord]:
     """Fresh costs and disturbances for each run k in ``ks``: every
-    controller in ``kinds`` on all of them in lockstep, then the hindsight
+    controller in ``kinds`` on all of them in lockstep, and the hindsight
     benchmarks of all of them in one batched pass: the best fixed input and
     DAC policy always, the best steady state when the runs have no
-    disturbances."""
-    ks = list(ks)
+    disturbances.
+
+    The first of ``kinds`` plays in a forked child process (on Linux, see
+    :class:`_Forked`) while this process plays the others and solves the
+    benchmarks; each part has the bits it has alone.  A failure of the
+    first kind is the one raised, as when the kinds played in turn.
+    """
+    ks, kinds = list(ks), tuple(kinds)
     if not ks:
         raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
-    traces = {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
-    benches = solve_benchmarks(
-        cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box, cfg.dac.h_mem,
-        cfg.dac_radius, steady_state=not cfg.disturbances_on,
-    )
+    # with no kinds to play there is no child to fork
+    with _Forked(_play_kinds, cfg, kinds[:1], draws, fork=bool(kinds)) as first:
+        try:
+            traces = _play_kinds(cfg, kinds[1:], draws)
+            benches = solve_benchmarks(
+                cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box,
+                cfg.dac.h_mem, cfg.dac_radius, steady_state=not cfg.disturbances_on,
+            )
+        except Exception:
+            first.join()  # raises the first kind's failure, if it had one
+            raise
+        traces.update(first.join())
     return [
         RunRecord(
             run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,

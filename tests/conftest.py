@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,17 @@ def rng():
 def scalar_system():
     """a = 0.5, b = 1: steady state of input u is 2u."""
     return LtiSystem([[0.5]], [[1.0]])
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    run_seeds forks, and must reap its child on every path."""
+    yield
+    if os.name != "posix":
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no children at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid else "the test left a child process running")

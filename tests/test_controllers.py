@@ -8,19 +8,17 @@ from olcontrol import (
     InvalidInputError,
     LtiSystem,
     OlcController,
-    OlcXuState,
     ProjectionFailureError,
     QuadraticCost,
     certify_strong_stability,
     estimate_disturbance,
-    olcxu_update,
     project_steady_state,
     simulate,
     steady_state_of_input,
     step,
     regret_optimal_step_size,
 )
-from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks, project_joint_steady_state
+from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks
 from olcontrol.harness import ExperimentConfig, draw_run, run_lockstep
 from olcontrol.linalg import matvec, row_norms
 
@@ -178,56 +176,6 @@ class TestOlcController:
             assert ring_u_box.contains(u)
             residual = ring_system.b @ u - (eye - ring_system.a) @ olc.z
             assert np.linalg.norm(residual) <= 1e-10
-
-
-class TestOlcXu:
-    def test_zero_gradients_fixed(self, integrator):
-        state = OlcXuState(z=np.array([0.5]), u=np.array([0.5]), eta=0.1)
-        out = olcxu_update(state, np.zeros(1), np.zeros(1), integrator, BoxSet([-2.0], [2.0]))
-        assert out.z[0] == pytest.approx(0.5, abs=1e-9)
-        assert out.u[0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_diagonal_pre_point(self, integrator):
-        state = OlcXuState(z=np.zeros(1), u=np.zeros(1), eta=0.1)
-        out = olcxu_update(state, np.array([1.0]), np.array([1.0]), integrator, BoxSet([-2.0], [2.0]))
-        assert out.z[0] == pytest.approx(-0.1, abs=1e-9)
-        assert out.u[0] == pytest.approx(-0.1, abs=1e-9)
-
-    def test_off_diagonal_average(self, integrator):
-        # pre-point (0.3, 0.1) projects to the diagonal at 0.2
-        state = OlcXuState(z=np.array([0.3]), u=np.array([0.1]), eta=1.0)
-        out = olcxu_update(state, np.zeros(1), np.zeros(1), integrator, BoxSet([-2.0], [2.0]))
-        assert out.z[0] == pytest.approx(0.2, abs=1e-9)
-        assert out.u[0] == pytest.approx(0.2, abs=1e-9)
-
-    def test_stays_on_manifold(self, ring_system, ring_u_box, rng):
-        state = OlcXuState(z=np.zeros(3), u=np.zeros(2), eta=0.1)
-        for _ in range(10):
-            state = olcxu_update(state, rng.standard_normal(3), rng.standard_normal(2), ring_system, ring_u_box)
-            residual = state.z - ring_system.a @ state.z - ring_system.b @ state.u
-            assert np.linalg.norm(residual) <= 1e-8
-            assert ring_u_box.contains(state.u, tol=1e-12)
-
-
-class TestJointProjection:
-    def test_kkt_conditions(self, ring_system, ring_u_box, rng):
-        # gradient of ||S u - z||^2 + ||u - u_t||^2 at the returned u: it
-        # pushes out of the box on active coordinates and vanishes on free ones
-        s = ring_system.steady_state_gain
-        active = free = 0
-        for _ in range(50):
-            z_target, u_target = rng.standard_normal(3) * 6, rng.standard_normal(2) * 6
-            z, u = project_joint_steady_state(ring_system, ring_u_box, z_target, u_target)
-            np.testing.assert_array_equal(z, s @ u)
-            assert ring_u_box.contains(u, tol=0.0)
-            grad = 2.0 * (s.T @ (s @ u - z_target) + (u - u_target))
-            at_upper, at_lower = u == ring_u_box.upper, u == ring_u_box.lower
-            assert np.all(grad[at_upper] <= 1e-6) and np.all(grad[at_lower] >= -1e-6)
-            interior = ~(at_upper | at_lower)
-            np.testing.assert_allclose(grad[interior], 0.0, atol=1e-6)
-            active += int(np.sum(~interior))
-            free += int(np.sum(interior))
-        assert active > 0 and free > 0
 
 
 class TestDisturbanceEstimate:
@@ -467,15 +415,15 @@ class TestBlockedStopRule:
         _, stops = self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
         assert len(set(stops)) == 4 and stops.max() > 10 * ctrl_mod.PROJECTION_BLOCK
 
-    def test_joint_projection(self, ring_system, ring_u_box, rng):
+    def test_joint_projection(self, ring_system, rng):
+        # a tall matrix and a step below 1/||S||^2: the joint state+input
+        # problem min ||S u - z||^2 + ||u - u_target||^2, on the stacked [S; I]
         s = ring_system.steady_state_gain
         stacked = np.vstack([s, np.eye(2)])
         step = 1.0 / (np.linalg.norm(s, 2) ** 2 + 1.0)
         for _ in range(5):
-            z_target, u_target, u0 = rng.standard_normal(3) * 6.0, rng.standard_normal(2) * 6.0, rng.uniform(-5.0, 5.0, 2)
-            z, u = project_joint_steady_state(ring_system, ring_u_box, z_target, u_target, u0)
-            want, _ = per_step_box_least_squares(stacked, np.concatenate([z_target, u_target]), ring_u_box, step, u0)
-            assert np.array_equal(u, want) and np.array_equal(z, s @ want)
+            y, u0 = rng.standard_normal(5) * 6.0, rng.uniform(-5.0, 5.0, 2)
+            self.assert_matches_per_step(stacked, y, step, u0)
 
     @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_returns_as_per_step(self, rng, monkeypatch, extra):

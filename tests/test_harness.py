@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import pickle
+import signal
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +18,7 @@ from olcontrol import (
     InvalidStateError,
     LtiSystem,
     OlcController,
+    ProjectionFailureError,
     QuadraticBatch,
     QuadraticCost,
     compute_regret,
@@ -779,3 +785,119 @@ class TestExperimentOutput:
             "w_box": {"lower": [-0.5] * 3, "upper": [0.5] * 3},
         })
         np.testing.assert_allclose(cfg.x1, [1.0, 0.0, -1.0])
+
+
+# B = [[1, 1.2], [0, 0], [1, 1]]: cond(S) ~ 24, too slow for the fixed-step
+# projection within its cap, so every run's OLC loop raises
+COND_S_24_B = np.array([[1.0, 1.2], [0.0, 0.0], [1.0, 1.0]])
+forks_here = pytest.mark.skipif(sys.platform != "linux", reason="run_seeds forks only on Linux")
+
+
+@pytest.fixture()
+def deadline():
+    """Fail, instead of hanging, a test still running after 60 s: a parent
+    that waits for a child still writing to it never returns."""
+    def expired(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    if not hasattr(signal, "SIGALRM"):  # Windows, where run_seeds does not fork
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedFirstKind:
+    """run_seeds plays the first kind in a forked child while it plays the
+    others and solves the benchmarks itself."""
+
+    @pytest.mark.parametrize("can_fork", [pytest.param(True, marks=forks_here), False],
+                             ids=["forked", "in_process"])
+    def test_traces_match_in_process_lockstep(self, monkeypatch, can_fork):
+        import olcontrol.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "_CAN_FORK", can_fork)
+        forks, real_fork = [], getattr(os, "fork", None)  # Windows has none
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork(), raising=False)
+        # T = 1000: the child's traces outgrow a 64 KiB pipe buffer
+        cfg = ExperimentConfig(t=1000, n_runs=3, seed=5)
+        records = run_seeds(cfg, range(3))
+        assert len(forks) == can_fork
+        want = run_lockstep(cfg, "olc", [draw_run(cfg, k) for k in range(3)])
+        assert len(pickle.dumps(want)) > 1 << 16
+        for rec, trace in zip(records, want):
+            for name in ("states", "inputs", "costs"):
+                assert np.array_equal(getattr(rec.traces["olc"], name), getattr(trace, name)), name
+
+    def test_child_failure_raised_and_recorded(self, tmp_path):
+        import olcontrol.harness as harness_mod
+
+        cfg = ExperimentConfig(t=60, n_runs=2, seed=3, b=COND_S_24_B)
+        with pytest.raises(ProjectionFailureError, match="did not converge") as info:
+            run_seeds(cfg, [0])
+        if harness_mod._CAN_FORK:
+            # the child's traceback is the cause
+            assert isinstance(info.value.__cause__, harness_mod._ChildTraceback)
+            assert "_box_least_squares" in str(info.value.__cause__)
+        run_experiment(cfg, output_dir=tmp_path)
+        # the bytes the kinds wrote when they played in turn, in one process
+        assert (tmp_path / "failures.csv").read_text() == (
+            "run,error\n"
+            "0,ProjectionFailureError: projection did not converge: still moving 4.270e-09 after 5000 iterations\n"
+            "1,ProjectionFailureError: projection did not converge: still moving 7.743e-08 after 5000 iterations\n"
+        )
+
+    def test_first_kinds_failure_wins(self, tiny_cfg, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        def hindsight_fails(*args, **kwargs):
+            raise RuntimeError("synthetic hindsight failure")
+
+        monkeypatch.setattr(harness_mod, "solve_benchmarks", hindsight_fails)
+        with pytest.raises(ProjectionFailureError):
+            run_seeds(ExperimentConfig(t=60, n_runs=1, seed=3, b=COND_S_24_B), [0])
+        with pytest.raises(RuntimeError, match="synthetic hindsight failure"):
+            run_seeds(tiny_cfg, [0, 1])
+
+    @forks_here
+    def test_child_death_named(self, tiny_cfg, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        parent, real = os.getpid(), harness_mod.run_lockstep
+
+        def dies_in_child(cfg, kind, draws):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(cfg, kind, draws)
+
+        monkeypatch.setattr(harness_mod, "run_lockstep", dies_in_child)
+        with pytest.raises(ChildProcessError, match="exit status 7"):
+            run_seeds(tiny_cfg, [0, 1])
+
+    @forks_here
+    def test_interrupted_parent_kills_child(self, tiny_cfg, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        class Interrupt(BaseException):
+            pass
+
+        parent, real = os.getpid(), harness_mod.run_lockstep
+
+        def slow_in_child(cfg, kind, draws):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real(cfg, kind, draws)
+
+        def interrupted(*args, **kwargs):
+            raise Interrupt
+
+        monkeypatch.setattr(harness_mod, "run_lockstep", slow_in_child)
+        monkeypatch.setattr(harness_mod, "solve_benchmarks", interrupted)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            run_seeds(tiny_cfg, [0, 1])
+        assert time.monotonic() - start < 30.0

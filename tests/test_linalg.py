@@ -6,20 +6,17 @@ from olcontrol import (
     BoxSet,
     DacController,
     InvalidInputError,
-    OlcXuState,
     QuadraticBatch,
     adjoint_input_gradients,
     best_dac,
     best_fixed_input,
     grid_oracle_fixed_input,
-    olcxu_update,
     regret_optimal_step_size,
     simulate,
     spectral_norm,
     spectral_radius_estimate,
     state_bound,
 )
-from olcontrol.controllers import project_joint_steady_state
 from olcontrol.linalg import as_array, batch_spectral_norms
 
 
@@ -158,10 +155,6 @@ ENTRY_POINTS = {
         lambda sys, box, a: adjoint_input_gradients(sys, a["x1"], a["u_seq"], a["w_seq"], a["costs"]),
     "grid_oracle_fixed_input":
         lambda sys, box, a: grid_oracle_fixed_input(sys, a["x1"], a["w_seq"], a["costs"], box, 4),
-    "olcxu_update": lambda sys, box, a: olcxu_update(
-        OlcXuState(z=np.zeros(3), u=np.zeros(2), eta=0.1), a["delta_x"], a["delta_u"], sys, box),
-    "project_joint_steady_state":
-        lambda sys, box, a: project_joint_steady_state(sys, box, a["z_target"], a["u_target"]),
     "state_bound": lambda sys, box, a: state_bound(sys, a["x1"], box, BoxSet.symmetric(0.5, 3)),
 }
 SOLVERS = ("simulate", "best_fixed_input", "best_dac", "adjoint_input_gradients", "grid_oracle_fixed_input")
@@ -171,7 +164,6 @@ def _clean_arrays(horizon=8):
     return {
         "x1": np.zeros(3), "u_seq": np.ones((horizon - 1, 2)), "w_seq": np.full((horizon - 1, 3), 0.1),
         "costs": QuadraticBatch(np.broadcast_to(np.eye(3), (horizon, 3, 3)), np.ones((horizon, 3))),
-        "delta_x": np.ones(3), "delta_u": np.ones(2), "z_target": np.ones(3), "u_target": np.ones(2),
     }
 
 
@@ -181,10 +173,6 @@ BAD_ARRAYS = [
     *[(entry, "w_seq", bad) for entry in SOLVERS for bad in (np.nan, np.inf)],
     ("simulate", "u_seq", np.nan),
     ("simulate", "u_seq", -np.inf),
-    ("olcxu_update", "delta_x", np.ones(1)),
-    ("olcxu_update", "delta_u", np.ones(1)),
-    ("project_joint_steady_state", "z_target", np.ones(2)),
-    ("project_joint_steady_state", "u_target", np.ones(3)),
     ("state_bound", "x1", np.ones(5)),
 ]
 
