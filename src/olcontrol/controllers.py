@@ -30,42 +30,40 @@ PROJECTION_BLOCK = 16         # steps taken between two stop tests of the projec
 
 def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float, u0) -> np.ndarray:
     """u in the box minimizing ||s u - y||^2, by fixed-step projected
-    gradient descent from u0.
+    gradient descent from u0, each step in its affine form on [u; 1]: one
+    product with [[I - step s^T s, step s^T y], [0, 1]], then a max and a
+    min against [lower; 1] and [upper; 1] at the iterate's full shape.
 
-    Leading axes of y and u0 index runs, which iterate together.  The runs
-    take PROJECTION_BLOCK steps at a time, and the stop rule is tested once
-    per block: each run returns the iterate of its first step that moved it
-    less than PROJECTION_MOVE_TOL, the one a test after every step returns
-    and the one it reaches alone.  The steps it takes after that one, to
-    the end of the block, are discarded.  The columns (``[..., None]``)
-    keep every product a single matrix-vector one.
-
-    Raises ProjectionFailureError if any run is still moving after
-    PROJECTION_MAX_ITER steps, however little.
+    Leading axes of y and u0 index runs, each with its own matrix and the
+    bits it has alone.  The runs take PROJECTION_BLOCK steps at a time, and
+    the stop rule is tested once per block on the rows of u: each run
+    returns the iterate of its first step that moved it less than
+    PROJECTION_MOVE_TOL, the one a test after every step returns.  The
+    steps after it, to the end of the block, are discarded.  A run still
+    moving after PROJECTION_MAX_ITER steps, however little, raises
+    ProjectionFailureError.
     """
-    lower, upper = u_set.lower[:, None], u_set.upper[:, None]
-    s_t = s.T
-    y = y[..., None]
+    m = s.shape[1]
+    lead = u0.shape[:-1]
+    affine = np.zeros(lead + (m + 1, m + 1))
+    affine[..., :m, :m] = np.eye(m) - step * (s.T @ s)
+    affine[..., :m, m] = step * matvec(s.T, y)
+    affine[..., m, m] = 1.0
     # iterates of one block: iters[0] starts it, iters[i + 1] is its step i
-    iters = np.empty((PROJECTION_BLOCK + 1,) + u0.shape + (1,))
-    np.minimum(np.maximum(u0[..., None], lower), upper, out=iters[0])
-    residual = np.empty(u0.shape[:-1] + y.shape[-2:])
-    grad = np.empty(iters.shape[1:])
+    iters = np.ones((PROJECTION_BLOCK + 1,) + lead + (m + 1, 1))
+    lower, upper = np.ones((2,) + iters.shape[1:])
+    lower[..., :m, 0], upper[..., :m, 0] = u_set.lower, u_set.upper
+    iters[0, ..., :m, 0] = u0
+    np.minimum(np.maximum(iters[0], lower), upper, out=iters[0])
     u = np.empty(iters.shape[1:])  # each run's iterate once it has stopped
-    pending = np.ones(u0.shape[:-1], dtype=bool)
+    pending = np.ones(lead, dtype=bool)
     for start in range(0, PROJECTION_MAX_ITER, PROJECTION_BLOCK):
         k = min(PROJECTION_BLOCK, PROJECTION_MAX_ITER - start)
         for i in range(k):
-            # u - step * (s_t @ (s @ u - y)), then max, then min: the
-            # operations, and their order, of one step taken alone
-            np.matmul(s, iters[i], out=residual)
-            np.subtract(residual, y, out=residual)
-            np.matmul(s_t, residual, out=grad)
-            np.multiply(step, grad, out=grad)
-            nxt = np.subtract(iters[i], grad, out=iters[i + 1])
+            nxt = np.matmul(affine, iters[i], out=iters[i + 1])
             np.maximum(nxt, lower, out=nxt)
             np.minimum(nxt, upper, out=nxt)
-        moved = row_norms((iters[1 : k + 1] - iters[:k])[..., 0])
+        moved = row_norms(iters[1 : k + 1, ..., :m, 0] - iters[:k, ..., :m, 0])
         stops = pending & (moved < PROJECTION_MOVE_TOL)
         stopped = stops.any(axis=0)
         if stopped.any():
@@ -74,7 +72,7 @@ def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float,
             np.copyto(u, picked, where=stopped[..., None, None])
             pending &= ~stopped
         if not pending.any():
-            return u[..., 0]
+            return u[..., :m, 0]
         iters[0] = iters[k]
     raise ProjectionFailureError(
         f"projection did not converge: still moving {np.max(moved[k - 1][pending]):.3e} "
@@ -169,9 +167,9 @@ class OlcController:
         """One projected gradient step on the target state."""
         delta = as_array(delta, "gradient", self.z.shape)
         target = self.z - self.eta[..., None] * delta
-        # warm start at the previous inner minimizer; the projection problem
-        # is strongly convex whenever B has full column rank, so the warm
-        # start changes the iteration count, not the answer
+        # warm start at the previous inner minimizer.  It saves steps and moves
+        # the answer: the stop rule returns an iterate whose distance from the
+        # exact projection (up to 4.5e-9 on a cond S 7.4 plant) depends on the start
         s = self.sys.steady_state_gain
         self._u = _box_least_squares(s, target, self.u_set, self._step, self._u)
         self.z = matvec(s, self._u)

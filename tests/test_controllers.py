@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -340,27 +342,90 @@ class TestBoxDescent:
         u = _box_least_squares(np.eye(2), target, box, 1.0, np.zeros(2))
         np.testing.assert_allclose(u, [1.0, 0.2], atol=1e-9)
 
+    def test_skewed_plant_independent_checks(self, ring_matrices, rng):
+        # B = [[1, 2], [0, 0], [1, 1]]: cond(S) ~ 7.4, up to ~1100 steps per
+        # projection; of these 20 runs some end inside the box, some on it
+        s = LtiSystem(ring_matrices[0], [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]).steady_state_gain
+        box, step = BoxSet.symmetric(5.0, 2), ctrl_mod._projection_step(s)
+        y, u0 = rng.standard_normal((20, 3)) * 8.0, rng.uniform(-5.0, 5.0, (20, 2))
+        got = _box_least_squares(s, y, box, step, u0)
+        # KKT on the gradient S^T (S u - y).  The last step moved u by less
+        # than PROJECTION_MOVE_TOL, which bounds step * |gradient| before it
+        # on the free coordinates; the move changes the gradient by at most
+        # ||S||^2 = 1 / step times itself.  So 2 * PROJECTION_MOVE_TOL / step
+        kkt_tol = 2.0 * ctrl_mod.PROJECTION_MOVE_TOL / step
+        on_face = []
+        for r in range(20):
+            np.testing.assert_allclose(got[r], seven_op_box_least_squares(s, y[r], box, step, u0[r]),
+                                       rtol=0.0, atol=1e-12)
+            assert np.linalg.norm(got[r] - face_enumeration(s, y[r], box)) <= PROJECTION_TOL
+            grad = s.T @ (s @ got[r] - y[r])
+            at_lower, at_upper = got[r] == box.lower, got[r] == box.upper
+            assert np.all(grad[at_lower] >= -kkt_tol) and np.all(grad[at_upper] <= kkt_tol)
+            assert np.all(np.abs(grad[~at_lower & ~at_upper]) <= kkt_tol)
+            on_face.append(bool(np.any(at_lower | at_upper)))
+        assert 0 < sum(on_face) < 20
+
+
+def seven_op_box_least_squares(s, y, u_set, step, u0):
+    """One run's projection with the step written as seven operations,
+    s u, - y, s^T r, * step, u - g, max, min, and the stop rule tested
+    after every step."""
+    u = np.minimum(np.maximum(u0, u_set.lower), u_set.upper)
+    for _ in range(ctrl_mod.PROJECTION_MAX_ITER):
+        residual = s @ u - y
+        grad = step * (s.T @ residual)
+        u_next = np.minimum(np.maximum(u - grad, u_set.lower), u_set.upper)
+        if np.linalg.norm(u_next - u) < ctrl_mod.PROJECTION_MOVE_TOL:
+            return u_next
+        u = u_next
+    raise AssertionError("still moving at the cap")
+
+
+def face_enumeration(s, y, u_set):
+    """Exact u in a 2-d box minimizing ||s u - y||^2: the best feasible
+    candidate of the box's 9 faces, each coordinate at its lower bound, at
+    its upper bound or free (least squares over the free ones)."""
+    best, best_u = np.inf, None
+    for face in itertools.product(("lower", "upper", "free"), repeat=2):
+        free = np.array([f == "free" for f in face])
+        u = np.where(np.array(face) == "lower", u_set.lower, u_set.upper)
+        if free.any():
+            u[free] = np.linalg.lstsq(s[:, free], y - s[:, ~free] @ u[~free], rcond=None)[0]
+            if np.any(u < u_set.lower) or np.any(u > u_set.upper):
+                continue
+        value = np.sum((s @ u - y) ** 2)
+        if value < best:
+            best, best_u = value, u
+    return best_u
+
 
 def per_step_box_least_squares(s, y, u_set, step, u0):
     """The projection with its stop rule tested after every step, the
     reference ``_box_least_squares`` (one test per block) must match bit for
     bit.  Returns the iterates and each run's stop step; a run still moving
     at the cap fails."""
-    lower, upper = u_set.lower[:, None], u_set.upper[:, None]
-    s_t = s.T
-    y = y[..., None]
-    u = np.minimum(np.maximum(u0[..., None], lower), upper)
+    m = s.shape[1]
+    # the step in its affine form: [u; 1] <- clip([[I - step S^T S, step S^T y], [0, 1]] [u; 1])
+    affine = np.zeros(u0.shape[:-1] + (m + 1, m + 1))
+    affine[..., :m, :m] = np.eye(m) - step * (s.T @ s)
+    affine[..., :m, m] = step * matvec(s.T, y)
+    affine[..., m, m] = 1.0
+    lower, upper = np.append(u_set.lower, 1.0)[:, None], np.append(u_set.upper, 1.0)[:, None]
+    u = np.ones(u0.shape[:-1] + (m + 1, 1))
+    u[..., :m, 0] = u0
+    u = np.minimum(np.maximum(u, lower), upper)
     moving = np.ones(u.shape[:-2], dtype=bool)
     stops = np.zeros(u.shape[:-2], dtype=int)
     for it in range(1, ctrl_mod.PROJECTION_MAX_ITER + 1):
-        u_next = np.minimum(np.maximum(u - step * (s_t @ (s @ u - y)), lower), upper)
-        moved = row_norms((u_next - u)[..., 0])
+        u_next = np.minimum(np.maximum(affine @ u, lower), upper)
+        moved = row_norms((u_next - u)[..., :m, 0])
         u = np.where(moving[..., None, None], u_next, u)
         stopped = moving & (moved < ctrl_mod.PROJECTION_MOVE_TOL)
         stops = np.where(stopped, it, stops)
         moving &= ~stopped
         if not moving.any():
-            return u[..., 0], stops
+            return u[..., :m, 0], stops
     raise ProjectionFailureError(
         f"projection did not converge: still moving {np.max(moved[moving]):.3e} "
         f"after {ctrl_mod.PROJECTION_MAX_ITER} iterations"

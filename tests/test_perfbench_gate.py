@@ -1,9 +1,9 @@
 """The benchmark's correctness gate (perfbench/gate.py), run in-process on
-both workloads at base seed 0: each bundle must be complete and match
-perfbench/reference.json to the gate's relative tolerance, so a change in
-output digits is checked against that contract by the test suite too.  The
-gate's other half, the value gap that perfbench/worker.py reports, is
-checked here the same way."""
+both workloads at base seeds 0, 31 and 63, fixed in advance: each bundle
+must be complete and match perfbench/reference.json to the gate's relative
+tolerance, so a change in output digits is checked against that contract
+by the test suite too, on three seeds.  The gate's other half, the value
+gap that perfbench/worker.py reports, is checked here the same way."""
 
 import importlib
 from pathlib import Path
@@ -21,10 +21,14 @@ def perfbench(monkeypatch):
     return importlib.import_module("gate"), importlib.import_module("workloads")
 
 
-@pytest.mark.parametrize("name", ["paper-disturbed", "skewed-clean"])
-def test_bundle_passes_the_gate(perfbench, name, tmp_path):
+GATE_CASES = [pytest.param(name, seed, id=name if seed == 0 else f"{name}-{seed}")
+              for seed in (0, 31, 63) for name in ("paper-disturbed", "skewed-clean")]
+
+
+@pytest.mark.parametrize(("name", "seed"), GATE_CASES)
+def test_bundle_passes_the_gate(perfbench, name, seed, tmp_path):
     gate, workloads = perfbench
-    doc = workloads.workload_config(ROOT, workloads.WORKLOADS[name], 0)
+    doc = workloads.workload_config(ROOT, workloads.WORKLOADS[name], seed)
     exp = run_experiment(config_from_dict(doc), tmp_path)
     assert gate.bundle_problems(tmp_path, doc) == []
     entry = gate.reference_entry(gate.load_reference(), name, doc)
