@@ -138,6 +138,8 @@ class OlcController:
 
     def __init__(self, sys: LtiSystem, u_set: BoxSet, eta, z0=None):
         eta = as_array(eta, "step size", (...,))
+        if eta.size == 0:
+            raise InvalidInputError("step size has no entries: no runs to play")
         if not np.all(eta > 0.0):
             raise InvalidInputError(f"step size must be positive, got {eta}")
         if u_set.dim != sys.input_dim:
@@ -214,10 +216,10 @@ class DacController:
     and B are known.
 
     With ``runs`` unset it runs one controller: blocks are (h_mem, M, N)
-    and the history (2 h_mem + 1, N).  ``runs=R`` runs R of them in
-    lockstep, sharing eta_g and the radii: blocks (R, h_mem, M, N), history
-    (R, 2 h_mem + 1, N), and states, inputs and the cost's Q and c carry
-    the leading axis.
+    and the history (2 h_mem + 1, N).  ``runs=R``, an integer >= 1, runs
+    R of them in lockstep, sharing eta_g and the radii: blocks
+    (R, h_mem, M, N), history (R, 2 h_mem + 1, N), and states, inputs and
+    the cost's Q and c carry the leading axis.
     """
 
     feedback = "cost"
@@ -238,6 +240,8 @@ class DacController:
         self.h_mem = int(h_mem)
         self.eta_g = positive(eta_g, "eta_g")
         self.radii = dac_radii(sys, self.h_mem, radius)
+        if runs is not None and (isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1):
+            raise InvalidInputError(f"runs must be an integer >= 1, got {runs!r}")
         lead = () if runs is None else (int(runs),)
         self.blocks = np.zeros(lead + (self.h_mem, sys.input_dim, sys.state_dim))
         # newest-first ring of past disturbances, zero-padded for t <= 0;

@@ -330,23 +330,39 @@ class Trace:
         return float(self.costs.sum())
 
 
-def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams], lead: tuple):
-    """Controller ``kind`` for runs with the given params and leading shape,
-    () for one run, (R,) for R in lockstep."""
+def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams]):
+    """Controller ``kind`` for ``len(params)`` runs in lockstep."""
     sys = cfg.system()
     if kind == "olc":
-        eta = np.array([p.eta for p in params]).reshape(lead)
-        return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, lead + cfg.x1.shape))
+        eta = np.array([p.eta for p in params])
+        return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, eta.shape + cfg.x1.shape))
     if kind == "dac":
-        return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius,
-                             runs=lead[0] if lead else None)
+        return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius, runs=len(params))
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
-def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
-    """The round loop, over the leading run shape ``lead`` (see run_lockstep)."""
+def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
+    """Run one controller kind through the round protocol for T steps on
+    every run of ``draws`` at once: the experiment's one round loop.
+
+    ``draws`` holds each run's (costs, w_seq, params), the params from
+    :func:`derive_run_params`.  Per round: each run's controller sees its
+    state and acts, the cost and its feedback are revealed at the
+    pre-transition state, and only then does the plant move.  One pass of
+    the loop advances all R runs; every product is taken run by run
+    (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
+    it would have alone.  ``kind`` is "olc", "dac", or a callable
+    ``kind(sys, cfg, params_list)`` returning a controller with a leading
+    run axis of length R = ``len(params_list)``, even for one run.  Each
+    draw is checked first, for T costs on the plant's states and T-1
+    disturbances of its width; InvalidInputError names the draw that
+    fails.  Every visited state is checked against the bound D,
+    ``cfg.bound``.  The step costs are scored once per run, on the whole
+    trajectory, the way the hindsight benchmarks score theirs.
+    """
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
+    draws = list(draws)
     if not draws:
         raise InvalidInputError("no runs to play")
     batches, w_seqs = [], []
@@ -361,71 +377,44 @@ def _play(cfg: ExperimentConfig, kind, draws: list, lead: tuple) -> list[Trace]:
         w_seqs.append(w_seq)
     params = [p for _, _, p in draws]
     # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
-    qs = np.stack([b.qs for b in batches], axis=1).reshape((horizon,) + lead + (n, n))
-    cs = np.stack([b.cs for b in batches], axis=1).reshape((horizon,) + lead + (n,))
-    ws = np.stack(w_seqs, axis=1).reshape((horizon - 1,) + lead + (n,))
+    qs = np.stack([b.qs for b in batches], axis=1)
+    cs = np.stack([b.cs for b in batches], axis=1)
+    ws = np.stack(w_seqs, axis=1)
     bound_slack = cfg.bound.d * (1.0 + 1e-9)
-    if callable(kind):
-        ctrl = kind(sys, cfg, params if lead else params[0])
-    else:
-        ctrl = _build_controller(cfg, kind, params, lead)
+    ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params)
     # run-major, so each run's trajectory is one contiguous block
-    states = np.empty(lead + (horizon, n))
-    inputs = np.empty(lead + (horizon - 1, m))
+    states = np.empty((len(draws), horizon, n))
+    inputs = np.empty((len(draws), horizon - 1, m))
 
-    x = np.broadcast_to(cfg.x1, lead + (n,)).astype(float)
+    x = np.broadcast_to(cfg.x1, (len(draws), n)).astype(float)
     for t in range(horizon):
         norms = row_norms(x)
         over = norms > bound_slack
         if over.any():
             r = np.argmax(over)
             raise InvalidStateError(
-                f"state norm {norms.flat[r]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={t + 1}"
+                f"state norm {norms[r]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={t + 1}"
             )
-        states[..., t, :] = x
+        states[:, t] = x
         if t == horizon - 1:
             break
         cost = QuadraticCost.view(qs[t], cs[t])
         u = ctrl.act(x)
-        inputs[..., t, :] = u
+        inputs[:, t] = u
         x_next = step(sys, x, u, ws[t])
         if ctrl.feedback == "gradient":
             ctrl.observe(cost.grad(x), x_next)
         else:
             ctrl.observe(cost, x_next)
         x = x_next
-    # states[()] is the whole array: the one run when there is no run axis
-    runs = range(lead[0]) if lead else [()]
-    return [Trace(states=states[r], inputs=inputs[r], costs=b.values(states[r])) for r, b in zip(runs, batches)]
-
-
-def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
-    """Run one controller kind through the round protocol for T steps on
-    every run of ``draws`` at once.
-
-    ``draws`` holds each run's (costs, w_seq, params), the params from
-    :func:`derive_run_params`.  Per round: each run's controller sees its
-    state and acts, the cost and its feedback are revealed at the
-    pre-transition state, and only then does the plant move.  One pass of
-    the loop advances all R runs; every product is taken run by run
-    (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
-    it would have alone.  ``kind`` is "olc", "dac", or a callable
-    ``kind(sys, cfg, params_list)`` returning a controller with a leading
-    run axis.  Each draw is checked first, for T costs on the plant's
-    states and T-1 disturbances of its width; InvalidInputError names the
-    draw that fails.  Every visited state is checked against the bound D,
-    ``cfg.bound``.  The step costs are scored once per run, on the whole
-    trajectory, the way the hindsight benchmarks score theirs.
-    """
-    return _play(cfg, kind, list(draws), (len(draws),))
+    return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, batches)]
 
 
 def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:
-    """The one-run case of :func:`run_lockstep`: the same round loop with
-    no run axis, so states are (N,) and inputs (M,).  ``kind`` is "olc",
-    "dac", or a callable ``kind(sys, cfg, params)`` returning a one-run
-    controller (for tests)."""
-    return _play(cfg, kind, [(costs, w_seq, params)], ())[0]
+    """:func:`run_lockstep` on one run: its trace, states (T, N) and inputs
+    (T-1, M).  A callable ``kind`` gets the one-entry params list and
+    returns a controller with a run axis of length 1."""
+    return run_lockstep(cfg, kind, [(costs, w_seq, params)])[0]
 
 
 @dataclass
@@ -501,9 +490,10 @@ class _Forked:
     are not copied.  It sends back what the call returned, or the exception
     it raised, pickled over a pipe, and always leaves through ``os._exit``:
     it never returns into the caller's stack.  Where the platform cannot
-    fork (``_CAN_FORK``), and with ``fork`` false, :meth:`join` makes the
-    same call in-process instead.  Used as a context manager, it kills and
-    reaps a child that was not joined.
+    fork (``_CAN_FORK``), with ``fork`` false, and when ``os.fork`` fails
+    (at a process limit, say), :meth:`join` makes the same call in-process
+    instead.  Used as a context manager, it kills and reaps a child that
+    was not joined.
     """
 
     def __init__(self, fn, *args, fork=True):
@@ -511,7 +501,12 @@ class _Forked:
         if not (fork and _CAN_FORK):
             return
         read, write = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
         if pid == 0:
             status = 1
             try:

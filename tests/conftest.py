@@ -45,3 +45,30 @@ def no_child_left():
     except ChildProcessError:  # no children at all
         return
     pytest.fail(f"the test left child process {pid} unreaped" if pid else "the test left a child process running")
+
+
+def _open_fds():
+    """Entries of /proc/self/fd still open once the listing is done: the
+    listing's own descriptor is closed by then."""
+    def is_open(fd):
+        try:
+            os.fstat(int(fd))
+        except OSError:
+            return False
+        return True
+
+    return {fd for fd in os.listdir("/proc/self/fd") if is_open(fd)}
+
+
+@pytest.fixture(autouse=True)
+def no_fd_leaked():
+    """Fail a test that leaves a file descriptor open: run_seeds opens a
+    pipe to its child, and must close both ends on every path."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_fds()
+    yield
+    leaked = sorted(_open_fds() - before, key=int)
+    if leaked:
+        pytest.fail(f"the test left file descriptor(s) {', '.join(leaked)} open")

@@ -582,6 +582,17 @@ class TestLockstep:
         # the blocks moved and some reached their radius
         assert np.any(np.linalg.norm(batched.blocks, axis=(-2, -1)) >= batched.radii - 1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=-1),
+        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=0),
+        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=2.5),
+        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=True),
+        lambda sys, box: OlcController(sys, box, np.zeros(0)),
+    ], ids=["dac_negative", "dac_zero", "dac_fraction", "dac_bool", "olc_no_eta"])
+    def test_unusable_run_count_rejected(self, ring_system, ring_u_box, make):
+        with pytest.raises(InvalidInputError, match="runs"):
+            make(ring_system, ring_u_box)
+
     def test_projection_failure_in_one_run_raises(self, ring_system, ring_u_box, monkeypatch):
         # a run that has settled does not hide one still moving at the cap
         s = ring_system.steady_state_gain

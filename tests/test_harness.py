@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import pickle
@@ -378,11 +379,11 @@ class TestRunSingle:
         seen = []
 
         def recording(sys, cfg, params):
-            ctrl = OlcController(sys, cfg.u_box, params.eta, z0=cfg.x1)
+            ctrl = OlcController(sys, cfg.u_box, np.array([p.eta for p in params]), z0=cfg.x1[None])
             act = ctrl.act
 
             def act_and_record(x):
-                seen.append(ctrl.z.copy())
+                seen.append(ctrl.z[0].copy())
                 return act(x)
 
             ctrl.act = act_and_record
@@ -407,11 +408,11 @@ class TestRunSingle:
                 self.sys = sys
 
             def act(self, x):
-                calls.append(("act", np.array(x)))
-                return np.zeros(self.sys.input_dim)
+                calls.append(("act", np.array(x[0])))
+                return np.zeros((1, self.sys.input_dim))
 
             def observe(self, delta, x_next=None):
-                calls.append(("observe", np.array(delta)))
+                calls.append(("observe", np.array(delta[0])))
 
         rng = make_rng(1)
         costs = generate_costs(tiny_cfg, rng)
@@ -470,6 +471,26 @@ class TestLockstep:
                 got = getattr(trace, name)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, getattr(single, name)), name
+
+    def test_run_single_is_one_run_lockstep(self, tiny_cfg):
+        draws = [draw_run(tiny_cfg, k) for k in range(3)]
+        seen = []
+
+        def recording(sys, cfg, params):
+            seen.append(params)
+            eta = np.array([p.eta for p in params])
+            return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, eta.shape + cfg.x1.shape))
+
+        run_single(tiny_cfg, recording, *draws[0])
+        run_lockstep(tiny_cfg, recording, draws)
+        # a callable kind always gets the params list: R = 1, then R = 3
+        assert seen == [[draws[0][2]], [params for _, _, params in draws]]
+        assert all(type(params) is list for params in seen)
+        for kind in ("olc", "dac"):
+            single = run_single(tiny_cfg, kind, *draws[0])
+            lockstep = run_lockstep(tiny_cfg, kind, draws[:1])[0]
+            for name in ("states", "inputs", "costs"):
+                assert np.array_equal(getattr(single, name), getattr(lockstep, name)), (kind, name)
 
     def test_run_seeds_matches_one_seed_at_a_time(self, tiny_cfg):
         together = run_seeds(tiny_cfg, [0, 1])
@@ -580,7 +601,7 @@ class TestRegret:
                 pass
 
             def act(self, x):
-                return u_star
+                return u_star[None]
 
             def observe(self, delta, x_next=None):
                 pass
@@ -832,6 +853,27 @@ class TestForkedFirstKind:
         for rec, trace in zip(records, want):
             for name in ("states", "inputs", "costs"):
                 assert np.array_equal(getattr(rec.traces["olc"], name), getattr(trace, name)), name
+
+    @forks_here
+    def test_fork_failure_plays_in_process(self, monkeypatch):
+        # at a process limit fork raises EAGAIN: the first kind then plays
+        # in this process, with the bits it has in a child
+        cfg = ExperimentConfig(t=60, n_runs=3, seed=5)
+        forked = run_seeds(cfg, range(3))
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        records = run_seeds(cfg, range(3))
+        assert attempts == [1]
+        for rec, want in zip(records, forked):
+            for kind in ("olc", "dac"):
+                for name in ("states", "inputs", "costs"):
+                    got = getattr(rec.traces[kind], name)
+                    assert np.array_equal(got, getattr(want.traces[kind], name)), (kind, name)
 
     def test_child_failure_raised_and_recorded(self, tmp_path):
         import olcontrol.harness as harness_mod
