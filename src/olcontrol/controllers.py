@@ -9,8 +9,9 @@ cost for the disturbance-action one) together with the next state.
 Either controller can also carry a leading run axis: R runs of the same
 plant, each with its own state, iterate and feedback, advanced together.
 Every run then sees exactly the floating-point operations it would see
-alone (products go through :func:`~olcontrol.linalg.matvec` and stacked
-``np.matmul``), so a run's trajectory does not depend on its companions.
+alone (products go through :func:`~olcontrol.linalg.matvec`, stacked
+``np.matmul`` and einsums), so a run's trajectory does not depend on its
+companions.
 """
 
 import math
@@ -25,59 +26,116 @@ from .system import BoxSet, LtiSystem
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
 PROJECTION_MAX_ITER = 5000    # a run still moving after this many steps fails
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
-PROJECTION_BLOCK = 16         # steps taken between two stop tests of the projection
+PROJECTION_BLOCKS = (16, 64, 256, 1024)  # steps of a run's first blocks, the last one repeated
+
+
+class _BoxLeastSquares:
+    """u in the box minimizing ||s u - y||^2, by fixed-step projected
+    gradient descent u <- clip(P u + c), P = I - step s^T s, c = step s^T y,
+    a block of steps at a time.
+
+    A step's face records which coordinates its unclipped point P u + c
+    puts below the box, above it, or inside.  On one face the step is
+    affine with linear part L, P with the clamped rows zeroed, so from a
+    block's start u_0 and first step u_1 its step j is
+    u_j = u_1 + H_j (u_1 - u_0), H_j = L + ... + L^(j-1), and a clamped
+    coordinate sits exactly on its bound.  Each face's H_1..H_K, K the
+    longest block, is built by doubling on its first visit and kept: one
+    solver per (s, step, box) serves every call.
+
+    A block takes its face from its first step, computes its candidate
+    steps with one stacked product and their next steps with another, and
+    keeps the candidates up to the first whose next step leaves the face:
+    the fixed-step iterates in exact arithmetic.  Each run returns its
+    iterate of the first step that moved it less than PROJECTION_MOVE_TOL,
+    the step a test after every step stops at.  A run's blocks are
+    PROJECTION_BLOCKS long, then the last length again; a run still moving
+    after PROJECTION_MAX_ITER steps, however little, raises
+    ProjectionFailureError.  Runs along the leading axes each keep the
+    bits they have alone.
+    """
+
+    def __init__(self, s: np.ndarray, u_set: BoxSet, step: float):
+        m = s.shape[1]
+        self.u_set = u_set
+        self._p = np.eye(m) - step * (s.T @ s)
+        self._st = step * s.T
+        self._digits = 3 ** np.arange(m)
+        self._row = {}  # face code -> its row of the table of stacks
+        self._table = np.empty((0, PROJECTION_BLOCKS[-1], m, m))  # H_1..H_K of each face visited
+
+    def _build(self, face: int) -> np.ndarray:
+        """H_1..H_K of one face, by doubling: H_(k+j) = H_k + L^k (I + H_j)."""
+        free = face // self._digits % 3 == 0
+        power = np.where(free[:, None], self._p, 0.0)  # L^k, from L = P with clamped rows zeroed
+        h = np.zeros(self._table.shape[1:])
+        k = 1
+        while k < len(h):
+            n = min(k, len(h) - k)
+            h[k : k + n] = h[k - 1] + power + power @ h[:n]
+            power = power @ power
+            k *= 2
+        return h
+
+    def _stacks(self, faces: np.ndarray, k: int) -> np.ndarray:
+        """H_1..H_k of each face code in ``faces``; a face's first visit
+        builds its stack and adds it to the table."""
+        for face in set(faces.tolist()) - self._row.keys():
+            self._row[face] = len(self._table)
+            self._table = np.concatenate([self._table, self._build(face)[None]])
+        return self._table[[self._row[face] for face in faces.tolist()], :k]
+
+    def __call__(self, y: np.ndarray, u0) -> np.ndarray:
+        """The solution for each run of y (..., N), from u0 (..., M), both
+        with the same leading axes."""
+        lower, upper = self.u_set.lower, self.u_set.upper
+        out = np.empty(np.shape(u0))
+        m = out.shape[-1]
+        flat = out.reshape(-1, m)  # a view, one row per run
+        # the pending runs: their rows of flat, iterates, constants and steps left
+        runs = np.arange(len(flat))
+        u = np.minimum(np.maximum(np.reshape(u0, (-1, m)), lower), upper)
+        c = matvec(self._st, y).reshape(-1, m)
+        room = np.full(len(runs), PROJECTION_MAX_ITER)
+        stuck = []  # the last move of each run still moving at the cap
+        # every block takes at least one step of each pending run
+        for block in range(PROJECTION_MAX_ITER):
+            k = PROJECTION_BLOCKS[min(block, len(PROJECTION_BLOCKS) - 1)]
+            v = matvec(self._p, u) + c
+            low, high = v < lower, v > upper
+            h = self._stacks((low + 2 * high) @ self._digits, k)
+            first = np.minimum(np.maximum(v, lower), upper)
+            # cand[:, j] is the block's step j + 1 while the face holds
+            cand = first[:, None] + np.einsum("rkij,rj->rki", h, first - u)
+            nxt = np.einsum("ij,rkj->rki", self._p, cand) + c[:, None]
+            leaves = (((nxt < lower) != low[:, None]) | ((nxt > upper) != high[:, None])).any(axis=-1)
+            leaves[:, -1] = True  # the next block starts from the last candidate
+            valid = np.minimum(leaves.argmax(axis=1) + 1, room)
+            moves = row_norms(cand - np.concatenate([u[:, None], cand[:, :-1]], axis=1))
+            stops = (moves < PROJECTION_MOVE_TOL) & (np.arange(k) < valid[:, None])
+            stop = stops.any(axis=1)
+            at = np.where(stop, stops.argmax(axis=1), valid - 1)
+            rows = np.arange(len(runs))
+            u, room = cand[rows, at], room - at - 1
+            flat[runs] = u
+            capped = room == 0
+            if capped.any():
+                stuck.extend(moves[rows, at][capped & ~stop])
+            going = ~(stop | capped)
+            if not going.any():
+                break
+            runs, u, c, room = runs[going], u[going], c[going], room[going]
+        if stuck:
+            raise ProjectionFailureError(
+                f"projection did not converge: still moving {max(stuck):.3e} "
+                f"after {PROJECTION_MAX_ITER} iterations"
+            )
+        return out
 
 
 def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float, u0) -> np.ndarray:
-    """u in the box minimizing ||s u - y||^2, by fixed-step projected
-    gradient descent from u0, each step in its affine form on [u; 1]: one
-    product with [[I - step s^T s, step s^T y], [0, 1]], then a max and a
-    min against [lower; 1] and [upper; 1] at the iterate's full shape.
-
-    Leading axes of y and u0 index runs, each with its own matrix and the
-    bits it has alone.  The runs take PROJECTION_BLOCK steps at a time, and
-    the stop rule is tested once per block on the rows of u: each run
-    returns the iterate of its first step that moved it less than
-    PROJECTION_MOVE_TOL, the one a test after every step returns.  The
-    steps after it, to the end of the block, are discarded.  A run still
-    moving after PROJECTION_MAX_ITER steps, however little, raises
-    ProjectionFailureError.
-    """
-    m = s.shape[1]
-    lead = u0.shape[:-1]
-    affine = np.zeros(lead + (m + 1, m + 1))
-    affine[..., :m, :m] = np.eye(m) - step * (s.T @ s)
-    affine[..., :m, m] = step * matvec(s.T, y)
-    affine[..., m, m] = 1.0
-    # iterates of one block: iters[0] starts it, iters[i + 1] is its step i
-    iters = np.ones((PROJECTION_BLOCK + 1,) + lead + (m + 1, 1))
-    lower, upper = np.ones((2,) + iters.shape[1:])
-    lower[..., :m, 0], upper[..., :m, 0] = u_set.lower, u_set.upper
-    iters[0, ..., :m, 0] = u0
-    np.minimum(np.maximum(iters[0], lower), upper, out=iters[0])
-    u = np.empty(iters.shape[1:])  # each run's iterate once it has stopped
-    pending = np.ones(lead, dtype=bool)
-    for start in range(0, PROJECTION_MAX_ITER, PROJECTION_BLOCK):
-        k = min(PROJECTION_BLOCK, PROJECTION_MAX_ITER - start)
-        for i in range(k):
-            nxt = np.matmul(affine, iters[i], out=iters[i + 1])
-            np.maximum(nxt, lower, out=nxt)
-            np.minimum(nxt, upper, out=nxt)
-        moved = row_norms(iters[1 : k + 1, ..., :m, 0] - iters[:k, ..., :m, 0])
-        stops = pending & (moved < PROJECTION_MOVE_TOL)
-        stopped = stops.any(axis=0)
-        if stopped.any():
-            first = stops.argmax(axis=0) + 1
-            picked = np.take_along_axis(iters, first[None, ..., None, None], axis=0)[0]
-            np.copyto(u, picked, where=stopped[..., None, None])
-            pending &= ~stopped
-        if not pending.any():
-            return u[..., :m, 0]
-        iters[0] = iters[k]
-    raise ProjectionFailureError(
-        f"projection did not converge: still moving {np.max(moved[k - 1][pending]):.3e} "
-        f"after {PROJECTION_MAX_ITER} iterations"
-    )
+    """One solve of :class:`_BoxLeastSquares`, its face stacks built anew."""
+    return _BoxLeastSquares(s, u_set, step)(y, u0)
 
 
 def _projection_step(s: np.ndarray) -> float:
@@ -148,11 +206,11 @@ class OlcController:
         self.u_set = u_set
         self.eta = eta
         s = sys.steady_state_gain
-        self._step = _projection_step(s)
+        self._box_least_squares = _BoxLeastSquares(s, u_set, _projection_step(s))
         shape = eta.shape + (sys.state_dim,)
         z0 = np.zeros(shape) if z0 is None else as_array(z0, "z0", shape)
         # start from the manifold point nearest the requested z0
-        self._u = _box_least_squares(s, z0, u_set, self._step, np.zeros(eta.shape + (sys.input_dim,)))
+        self._u = self._box_least_squares(z0, np.zeros(eta.shape + (sys.input_dim,)))
         self.z = matvec(s, self._u)
 
     def act(self, x) -> np.ndarray:
@@ -171,10 +229,10 @@ class OlcController:
         target = self.z - self.eta[..., None] * delta
         # warm start at the previous inner minimizer.  It saves steps and moves
         # the answer: the stop rule returns an iterate whose distance from the
-        # exact projection (up to 4.5e-9 on a cond S 7.4 plant) depends on the start
-        s = self.sys.steady_state_gain
-        self._u = _box_least_squares(s, target, self.u_set, self._step, self._u)
-        self.z = matvec(s, self._u)
+        # exact projection (up to 4.5e-9 on a cond S 7.4 plant) depends on the
+        # start.  The solver keeps the face stacks of every earlier round
+        self._u = self._box_least_squares(target, self._u)
+        self.z = matvec(self.sys.steady_state_gain, self._u)
 
 
 def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -201,6 +259,13 @@ def dac_inputs(blocks: np.ndarray, windows: np.ndarray) -> np.ndarray:
     One product per block, summed in block order.
     """
     return np.matmul(windows.swapaxes(-3, -2), blocks.swapaxes(-1, -2)).sum(axis=-3)
+
+
+def _count(n, name: str) -> int:
+    """``n`` as an int if it is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 class DacController:
@@ -237,12 +302,10 @@ class DacController:
             raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
         self.u_set = u_set
-        self.h_mem = int(h_mem)
+        self.h_mem = _count(h_mem, "memory horizon")
         self.eta_g = positive(eta_g, "eta_g")
         self.radii = dac_radii(sys, self.h_mem, radius)
-        if runs is not None and (isinstance(runs, bool) or not isinstance(runs, (int, np.integer)) or runs < 1):
-            raise InvalidInputError(f"runs must be an integer >= 1, got {runs!r}")
-        lead = () if runs is None else (int(runs),)
+        lead = () if runs is None else (_count(runs, "runs"),)
         self.blocks = np.zeros(lead + (self.h_mem, sys.input_dim, sys.state_dim))
         # newest-first ring of past disturbances, zero-padded for t <= 0;
         # the surrogate looks back 2*h_mem steps

@@ -402,9 +402,10 @@ def face_enumeration(s, y, u_set):
 
 def per_step_box_least_squares(s, y, u_set, step, u0):
     """The projection with its stop rule tested after every step, the
-    reference ``_box_least_squares`` (one test per block) must match bit for
-    bit.  Returns the iterates and each run's stop step; a run still moving
-    at the cap fails."""
+    reference ``_box_least_squares`` (blocks of steps on one face) must
+    match: the same stop step and, to roundoff, the same iterate.  Returns
+    the iterates and each run's stop step; a run still moving at the cap
+    fails."""
     m = s.shape[1]
     # the step in its affine form: [u; 1] <- clip([[I - step S^T S, step S^T y], [0, 1]] [u; 1])
     affine = np.zeros(u0.shape[:-1] + (m + 1, m + 1))
@@ -432,33 +433,48 @@ def per_step_box_least_squares(s, y, u_set, step, u0):
     )
 
 
-def stopping_problem(rng, stops):
+def assert_matches_per_step(s, y, u_set, step, u0):
+    """``_box_least_squares`` stops where the per-step reference does, with
+    its iterate to 1e-12: 100 times below a step's move at the stop, so a
+    run stopping one step early or late fails.  Returns its iterates and
+    the reference's stop steps."""
+    want, stops = per_step_box_least_squares(s, y, u_set, step, u0)
+    got = _box_least_squares(s, y, u_set, step, u0)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    return got, stops
+
+
+def block_edges():
+    """The last step of each of a run's first blocks, when no face change
+    cuts one short: 16, 80, 336, 1360."""
+    return np.cumsum(ctrl_mod.PROJECTION_BLOCKS)
+
+
+def stopping_problem(rng, stops, rate=0.75, move=0.9e-10):
     """Runs of one projection, run r stopping at step ``stops[r]``.
 
-    S has orthonormal columns and the step is 1/4, so each step shrinks the
-    distance to the interior solution u* by 3/4 and moves the iterate by a
-    quarter of it.  Run r starts where its step ``stops[r]`` moves it by
-    0.9e-10 and the step before by 1.2e-10, either side of the tolerance.
+    S has orthonormal columns and the step is 1 - rate, so each step
+    shrinks the distance to the interior solution u* by ``rate`` and moves
+    the iterate by 1 - rate of it.  Run r starts where its step
+    ``stops[r]`` moves it by ``move`` and the step before by move / rate:
+    by default 0.9e-10 and 1.2e-10, either side of the tolerance.
     """
     s = np.linalg.qr(rng.standard_normal((3, 2)))[0]
     u_star = rng.uniform(-1.0, 1.0, (len(stops), 2))
     direction = rng.standard_normal((len(stops), 2))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    dist = 0.9e-10 / (0.25 * 0.75 ** (np.array(stops) - 1.0))
-    return s, matvec(s, u_star), 0.25, u_star + dist[:, None] * direction
+    dist = move / ((1.0 - rate) * rate ** (np.array(stops) - 1.0))
+    return s, matvec(s, u_star), 1.0 - rate, u_star + dist[:, None] * direction
 
 
 class TestBlockedStopRule:
-    """Testing the stop rule once per block of steps returns the bits of the
-    per-step test: each run's iterate of its first step below tolerance."""
+    """Testing the stop rule on a block of steps returns the iterate of the
+    per-step test: each run's first step below tolerance."""
 
     BOX = BoxSet.symmetric(5.0, 2)
 
     def assert_matches_per_step(self, s, y, step, u0):
-        want, stops = per_step_box_least_squares(s, y, self.BOX, step, u0)
-        got = _box_least_squares(s, y, self.BOX, step, u0)
-        assert np.array_equal(got, want)
-        return got, stops
+        return assert_matches_per_step(s, y, self.BOX, step, u0)
 
     def test_one_run(self, ring_system, rng):
         s = ring_system.steady_state_gain
@@ -467,8 +483,8 @@ class TestBlockedStopRule:
             self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
 
     def test_runs_stopping_in_and_across_blocks(self, rng):
-        block = ctrl_mod.PROJECTION_BLOCK
-        wanted = [1, block, block + 1, 3 * block + 5, 4 * block]
+        first, second = block_edges()[:2]
+        wanted = [1, first, first + 1, 53, second, second + 1]
         _, stops = self.assert_matches_per_step(*stopping_problem(rng, wanted))
         np.testing.assert_array_equal(stops, wanted)
 
@@ -478,7 +494,7 @@ class TestBlockedStopRule:
         s = sys.steady_state_gain
         y, u0 = rng.standard_normal((4, 3)) * 6.0, rng.uniform(-5.0, 5.0, (4, 2))
         _, stops = self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
-        assert len(set(stops)) == 4 and stops.max() > 10 * ctrl_mod.PROJECTION_BLOCK
+        assert len(set(stops)) == 4 and stops.max() > block_edges()[2]
 
     def test_joint_projection(self, ring_system, rng):
         # a tall matrix and a step below 1/||S||^2: the joint state+input
@@ -490,9 +506,9 @@ class TestBlockedStopRule:
             y, u0 = rng.standard_normal(5) * 6.0, rng.uniform(-5.0, 5.0, 2)
             self.assert_matches_per_step(stacked, y, step, u0)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_returns_as_per_step(self, rng, monkeypatch, extra):
-        block = ctrl_mod.PROJECTION_BLOCK
+        block = ctrl_mod.PROJECTION_BLOCKS[0]
         cap = block + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # every run stops by the cap, the last one at its very step
@@ -504,9 +520,9 @@ class TestBlockedStopRule:
         uncapped = _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
         assert np.array_equal(got, uncapped)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCK, 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_raises_as_per_step(self, rng, monkeypatch, extra):
-        cap = ctrl_mod.PROJECTION_BLOCK + extra
+        cap = ctrl_mod.PROJECTION_BLOCKS[0] + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # run 2 still moves at the cap, by 0.9e-10 / 0.75**late: 1.2e-10,
         # 2.8e-8 or 3e-3.  However little, that fails the projection
@@ -535,6 +551,117 @@ class TestBlockedStopRule:
                                disturbances_on=False)
         with pytest.raises(ProjectionFailureError, match="after 5000 iterations"):
             run_lockstep(cfg, "olc", [draw_run(cfg, 0)])
+
+
+SKEWED_B = [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+def face_path(s, y, u_set, step, u0):
+    """Face of each step of one run's per-step projection, to its stop:
+    per coordinate -1, 0 or 1 as the unclipped step lands below, inside or
+    above the box."""
+    u, faces = np.clip(u0, u_set.lower, u_set.upper), []
+    while True:
+        v = u - step * (s.T @ (s @ u - y))
+        faces.append(tuple(np.sign(v - np.clip(v, u_set.lower, u_set.upper)).astype(int)))
+        u, before = np.clip(v, u_set.lower, u_set.upper), u
+        if np.linalg.norm(u - before) < ctrl_mod.PROJECTION_MOVE_TOL:
+            return faces
+
+
+class TestFaceBlocks:
+    """A block's steps are products of one face's stack, valid while the
+    steps stay on that face: checked against the per-step reference where
+    the face changes inside a block, in boxes of 1 and 3 inputs, across
+    lockstep runs on different faces and at a cap inside a long block."""
+
+    BOX = BoxSet.symmetric(1.0, 2)
+    # (u0, u*) on the skewed plant in the box [-1, 1]^2, target y = S u*,
+    # and how many coordinates the answer has on the box
+    CASES = {
+        "outside_corner": ([1.56, -1.52], [0.5, 0.66], 0),  # clamped at a corner, then free
+        "ending_on_edge": ([0.62, 0.12], [-1.27, -0.52], 1),
+        "ending_at_corner": ([-0.99, 0.55], [2.87, 0.54], 2),
+    }
+
+    @pytest.fixture()
+    def skewed(self, ring_matrices):
+        s = LtiSystem(ring_matrices[0], SKEWED_B).steady_state_gain
+        return s, ctrl_mod._projection_step(s)
+
+    def case_arrays(self, s, names):
+        u0 = np.array([self.CASES[n][0] for n in names])
+        return matvec(s, np.array([self.CASES[n][1] for n in names])), u0
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_face_changes_inside_a_block(self, skewed, case):
+        s, step = skewed
+        y, u0 = self.case_arrays(s, [case])
+        faces = face_path(s, y[0], self.BOX, step, u0[0])
+        changes = [j + 1 for j in range(1, len(faces)) if faces[j] != faces[j - 1]]
+        # the first change falls inside the first block, not at its start
+        assert 1 < changes[0] <= ctrl_mod.PROJECTION_BLOCKS[0]
+        assert sum(f != 0 for f in faces[-1]) == self.CASES[case][2]
+        got, _ = assert_matches_per_step(s, y, self.BOX, step, u0)
+        # a clamped coordinate sits exactly on its bound
+        on_box = (got[0] == self.BOX.lower) | (got[0] == self.BOX.upper)
+        np.testing.assert_array_equal(on_box, np.array(faces[-1]) != 0)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_box_dimension(self, rng, m):
+        # S = Q R, R mixing the columns; answers inside the box, on a face
+        # of it and at a corner
+        q = np.linalg.qr(rng.standard_normal((4, m)))[0]
+        s = q @ np.array([[1.0, 0.3, 0.1], [0.0, 0.8, 0.2], [0.0, 0.0, 0.6]])[:m, :m]
+        box = BoxSet.symmetric(1.0, m)
+        u_star, u0 = rng.uniform(-2.0, 2.0, (24, m)), rng.uniform(-2.0, 2.0, (24, m))
+        got, _ = assert_matches_per_step(s, matvec(s, u_star), box, ctrl_mod._projection_step(s), u0)
+        clamped = ((got == box.lower) | (got == box.upper)).sum(axis=1)
+        assert clamped.min() == 0 and clamped.max() == m
+
+    def test_lockstep_runs_on_different_faces(self, skewed, rng):
+        s, step = skewed
+        y, u0 = self.case_arrays(s, list(self.CASES))
+        y, u0 = np.vstack([y, rng.standard_normal((3, 3))]), np.vstack([u0, rng.uniform(-1.0, 1.0, (3, 2))])
+        batched = _box_least_squares(s, y, self.BOX, step, u0)
+        for r in range(len(y)):
+            assert np.array_equal(batched[r], _box_least_squares(s, y[r], self.BOX, step, u0[r])), r
+        clamped = ((batched == self.BOX.lower) | (batched == self.BOX.upper)).sum(axis=1)
+        assert set(clamped.tolist()) == {0, 1, 2}
+
+    def test_cap_inside_a_long_block(self, rng, monkeypatch):
+        # rate 0.9 and a move of 0.95e-10 at the stop, 1.06e-10 the step
+        # before: runs long enough to reach the third, 256-step block
+        cap = block_edges()[1] + 120
+        assert cap < block_edges()[2]
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
+        box = BoxSet.symmetric(5.0, 2)
+        wanted = [3, 50, 150, cap]
+        s, y, step, u0 = stopping_problem(rng, wanted, rate=0.9, move=0.95e-10)
+        _, stops = assert_matches_per_step(s, y, box, step, u0)
+        np.testing.assert_array_equal(stops, wanted)
+        for late in (1, 5):
+            s, y, step, u0 = stopping_problem(rng, [3, 150, cap + late], rate=0.9, move=0.95e-10)
+            with pytest.raises(ProjectionFailureError) as want:
+                per_step_box_least_squares(s, y, box, step, u0)
+            with pytest.raises(ProjectionFailureError) as got:
+                _box_least_squares(s, y, box, step, u0)
+            assert str(got.value) == str(want.value)
+
+    def test_stacks_built_once_per_face(self, monkeypatch):
+        # a T = 50 lockstep run on the skewed plant builds each face's
+        # stack once, on its first visit, however many rounds visit it
+        builds = []
+        build = ctrl_mod._BoxLeastSquares._build
+
+        def counted(solver, face):
+            builds.append(face)
+            return build(solver, face)
+
+        monkeypatch.setattr(ctrl_mod._BoxLeastSquares, "_build", counted)
+        cfg = ExperimentConfig(t=50, n_runs=3, b=np.array(SKEWED_B), disturbances_on=False)
+        run_lockstep(cfg, "olc", [draw_run(cfg, k) for k in range(3)])
+        assert builds and len(builds) == len(set(builds))
 
 
 def random_cost(rng, n=3):
@@ -582,15 +709,20 @@ class TestLockstep:
         # the blocks moved and some reached their radius
         assert np.any(np.linalg.norm(batched.blocks, axis=(-2, -1)) >= batched.radii - 1e-12)
 
-    @pytest.mark.parametrize("make", [
-        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=-1),
-        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=0),
-        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=2.5),
-        lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=True),
-        lambda sys, box: OlcController(sys, box, np.zeros(0)),
-    ], ids=["dac_negative", "dac_zero", "dac_fraction", "dac_bool", "olc_no_eta"])
-    def test_unusable_run_count_rejected(self, ring_system, ring_u_box, make):
-        with pytest.raises(InvalidInputError, match="runs"):
+    @pytest.mark.parametrize("make, match", [
+        (lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=-1), "runs"),
+        (lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=0), "runs"),
+        (lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=2.5), "runs"),
+        (lambda sys, box: DacController(sys, box, 3, 0.5, 1.0, runs=True), "runs"),
+        (lambda sys, box: OlcController(sys, box, np.zeros(0)), "runs"),
+        # the memory horizon is a count too: none of these is truncated
+        (lambda sys, box: DacController(sys, box, 2.5, 0.5, 1.0), "memory horizon .* got 2.5"),
+        (lambda sys, box: DacController(sys, box, True, 0.5, 1.0), "memory horizon .* got True"),
+        (lambda sys, box: DacController(sys, box, 0.5, 0.5, 1.0), "memory horizon .* got 0.5"),
+    ], ids=["dac_negative", "dac_zero", "dac_fraction", "dac_bool", "olc_no_eta",
+            "dac_h_mem_fraction", "dac_h_mem_bool", "dac_h_mem_half"])
+    def test_unusable_run_count_rejected(self, ring_system, ring_u_box, make, match):
+        with pytest.raises(InvalidInputError, match=match):
             make(ring_system, ring_u_box)
 
     def test_projection_failure_in_one_run_raises(self, ring_system, ring_u_box, monkeypatch):
