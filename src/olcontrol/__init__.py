@@ -49,6 +49,7 @@ from .harness import (
     run_one_seed,
     run_seeds,
     run_single,
+    solve_draws,
 )
 from .linalg import spectral_norm, spectral_radius_estimate
 from .system import (

@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .harness import draw_run, load_config, run_experiment, run_seeds
+from .harness import draw_run, load_config, run_experiment, solve_draws
 from .linalg import spectral_radius_estimate
 from .system import RADIUS_POWER
 
@@ -53,19 +53,19 @@ def _overrides(args) -> dict:
 _SOLVERS = (("bench_u", "best_fixed_input"), ("bench_m", "best_dac"), ("bench_x", "best_steady_state"))
 
 
-def _solves(record):
-    """(field, solver name, result) for each hindsight solve of a run."""
-    for attr, solver in _SOLVERS:
-        result = getattr(record, attr)
+def _solves(benches):
+    """(field, solver name, result) for each hindsight solve of a run, from
+    its (bench_u, bench_m, bench_x)."""
+    for (attr, solver), result in zip(_SOLVERS, benches):
         if result is not None:
             yield attr, solver, result
 
 
-def _warn_unconverged(record) -> None:
-    for _, solver, result in _solves(record):
+def _warn_unconverged(k, benches) -> None:
+    for _, solver, result in _solves(benches):
         if not result.converged:
             print(
-                f"warning: run {record.run_index}: {solver} did not converge "
+                f"warning: run {k}: {solver} did not converge "
                 f"in {result.iterations} iterations",
                 file=sys.stderr,
             )
@@ -76,7 +76,7 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg)
     print(f"wrote {len(result.reports)} run file(s) to {result.output_dir}")
     for record in result.records:
-        _warn_unconverged(record)
+        _warn_unconverged(record.run_index, (record.bench_u, record.bench_m, record.bench_x))
     for k, msg in sorted(result.failures.items()):
         print(f"run {k} failed: {msg}", file=sys.stderr)
     return 2 if result.failures else 0
@@ -84,13 +84,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    for record in run_seeds(cfg, range(cfg.n_runs), kinds=()):
+    draws = [draw_run(cfg, k) for k in range(cfg.n_runs)]
+    for k, benches in enumerate(solve_draws(cfg, draws)):
         fields = [
             f"{attr}={res.value:.6f} (iterations={res.iterations}, converged={res.converged})"
-            for attr, _, res in _solves(record)
+            for attr, _, res in _solves(benches)
         ]
-        print(f"run {record.run_index}: " + " ".join(fields))
-        _warn_unconverged(record)
+        print(f"run {k}: " + " ".join(fields))
+        _warn_unconverged(k, benches)
     return 0
 
 

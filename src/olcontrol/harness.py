@@ -25,9 +25,6 @@ from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import as_array, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, StateBound, state_bound, step
 
-CONTROLLER_KINDS = ("olc", "dac")
-
-
 def default_system_matrices():
     """The stock simulation plant: a three-state ring with two actuators."""
     a = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]]) / 3.6
@@ -54,6 +51,15 @@ class DacConfig:
     radius: float | None = None  # defaults to kappa^3 * ||B||
 
 
+# (types, description) of the values a config field takes.  A bool is not
+# a number here, although Python's bool is an int.
+_INTEGER = ((int, np.integer), "an integer")
+_REAL = ((int, float, np.integer, np.floating), "a real number")
+_REAL_OR_NONE = (_REAL[0] + (type(None),), "a real number or None")
+_BOOL = ((bool, np.bool_), "a bool")
+_PATH = ((str, os.PathLike), "a str or os.PathLike")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment; every field has its default here.
@@ -61,11 +67,12 @@ class ExperimentConfig:
     Left unset, A and B are the ring plant of :func:`default_system_matrices`,
     the boxes are ±5 on each input and ±0.5 on each state, and x1 is the
     origin.  The plant is built once, here, and shared by every run, and
-    every field is checked here too (ConfigError), so a config that exists
-    is one a run can use; ``dataclasses.replace`` checks again.  What the
-    config alone fixes is derived here as well, once for every run: the
-    state bound D (``bound``) and the DAC step and radius, each the
-    ``dac`` value or, left unset, 1/sqrt(T) and kappa^3 ||B||.
+    every field's type and value is checked here too (ConfigError), so a
+    config that exists is one a run can use; ``dataclasses.replace``
+    checks again.  What the config alone fixes is derived here as well,
+    once for every run: the state bound D (``bound``) and the DAC step and
+    radius, each the ``dac`` value or, left unset, 1/sqrt(T) and
+    kappa^3 ||B||.
     """
 
     seed: int = 1
@@ -104,23 +111,38 @@ class ExperimentConfig:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        for name, value, cls in (("cost_gen", self.cost_gen, CostGenConfig), ("olc", self.olc, OlcConfig),
+                                 ("dac", self.dac, DacConfig), ("u_box", self.u_box, BoxSet),
+                                 ("w_box", self.w_box, BoxSet)):
+            if not isinstance(value, cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}, got {value!r}")
+        gen, olc, dac = self.cost_gen, self.olc, self.dac
+        for name, value, (kinds, what) in (
+            ("seed", self.seed, _INTEGER), ("T", self.t, _INTEGER), ("n_runs", self.n_runs, _INTEGER),
+            ("dac.H_mem", dac.h_mem, _INTEGER), ("cost_gen.q_scale", gen.q_scale, _REAL),
+            ("cost_gen.q_ridge", gen.q_ridge, _REAL), ("cost_gen.c_max", gen.c_max, _REAL),
+            ("olc.eta_override", olc.eta_override, _REAL_OR_NONE), ("dac.eta_g", dac.eta_g, _REAL_OR_NONE),
+            ("dac.radius", dac.radius, _REAL_OR_NONE), ("disturbances_on", self.disturbances_on, _BOOL),
+            ("output_dir", self.output_dir, _PATH),
+        ):
+            if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.t < 2:
             raise ConfigError(f"horizon T must be >= 2, got {self.t}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        gen = self.cost_gen
         if not np.isfinite([gen.q_scale, gen.q_ridge, gen.c_max]).all():
             raise ConfigError("cost_gen values must be finite")
         if gen.q_scale <= 0.0:
             raise ConfigError("cost_gen.q_scale must be positive")
         if gen.q_ridge < 0.0 or gen.c_max < 0.0:
             raise ConfigError("cost_gen.q_ridge and c_max must be non-negative")
-        if self.dac.h_mem < 1:
+        if dac.h_mem < 1:
             raise ConfigError("dac.H_mem must be >= 1")
-        for name, value in (("olc.eta_override", self.olc.eta_override),
-                            ("dac.eta_g", self.dac.eta_g), ("dac.radius", self.dac.radius)):
+        for name, value in (("olc.eta_override", olc.eta_override), ("dac.eta_g", dac.eta_g),
+                            ("dac.radius", dac.radius)):
             if value is not None and not 0.0 < value < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not self.b.any():
@@ -479,26 +501,25 @@ def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
 _CAN_FORK = sys.platform == "linux"
 
 
-class _ChildTraceback(Exception):
-    """The traceback, as text, of an exception raised in a forked child."""
-
-
 class _Forked:
     """``fn(*args)``, called in a forked child process beside the caller.
 
     The child inherits the caller's memory copy-on-write, so the arguments
-    are not copied.  It sends back what the call returned, or the exception
-    it raised, pickled over a pipe, and always leaves through ``os._exit``:
-    it never returns into the caller's stack.  Where the platform cannot
-    fork (``_CAN_FORK``), with ``fork`` false, and when ``os.fork`` fails
-    (at a process limit, say), :meth:`join` makes the same call in-process
-    instead.  Used as a context manager, it kills and reaps a child that
+    are not copied.  It sends back what the call returned, pickled over a
+    pipe, and always leaves through ``os._exit``: it never returns into the
+    caller's stack, and it exits 0 only once the whole result is sent.
+    Where the platform cannot fork (``_CAN_FORK``) or ``os.fork`` fails (at
+    a process limit, say), and whenever the child did not deliver, whether
+    the call raised or the child died, :meth:`join` makes the same call
+    in-process.  The call is deterministic, so a failure in the child is
+    raised again here, with its type and message and a traceback from this
+    process.  Used as a context manager, it kills and reaps a child that
     was not joined.
     """
 
-    def __init__(self, fn, *args, fork=True):
+    def __init__(self, fn, *args):
         self.fn, self.args, self.pid = fn, args, None
-        if not (fork and _CAN_FORK):
+        if not _CAN_FORK:
             return
         read, write = os.pipe()
         try:
@@ -511,14 +532,9 @@ class _Forked:
             status = 1
             try:
                 os.close(read)
-                try:
-                    outcome = (True, fn(*args), None)
-                except Exception as exc:  # noqa: BLE001 - the parent raises it
-                    import traceback  # here, not at the top: importing the package stays light
-
-                    outcome = (False, exc, traceback.format_exc())
+                payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
                 with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                    pipe.write(payload)
                 status = 0
             finally:
                 os._exit(status)
@@ -526,30 +542,25 @@ class _Forked:
         self.pid, self.pipe = pid, open(read, "rb")
 
     def join(self):
-        """What the call returned, or raise what it raised: the same type
-        and message, with the child's traceback as its cause.  Call it once."""
-        if self.pid is None:
-            return self.fn(*self.args)
-        # to EOF before waiting: a payload larger than the pipe's buffer
-        # keeps the child writing until it is read
-        with self.pipe:
-            payload = self.pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if status != 0:  # the child exits 0 only once its whole outcome is sent
-            how = f"exit status {status}" if status > 0 else f"signal {-status}"
-            raise ChildProcessError(f"the child calling {self.fn.__name__} ended with {how} before reporting")
-        returned, value, trace = pickle.loads(payload)
-        if returned:
-            return value
-        raise value from _ChildTraceback(trace)
+        """What the call returned, from the child if it delivered, else from
+        the call made here.  Call it once."""
+        if self.pid is not None:
+            # to EOF before waiting: a payload larger than the pipe's buffer
+            # keeps the child writing until it is read
+            with self.pipe:
+                payload = self.pipe.read()
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                return pickle.loads(payload)
+        return self.fn(*self.args)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         if self.pid is not None:
-            import signal  # here, as traceback above
+            import signal  # here, not at the top: importing the package stays light
 
             self.pipe.close()
             os.kill(self.pid, signal.SIGKILL)
@@ -557,50 +568,51 @@ class _Forked:
             self.pid = None
 
 
-def _play_kinds(cfg: ExperimentConfig, kinds, draws) -> dict[str, list[Trace]]:
-    return {kind: run_lockstep(cfg, kind, draws) for kind in kinds}
+def solve_draws(cfg: ExperimentConfig, draws) -> list[tuple]:
+    """The hindsight benchmarks of every run of ``draws``, the (costs,
+    w_seq, params) of :func:`draw_run`, in one batched pass: per run, the
+    best fixed input, the best DAC policy and, when the runs have no
+    disturbances, the best steady state (else ``None``)."""
+    return solve_benchmarks(
+        cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box,
+        cfg.dac.h_mem, cfg.dac_radius, steady_state=not cfg.disturbances_on,
+    )
 
 
-def run_seeds(cfg: ExperimentConfig, ks, kinds=CONTROLLER_KINDS) -> list[RunRecord]:
-    """Fresh costs and disturbances for each run k in ``ks``: every
-    controller in ``kinds`` on all of them in lockstep, and the hindsight
-    benchmarks of all of them in one batched pass: the best fixed input and
-    DAC policy always, the best steady state when the runs have no
-    disturbances.
+def run_seeds(cfg: ExperimentConfig, ks) -> list[RunRecord]:
+    """Fresh costs and disturbances for each run k in ``ks``: OLC and DAC
+    on all of them in lockstep, and their hindsight benchmarks from
+    :func:`solve_draws`.
 
-    The first of ``kinds`` plays in a forked child process (on Linux, see
-    :class:`_Forked`) while this process plays the others and solves the
-    benchmarks; each part has the bits it has alone.  A failure of the
-    first kind is the one raised, as when the kinds played in turn.
+    OLC plays in a forked child process (on Linux, see :class:`_Forked`)
+    while this process plays DAC and solves the benchmarks; each part has
+    the bits it has alone.  A failure of OLC is the one raised, as when
+    the parts ran in turn.
     """
-    ks, kinds = list(ks), tuple(kinds)
+    ks = list(ks)
     if not ks:
         raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
-    # with no kinds to play there is no child to fork
-    with _Forked(_play_kinds, cfg, kinds[:1], draws, fork=bool(kinds)) as first:
+    with _Forked(run_lockstep, cfg, "olc", draws) as child:
         try:
-            traces = _play_kinds(cfg, kinds[1:], draws)
-            benches = solve_benchmarks(
-                cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box,
-                cfg.dac.h_mem, cfg.dac_radius, steady_state=not cfg.disturbances_on,
-            )
+            dac = run_lockstep(cfg, "dac", draws)
+            benches = solve_draws(cfg, draws)
         except Exception:
-            first.join()  # raises the first kind's failure, if it had one
+            child.join()  # raises OLC's failure, if it had one
             raise
-        traces.update(first.join())
+        olc = child.join()
     return [
         RunRecord(
             run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,
-            traces={kind: traces[kind][i] for kind in kinds}, bench_u=bench_u, bench_m=bench_m, bench_x=bench_x,
+            traces={"olc": olc[i], "dac": dac[i]}, bench_u=bench_u, bench_m=bench_m, bench_x=bench_x,
         )
         for i, (k, (costs, w_seq, params), (bench_u, bench_m, bench_x)) in enumerate(zip(ks, draws, benches))
     ]
 
 
-def run_one_seed(cfg: ExperimentConfig, run_index: int, kinds=CONTROLLER_KINDS) -> RunRecord:
+def run_one_seed(cfg: ExperimentConfig, run_index: int) -> RunRecord:
     """The one-seed case of :func:`run_seeds`."""
-    return run_seeds(cfg, [run_index], kinds)[0]
+    return run_seeds(cfg, [run_index])[0]
 
 
 # (CSV column, benchmark, controller) of every regret curve, in file order.

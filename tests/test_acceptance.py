@@ -33,6 +33,7 @@ from olcontrol.harness import (
     run_experiment,
     run_lockstep,
     run_seeds,
+    solve_draws,
 )
 from olcontrol.system import BoxSet, rollout
 
@@ -364,3 +365,57 @@ def test_criterion_13_deterministic_csv_output(tmp_path):
         if (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes():
             identical = False
     verdict(13, "byte-identical output for identical config and seed", identical)
+
+
+def _zoomed_grid_oracle(sys, x1, w_seq, costs, u_box: BoxSet, rounds: int = 4, resolution: int = 20):
+    """The grid oracle, zoomed: each round grids the window of one cell
+    either side of the last round's best point, so the spacing falls
+    tenfold a round, from 0.5 to 5e-4 on the ±5 box, at 441 points a round.
+    The full box at the oracle's finest grid is 0.025 apart, which at
+    T = 1000 leaves its best point 0.05–0.2 above the optimum."""
+    box = u_box
+    for _ in range(rounds):
+        grid = grid_oracle_fixed_input(sys, x1, w_seq, costs, box, resolution=resolution)
+        cell = (box.upper - box.lower) / resolution
+        box = BoxSet(np.maximum(grid.optimizer - cell, u_box.lower), np.minimum(grid.optimizer + cell, u_box.upper))
+    return grid
+
+
+def test_criterion_14_oco_reduction():
+    # At A = 0 the plant forgets its past: x_{t+1} = B u_t + w_t, and S = B.
+    # OLC is then projected online gradient descent on
+    # h_t(u) = f_t(B u + w_{t-1}) over the input box, and its regret against
+    # the best fixed input is the regret of online convex optimization
+    # (Zinkevich, 2003).  The gradient at x_t scores u_{t-1} and moves
+    # u_t: the feedback arrives one round late.
+    start = time.perf_counter()
+    ok, worst_ratio, worst_gap = True, 0.0, 0.0
+    for disturbances_on in (False, True):
+        cfg = ExperimentConfig(a=np.zeros((3, 3)), t=1000, n_runs=3, disturbances_on=disturbances_on)
+        sys, box, b = cfg.system(), cfg.u_box, cfg.b
+        # B has orthonormal columns, so the step 1/||S||^2 is 1 and the
+        # projection onto S(U) is a clip of B^T z
+        ok &= (sys.cert.gamma, sys.cert.kappa) == (1.0, 1.0) and np.array_equal(sys.steady_state_gain, b)
+        diam_sq = float(np.sum((box.upper - box.lower) ** 2))
+        draws = [draw_run(cfg, k) for k in range(cfg.n_runs)]
+        traces, benches = run_lockstep(cfg, "olc", draws), solve_draws(cfg, draws)
+        for k, (costs, w_seq, params) in enumerate(draws):
+            trace, bench_u = traces[k], benches[k][0]
+            u, inputs = np.zeros(b.shape[1]), []
+            for t in range(cfg.t - 1):
+                inputs.append(u)
+                grad = 2.0 * (costs.qs[t] @ (trace.states[t] - costs.cs[t]))
+                u = np.clip(u - params.eta * (b.T @ grad), box.lower, box.upper)
+            ok &= np.array_equal(np.array(inputs), trace.inputs)
+            # the gradients of h_t at the inputs played, from the trace's states
+            grads = costs.grads(trace.states)[1:] @ b
+            regret = trace.total_cost - bench_u.value
+            bound = diam_sq / (2.0 * params.eta) + 0.5 * params.eta * float(np.sum(grads**2))
+            worst_ratio = max(worst_ratio, regret / bound)
+            if k == 0:  # the grid takes 0.2 s a run
+                grid = _zoomed_grid_oracle(sys, cfg.x1, w_seq, costs, box)
+                worst_gap = max(worst_gap, abs(grid.value - bench_u.value))
+    elapsed = time.perf_counter() - start
+    verdict(14, "OLC at A = 0 is projected OGD within the Zinkevich bound",
+            ok and worst_ratio <= 1.0 and worst_gap <= 1e-3,
+            f"max R_u / bound {worst_ratio:.3f}, max |bench_u - grid| {worst_gap:.2e}, runtime {elapsed:.2f}s")

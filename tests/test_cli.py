@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -141,6 +142,18 @@ class TestBench:
         assert out[0].startswith("run 0: bench_u=") and "bench_m=" in out[0]
         assert out[0].count("converged=True") == 2 and "iterations=" in out[0]
         assert capsys.readouterr().err == ""
+
+    def test_plays_no_controller(self, tiny_config_path, monkeypatch, capsys):
+        # bench solves the hindsight benchmarks only: it forks no child
+        # and runs no round loop
+        def refused(*args, **kwargs):
+            raise AssertionError("bench played a controller")
+
+        monkeypatch.setattr(os, "fork", refused, raising=False)
+        monkeypatch.setattr(olcontrol.harness, "run_lockstep", refused)
+        assert cli_main(["bench", "--config", str(tiny_config_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[1].startswith("run 1: bench_u=")
 
 
 def force_unconverged(monkeypatch, solver: str) -> None:

@@ -6,6 +6,7 @@ import pickle
 import signal
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -44,8 +45,9 @@ from olcontrol.harness import (
     run_one_seed,
     run_seeds,
     run_single,
+    solve_draws,
 )
-from olcontrol.controllers import dac_radii, project_dac_blocks
+from olcontrol.controllers import _BoxLeastSquares, dac_radii, project_dac_blocks
 from olcontrol.linalg import spectral_norm
 from olcontrol.system import state_bound
 
@@ -74,11 +76,35 @@ class TestConfig:
         {"n_runs": 0},
         {"b": np.zeros((3, 2))},
         {"dac": DacConfig(h_mem=0)},
-    ], ids=["seed", "t", "n_runs", "b", "h_mem"])
+        {"dac": DacConfig(h_mem=2.5)},
+        {"dac": DacConfig(h_mem=True)},
+        {"t": 5.5},
+        {"seed": 1.5},
+        {"n_runs": 2.5},
+        {"seed": True},
+        {"disturbances_on": "no"},
+        {"output_dir": 3},
+        {"cost_gen": CostGenConfig(q_ridge=True)},
+        {"olc": OlcConfig(eta_override=True)},
+        {"cost_gen": CostGenConfig(q_scale="5")},
+        {"dac": DacConfig(eta_g="x")},
+        {"u_box": [[-1, -1], [1, 1]]},
+        {"dac": {"h_mem": 3}},
+    ], ids=["seed", "t", "n_runs", "b", "h_mem", "h_mem_float", "h_mem_bool", "t_float", "seed_float",
+            "n_runs_float", "seed_bool", "disturbances_on_text", "output_dir_int", "q_ridge_bool",
+            "eta_override_bool", "q_scale_text", "eta_g_text", "u_box_list", "dac_dict"])
     def test_checked_when_built(self, overrides):
         # no config object exists that a run could not use
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides)
+
+    def test_numpy_scalars_and_paths_accepted(self, tmp_path):
+        cfg = ExperimentConfig(seed=np.int64(3), t=np.int32(12), n_runs=np.uint8(1),
+                               cost_gen=CostGenConfig(q_scale=1, c_max=np.float32(5.0)),
+                               dac=DacConfig(h_mem=np.int64(4), eta_g=np.float64(0.1)),
+                               disturbances_on=np.bool_(False), output_dir=tmp_path / "out")
+        result = run_experiment(cfg)
+        assert not result.failures and result.output_dir == tmp_path / "out"
 
     @pytest.mark.parametrize("kwargs", [
         {"a": np.array([[1.5]]), "b": np.array([[1.0]]),
@@ -347,12 +373,13 @@ class TestRunSingle:
     @pytest.mark.parametrize("kind", ["olc", "dac"])
     def test_costs_scored_on_the_trajectory(self, tiny_cfg, kind):
         # the trace is scored after the loop, as the hindsight benchmarks are
-        rec = run_one_seed(tiny_cfg, 0, kinds=(kind,))
-        costs = [rec.costs[t] for t in range(tiny_cfg.t)]
-        trace = run_single(tiny_cfg, kind, costs, rec.w_seq, rec.params)
-        np.testing.assert_array_equal(trace.states, rec.traces[kind].states)
+        batch, w_seq, params = draw_run(tiny_cfg, 0)
+        [lockstep] = run_lockstep(tiny_cfg, kind, [(batch, w_seq, params)])
+        costs = [batch[t] for t in range(tiny_cfg.t)]
+        trace = run_single(tiny_cfg, kind, costs, w_seq, params)
+        np.testing.assert_array_equal(trace.states, lockstep.states)
         np.testing.assert_array_equal(trace.costs, as_batch(costs).values(trace.states))
-        np.testing.assert_array_equal(rec.traces[kind].costs, rec.costs.values(trace.states))
+        np.testing.assert_array_equal(lockstep.costs, batch.values(trace.states))
 
     def test_cumulative_costs_non_decreasing(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
@@ -506,14 +533,15 @@ class TestLockstep:
     ], ids=["ring_disturbed", "skewed_clean"])
     def test_benchmarks_match_one_seed_at_a_time(self, plant):
         cfg = ExperimentConfig(t=40, n_runs=3, seed=8, **plant)
-        together = run_seeds(cfg, range(3), kinds=())
-        for rec in together:
-            alone = run_one_seed(cfg, rec.run_index, kinds=())
-            assert (rec.bench_x is None) == cfg.disturbances_on
-            for bench in ("bench_u", "bench_m") + (() if cfg.disturbances_on else ("bench_x",)):
+        draws = [draw_run(cfg, k) for k in range(3)]
+        for draw, together in zip(draws, solve_draws(cfg, draws)):
+            [alone] = solve_draws(cfg, [draw])
+            assert (together[2] is None) == cfg.disturbances_on
+            for bench, got, want in zip("umx", together, alone):
+                if got is None:
+                    continue
                 for name in ("optimizer", "value", "iterations", "converged", "step_costs", "value_nominal"):
-                    got, want = getattr(getattr(rec, bench), name), getattr(getattr(alone, bench), name)
-                    assert np.array_equal(got, want), (bench, name)
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (bench, name)
 
     def test_bound_violation_in_one_run_aborts(self, tiny_cfg):
         draws = [draw_run(tiny_cfg, k) for k in range(3)]
@@ -536,7 +564,7 @@ class TestLockstep:
             with pytest.raises(InvalidInputError, match="no runs"):
                 run_lockstep(tiny_cfg, "olc", [])
             with pytest.raises(InvalidInputError, match="no runs"):
-                run_seeds(tiny_cfg, [], kinds=())
+                run_seeds(tiny_cfg, [])
             return
         draws = [draw_run(tiny_cfg, k) for k in range(2)]
         costs, w_seq, params = draws[1]
@@ -560,8 +588,8 @@ class TestRegret:
             assert rep.regret_m[kind][-1] == pytest.approx(expected_m, rel=1e-9, abs=1e-9)
 
     def test_no_traces_gives_empty_curves(self, tiny_cfg):
-        # the record `olcontrol bench` builds: benchmarks only
-        rep = compute_regret(run_one_seed(tiny_cfg, 0, kinds=()))
+        # a record with benchmarks only
+        rep = compute_regret(replace(run_one_seed(tiny_cfg, 0), traces={}))
         assert rep.cum_costs == {}
         assert rep.regret_u == {} and rep.regret_m == {}
         assert rep.regret_x is None
@@ -579,10 +607,10 @@ class TestRegret:
     def test_clean_dac_regret_zero_throughout(self):
         # without disturbances the DAC plays its benchmark's inputs, all zero
         cfg = ExperimentConfig(t=50, n_runs=3, seed=3, disturbances_on=False)
-        for k in range(cfg.n_runs):
-            rec = run_one_seed(cfg, k, kinds=("dac",))
-            np.testing.assert_array_equal(rec.traces["dac"].inputs, 0.0)
-            np.testing.assert_array_equal(compute_regret(rec).curve("m", "dac"), 0.0)
+        draws = [draw_run(cfg, k) for k in range(cfg.n_runs)]
+        for trace, (_, bench_m, _) in zip(run_lockstep(cfg, "dac", draws), solve_draws(cfg, draws)):
+            np.testing.assert_array_equal(trace.inputs, 0.0)
+            np.testing.assert_array_equal(np.cumsum(trace.costs) - np.cumsum(bench_m.step_costs), 0.0)
 
     def test_missing_benchmark_rejected(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
@@ -619,10 +647,11 @@ class TestRegret:
 
     def test_benchmark_gap_magnitude(self):
         cfg = ExperimentConfig(t=60, n_runs=1, seed=4, disturbances_on=False)
-        rec = run_one_seed(cfg, 0, kinds=("olc",))
-        gap = rec.bench_u.value - rec.bench_x.value
+        draw = draw_run(cfg, 0)
+        [(bench_u, _, bench_x)] = solve_draws(cfg, [draw])
+        gap = bench_u.value - bench_x.value
         cert = cfg.system().cert
-        limit = 2 * cert.kappa * rec.params.l * cfg.bound.d**2 / cert.gamma
+        limit = 2 * cert.kappa * draw[2].l * cfg.bound.d**2 / cert.gamma
         assert abs(gap) <= limit
 
 
@@ -833,8 +862,8 @@ def deadline():
 
 @pytest.mark.usefixtures("deadline")
 class TestForkedFirstKind:
-    """run_seeds plays the first kind in a forked child while it plays the
-    others and solves the benchmarks itself."""
+    """run_seeds plays OLC in a forked child while it plays DAC and solves
+    the benchmarks itself; a child that does not deliver is replayed here."""
 
     @pytest.mark.parametrize("can_fork", [pytest.param(True, marks=forks_here), False],
                              ids=["forked", "in_process"])
@@ -856,8 +885,8 @@ class TestForkedFirstKind:
 
     @forks_here
     def test_fork_failure_plays_in_process(self, monkeypatch):
-        # at a process limit fork raises EAGAIN: the first kind then plays
-        # in this process, with the bits it has in a child
+        # at a process limit fork raises EAGAIN: OLC then plays in this
+        # process, with the bits it has in a child
         cfg = ExperimentConfig(t=60, n_runs=3, seed=5)
         forked = run_seeds(cfg, range(3))
         attempts = []
@@ -876,17 +905,15 @@ class TestForkedFirstKind:
                     assert np.array_equal(got, getattr(want.traces[kind], name)), (kind, name)
 
     def test_child_failure_raised_and_recorded(self, tmp_path):
-        import olcontrol.harness as harness_mod
-
         cfg = ExperimentConfig(t=60, n_runs=2, seed=3, b=COND_S_24_B)
         with pytest.raises(ProjectionFailureError, match="did not converge") as info:
             run_seeds(cfg, [0])
-        if harness_mod._CAN_FORK:
-            # the child's traceback is the cause
-            assert isinstance(info.value.__cause__, harness_mod._ChildTraceback)
-            assert "_box_least_squares" in str(info.value.__cause__)
+        # the failed call is made again in this process, so its traceback
+        # reaches the projection that raised
+        assert any(frame.f_code.co_name == "__call__" and isinstance(frame.f_locals.get("self"), _BoxLeastSquares)
+                   for frame, _ in traceback.walk_tb(info.value.__traceback__))
         run_experiment(cfg, output_dir=tmp_path)
-        # the bytes the kinds wrote when they played in turn, in one process
+        # the bytes the controllers wrote when they played in turn, in one process
         assert (tmp_path / "failures.csv").read_text() == (
             "run,error\n"
             "0,ProjectionFailureError: projection did not converge: still moving 4.270e-09 after 5000 iterations\n"
@@ -906,19 +933,24 @@ class TestForkedFirstKind:
             run_seeds(tiny_cfg, [0, 1])
 
     @forks_here
-    def test_child_death_named(self, tiny_cfg, monkeypatch):
+    def test_child_death_replayed_in_process(self, tiny_cfg, monkeypatch):
         import olcontrol.harness as harness_mod
 
-        parent, real = os.getpid(), harness_mod.run_lockstep
+        parent, real, played = os.getpid(), harness_mod.run_lockstep, []
 
         def dies_in_child(cfg, kind, draws):
             if os.getpid() != parent:
                 os._exit(7)
+            played.append(kind)
             return real(cfg, kind, draws)
 
         monkeypatch.setattr(harness_mod, "run_lockstep", dies_in_child)
-        with pytest.raises(ChildProcessError, match="exit status 7"):
-            run_seeds(tiny_cfg, [0, 1])
+        records = run_seeds(tiny_cfg, [0, 1])
+        assert played == ["dac", "olc"]  # the child's call, made again once the parent's part is done
+        want = real(tiny_cfg, "olc", [draw_run(tiny_cfg, k) for k in (0, 1)])
+        for rec, trace in zip(records, want):
+            for name in ("states", "inputs", "costs"):
+                assert np.array_equal(getattr(rec.traces["olc"], name), getattr(trace, name)), name
 
     @forks_here
     def test_interrupted_parent_kills_child(self, tiny_cfg, monkeypatch):
