@@ -280,11 +280,22 @@ class DacController:
     Disturbances are recovered exactly from observed transitions since A
     and B are known.
 
-    With ``runs`` unset it runs one controller: blocks are (h_mem, M, N)
-    and the history (2 h_mem + 1, N).  ``runs=R``, an integer >= 1, runs
-    R of them in lockstep, sharing eta_g and the radii: blocks
-    (R, h_mem, M, N), history (R, 2 h_mem + 1, N), and states, inputs and
-    the cost's Q and c carry the leading axis.
+    The surrogate state is affine in the blocks: with the newest-first
+    ``history`` w_{t-1}, w_{t-2}, ... it is
+    sum_i A^i history[i] + features @ vec(M), i = 0..h_mem, where
+    ``features`` (N, h_mem M N) holds one (N, M N) block per memory block,
+    block j = sum_i (A^i B) (x) history[i + j + 1].  A new disturbance
+    shifts every block one place, so ``observe`` computes only block 0;
+    assigning ``history`` rebuilds them all with the same products, so the
+    features are always the ones the history gives.  The history is
+    read-only: assign a new one to change it.  A round's surrogate state
+    and its gradient ``features^T delta`` are then one product each.
+
+    With ``runs`` unset it runs one controller: blocks are (h_mem, M, N),
+    the history (2 h_mem + 1, N) and the features (N, h_mem M N).
+    ``runs=R``, an integer >= 1, runs R of them in lockstep, sharing eta_g
+    and the radii: every one of these arrays, and states, inputs and the
+    cost's Q and c, carry a leading axis of length R.
     """
 
     feedback = "cost"
@@ -305,71 +316,80 @@ class DacController:
         self.h_mem = _count(h_mem, "memory horizon")
         self.eta_g = positive(eta_g, "eta_g")
         self.radii = dac_radii(sys, self.h_mem, radius)
-        lead = () if runs is None else (_count(runs, "runs"),)
-        self.blocks = np.zeros(lead + (self.h_mem, sys.input_dim, sys.state_dim))
+        self._lead = () if runs is None else (_count(runs, "runs"),)
+        n, m = sys.state_dim, sys.input_dim
+        self.blocks = np.zeros(self._lead + (self.h_mem, m, n))
+        # powers A^i, i = 0..h_mem, side by side: [A^0 | A^1 | ... | A^h_mem]
+        a_pows = np.empty((self.h_mem + 1, n, n))
+        a_pows[0] = np.eye(n)
+        for i in range(1, self.h_mem + 1):
+            a_pows[i] = a_pows[i - 1] @ sys.a
+        self._a_row = a_pows.transpose(1, 0, 2).reshape(n, -1)
+        # (A^i B)[k, m] at row k M + m, column i
+        self._ab_cols = (a_pows @ sys.b).transpose(1, 2, 0).reshape(n * m, -1)
         # newest-first ring of past disturbances, zero-padded for t <= 0;
         # the surrogate looks back 2*h_mem steps
-        self.history = np.zeros(lead + (2 * self.h_mem + 1, sys.state_dim))
-        # history[..., self._windows[i], :] is the window w_{t-i-1..t-i-h_mem}
-        # that fed the input i steps back
-        self._windows = np.arange(self.h_mem + 1)[:, None] + np.arange(1, self.h_mem + 1)
-        # powers A^i and A^i B for i = 0..h_mem
-        n = sys.state_dim
-        self._a_pows = np.empty((self.h_mem + 1, n, n))
-        self._a_pows[0] = np.eye(n)
-        for i in range(1, self.h_mem + 1):
-            self._a_pows[i] = self._a_pows[i - 1] @ sys.a
-        self._ab_pows = self._a_pows @ sys.b
+        self.history = np.zeros(self._lead + (2 * self.h_mem + 1, n))
         self._last_x = None
         self._last_u = None
 
+    @property
+    def history(self) -> np.ndarray:
+        """Past disturbances, newest first, read-only; assigning a new
+        history rebuilds the features."""
+        return self._history
+
+    @history.setter
+    def history(self, history) -> None:
+        history = np.array(as_array(history, "history", self._lead + (2 * self.h_mem + 1, self.sys.state_dim)))
+        history.flags.writeable = False
+        self._history = history
+        self.features = np.concatenate([self._feature_block(j) for j in range(self.h_mem)], axis=-1)
+
+    def _feature_block(self, j: int) -> np.ndarray:
+        """Block j of the features, sum_i (A^i B) (x) history[i + j + 1]:
+        one product of the (A^i B) columns with h_mem + 1 history rows."""
+        n = self.sys.state_dim
+        block = np.matmul(self._ab_cols, self._history[..., j + 1 : j + self.h_mem + 2, :])
+        return block.reshape(self._lead + (n, -1))
+
     def act(self, x) -> np.ndarray:
         """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
-        x = as_array(x, "state", (..., self.sys.state_dim))
-        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :])
+        x = as_array(x, "state", self._lead + (self.sys.state_dim,))
+        u = self.u_set.clamp(dac_inputs(self.blocks, self._history[..., None, : self.h_mem, :])[..., 0, :])
         self._last_x = x
         self._last_u = u
         return u
 
-    def _gather_windows(self) -> np.ndarray:
-        """The surrogate's h_mem + 1 disturbance windows from the history,
-        (..., h_mem + 1, h_mem, N): window i fed the input i steps back."""
-        return self.history[..., self._windows, :]
-
-    def surrogate_state(self, blocks=None, windows=None) -> np.ndarray:
+    def surrogate_state(self, blocks=None) -> np.ndarray:
         """Truncated prediction of the current state under the given blocks
-        (default: the current ones), from ``windows`` (default: gathered
-        from the history)."""
+        (default: the current ones)."""
         if blocks is None:
             blocks = self.blocks
-        if windows is None:
-            windows = self._gather_windows()
-        # virtual inputs the blocks would have produced i steps back
-        virtual = dac_inputs(blocks, windows)
-        y = np.einsum("ikn,...in->...k", self._a_pows, self.history[..., : self.h_mem + 1, :])
-        y += np.einsum("ikm,...im->...k", self._ab_pows, virtual)
-        return y
+        recent = self._history[..., : self.h_mem + 1, :].reshape(self._lead + (-1,))
+        return matvec(self._a_row, recent) + matvec(self.features, blocks.reshape(self._lead + (-1,)))
 
-    def surrogate_grad_blocks(self, delta: np.ndarray, windows=None) -> np.ndarray:
-        """Gradient of cost(surrogate_state) with respect to each block."""
-        if windows is None:
-            windows = self._gather_windows()
-        q = np.einsum("ikm,...k->...im", self._ab_pows, delta)  # (A^i B)^T delta
-        return np.matmul(q.swapaxes(-1, -2)[..., None, :, :], windows.swapaxes(-3, -2))
+    def surrogate_grad_blocks(self, delta: np.ndarray) -> np.ndarray:
+        """Gradient of cost(surrogate_state) with respect to each block,
+        ``features^T delta`` in the blocks' shape."""
+        return matvec(self.features.swapaxes(-1, -2), delta).reshape(self.blocks.shape)
 
     def update(self, cost: QuadraticCost) -> None:
-        """One OGD step on the surrogate loss, then project the blocks; the
-        state and its gradient share one gather of the windows."""
-        windows = self._gather_windows()
-        delta = cost.grad(self.surrogate_state(windows=windows))
-        stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta, windows)
+        """One OGD step on the surrogate loss, then project the blocks."""
+        delta = cost.grad(self.surrogate_state())
+        stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
         self.blocks = project_dac_blocks(stepped, self.radii)
 
     def observe(self, cost: QuadraticCost, x_next) -> None:
         """Update the blocks from this round's cost, then record the
-        disturbance revealed by the observed transition."""
+        disturbance revealed by the observed transition and shift the
+        features one block."""
         if self._last_x is None:
             raise InvalidInputError("observe called before act")
         self.update(cost)
         w = estimate_disturbance(self.sys, self._last_x, self._last_u, x_next)
-        self.history = np.concatenate([w[..., None, :], self.history[..., :-1, :]], axis=-2)
+        history = np.concatenate([w[..., None, :], self._history[..., :-1, :]], axis=-2)
+        history.flags.writeable = False
+        self._history = history
+        width = self.sys.input_dim * self.sys.state_dim  # of one block
+        self.features = np.concatenate([self._feature_block(0), self.features[..., :-width]], axis=-1)

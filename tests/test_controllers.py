@@ -204,6 +204,25 @@ def make_dac(sys, h_mem=3, eta_g=0.05, radius=1.0, box_width=100.0):
     return DacController(sys, BoxSet.symmetric(box_width, sys.input_dim), h_mem, eta_g, radius)
 
 
+def matrix_powers(a, k):
+    """[A^0, A^1, ..., A^k], each the previous one times A."""
+    pows = [np.eye(len(a))]
+    for _ in range(k):
+        pows.append(pows[-1] @ a)
+    return pows
+
+
+def features_by_hand(sys, history):
+    """A one-run DacController's features from its history (2 h + 1, N),
+    one block at a time: block j is sum_i (A^i B) (x) history[i + j + 1],
+    i = 0..h, one product of the (A^i B) columns with h + 1 history rows."""
+    h_mem = len(history) // 2
+    ab_cols = np.stack([(p @ sys.b).ravel() for p in matrix_powers(sys.a, h_mem)], axis=1)
+    n, m = sys.state_dim, sys.input_dim
+    return np.concatenate(
+        [(ab_cols @ history[j + 1 : j + h_mem + 2]).reshape(n, m * n) for j in range(h_mem)], axis=1)
+
+
 class TestDacController:
     def test_zero_history_zero_action(self, ring_system):
         dac = make_dac(ring_system)
@@ -212,7 +231,9 @@ class TestDacController:
     def test_selector_blocks(self, ring_system):
         dac = make_dac(ring_system, h_mem=2)
         dac.blocks[0] = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        dac.history[0] = np.array([1.0, 2.0, 3.0])
+        history = np.zeros(dac.history.shape)
+        history[0] = [1.0, 2.0, 3.0]
+        dac.history = history
         np.testing.assert_allclose(dac.act(np.zeros(3)), [1.0, 2.0])
 
     def test_zero_blocks_ignore_history(self, ring_system, rng):
@@ -270,26 +291,38 @@ class TestDacController:
 
     @pytest.mark.parametrize("h_mem", [1, 3, 10])
     def test_surrogate_matches_per_block_loop(self, ring_system, rng, h_mem):
-        # the window expressions (and act's one window) take the products
-        # of a loop over blocks, in block order, so they agree with it bit
-        # for bit
         dac = make_dac(ring_system, h_mem=h_mem)
         dac.history = rng.uniform(-0.5, 0.5, dac.history.shape)
         dac.blocks = rng.standard_normal(dac.blocks.shape) * 0.2
+        history, blocks = dac.history, dac.blocks
         delta = rng.standard_normal(3)
-        virtual = np.zeros((h_mem + 1, 2))
+        # act's one window takes the products of a loop over blocks, in
+        # block order, so it agrees with it bit for bit
         played = np.zeros((1, 2))
-        q = np.einsum("ikm,k->im", dac._ab_pows, delta)
-        grads = np.empty_like(dac.blocks)
         for j in range(1, h_mem + 1):
-            virtual += dac.history[j : j + h_mem + 1] @ dac.blocks[j - 1].T
-            played += dac.history[j - 1 : j] @ dac.blocks[j - 1].T
-            grads[j - 1] = q.T @ dac.history[j : j + h_mem + 1]
-        state = np.einsum("ikn,in->k", dac._a_pows, dac.history[: h_mem + 1])
-        state += np.einsum("ikm,im->k", dac._ab_pows, virtual)
-        np.testing.assert_array_equal(dac.surrogate_state(), state)
-        np.testing.assert_array_equal(dac.surrogate_grad_blocks(delta), grads)
+            played += history[j - 1 : j] @ blocks[j - 1].T
         np.testing.assert_array_equal(dac.act(np.zeros(3)), dac.u_set.clamp(played[0]))
+        # the features built by hand, one block at a time: block j is
+        # sum_i (A^i B) (x) history[i + j + 1], one product of the (A^i B)
+        # columns with h_mem + 1 history rows; the state and its gradient
+        # are one product each with them
+        a_pows = matrix_powers(ring_system.a, h_mem)
+        features = features_by_hand(ring_system, history)
+        np.testing.assert_array_equal(dac.features, features)
+        state = np.concatenate(a_pows, axis=1) @ history[: h_mem + 1].ravel() + features @ blocks.ravel()
+        np.testing.assert_array_equal(dac.surrogate_state(), state)
+        np.testing.assert_array_equal(dac.surrogate_grad_blocks(delta), (features.T @ delta).reshape(blocks.shape))
+        # the per-block formula, with the virtual inputs the blocks would
+        # have played i steps back: the same sums in another order
+        virtual = np.zeros((h_mem + 1, 2))
+        q = np.stack([(p @ ring_system.b).T @ delta for p in a_pows])  # (A^i B)^T delta
+        grads = np.empty_like(blocks)
+        for j in range(1, h_mem + 1):
+            virtual += history[j : j + h_mem + 1] @ blocks[j - 1].T
+            grads[j - 1] = q.T @ history[j : j + h_mem + 1]
+        state = sum(a_pows[i] @ history[i] + (a_pows[i] @ ring_system.b) @ virtual[i] for i in range(h_mem + 1))
+        np.testing.assert_allclose(dac.surrogate_state(), state, rtol=1e-13)
+        np.testing.assert_allclose(dac.surrogate_grad_blocks(delta), grads, rtol=1e-13)
 
     def test_block_projection_scaling(self):
         blocks = np.zeros((2, 2, 3))
@@ -328,6 +361,38 @@ class TestDacController:
         # newest first
         np.testing.assert_allclose(dac.history[0], ws[-1], atol=1e-12)
         np.testing.assert_allclose(dac.history[1], ws[-2], atol=1e-12)
+
+    def test_features_follow_observe(self, ring_system, rng):
+        # 30 rounds shift every block through the features several times;
+        # the blocks shifted in keep the bits a rebuild from the history gives
+        dac = make_dac(ring_system, h_mem=4, eta_g=0.5)
+        x = np.zeros(3)
+        for _ in range(30):
+            x_next = step(ring_system, x, dac.act(x), rng.uniform(-0.5, 0.5, 3))
+            dac.observe(random_cost(rng), x_next)
+            x = x_next
+        incremental = dac.features
+        np.testing.assert_array_equal(incremental, features_by_hand(ring_system, dac.history))
+        dac.history = dac.history
+        np.testing.assert_array_equal(dac.features, incremental)
+
+    def test_assigning_history_rebuilds_features(self, ring_system, rng):
+        dac = make_dac(ring_system, h_mem=3)
+        np.testing.assert_array_equal(dac.features, np.zeros((3, 18)))
+        history = rng.uniform(-0.5, 0.5, dac.history.shape)
+        dac.history = history
+        np.testing.assert_array_equal(dac.features, features_by_hand(ring_system, history))
+        # the controller keeps its own read-only copy
+        history[0] = 1.0
+        assert not np.any(dac.history == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            dac.history[0] = 1.0
+
+    @pytest.mark.parametrize("runs, x", [(4, np.zeros(3)), (None, np.zeros((5, 3)))], ids=["runs_4", "one_run"])
+    def test_act_checks_state_against_run_axis(self, ring_system, runs, x):
+        dac = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=runs)
+        with pytest.raises(InvalidInputError, match="state must have shape"):
+            dac.act(x)
 
     def test_observe_before_act_rejected(self, ring_system):
         dac = make_dac(ring_system)
@@ -705,6 +770,7 @@ class TestLockstep:
             batched.observe(QuadraticCost.view(np.stack([c.q for c in costs]), np.stack([c.c for c in costs])), x_next)
             np.testing.assert_array_equal(batched.blocks, np.stack([single.blocks for single in singles]))
             np.testing.assert_array_equal(batched.history, np.stack([single.history for single in singles]))
+            np.testing.assert_array_equal(batched.features, np.stack([single.features for single in singles]))
             x = x_next
         # the blocks moved and some reached their radius
         assert np.any(np.linalg.norm(batched.blocks, axis=(-2, -1)) >= batched.radii - 1e-12)
