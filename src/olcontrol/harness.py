@@ -12,8 +12,11 @@ import json
 import os
 import pickle
 import re
+import reprlib
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +29,9 @@ from .linalg import as_array, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, StateBound, state_bound, step
 
 def default_system_matrices():
-    """The stock simulation plant: a three-state ring with two actuators."""
-    a = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]]) / 3.6
+    """The stock simulation plant: a three-state ring with two actuators.
+    A is written in eighteenths, the entries ``configs/default.json`` holds."""
+    a = np.array([[5.0, 1.0, 0.0], [0.0, 5.0, 1.0], [1.0, 0.0, 5.0]]) / 18.0
     b = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     return a, b
 
@@ -51,13 +55,125 @@ class DacConfig:
     radius: float | None = None  # defaults to kappa^3 * ||B||
 
 
-# (types, description) of the values a config field takes.  A bool is not
-# a number here, although Python's bool is an int.
-_INTEGER = ((int, np.integer), "an integer")
-_REAL = ((int, float, np.integer, np.floating), "a real number")
-_REAL_OR_NONE = (_REAL[0] + (type(None),), "a real number or None")
-_BOOL = ((bool, np.bool_), "a bool")
-_PATH = ((str, os.PathLike), "a str or os.PathLike")
+def _kind(what: str, types: tuple, cast, ok=lambda value: True, optional: bool = False):
+    """A kind: it checks a config value, one of ``types`` (a bool is no
+    number, although Python's bool is an int) whose ``cast`` passes ``ok``,
+    or None if ``optional``, and returns it cast or raises ConfigError."""
+
+    def kind(value, key):
+        if optional and value is None:
+            return None
+        if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+            with suppress(OverflowError):  # an int past float's range is no float
+                if ok(normal := cast(value)):
+                    return normal
+        # reprlib cuts a value's repr short: a 400-digit int is no message
+        raise ConfigError(f"{key} must be {what}, got {reprlib.repr(value)}")
+
+    return kind
+
+
+def _integer(low: int, int64: bool = True):
+    """An integer >= ``low`` that fits int64 (if ``int64``), as an int."""
+    what = f"an integer from {low} to 2**63 - 1" if int64 else f"an integer >= {low}"
+    return _kind(what, (int, np.integer), int, lambda v: v >= low and (not int64 or v < 2**63))
+
+
+def _real(positive: bool, optional: bool = False):
+    """A finite number, > 0 if ``positive`` and >= 0 otherwise, as a float."""
+    what = f"a {'positive' if positive else 'non-negative'} finite number" + (" or None" if optional else "")
+    ok = (lambda v: 0.0 < v < np.inf) if positive else (lambda v: 0.0 <= v < np.inf)
+    return _kind(what, (int, float, np.integer, np.floating), float, ok, optional)
+
+
+_boolean = _kind("a bool", (bool, np.bool_), bool)
+_path = _kind("a str or os.PathLike", (str, os.PathLike), lambda value: value)
+_leaf = _kind("finite numbers", (int, float), float, np.isfinite)
+
+
+def _array(value, key):
+    """The kind of an array: nested JSON arrays of finite numbers, read as
+    nested lists of floats, whose shape the plant and BoxSet check.  Each
+    leaf is checked here, since ``np.asarray([True, -1])`` is an int array."""
+    return [_array(item, key) for item in value] if isinstance(value, list) else _leaf(value, f"{key} entries")
+
+
+# The kind of a JSON object: its own rows, built into ``cls`` or, with no
+# ``cls``, fields of the enclosing object.
+_Section = namedtuple("_Section", "rows cls", defaults=(None,))
+
+_BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
+
+# Every config key, once: JSON key -> (field, kind).  ExperimentConfig
+# checks its fields through the kinds however it was built, and
+# config_from_dict reads JSON through the same rows.
+_CONFIG = {
+    "seed": ("seed", _integer(0, int64=False)),  # PCG64 takes any integer >= 0
+    "T": ("t", _integer(2)),
+    "n_runs": ("n_runs", _integer(1)),
+    "system": (None, _Section({"A": ("a", _array), "B": ("b", _array)})),
+    "u_box": ("u_box", _Section(_BOX, BoxSet)),
+    "w_box": ("w_box", _Section(_BOX, BoxSet)),
+    "cost_gen": ("cost_gen", _Section({
+        "q_scale": ("q_scale", _real(positive=True)),
+        "q_ridge": ("q_ridge", _real(positive=False)),
+        "c_max": ("c_max", _real(positive=False)),
+    }, CostGenConfig)),
+    "olc": ("olc", _Section({"eta_override": ("eta_override", _real(positive=True, optional=True))}, OlcConfig)),
+    "dac": ("dac", _Section({
+        "H_mem": ("h_mem", _integer(1)),
+        "eta_g": ("eta_g", _real(positive=True, optional=True)),
+        "radius": ("radius", _real(positive=True, optional=True)),
+    }, DacConfig)),
+    "disturbances_on": ("disturbances_on", _boolean),
+    "output_dir": ("output_dir", _path),
+    "x1": ("x1", _array),
+}
+
+
+def _checked(obj, rows: dict, prefix: str = "") -> dict:
+    """Field -> value of ``obj``'s fields in ``rows``, each checked by its
+    kind; a section is rebuilt from its checked fields."""
+    fields = {}
+    for key, (name, kind) in rows.items():
+        if kind is _array:
+            continue
+        if not isinstance(kind, _Section):
+            fields[name] = kind(getattr(obj, name), prefix + key)
+        elif kind.cls is None:
+            fields.update(_checked(obj, kind.rows, f"{prefix}{key}."))
+        else:
+            value = getattr(obj, name)
+            if not isinstance(value, kind.cls):
+                raise ConfigError(f"{prefix}{key} must be a {kind.cls.__name__}, got {value!r}")
+            fields[name] = replace(value, **_checked(value, kind.rows, f"{prefix}{key}."))
+    return fields
+
+
+def _read(doc, rows: dict, prefix: str = "") -> dict:
+    """Field -> value of each key of the JSON object ``doc``, through
+    ``rows``: arrays and sections are built, other values passed on for the
+    config to check.  A key left out keeps its field's default."""
+    where = prefix[:-1] or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(rows)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    fields = {}
+    for key, value in doc.items():
+        name, kind = rows[key]
+        if not isinstance(kind, _Section):
+            fields[name] = _array(value, prefix + key) if kind is _array else value
+        elif kind.cls is None:
+            fields.update(_read(value, kind.rows, f"{prefix}{key}."))
+        else:
+            section = _read(value, kind.rows, f"{prefix}{key}.")
+            try:
+                fields[name] = kind.cls(**section)
+            except (InvalidInputError, TypeError) as exc:
+                raise ConfigError(f"bad {prefix}{key}: {exc}") from exc
+    return fields
 
 
 @dataclass(frozen=True)
@@ -67,12 +183,12 @@ class ExperimentConfig:
     Left unset, A and B are the ring plant of :func:`default_system_matrices`,
     the boxes are ±5 on each input and ±0.5 on each state, and x1 is the
     origin.  The plant is built once, here, and shared by every run, and
-    every field's type and value is checked here too (ConfigError), so a
-    config that exists is one a run can use; ``dataclasses.replace``
-    checks again.  What the config alone fixes is derived here as well,
-    once for every run: the state bound D (``bound``) and the DAC step and
-    radius, each the ``dac`` value or, left unset, 1/sqrt(T) and
-    kappa^3 ||B||.
+    every field is checked here too, by its kind in ``_CONFIG``
+    (ConfigError) and stored as the kind returns it, so a config that
+    exists is one a run can use; ``dataclasses.replace`` checks again.
+    What the config alone fixes is derived here as well, once for every
+    run: the state bound D (``bound``) and the DAC step and radius, each
+    the ``dac`` value or, left unset, 1/sqrt(T) and kappa^3 ||B||.
     """
 
     seed: int = 1
@@ -98,53 +214,19 @@ class ExperimentConfig:
         try:
             sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
             x1 = np.zeros(sys.state_dim) if self.x1 is None else as_array(self.x1, "x1", (sys.state_dim,))
-        except (ValueError, TypeError) as exc:  # the plant's errors are ValueErrors
+        # the plant's errors are ValueErrors; an int past float's range overflows
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad plant or x1: {type(exc).__name__}: {exc}") from exc
         n, m = sys.state_dim, sys.input_dim
-        derived = {
+        self._store({
             "_system": sys,
             "a": sys.a,
             "b": sys.b,
             "u_box": BoxSet.symmetric(5.0, m) if self.u_box is None else self.u_box,
             "w_box": BoxSet.symmetric(0.5, n) if self.w_box is None else self.w_box,
             "x1": x1,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        for name, value, cls in (("cost_gen", self.cost_gen, CostGenConfig), ("olc", self.olc, OlcConfig),
-                                 ("dac", self.dac, DacConfig), ("u_box", self.u_box, BoxSet),
-                                 ("w_box", self.w_box, BoxSet)):
-            if not isinstance(value, cls):
-                raise ConfigError(f"{name} must be a {cls.__name__}, got {value!r}")
-        gen, olc, dac = self.cost_gen, self.olc, self.dac
-        for name, value, (kinds, what) in (
-            ("seed", self.seed, _INTEGER), ("T", self.t, _INTEGER), ("n_runs", self.n_runs, _INTEGER),
-            ("dac.H_mem", dac.h_mem, _INTEGER), ("cost_gen.q_scale", gen.q_scale, _REAL),
-            ("cost_gen.q_ridge", gen.q_ridge, _REAL), ("cost_gen.c_max", gen.c_max, _REAL),
-            ("olc.eta_override", olc.eta_override, _REAL_OR_NONE), ("dac.eta_g", dac.eta_g, _REAL_OR_NONE),
-            ("dac.radius", dac.radius, _REAL_OR_NONE), ("disturbances_on", self.disturbances_on, _BOOL),
-            ("output_dir", self.output_dir, _PATH),
-        ):
-            if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.t < 2:
-            raise ConfigError(f"horizon T must be >= 2, got {self.t}")
-        if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if not np.isfinite([gen.q_scale, gen.q_ridge, gen.c_max]).all():
-            raise ConfigError("cost_gen values must be finite")
-        if gen.q_scale <= 0.0:
-            raise ConfigError("cost_gen.q_scale must be positive")
-        if gen.q_ridge < 0.0 or gen.c_max < 0.0:
-            raise ConfigError("cost_gen.q_ridge and c_max must be non-negative")
-        if dac.h_mem < 1:
-            raise ConfigError("dac.H_mem must be >= 1")
-        for name, value in (("olc.eta_override", olc.eta_override), ("dac.eta_g", dac.eta_g),
-                            ("dac.radius", dac.radius)):
-            if value is not None and not 0.0 < value < np.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        })
+        self._store(_checked(self, _CONFIG))
         if not self.b.any():
             raise ConfigError("B is all zeros: no input reaches the plant")
         if self.u_box.dim != m:
@@ -152,92 +234,18 @@ class ExperimentConfig:
         if self.w_box.dim != n:
             raise ConfigError("w_box dimension does not match A")
         eta_g, radius = self.dac.eta_g, self.dac.radius
-        derived = {
+        self._store({
             "bound": state_bound(sys, x1, self.u_box, self.w_box),
             "dac_eta_g": 1.0 / np.sqrt(self.t) if eta_g is None else eta_g,
             "dac_radius": sys.cert.kappa**3 * spectral_norm(sys.b) if radius is None else radius,
-        }
-        for name, value in derived.items():
+        })
+
+    def _store(self, values: dict) -> None:
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     def system(self) -> LtiSystem:
         return self._system
-
-
-def _exactly(kind: type, optional: bool = False):
-    """Converter passing values of type ``kind`` only (true is not an int),
-    and null when ``optional``.  A float key takes any JSON number, int or
-    float, and returns it as a float."""
-    kinds, name = ((int, float), "a number") if kind is float else ((kind,), f"of type {kind.__name__}")
-
-    def check(value, key):
-        if optional and value is None:
-            return None
-        if type(value) not in kinds:
-            raise ConfigError(f"{key} must be {name}, got {value!r}")
-        return kind(value)
-
-    return check
-
-
-def _array(value, key):
-    """Nested JSON arrays of numbers as a float array.  Every leaf is
-    checked, since ``np.asarray([True, -1])`` is an int array."""
-    number = _exactly(float)
-
-    def leaves(item):
-        return [leaves(v) for v in item] if isinstance(item, list) else number(item, key)
-
-    return np.asarray(leaves(value), dtype=float)
-
-
-def _fields(doc, schema: dict, where: str) -> dict:
-    """Convert the keys present in ``doc``; absent keys keep the field defaults.
-    Each converter gets the value and its dotted key, for its messages."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    prefix = "" if where == "config" else f"{where}."
-    return {schema[key][0]: schema[key][1](value, prefix + key) for key, value in doc.items()}
-
-
-def _section(cls, schema: dict):
-    def build(doc, where):
-        fields = _fields(doc, schema, where)
-        try:
-            return cls(**fields)
-        except (InvalidInputError, TypeError) as exc:
-            raise ConfigError(f"bad {where}: {exc}") from exc
-
-    return build
-
-
-_BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
-
-# JSON key -> (field name, converter).  The "system" section's A and B
-# become the config's a and b.
-_SCHEMA = {
-    "seed": ("seed", _exactly(int)),
-    "T": ("t", _exactly(int)),
-    "n_runs": ("n_runs", _exactly(int)),
-    "system": ("system", lambda doc, where: _fields(doc, {"A": ("a", _array), "B": ("b", _array)}, where)),
-    "u_box": ("u_box", _section(BoxSet, _BOX)),
-    "w_box": ("w_box", _section(BoxSet, _BOX)),
-    "cost_gen": ("cost_gen", _section(CostGenConfig, {
-        "q_scale": ("q_scale", _exactly(float)), "q_ridge": ("q_ridge", _exactly(float)),
-        "c_max": ("c_max", _exactly(float)),
-    })),
-    "olc": ("olc", _section(OlcConfig, {"eta_override": ("eta_override", _exactly(float, optional=True))})),
-    "dac": ("dac", _section(DacConfig, {
-        "H_mem": ("h_mem", _exactly(int)),
-        "eta_g": ("eta_g", _exactly(float, optional=True)), "radius": ("radius", _exactly(float, optional=True)),
-    })),
-    "disturbances_on": ("disturbances_on", _exactly(bool)),
-    "output_dir": ("output_dir", _exactly(str)),
-    "x1": ("x1", _array),
-}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -245,18 +253,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     Keys mirror the documented schema exactly (T and dac.H_mem are
     capitalized); unknown keys are rejected at every level, and a key left
-    out keeps the :class:`ExperimentConfig` default.
+    out keeps the :class:`ExperimentConfig` default; the config checks the values.
     """
-    try:
-        kwargs = _fields(doc, _SCHEMA, "config")
-    # what the converters can raise past their own checks: a ragged array
-    # (ValueError) and a JSON integer too large for a float (OverflowError)
-    except (ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    kwargs.update(kwargs.pop("system", {}))
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**_read(doc, _CONFIG))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -271,7 +270,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if overrides and isinstance(doc, dict):
         doc = {**doc, **overrides}

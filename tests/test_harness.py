@@ -7,7 +7,8 @@ import signal
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ from olcontrol import (
     InvalidStateError,
     LtiSystem,
     OlcController,
-    ProjectionFailureError,
     QuadraticBatch,
     QuadraticCost,
     compute_regret,
     config_from_dict,
     load_config,
 )
+from olcontrol.cli import cli_main
 from olcontrol.costs import as_batch
 from olcontrol.harness import (
     REGRET_COLUMNS,
@@ -46,8 +47,10 @@ from olcontrol.harness import (
     run_seeds,
     run_single,
     solve_draws,
+    _CONFIG,
+    _Section,
 )
-from olcontrol.controllers import _BoxLeastSquares, dac_radii, project_dac_blocks
+from olcontrol.controllers import dac_radii, project_dac_blocks
 from olcontrol.linalg import spectral_norm
 from olcontrol.system import state_bound
 
@@ -55,6 +58,22 @@ from olcontrol.system import state_bound
 @pytest.fixture()
 def tiny_cfg():
     return ExperimentConfig(t=12, n_runs=2, seed=3)
+
+
+# (Python overrides, the same value in JSON): numbers that pass a type
+# check but are too large for numpy, an int64 or a float
+OVERSIZED = {
+    "T": ({"t": 10**400}, {"T": 10**400}),
+    "n_runs": ({"n_runs": 2**63}, {"n_runs": 2**63}),
+    "H_mem": ({"dac": DacConfig(h_mem=2**63)}, {"dac": {"H_mem": 2**63}}),
+    "radius": ({"dac": DacConfig(radius=10**400)}, {"dac": {"radius": 10**400}}),
+    "eta_g": ({"dac": DacConfig(eta_g=10**400)}, {"dac": {"eta_g": 10**400}}),
+    "eta_override": ({"olc": OlcConfig(eta_override=10**400)}, {"olc": {"eta_override": 10**400}}),
+    "c_max": ({"cost_gen": CostGenConfig(c_max=10**400)}, {"cost_gen": {"c_max": 10**400}}),
+    "q_scale": ({"cost_gen": CostGenConfig(q_scale=10**400)}, {"cost_gen": {"q_scale": 10**400}}),
+    "q_ridge": ({"cost_gen": CostGenConfig(q_ridge=10**400)}, {"cost_gen": {"q_ridge": 10**400}}),
+    "x1": ({"x1": [10**400, 0, 0]}, {"x1": [10**400, 0, 0]}),
+}
 
 
 class TestConfig:
@@ -298,6 +317,84 @@ class TestConfig:
     def test_unstable_system_rejected(self):
         with pytest.raises(ConfigError, match="NotStronglyStableError"):
             config_from_dict({"system": {"A": [[1.5]], "B": [[1.0]]}, "u_box": {"lower": [-1], "upper": [1]}, "w_box": {"lower": [-1], "upper": [1]}})
+
+    @pytest.mark.parametrize("name", list(OVERSIZED))
+    def test_oversized_numbers_rejected(self, name, tmp_path, capsys):
+        overrides, doc = OVERSIZED[name]
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**overrides)
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["check", "--config", str(path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_largest_numbers_accepted(self, tmp_path, capsys):
+        assert ExperimentConfig(n_runs=2**63 - 1, dac=DacConfig(h_mem=2**63 - 1)).n_runs == 2**63 - 1
+        assert config_from_dict({"cost_gen": {"c_max": 1e308}}).cost_gen.c_max == 1e308
+        # PCG64 takes any integer >= 0, so the seed has no upper limit
+        record = run_one_seed(ExperimentConfig(seed=10**400, t=12, n_runs=1), 0)
+        assert record.seed == 10**400 and np.isfinite(record.traces["olc"].costs).all()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 10**400, "T": 12, "n_runs": 1}))
+        assert load_config(path).seed == 10**400
+        assert cli_main(["check", "--config", str(path)]) == 0
+        capsys.readouterr()
+
+    def test_integer_past_the_json_digit_limit(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"T": 1%s}' % ("0" * 5000))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_values_stored_as_plain_python(self, tmp_path):
+        cfg = ExperimentConfig(seed=np.int64(3), t=np.int32(12), n_runs=np.uint8(1),
+                               cost_gen=CostGenConfig(q_scale=1, c_max=np.float32(5.0)),
+                               olc=OlcConfig(eta_override=np.float64(0.2)),
+                               dac=DacConfig(h_mem=np.int64(4), eta_g=np.float64(0.1)),
+                               disturbances_on=np.bool_(False), output_dir=tmp_path)
+        values = [cfg.seed, cfg.t, cfg.n_runs, cfg.dac.h_mem, cfg.cost_gen.q_scale, cfg.cost_gen.q_ridge,
+                  cfg.cost_gen.c_max, cfg.olc.eta_override, cfg.dac.eta_g, cfg.disturbances_on]
+        assert [type(v) for v in values] == [int] * 4 + [float] * 5 + [bool]
+        assert cfg.output_dir is tmp_path and cfg.dac.radius is None
+
+    def test_default_json_is_the_default_config(self):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+        from_json, default = config_from_dict(doc), ExperimentConfig()
+        for f in fields(ExperimentConfig):
+            if not f.init:
+                continue
+            got, want = getattr(from_json, f.name), getattr(default, f.name)
+            if isinstance(want, BoxSet):
+                assert np.array_equal(got.lower, want.lower) and np.array_equal(got.upper, want.upper), f.name
+            elif isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+
+    def test_table_matches_the_dataclasses(self):
+        # each section's rows name every init field of its class exactly
+        # once, so no key can be read from JSON and left unchecked
+        def init_fields(cls):
+            return sorted(f.name for f in fields(cls) if f.init)
+
+        sections = []
+
+        def row_fields(rows):
+            names = []
+            for name, kind in rows.values():
+                if isinstance(kind, _Section) and kind.cls is None:
+                    names += row_fields(kind.rows)  # fields of the enclosing class
+                    continue
+                names.append(name)
+                if isinstance(kind, _Section):
+                    assert sorted(row_fields(kind.rows)) == init_fields(kind.cls), name
+                    sections.append(kind.cls)
+            return names
+
+        assert sorted(row_fields(_CONFIG)) == init_fields(ExperimentConfig)
+        assert set(sections) == {CostGenConfig, OlcConfig, DacConfig, BoxSet}
 
 
 class TestGenerators:
@@ -837,9 +934,6 @@ class TestExperimentOutput:
         np.testing.assert_allclose(cfg.x1, [1.0, 0.0, -1.0])
 
 
-# B = [[1, 1.2], [0, 0], [1, 1]]: cond(S) ~ 24, too slow for the fixed-step
-# projection within its cap, so every run's OLC loop raises
-COND_S_24_B = np.array([[1.0, 1.2], [0.0, 0.0], [1.0, 1.0]])
 forks_here = pytest.mark.skipif(sys.platform != "linux", reason="run_seeds forks only on Linux")
 
 
@@ -858,6 +952,23 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def leaves_the_ball(monkeypatch):
+    """Draws whose disturbances grow a thousandfold from step 31 on, so that
+    every run of 60 steps leaves the D-ball at t = 32: each controller
+    raises InvalidStateError, with a state norm of its own."""
+    import olcontrol.harness as harness_mod
+
+    real = harness_mod.generate_disturbances
+
+    def grown(cfg, rng):
+        w = real(cfg, rng)
+        w[30:] *= 1e3
+        return w
+
+    monkeypatch.setattr(harness_mod, "generate_disturbances", grown)
 
 
 @pytest.mark.usefixtures("deadline")
@@ -904,22 +1015,27 @@ class TestForkedFirstKind:
                     got = getattr(rec.traces[kind], name)
                     assert np.array_equal(got, getattr(want.traces[kind], name)), (kind, name)
 
+    @pytest.mark.usefixtures("leaves_the_ball")
     def test_child_failure_raised_and_recorded(self, tmp_path):
-        cfg = ExperimentConfig(t=60, n_runs=2, seed=3, b=COND_S_24_B)
-        with pytest.raises(ProjectionFailureError, match="did not converge") as info:
+        cfg = ExperimentConfig(t=60, n_runs=2, seed=3)
+        with pytest.raises(InvalidStateError) as alone:
+            run_lockstep(cfg, "olc", [draw_run(cfg, 0)])
+        with pytest.raises(InvalidStateError) as info:
             run_seeds(cfg, [0])
+        assert str(info.value) == str(alone.value)
         # the failed call is made again in this process, so its traceback
-        # reaches the projection that raised
-        assert any(frame.f_code.co_name == "__call__" and isinstance(frame.f_locals.get("self"), _BoxLeastSquares)
+        # reaches the OLC round loop that raised
+        assert any(frame.f_code.co_name == "run_lockstep" and frame.f_locals.get("kind") == "olc"
                    for frame, _ in traceback.walk_tb(info.value.__traceback__))
         run_experiment(cfg, output_dir=tmp_path)
         # the bytes the controllers wrote when they played in turn, in one process
         assert (tmp_path / "failures.csv").read_text() == (
             "run,error\n"
-            "0,ProjectionFailureError: projection did not converge: still moving 4.270e-09 after 5000 iterations\n"
-            "1,ProjectionFailureError: projection did not converge: still moving 7.743e-08 after 5000 iterations\n"
+            "0,InvalidStateError: state norm 558.372 exceeds the certified bound 12.5323 at t=32\n"
+            "1,InvalidStateError: state norm 620.732 exceeds the certified bound 12.5323 at t=32\n"
         )
 
+    @pytest.mark.usefixtures("leaves_the_ball")
     def test_first_kinds_failure_wins(self, tiny_cfg, monkeypatch):
         import olcontrol.harness as harness_mod
 
@@ -927,8 +1043,16 @@ class TestForkedFirstKind:
             raise RuntimeError("synthetic hindsight failure")
 
         monkeypatch.setattr(harness_mod, "solve_benchmarks", hindsight_fails)
-        with pytest.raises(ProjectionFailureError):
-            run_seeds(ExperimentConfig(t=60, n_runs=1, seed=3, b=COND_S_24_B), [0])
+        cfg = ExperimentConfig(t=60, n_runs=1, seed=3)
+        # the parent's DAC fails on the same draw, with a state norm of its own
+        with pytest.raises(InvalidStateError) as olc:
+            run_lockstep(cfg, "olc", [draw_run(cfg, 0)])
+        with pytest.raises(InvalidStateError) as dac:
+            run_lockstep(cfg, "dac", [draw_run(cfg, 0)])
+        with pytest.raises(InvalidStateError) as info:
+            run_seeds(cfg, [0])
+        assert str(info.value) == str(olc.value) != str(dac.value)
+        # T = 12: the disturbances never grow, and the hindsight failure is raised
         with pytest.raises(RuntimeError, match="synthetic hindsight failure"):
             run_seeds(tiny_cfg, [0, 1])
 
