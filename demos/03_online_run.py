@@ -15,7 +15,7 @@ from olcontrol.harness import run_one_seed
 
 cfg = ExperimentConfig(t=1000, n_runs=1, seed=7)
 record = run_one_seed(cfg, 0)
-report = compute_regret(record)
+table = compute_regret(record)  # the run CSV's columns by header name
 
 cert, p = cfg.system().cert, record.params
 print(f"certificate: gamma={cert.gamma:.4f} kappa={cert.kappa:.4f}")
@@ -30,11 +30,11 @@ print(f"best disturbance-action in hindsight:       {record.bench_m.value:12.1f}
 print("\nregret vs the fixed-input benchmark over time (prefix sums):")
 print("    t    target-state    disturbance-action")
 for t in (100, 250, 500, 1000):
-    print(f"{t:5d}    {report.regret_u['olc'][t-1]:12.1f}    {report.regret_u['dac'][t-1]:12.1f}")
+    print(f"{t:5d}    {table['regret_olc_u'][t-1]:12.1f}    {table['regret_dac_u'][t-1]:12.1f}")
 
 print("\nregret vs the disturbance-action benchmark at T:")
-print(f"target-state: {report.regret_m['olc'][-1]:.1f} (negative: it beats that benchmark)")
-print(f"baseline:     {report.regret_m['dac'][-1]:.1f}")
+print(f"target-state: {table['regret_olc_m'][-1]:.1f} (negative: it beats that benchmark)")
+print(f"baseline:     {table['regret_dac_m'][-1]:.1f}")
 
 # the controller's target, the steady state S u of the input it plays,
 # settles near the best steady state

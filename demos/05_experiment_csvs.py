@@ -14,7 +14,7 @@ out = Path(tempfile.mkdtemp(prefix="olcontrol_demo_"))
 cfg = ExperimentConfig(t=200, n_runs=3, seed=11)
 result = run_experiment(cfg, output_dir=out)
 
-print(f"wrote {len(result.reports)} runs to {out}\n")
+print(f"wrote {len(result.records)} runs to {out}\n")
 for name in sorted(p.name for p in out.iterdir()):
     print(f"  {name}")
 
@@ -23,6 +23,8 @@ print(f"\nrun_0.csv: {len(run0) - 1} rows")
 print("  " + run0[0])
 print("  " + run0[1])
 print("  " + run0[-1])
+# result.tables holds each run's columns by header name, unrounded
+print(f"  final regret_olc_u of run 0, unrounded: {float(result.tables[0]['regret_olc_u'][-1])!r}")
 
 print("\nbenchmarks.csv (final hindsight values per run):")
 for line in (out / "benchmarks.csv").read_text().splitlines():

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    RegretReport,
     RunRecord,
     Trace,
     compute_regret,

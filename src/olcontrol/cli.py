@@ -74,7 +74,7 @@ def _warn_unconverged(k, benches) -> None:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     result = run_experiment(cfg)
-    print(f"wrote {len(result.reports)} run file(s) to {result.output_dir}")
+    print(f"wrote {len(result.records)} run file(s) to {result.output_dir}")
     for record in result.records:
         _warn_unconverged(record.run_index, (record.bench_u, record.bench_m, record.bench_x))
     for k, msg in sorted(result.failures.items()):

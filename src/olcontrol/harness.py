@@ -214,8 +214,7 @@ class ExperimentConfig:
         try:
             sys = LtiSystem(ring_a if self.a is None else self.a, ring_b if self.b is None else self.b)
             x1 = np.zeros(sys.state_dim) if self.x1 is None else as_array(self.x1, "x1", (sys.state_dim,))
-        # the plant's errors are ValueErrors; an int past float's range overflows
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError) as exc:  # the plant's errors are ValueErrors
             raise ConfigError(f"bad plant or x1: {type(exc).__name__}: {exc}") from exc
         n, m = sys.state_dim, sys.input_dim
         self._store({
@@ -453,38 +452,23 @@ class RunRecord:
     bench_x: BenchmarkResult | None = None
 
 
-@dataclass
-class RegretReport:
-    """Cumulative regret curves against each benchmark, per controller."""
-
-    cum_costs: dict[str, np.ndarray]
-    regret_u: dict[str, np.ndarray]
-    regret_m: dict[str, np.ndarray] | None = None
-    regret_x: dict[str, np.ndarray] | None = None
-
-    def curve(self, bench: str, kind: str) -> np.ndarray:
-        """Controller ``kind``'s regret against benchmark "u", "m" or "x"."""
-        return getattr(self, f"regret_{bench}")[kind]
-
-
-def compute_regret(record: RunRecord) -> RegretReport:
-    """Prefix-sum regret curves against the full-horizon benchmark optimizers."""
+def compute_regret(record: RunRecord) -> dict[str, np.ndarray]:
+    """The run's CSV columns after ``t``, by header name, in file order:
+    ``cost_<kind>`` and ``cum_<kind>`` per controller, then
+    ``regret_<kind>_<bench>``, the cumulative cost less the benchmark's,
+    against the best fixed input (u), the best DAC policy (m) and the best
+    steady state (x), for each benchmark the run solved.  Every value is a
+    (T,) curve."""
     if record.bench_u is None:
         raise InvalidStateError("fixed-input benchmark missing; solve benchmarks first")
     cum = {kind: np.cumsum(tr.costs) for kind, tr in record.traces.items()}
-
-    def against(bench: BenchmarkResult | None):
-        if bench is None:
-            return None
-        prefix = np.cumsum(bench.step_costs)
-        return {kind: curve - prefix for kind, curve in cum.items()}
-
-    return RegretReport(
-        cum_costs=cum,
-        regret_u=against(record.bench_u),
-        regret_m=against(record.bench_m),
-        regret_x=against(record.bench_x),
-    )
+    table = {f"cost_{kind}": tr.costs for kind, tr in record.traces.items()}
+    table.update((f"cum_{kind}", curve) for kind, curve in cum.items())
+    for bench, result in (("u", record.bench_u), ("m", record.bench_m), ("x", record.bench_x)):
+        if result is not None:
+            prefix = np.cumsum(result.step_costs)
+            table.update((f"regret_{kind}_{bench}", curve - prefix) for kind, curve in cum.items())
+    return table
 
 
 def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
@@ -614,22 +598,6 @@ def run_one_seed(cfg: ExperimentConfig, run_index: int) -> RunRecord:
     return run_seeds(cfg, [run_index])[0]
 
 
-# (CSV column, benchmark, controller) of every regret curve, in file order.
-REGRET_COLUMNS = (
-    ("regret_olc_u", "u", "olc"),
-    ("regret_dac_u", "u", "dac"),
-    ("regret_olc_m", "m", "olc"),
-    ("regret_dac_m", "m", "dac"),
-    ("regret_olc_x", "x", "olc"),
-    ("regret_dac_x", "x", "dac"),
-)
-
-
-def _regret_columns(report: RegretReport):
-    """The columns of the benchmarks the run solved."""
-    return [col for col in REGRET_COLUMNS if getattr(report, f"regret_{col[1]}") is not None]
-
-
 def _write_table(path, header: list[str], index, columns: list) -> None:
     """The header, then one row per entry of ``index``: that integer, then
     each column's value there to 12 significant digits."""
@@ -638,24 +606,21 @@ def _write_table(path, header: list[str], index, columns: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_run_csv(path, cfg: ExperimentConfig, record: RunRecord, report: RegretReport) -> None:
-    cols = _regret_columns(report)
-    header = ["t", "cost_olc", "cost_dac", "cum_olc", "cum_dac"] + [col for col, _, _ in cols]
-    curves = [record.traces["olc"].costs, record.traces["dac"].costs,
-              report.cum_costs["olc"], report.cum_costs["dac"]]
-    curves += [report.curve(bench, kind) for _, bench, kind in cols]
-    _write_table(path, header, range(1, cfg.t + 1), curves)
+def write_run_csv(path, cfg: ExperimentConfig, table: dict) -> None:
+    """``t``, then the columns of :func:`compute_regret`'s table."""
+    _write_table(path, ["t", *table], range(1, cfg.t + 1), list(table.values()))
 
 
-def write_summary_csv(path, cfg: ExperimentConfig, reports: list[RegretReport]) -> None:
+def write_summary_csv(path, cfg: ExperimentConfig, tables: list[dict]) -> None:
     """Per-step mean and standard deviation of each regret column."""
     header, curves = ["t"], []
-    for col, bench, kind in _regret_columns(reports[0]):
-        # (T, runs): each step's values are contiguous, so every step is
-        # reduced exactly as a 1-d array of the runs' values
-        stack = np.stack([rep.curve(bench, kind) for rep in reports], axis=1)
-        header += [f"mean_{col}", f"std_{col}"]
-        curves += [stack.mean(axis=1), stack.std(axis=1)]
+    for col in tables[0]:
+        if col.startswith("regret_"):
+            # (T, runs): each step's values are contiguous, so every step is
+            # reduced exactly as a 1-d array of the runs' values
+            stack = np.stack([table[col] for table in tables], axis=1)
+            header += [f"mean_{col}", f"std_{col}"]
+            curves += [stack.mean(axis=1), stack.std(axis=1)]
     _write_table(path, header, range(1, cfg.t + 1), curves)
 
 
@@ -667,7 +632,7 @@ def write_benchmarks_csv(path, records: list[RunRecord]) -> None:
 @dataclass
 class ExperimentResult:
     records: list[RunRecord]
-    reports: list[RegretReport]
+    tables: list[dict[str, np.ndarray]]
     failures: dict[int, str]
     output_dir: Path
 
@@ -676,7 +641,7 @@ _BUNDLE_NAME = re.compile(r"run_[0-9]+\.csv|summary\.csv|benchmarks\.csv|failure
 
 
 def _seed_task(cfg: ExperimentConfig, ks: list[int]) -> dict:
-    """Runs ``ks`` in lockstep, isolated: run k -> (record, report), or the
+    """Runs ``ks`` in lockstep, isolated: run k -> (record, table), or the
     message of the exception that failed it.  If the runs fail together,
     each is run again alone, so a failure is charged to its own run and the
     others complete."""
@@ -706,20 +671,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
         if _BUNDLE_NAME.fullmatch(path.name):
             path.unlink()
     records: list[RunRecord] = []
-    reports: list[RegretReport] = []
+    tables: list[dict[str, np.ndarray]] = []
     failures: dict[int, str] = {}
     for k, outcome in _seed_task(cfg, list(range(cfg.n_runs))).items():
         if isinstance(outcome, str):
             failures[k] = outcome
             continue
-        record, report = outcome
+        record, table = outcome
         records.append(record)
-        reports.append(report)
-        write_run_csv(out / f"run_{k}.csv", cfg, record, report)
-    if reports:
-        write_summary_csv(out / "summary.csv", cfg, reports)
+        tables.append(table)
+        write_run_csv(out / f"run_{k}.csv", cfg, table)
+    if tables:
+        write_summary_csv(out / "summary.csv", cfg, tables)
         write_benchmarks_csv(out / "benchmarks.csv", records)
     if failures:
         with open(out / "failures.csv", "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([("run", "error"), *sorted(failures.items())])
-    return ExperimentResult(records=records, reports=reports, failures=failures, output_dir=out)
+    return ExperimentResult(records=records, tables=tables, failures=failures, output_dir=out)

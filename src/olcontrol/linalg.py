@@ -36,7 +36,8 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
     """
     try:
         arr = np.asarray(v, dtype=float)
-    except (ValueError, TypeError) as exc:  # text, a ragged nest, an object
+    # text, a ragged nest, an object, or an int past float's range
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
     dims = arr.shape
     k = len(shape)  # declared axes, matched against the last k of dims
@@ -60,7 +61,10 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
 
 def positive(x, name: str) -> float:
     """``x`` as a float in (0, inf), or InvalidInputError (NaN included)."""
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError as exc:  # an int past float's range
+        raise InvalidInputError(f"{name} must be positive and finite, got an int past float's range") from exc
     if not 0.0 < x < math.inf:
         raise InvalidInputError(f"{name} must be positive and finite, got {x}")
     return x

@@ -30,7 +30,6 @@ from olcontrol import (
 from olcontrol.cli import cli_main
 from olcontrol.costs import as_batch
 from olcontrol.harness import (
-    REGRET_COLUMNS,
     CostGenConfig,
     DacConfig,
     ExperimentConfig,
@@ -677,29 +676,26 @@ class TestLockstep:
 class TestRegret:
     def test_last_row_matches_totals(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
-        rep = compute_regret(rec)
+        table = compute_regret(rec)
         for kind in ("olc", "dac"):
             expected = rec.traces[kind].total_cost - rec.bench_u.value
-            assert rep.regret_u[kind][-1] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert table[f"regret_{kind}_u"][-1] == pytest.approx(expected, rel=1e-9, abs=1e-9)
             expected_m = rec.traces[kind].total_cost - rec.bench_m.value
-            assert rep.regret_m[kind][-1] == pytest.approx(expected_m, rel=1e-9, abs=1e-9)
+            assert table[f"regret_{kind}_m"][-1] == pytest.approx(expected_m, rel=1e-9, abs=1e-9)
 
     def test_no_traces_gives_empty_curves(self, tiny_cfg):
-        # a record with benchmarks only
-        rep = compute_regret(replace(run_one_seed(tiny_cfg, 0), traces={}))
-        assert rep.cum_costs == {}
-        assert rep.regret_u == {} and rep.regret_m == {}
-        assert rep.regret_x is None
+        # a record with benchmarks only: no controller, so no column
+        assert compute_regret(replace(run_one_seed(tiny_cfg, 0), traces={})) == {}
 
     @pytest.mark.parametrize("disturbances_on", [True, False])
     def test_u_and_m_regret_zero_at_first_step(self, disturbances_on):
         # every trajectory starts at x1 and is scored the same way
         cfg = ExperimentConfig(t=50, n_runs=3, seed=3, disturbances_on=disturbances_on)
         for k in range(cfg.n_runs):
-            rep = compute_regret(run_one_seed(cfg, k))
+            table = compute_regret(run_one_seed(cfg, k))
             for bench in ("u", "m"):
                 for kind in ("olc", "dac"):
-                    assert rep.curve(bench, kind)[0] == 0.0, (k, bench, kind)
+                    assert table[f"regret_{kind}_{bench}"][0] == 0.0, (k, bench, kind)
 
     def test_clean_dac_regret_zero_throughout(self):
         # without disturbances the DAC plays its benchmark's inputs, all zero
@@ -737,10 +733,10 @@ class TestRegret:
 
     def test_regret_u_nonnegative(self, tiny_cfg):
         rec = run_one_seed(tiny_cfg, 0)
-        rep = compute_regret(rec)
+        table = compute_regret(rec)
         scale = max(1.0, rec.bench_u.value)
         for kind in ("olc", "dac"):
-            assert rep.regret_u[kind][-1] >= -1e-8 * scale
+            assert table[f"regret_{kind}_u"][-1] >= -1e-8 * scale
 
     def test_benchmark_gap_magnitude(self):
         cfg = ExperimentConfig(t=60, n_runs=1, seed=4, disturbances_on=False)
@@ -912,17 +908,26 @@ class TestExperimentOutput:
             rows = list(csv.reader(fh))
         assert rows == [["run", "error"], ["0", f"ValueError: {message}"], ["1", f"ValueError: {message}"]]
 
-    def test_columns_follow_the_table(self, tmp_path):
-        cfg = ExperimentConfig(t=10, n_runs=2, seed=5, disturbances_on=False)
+    @pytest.mark.parametrize("disturbances_on", [True, False])
+    def test_columns_follow_the_table(self, disturbances_on, tmp_path):
+        cfg = ExperimentConfig(t=10, n_runs=2, seed=5, disturbances_on=disturbances_on)
         result = run_experiment(cfg, output_dir=tmp_path / "out")
-        run0 = np.loadtxt(tmp_path / "out" / "run_0.csv", delimiter=",", skiprows=1)
-        summary = np.loadtxt(tmp_path / "out" / "summary.csv", delimiter=",", skiprows=1)
-        assert len(REGRET_COLUMNS) == 6
-        for i, (col, bench, kind) in enumerate(REGRET_COLUMNS):
-            assert col == f"regret_{kind}_{bench}"
-            curves = np.stack([rep.curve(bench, kind) for rep in result.reports])
-            np.testing.assert_allclose(run0[:, 5 + i], curves[0], rtol=1e-11)
+        benches = "um" if disturbances_on else "umx"
+        regret = [f"regret_{kind}_{bench}" for bench in benches for kind in ("olc", "dac")]
+        for k, table in enumerate(result.tables):
+            assert list(table) == ["cost_olc", "cost_dac", "cum_olc", "cum_dac", *regret]
+            lines = (tmp_path / "out" / f"run_{k}.csv").read_text().splitlines()
+            assert lines[0].split(",") == ["t", *table]
+            values = np.loadtxt(lines[1:], delimiter=",")
+            for i, curve in enumerate(table.values()):
+                np.testing.assert_allclose(values[:, 1 + i], curve, rtol=1e-11)
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["t", *(f"{s}_{col}" for col in regret for s in ("mean", "std"))]
+        summary = np.loadtxt(lines[1:], delimiter=",")
+        for i, col in enumerate(regret):
+            curves = np.stack([table[col] for table in result.tables])
             np.testing.assert_allclose(summary[:, 1 + 2 * i], curves.mean(axis=0), rtol=1e-11, atol=1e-9)
+            np.testing.assert_allclose(summary[:, 2 + 2 * i], curves.std(axis=0), rtol=1e-11, atol=1e-9)
 
     def test_x1_config_key(self):
         cfg = config_from_dict({

@@ -6,7 +6,10 @@ from olcontrol import (
     BoxSet,
     DacController,
     InvalidInputError,
+    LtiSystem,
+    OlcController,
     QuadraticBatch,
+    QuadraticCost,
     adjoint_input_gradients,
     best_dac,
     best_fixed_input,
@@ -17,7 +20,7 @@ from olcontrol import (
     spectral_radius_estimate,
     state_bound,
 )
-from olcontrol.linalg import as_array, batch_spectral_norms
+from olcontrol.linalg import as_array, batch_spectral_norms, positive
 
 
 class TestSpectralNorm:
@@ -226,3 +229,24 @@ def test_bad_scalar_rejected(ring_system, ring_u_box, monkeypatch, entry, name, 
     monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
     with pytest.raises(InvalidInputError):
         calls[entry]({**scalars, name: bad})
+
+
+# every public entry point that takes a number, called with the number v
+NUMBER_ENTRIES = {
+    "as_array": lambda sys, box, v: as_array([v], "v", (1,)),
+    "positive": lambda sys, box, v: positive(v, "v"),
+    "BoxSet": lambda sys, box, v: BoxSet([-1.0, -v], [1.0, v]),
+    "QuadraticCost": lambda sys, box, v: QuadraticCost(np.eye(2), [v, 0.0]),
+    "LtiSystem": lambda sys, box, v: LtiSystem([[0.5]], [[v]]),
+    "OlcController": lambda sys, box, v: OlcController(sys, box, eta=v),
+    "DacController": lambda sys, box, v: DacController(sys, box, 3, v, 1.0),
+    "regret_optimal_step_size": lambda sys, box, v: regret_optimal_step_size(v, 10, sys),
+}
+
+
+@pytest.mark.parametrize("entry", list(NUMBER_ENTRIES))
+def test_int_past_float_range_rejected(ring_system, ring_u_box, entry):
+    call = NUMBER_ENTRIES[entry]
+    call(ring_system, ring_u_box, 1)
+    with pytest.raises(InvalidInputError):
+        call(ring_system, ring_u_box, 10**400)
