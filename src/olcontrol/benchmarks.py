@@ -25,7 +25,7 @@ import numpy as np
 from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .linalg import matvec
+from .linalg import count, matvec
 from .system import BoxSet, LtiSystem, _check_sequences, rollout
 
 DESCENT_MOVE_TOL = 1e-9
@@ -394,10 +394,7 @@ def grid_oracle_fixed_input(
         raise UnsupportedDimensionError(
             f"grid oracle supports input dimension <= 2, got {sys.input_dim}"
         )
-    if not 1 <= resolution <= GRID_MAX_RESOLUTION:
-        raise InvalidInputError(
-            f"resolution must be in [1, {GRID_MAX_RESOLUTION}], got {resolution}"
-        )
+    resolution = count(1, GRID_MAX_RESOLUTION)(resolution, "resolution")
 
     axes = [
         np.linspace(u_set.lower[i], u_set.upper[i], resolution + 1)

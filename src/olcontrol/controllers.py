@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_array, matvec, positive, row_norms, spectral_norm
+from .linalg import as_array, count, matvec, positive, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -163,8 +163,7 @@ def regret_optimal_step_size(l: float, t: int, sys: LtiSystem) -> float:
     """Regret-optimal step size 2*gamma / (L * sqrt(T * (1 + 4 kappa^2))),
     gamma and kappa from the plant's certificate ``sys.cert``."""
     l = positive(l, "smoothness constant")
-    if t < 1:
-        raise InvalidInputError(f"horizon must be at least 1, got {t}")
+    t = count(1)(t, "horizon")
     cert = sys.cert
     return 2.0 * cert.gamma / (l * math.sqrt(t * (1.0 + 4.0 * cert.kappa**2)))
 
@@ -245,9 +244,8 @@ def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def dac_radii(sys: LtiSystem, h_mem: int, radius: float) -> np.ndarray:
     """Per-block Frobenius radii radius * (1-gamma)^i, gamma from ``sys.cert``,
-    for h_mem >= 1 blocks and a positive, finite radius."""
-    if h_mem < 1:
-        raise InvalidInputError(f"memory horizon must be >= 1, got {h_mem}")
+    for an integer h_mem >= 1 of blocks and a positive, finite radius."""
+    h_mem = count(1)(h_mem, "memory horizon")
     return positive(radius, "DAC radius") * (1.0 - sys.cert.gamma) ** np.arange(h_mem)
 
 
@@ -259,13 +257,6 @@ def dac_inputs(blocks: np.ndarray, windows: np.ndarray) -> np.ndarray:
     One product per block, summed in block order.
     """
     return np.matmul(windows.swapaxes(-3, -2), blocks.swapaxes(-1, -2)).sum(axis=-3)
-
-
-def _count(n, name: str) -> int:
-    """``n`` as an int if it is an integer >= 1 (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInputError(f"{name} must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 class DacController:
@@ -313,10 +304,10 @@ class DacController:
             raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
         self.u_set = u_set
-        self.h_mem = _count(h_mem, "memory horizon")
+        self.radii = dac_radii(sys, h_mem, radius)
+        self.h_mem = len(self.radii)
         self.eta_g = positive(eta_g, "eta_g")
-        self.radii = dac_radii(sys, self.h_mem, radius)
-        self._lead = () if runs is None else (_count(runs, "runs"),)
+        self._lead = () if runs is None else (count(1)(runs, "runs"),)
         n, m = sys.state_dim, sys.input_dim
         self.blocks = np.zeros(self._lead + (self.h_mem, m, n))
         # powers A^i, i = 0..h_mem, side by side: [A^0 | A^1 | ... | A^h_mem]

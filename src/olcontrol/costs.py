@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_array, batch_spectral_norms, matvec
+from .linalg import as_array, batch_spectral_norms, matvec, positive
 from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
@@ -142,10 +142,7 @@ def finite_diff_grad(cost, x, h: float | None = None) -> np.ndarray:
     """Central-difference gradient of anything with a ``value(x)`` method,
     the test oracle for analytic gradients."""
     x = as_array(x, "x", (None,))
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    if h <= 0.0:
-        raise InvalidInputError(f"step size must be positive, got {h}")
+    h = positive(1e-5 * (1.0 + float(np.linalg.norm(x))) if h is None else h, "step size")
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
         bump = np.zeros_like(x)

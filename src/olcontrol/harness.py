@@ -12,10 +12,8 @@ import json
 import os
 import pickle
 import re
-import reprlib
 import sys
 from collections import namedtuple
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .benchmarks import BenchmarkResult, _check_problem, solve_benchmarks
 from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
-from .linalg import as_array, row_norms, spectral_norm
+from .linalg import as_array, count, positive, real, row_norms, scalar, spectral_norm
 from .system import BoxSet, LtiSystem, StateBound, state_bound, step
 
 def default_system_matrices():
@@ -55,40 +53,15 @@ class DacConfig:
     radius: float | None = None  # defaults to kappa^3 * ||B||
 
 
-def _kind(what: str, types: tuple, cast, ok=lambda value: True, optional: bool = False):
-    """A kind: it checks a config value, one of ``types`` (a bool is no
-    number, although Python's bool is an int) whose ``cast`` passes ``ok``,
-    or None if ``optional``, and returns it cast or raises ConfigError."""
-
-    def kind(value, key):
-        if optional and value is None:
-            return None
-        if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
-            with suppress(OverflowError):  # an int past float's range is no float
-                if ok(normal := cast(value)):
-                    return normal
-        # reprlib cuts a value's repr short: a 400-digit int is no message
-        raise ConfigError(f"{key} must be {what}, got {reprlib.repr(value)}")
-
-    return kind
+def _optional(rule):
+    """``rule`` that also takes None, the value of a key left to its default."""
+    return lambda value, key: None if value is None else rule(value, key)
 
 
-def _integer(low: int, int64: bool = True):
-    """An integer >= ``low`` that fits int64 (if ``int64``), as an int."""
-    what = f"an integer from {low} to 2**63 - 1" if int64 else f"an integer >= {low}"
-    return _kind(what, (int, np.integer), int, lambda v: v >= low and (not int64 or v < 2**63))
-
-
-def _real(positive: bool, optional: bool = False):
-    """A finite number, > 0 if ``positive`` and >= 0 otherwise, as a float."""
-    what = f"a {'positive' if positive else 'non-negative'} finite number" + (" or None" if optional else "")
-    ok = (lambda v: 0.0 < v < np.inf) if positive else (lambda v: 0.0 <= v < np.inf)
-    return _kind(what, (int, float, np.integer, np.floating), float, ok, optional)
-
-
-_boolean = _kind("a bool", (bool, np.bool_), bool)
-_path = _kind("a str or os.PathLike", (str, os.PathLike), lambda value: value)
-_leaf = _kind("finite numbers", (int, float), float, np.isfinite)
+# A scalar key's kind is a linalg rule; these three are the config's own.
+_boolean = scalar("a bool", (bool, np.bool_), bool)
+_path = scalar("a str or os.PathLike", (str, os.PathLike), lambda value: value)
+_leaf = scalar("finite numbers", (int, float), float, np.isfinite)
 
 
 def _array(value, key):
@@ -108,27 +81,35 @@ _BOX = {"lower": ("lower", _array), "upper": ("upper", _array)}
 # checks its fields through the kinds however it was built, and
 # config_from_dict reads JSON through the same rows.
 _CONFIG = {
-    "seed": ("seed", _integer(0, int64=False)),  # PCG64 takes any integer >= 0
-    "T": ("t", _integer(2)),
-    "n_runs": ("n_runs", _integer(1)),
+    "seed": ("seed", count(0, None)),  # PCG64 takes any integer >= 0
+    "T": ("t", count(2)),
+    "n_runs": ("n_runs", count(1)),
     "system": (None, _Section({"A": ("a", _array), "B": ("b", _array)})),
     "u_box": ("u_box", _Section(_BOX, BoxSet)),
     "w_box": ("w_box", _Section(_BOX, BoxSet)),
     "cost_gen": ("cost_gen", _Section({
-        "q_scale": ("q_scale", _real(positive=True)),
-        "q_ridge": ("q_ridge", _real(positive=False)),
-        "c_max": ("c_max", _real(positive=False)),
+        "q_scale": ("q_scale", real(positive=True)),
+        "q_ridge": ("q_ridge", real(positive=False)),
+        "c_max": ("c_max", real(positive=False)),
     }, CostGenConfig)),
-    "olc": ("olc", _Section({"eta_override": ("eta_override", _real(positive=True, optional=True))}, OlcConfig)),
+    "olc": ("olc", _Section({"eta_override": ("eta_override", _optional(positive))}, OlcConfig)),
     "dac": ("dac", _Section({
-        "H_mem": ("h_mem", _integer(1)),
-        "eta_g": ("eta_g", _real(positive=True, optional=True)),
-        "radius": ("radius", _real(positive=True, optional=True)),
+        "H_mem": ("h_mem", count(1)),
+        "eta_g": ("eta_g", _optional(positive)),
+        "radius": ("radius", _optional(positive)),
     }, DacConfig)),
     "disturbances_on": ("disturbances_on", _boolean),
     "output_dir": ("output_dir", _path),
     "x1": ("x1", _array),
 }
+
+
+def _check(kind, value, key):
+    """``kind(value, key)``, its InvalidInputError raised as a ConfigError."""
+    try:
+        return kind(value, key)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _checked(obj, rows: dict, prefix: str = "") -> dict:
@@ -139,7 +120,7 @@ def _checked(obj, rows: dict, prefix: str = "") -> dict:
         if kind is _array:
             continue
         if not isinstance(kind, _Section):
-            fields[name] = kind(getattr(obj, name), prefix + key)
+            fields[name] = _check(kind, getattr(obj, name), prefix + key)
         elif kind.cls is None:
             fields.update(_checked(obj, kind.rows, f"{prefix}{key}."))
         else:
@@ -164,7 +145,7 @@ def _read(doc, rows: dict, prefix: str = "") -> dict:
     for key, value in doc.items():
         name, kind = rows[key]
         if not isinstance(kind, _Section):
-            fields[name] = _array(value, prefix + key) if kind is _array else value
+            fields[name] = _check(_array, value, prefix + key) if kind is _array else value
         elif kind.cls is None:
             fields.update(_read(value, kind.rows, f"{prefix}{key}."))
         else:
@@ -666,7 +647,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
     holds this invocation's bundle only; other files are left alone.
     """
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+        raise ConfigError(f"output directory {out} cannot be made: {exc}") from exc
     for path in out.iterdir():
         if _BUNDLE_NAME.fullmatch(path.name):
             path.unlink()

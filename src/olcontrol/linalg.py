@@ -6,6 +6,8 @@ inputs give bit-identical results.
 """
 
 import math
+import reprlib
+from contextlib import suppress
 
 import numpy as np
 
@@ -59,15 +61,39 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def positive(x, name: str) -> float:
-    """``x`` as a float in (0, inf), or InvalidInputError (NaN included)."""
-    try:
-        x = float(x)
-    except OverflowError as exc:  # an int past float's range
-        raise InvalidInputError(f"{name} must be positive and finite, got an int past float's range") from exc
-    if not 0.0 < x < math.inf:
-        raise InvalidInputError(f"{name} must be positive and finite, got {x}")
-    return x
+def scalar(what: str, types: tuple, cast, ok=lambda value: True):
+    """A rule for one scalar argument: ``rule(value, name)`` returns
+    ``cast(value)`` if ``value`` is one of ``types`` (a bool is no number,
+    although Python's bool is an int) and the cast passes ``ok``, or raises
+    InvalidInputError "<name> must be <what>, got <value>"."""
+
+    def rule(value, name: str):
+        if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+            with suppress(OverflowError):  # an int past float's range is no float
+                if ok(normal := cast(value)):
+                    return normal
+        # reprlib cuts a value's repr short: a 400-digit int is no message
+        raise InvalidInputError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+    return rule
+
+
+def count(low: int, high: int | None = 2**63 - 1):
+    """The rule of an integer from ``low`` to ``high`` (int64's largest by
+    default, no limit if None), returned as an int."""
+    what = f"an integer >= {low}" if high is None else f"an integer from {low} to {high}"
+    return scalar(what, (int, np.integer), int, lambda v: low <= v and (high is None or v <= high))
+
+
+def real(positive: bool):
+    """The rule of a finite number, > 0 if ``positive`` and >= 0 otherwise,
+    returned as a float."""
+    ok = (lambda v: 0.0 < v < math.inf) if positive else (lambda v: 0.0 <= v < math.inf)
+    what = f"a {'positive' if positive else 'non-negative'} finite number"
+    return scalar(what, (int, float, np.integer, np.floating), float, ok)
+
+
+positive = real(positive=True)  # positive(x, name): x as a float in (0, inf)
 
 
 def spectral_norm(m) -> float:
@@ -95,8 +121,7 @@ def spectral_radius_estimate(a, k: int) -> float:
     a = as_array(a, "matrix", (None, None))
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix must be square, got shape {a.shape}")
-    if k < 8:
-        raise InvalidInputError(f"power k must be at least 8, got {k}")
+    k = count(8)(k, "power k")
     power = np.linalg.matrix_power(a, k)
     if not np.isfinite(power).all():
         # norms exploded before k steps; the radius is certainly >= 1

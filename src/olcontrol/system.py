@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotStronglyStableError
-from .linalg import as_array, matvec, spectral_norm, spectral_radius_estimate
+from .linalg import as_array, count, matvec, real, spectral_norm, spectral_radius_estimate
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
@@ -55,7 +55,7 @@ class BoxSet:
 
     @classmethod
     def symmetric(cls, halfwidth: float, dim: int) -> "BoxSet":
-        bound = float(halfwidth) * np.ones(dim)
+        bound = real(positive=False)(halfwidth, "halfwidth") * np.ones(count(1)(dim, "dim"))
         return cls(-bound, bound)
 
     @property
@@ -73,9 +73,9 @@ class BoxSet:
             raise InvalidInputError("point to clamp contains NaN")
         return out
 
-    def contains(self, v, tol: float = 0.0) -> bool:
+    def contains(self, v) -> bool:
         v = as_array(v, "point", (..., self.dim))
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
 
     def max_corner_norm(self) -> float:
         """2-norm of the largest-magnitude corner of the box."""

@@ -89,6 +89,18 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_unusable_out_exits_one_without_files(self, where, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out_dir = blocker if where == "a file" else blocker / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text('{"T": 5, "n_runs": 1}')
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
     def test_unreadable_config_exits_one_without_files(self, unreadable, tmp_path, capsys):
         path = tmp_path / "cfg.json"

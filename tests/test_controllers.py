@@ -12,10 +12,12 @@ from olcontrol import (
     OlcController,
     ProjectionFailureError,
     QuadraticCost,
+    best_dac,
     certify_strong_stability,
     estimate_disturbance,
     project_steady_state,
     simulate,
+    solve_benchmarks,
     steady_state_of_input,
     step,
     regret_optimal_step_size,
@@ -23,6 +25,11 @@ from olcontrol import (
 from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks
 from olcontrol.harness import ExperimentConfig, draw_run, run_lockstep
 from olcontrol.linalg import matvec, row_norms
+
+
+def _small_problem(horizon=8):
+    """x1, w_seq and costs of a short run on the ring plant."""
+    return np.zeros(3), np.full((horizon - 1, 3), 0.1), [QuadraticCost(np.eye(3), np.ones(3))] * horizon
 
 
 @pytest.fixture()
@@ -785,8 +792,16 @@ class TestLockstep:
         (lambda sys, box: DacController(sys, box, 2.5, 0.5, 1.0), "memory horizon .* got 2.5"),
         (lambda sys, box: DacController(sys, box, True, 0.5, 1.0), "memory horizon .* got True"),
         (lambda sys, box: DacController(sys, box, 0.5, 0.5, 1.0), "memory horizon .* got 0.5"),
+        # nor is the hindsight benchmark's
+        (lambda sys, box: best_dac(sys, *_small_problem(), 2.5, 1.0), "memory horizon .* got 2.5"),
+        (lambda sys, box: best_dac(sys, *_small_problem(), True, 1.0), "memory horizon .* got True"),
+        (lambda sys, box: solve_benchmarks(sys, _small_problem()[0], [_small_problem()[1:]], box, 2.5, 1.0),
+         "memory horizon .* got 2.5"),
+        (lambda sys, box: solve_benchmarks(sys, _small_problem()[0], [_small_problem()[1:]], box, True, 1.0),
+         "memory horizon .* got True"),
     ], ids=["dac_negative", "dac_zero", "dac_fraction", "dac_bool", "olc_no_eta",
-            "dac_h_mem_fraction", "dac_h_mem_bool", "dac_h_mem_half"])
+            "dac_h_mem_fraction", "dac_h_mem_bool", "dac_h_mem_half",
+            "best_dac_h_mem_fraction", "best_dac_h_mem_bool", "solve_h_mem_fraction", "solve_h_mem_bool"])
     def test_unusable_run_count_rejected(self, ring_system, ring_u_box, make, match):
         with pytest.raises(InvalidInputError, match=match):
             make(ring_system, ring_u_box)

@@ -13,9 +13,11 @@ from olcontrol import (
     adjoint_input_gradients,
     best_dac,
     best_fixed_input,
+    finite_diff_grad,
     grid_oracle_fixed_input,
     regret_optimal_step_size,
     simulate,
+    solve_benchmarks,
     spectral_norm,
     spectral_radius_estimate,
     state_bound,
@@ -202,24 +204,40 @@ def test_bad_array_rejected(ring_system, ring_u_box, monkeypatch, entry, arg, ba
         call(ring_system, ring_u_box, arrays)
 
 
-# (entry point, the scalar it spoils): not positive and finite, or h_mem < 1
+# (entry point, the scalar it spoils): not positive and finite, not an
+# integer in range (a bool is none), or not a number at all
 BAD_SCALARS = [
     *[("dac_controller", name, bad) for name in ("eta_g", "radius") for bad in (np.nan, np.inf)],
+    *[("dac_controller", "eta_g", bad) for bad in ("abc", None, [1.0], True, "0.1")],
     *[("regret_optimal_step_size", "l", bad) for bad in (np.nan, np.inf)],
+    *[("regret_optimal_step_size", "t", bad) for bad in (2.5, "5")],
     *[("best_dac", "radius", bad) for bad in (-1.0, 0.0, np.nan, np.inf)],
-    *[("best_dac", "h_mem", bad) for bad in (0, -1)],
+    *[(entry, "h_mem", bad) for entry in ("best_dac", "solve_benchmarks") for bad in (0, -1)],
+    ("grid_oracle_fixed_input", "resolution", 2.5),
+    ("spectral_radius_estimate", "k", 8.5),
+    *[("symmetric_box", "dim", bad) for bad in (2.5, True)],
+    ("symmetric_box", "halfwidth", "5"),
+    *[("finite_diff_grad", "h", bad) for bad in ("abc", True)],
 ]
 
 
 @pytest.mark.parametrize("entry, name, bad", BAD_SCALARS, ids=[f"{e}-{n}-{b!r}" for e, n, b in BAD_SCALARS])
 def test_bad_scalar_rejected(ring_system, ring_u_box, monkeypatch, entry, name, bad):
-    scalars = {"eta_g": 0.1, "radius": 1.0, "l": 2.0, "h_mem": 2}
+    scalars = {"eta_g": 0.1, "radius": 1.0, "l": 2.0, "t": 10, "h_mem": 2, "resolution": 4, "k": 8,
+               "dim": 2, "halfwidth": 5.0, "h": 1e-3}
     arrays = _clean_arrays()
+    problem = (arrays["x1"], arrays["w_seq"], arrays["costs"])
     calls = {
         "dac_controller": lambda s: DacController(ring_system, ring_u_box, 3, s["eta_g"], s["radius"]),
-        "regret_optimal_step_size": lambda s: regret_optimal_step_size(s["l"], 10, ring_system),
-        "best_dac": lambda s: best_dac(ring_system, arrays["x1"], arrays["w_seq"], arrays["costs"],
-                                       s["h_mem"], s["radius"]),
+        "regret_optimal_step_size": lambda s: regret_optimal_step_size(s["l"], s["t"], ring_system),
+        "best_dac": lambda s: best_dac(ring_system, *problem, s["h_mem"], s["radius"]),
+        "solve_benchmarks": lambda s: solve_benchmarks(ring_system, arrays["x1"], [problem[1:]], ring_u_box,
+                                                       s["h_mem"], s["radius"]),
+        "grid_oracle_fixed_input": lambda s: grid_oracle_fixed_input(ring_system, *problem, ring_u_box,
+                                                                     s["resolution"]),
+        "spectral_radius_estimate": lambda s: spectral_radius_estimate(ring_system.a, s["k"]),
+        "symmetric_box": lambda s: BoxSet.symmetric(s["halfwidth"], s["dim"]),
+        "finite_diff_grad": lambda s: finite_diff_grad(arrays["costs"][0], arrays["x1"], s["h"]),
     }
     calls[entry](scalars)
 
