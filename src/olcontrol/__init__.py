@@ -57,6 +57,7 @@ from .system import (
     StabilityCert,
     StateBound,
     certify_strong_stability,
+    fit_box,
     simulate,
     simulate_decomposed,
     state_bound,

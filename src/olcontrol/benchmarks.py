@@ -26,7 +26,7 @@ from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .linalg import count, matvec
-from .system import BoxSet, LtiSystem, _check_sequences, rollout
+from .system import BoxSet, LtiSystem, _check_sequences, fit_box, rollout
 
 DESCENT_MOVE_TOL = 1e-9
 DESCENT_MAX_ITER = 20_000
@@ -61,20 +61,14 @@ def _check_costs(sys: LtiSystem, costs) -> QuadraticBatch:
     return costs
 
 
-def _check_problem(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet | None = None, u_seq=None):
+def _check_problem(sys: LtiSystem, x1, w_seq, costs, u_seq=None):
     """(x1, u_seq, w_seq, costs) checked against the plant, with the costs
     as one batch of one more step than w_seq; InvalidInputError otherwise."""
     costs = _check_costs(sys, costs)
     x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
     if len(costs) != w_seq.shape[0] + 1:
         raise InvalidInputError(f"got {len(costs)} costs for {w_seq.shape[0]} steps; need one more cost")
-    _check_input_box(sys, u_set)
     return x1, u_seq, w_seq, costs
-
-
-def _check_input_box(sys: LtiSystem, u_set: BoxSet | None) -> None:
-    if u_set is not None and u_set.dim != sys.input_dim:
-        raise InvalidInputError(f"input box has dimension {u_set.dim}; the system has {sys.input_dim} inputs")
 
 
 def _adjoint_states(sys: LtiSystem, grads: np.ndarray) -> np.ndarray:
@@ -94,7 +88,7 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     Simulates forward, runs the adjoint recursion backward, and returns
     the (T-1, M) array with row t-1 equal to B^T lambda_{t+1}.
     """
-    x1, u_seq, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_seq=u_seq)
+    x1, u_seq, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_seq)
     states = rollout(sys, x1, w_seq, u_seq)
     lam = _adjoint_states(sys, costs.grads(states))
     return lam[1:] @ sys.b
@@ -197,16 +191,24 @@ class _Runs:
         return rollout(self.sys, self.x1, self.ws)
 
 
-def _runs(sys: LtiSystem, x1, draws, u_set: BoxSet | None = None) -> _Runs:
-    """``draws``' (w_seq, costs) pairs, each checked once by _check_problem,
-    as one _Runs; the runs must share a horizon."""
+def _runs(sys: LtiSystem, x1, draws, horizon: int | None = None) -> _Runs:
+    """``draws``' (w_seq, costs) pairs as one _Runs, each checked once by
+    _check_problem for ``horizon`` costs (draw 0's if None): the one check of
+    a batch of draws.  InvalidInputError names the draw, "draw r of R"."""
     if not draws:
-        raise InvalidInputError("no runs to solve")
-    checked = [_check_problem(sys, x1, w_seq, costs, u_set) for w_seq, costs in draws]
-    ws = [w_seq for _, _, w_seq, _ in checked]
-    if any(w_seq.shape != ws[0].shape for w_seq in ws):
-        raise InvalidInputError("runs solved together must share one horizon")
-    return _Runs(sys, [costs for *_, costs in checked], checked[0][0], np.stack(ws))
+        raise InvalidInputError("no runs: the batch of draws is empty")
+    batches, ws = [], []
+    for r, (w_seq, costs) in enumerate(draws):
+        try:
+            x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
+            horizon = len(costs) if horizon is None else horizon
+            if len(costs) != horizon:
+                raise InvalidInputError(f"got {len(costs)} costs for horizon T={horizon}")
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"draw {r} of {len(draws)}: {exc}") from exc
+        batches.append(costs)
+        ws.append(w_seq)
+    return _Runs(sys, batches, x1, np.stack(ws))
 
 
 def _solve(models, project, x0, runs: _Runs, trajectories) -> list[BenchmarkResult]:
@@ -255,7 +257,7 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     descent; the optimum is realized by one rollout of the plant.  This is
     the one-run case of :func:`solve_benchmarks`.
     """
-    return _fixed_inputs(_runs(sys, x1, [(w_seq, costs)], u_set), u_set)[0]
+    return _fixed_inputs(_runs(sys, x1, [(w_seq, costs)]), fit_box(u_set, sys.input_dim, "input box"))[0]
 
 
 def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
@@ -288,8 +290,7 @@ def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     :func:`solve_benchmarks`.
     """
     costs = _check_costs(sys, costs)
-    _check_input_box(sys, u_set)
-    return _steady_states(_Runs(sys, [costs]), u_set)[0]
+    return _steady_states(_Runs(sys, [costs]), fit_box(u_set, sys.input_dim, "input box"))[0]
 
 
 def _dac_inputs(blocks: np.ndarray, w_seq: np.ndarray) -> np.ndarray:
@@ -365,8 +366,9 @@ def solve_benchmarks(
     the bits of its one-run solves (:func:`best_fixed_input`,
     :func:`best_dac`, :func:`best_steady_state`).
     """
+    u_set = fit_box(u_set, sys.input_dim, "input box")
     radii = dac_radii(sys, h_mem, radius)
-    runs = _runs(sys, x1, draws, u_set)
+    runs = _runs(sys, x1, draws)
     fixed = _fixed_inputs(runs, u_set)
     dac = _dacs(runs, radii)
     steady = _steady_states(runs, u_set) if steady_state else [None] * len(draws)
@@ -389,7 +391,8 @@ def grid_oracle_fixed_input(
     spaces are supported -- this is a validation oracle, not a solver.
     ``value_nominal`` is the grid's own total at the chosen point.
     """
-    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs, u_set)
+    x1, _, w_seq, costs = _check_problem(sys, x1, w_seq, costs)
+    u_set = fit_box(u_set, sys.input_dim, "input box")
     if sys.input_dim > 2:
         raise UnsupportedDimensionError(
             f"grid oracle supports input dimension <= 2, got {sys.input_dim}"

@@ -21,7 +21,7 @@ import numpy as np
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
 from .linalg import as_array, count, matvec, positive, row_norms, spectral_norm
-from .system import BoxSet, LtiSystem
+from .system import BoxSet, LtiSystem, fit_box
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
 PROJECTION_MAX_ITER = 5000    # a run still moving after this many steps fails
@@ -155,6 +155,7 @@ def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
     exactly of the form S u with u in the box.
     """
     y = as_array(y, "point", (sys.state_dim,))
+    u_set = fit_box(u_set, sys.input_dim, "input box")
     s = sys.steady_state_gain
     return s @ _box_least_squares(s, y, u_set, _projection_step(s), np.zeros(sys.input_dim))
 
@@ -194,18 +195,16 @@ class OlcController:
     feedback = "gradient"
 
     def __init__(self, sys: LtiSystem, u_set: BoxSet, eta, z0=None):
-        eta = as_array(eta, "step size", (...,))
+        # entry by entry, as Python objects: a bool or a str is no step size
+        entries = np.asarray(eta, dtype=object)
+        eta = np.array([positive(e, "step size") for e in entries.flat]).reshape(entries.shape)
         if eta.size == 0:
             raise InvalidInputError("step size has no entries: no runs to play")
-        if not np.all(eta > 0.0):
-            raise InvalidInputError(f"step size must be positive, got {eta}")
-        if u_set.dim != sys.input_dim:
-            raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
-        self.u_set = u_set
+        self.u_set = fit_box(u_set, sys.input_dim, "input box")
         self.eta = eta
         s = sys.steady_state_gain
-        self._box_least_squares = _BoxLeastSquares(s, u_set, _projection_step(s))
+        self._box_least_squares = _BoxLeastSquares(s, self.u_set, _projection_step(s))
         shape = eta.shape + (sys.state_dim,)
         z0 = np.zeros(shape) if z0 is None else as_array(z0, "z0", shape)
         # start from the manifold point nearest the requested z0
@@ -300,10 +299,8 @@ class DacController:
         radius: float,
         runs: int | None = None,
     ):
-        if u_set.dim != sys.input_dim:
-            raise InvalidInputError("input box dimension does not match the system")
         self.sys = sys
-        self.u_set = u_set
+        self.u_set = fit_box(u_set, sys.input_dim, "input box")
         self.radii = dac_radii(sys, h_mem, radius)
         self.h_mem = len(self.radii)
         self.eta_g = positive(eta_g, "eta_g")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_array, batch_spectral_norms, matvec, positive
+from .linalg import as_array, batch_spectral_norms, matvec, positive, real
 from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
@@ -131,8 +131,9 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> float:
     ``||2 Q (x - c)|| <= 2 ||Q|| (D + c_max)`` for ``||x|| <= D``, so
     L = 2 max_t ||Q_t|| (D + c_max) / D guarantees the L*D gradient bound.
     """
+    c_max = real(positive=False)(c_max, "c_max")
     max_q = float(np.max(batch_spectral_norms(as_batch(costs).qs)))
-    l = 2.0 * max_q * (bound.d + float(c_max)) / bound.d
+    l = 2.0 * max_q * (bound.d + c_max) / bound.d
     # all-zero cost batches would give L = 0 and an undefined step size;
     # clamp like the state bound does
     return max(l, 1e-12)

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BenchmarkResult, _check_problem, solve_benchmarks
+from .benchmarks import BenchmarkResult, _runs, solve_benchmarks
 from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import as_array, count, positive, real, row_norms, scalar, spectral_norm
-from .system import BoxSet, LtiSystem, StateBound, state_bound, step
+from .system import BoxSet, LtiSystem, StateBound, fit_box, state_bound, step
 
 def default_system_matrices():
     """The stock simulation plant: a three-state ring with two actuators.
@@ -209,10 +209,8 @@ class ExperimentConfig:
         self._store(_checked(self, _CONFIG))
         if not self.b.any():
             raise ConfigError("B is all zeros: no input reaches the plant")
-        if self.u_box.dim != m:
-            raise ConfigError("u_box dimension does not match B")
-        if self.w_box.dim != n:
-            raise ConfigError("w_box dimension does not match A")
+        for key, dim in (("u_box", m), ("w_box", n)):
+            _check(lambda box, name: fit_box(box, dim, name), getattr(self, key), key)
         eta_g, radius = self.dac.eta_g, self.dac.radius
         self._store({
             "bound": state_bound(sys, x1, self.u_box, self.w_box),
@@ -354,33 +352,22 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
     it would have alone.  ``kind`` is "olc", "dac", or a callable
     ``kind(sys, cfg, params_list)`` returning a controller with a leading
-    run axis of length R = ``len(params_list)``, even for one run.  Each
-    draw is checked first, for T costs on the plant's states and T-1
-    disturbances of its width; InvalidInputError names the draw that
-    fails.  Every visited state is checked against the bound D,
+    run axis of length R = ``len(params_list)``, even for one run.  The
+    draws are checked first, as one batch by the hindsight solvers' check
+    (``benchmarks._runs``), for T costs each; InvalidInputError names the
+    draw that fails.  Every visited state is checked against the bound D,
     ``cfg.bound``.  The step costs are scored once per run, on the whole
     trajectory, the way the hindsight benchmarks score theirs.
     """
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
     draws = list(draws)
-    if not draws:
-        raise InvalidInputError("no runs to play")
-    batches, w_seqs = [], []
-    for r, (costs, w_seq, _) in enumerate(draws):
-        try:
-            _, _, w_seq, costs = _check_problem(sys, cfg.x1, w_seq, costs)
-            if len(costs) != horizon:
-                raise InvalidInputError(f"got {len(costs)} costs for horizon T={horizon}")
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"draw {r} of {len(draws)}: {exc}") from exc
-        batches.append(costs)
-        w_seqs.append(w_seq)
+    runs = _runs(sys, cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], horizon)
     params = [p for _, _, p in draws]
     # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
-    qs = np.stack([b.qs for b in batches], axis=1)
-    cs = np.stack([b.cs for b in batches], axis=1)
-    ws = np.stack(w_seqs, axis=1)
+    qs = np.stack([b.qs for b in runs.costs], axis=1)
+    cs = np.stack([b.cs for b in runs.costs], axis=1)
+    ws = runs.ws.swapaxes(0, 1)  # a view: the disturbances are stored once
     bound_slack = cfg.bound.d * (1.0 + 1e-9)
     ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params)
     # run-major, so each run's trajectory is one contiguous block
@@ -408,7 +395,7 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
         else:
             ctrl.observe(cost, x_next)
         x = x_next
-    return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, batches)]
+    return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, runs.costs)]
 
 
 def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:

@@ -82,6 +82,15 @@ class BoxSet:
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
 
+def fit_box(box, dim: int, name: str) -> BoxSet:
+    """``box`` if it is a BoxSet of ``dim`` coordinates, else InvalidInputError naming it."""
+    if not isinstance(box, BoxSet):
+        raise InvalidInputError(f"{name} must be a BoxSet, got {type(box).__name__}")
+    if box.dim != dim:
+        raise InvalidInputError(f"{name} has dimension {box.dim}; the plant needs {dim}")
+    return box
+
+
 @dataclass(frozen=True)
 class StateBound:
     """Uniform bound D on the state norm along any admissible run."""
@@ -184,7 +193,7 @@ def steady_state_of_input(sys: LtiSystem, u) -> np.ndarray:
 def _as_steps(seq, dim: int, name: str) -> np.ndarray:
     """``seq`` as (K, dim) rows, one per step: an empty list is zero steps
     and a single vector one step."""
-    arr = np.asarray(seq, dtype=float)
+    arr = as_array(seq, name, (...,))
     return as_array(np.empty((0, dim)) if arr.shape == (0,) else np.atleast_2d(arr), name, (None, dim))
 
 
@@ -238,6 +247,7 @@ def simulate(sys: LtiSystem, x1, u_seq, w_seq=None) -> np.ndarray:
 
     ``u_seq`` has T-1 rows; ``w_seq`` defaults to zeros.
     """
+    u_seq = _as_steps(u_seq, sys.input_dim, "input sequence")
     if w_seq is None:
         w_seq = np.zeros((len(u_seq), sys.state_dim))
     x1, u_seq, w_seq = _check_sequences(sys, x1, u_seq, w_seq)
@@ -268,8 +278,8 @@ def state_bound(sys: LtiSystem, x1, u_set: BoxSet, w_set: BoxSet) -> StateBound:
     """
     cert = sys.cert
     x1 = as_array(x1, "initial state", (sys.state_dim,))
-    u_max = u_set.max_corner_norm()
-    w_max = w_set.max_corner_norm()
+    u_max = fit_box(u_set, sys.input_dim, "input box").max_corner_norm()
+    w_max = fit_box(w_set, sys.state_dim, "disturbance box").max_corner_norm()
     d = cert.kappa * float(np.linalg.norm(x1))
     d += (cert.kappa / cert.gamma) * (spectral_norm(sys.b) * u_max + w_max)
     return StateBound(max(d, MIN_STATE_BOUND))

@@ -343,6 +343,10 @@ def batched_instance(seed, runs=3, horizon=40):
     return sys, x1, draws
 
 
+# disturbances that are no array of numbers
+UNUSABLE_W = {"w_text": "abc", "w_ragged": [[0.1, 0.2, 0.3], [0.1]], "w_dict": {"w": 0.1}}
+
+
 class TestValueCheck:
     """``value_nominal`` is the minimized model's value at the optimum, so
     it matches the realized ``value`` exactly when the model is right."""
@@ -453,16 +457,21 @@ class TestSolveBenchmarks:
         assert len(calls) == 5
         assert sorted(shape[0] == 5 for shape in calls) == [False, True, True, True, True]
 
-    @pytest.mark.parametrize("bad", ["no_runs", "mixed_horizons"])
+    @pytest.mark.parametrize("bad", ["no_runs", "mixed_horizons", *UNUSABLE_W, "u_set_list"])
     def test_rejected(self, bad):
         sys, x1, draws = batched_instance(0, runs=2)
+        u_set, match = BoxSet.symmetric(1.0, 2), "draw 1 of 2"
         if bad == "no_runs":
-            draws = []
-        else:
+            draws, match = [], "no runs"
+        elif bad == "mixed_horizons":
             _, _, costs, w_seq, _ = random_instance(5, horizon=30)
             draws[1] = (w_seq, costs)
-        with pytest.raises(InvalidInputError):
-            solve_benchmarks(sys, x1, draws, BoxSet.symmetric(1.0, 2), 3, 1.0)
+        elif bad == "u_set_list":
+            u_set, match = [[-1.0, -1.0], [1.0, 1.0]], "input box must be a BoxSet"
+        else:
+            draws[1] = (UNUSABLE_W[bad], draws[1][1])
+        with pytest.raises(InvalidInputError, match=match):
+            solve_benchmarks(sys, x1, draws, u_set, 3, 1.0)
 
 
 class AbsCost:
@@ -571,8 +580,12 @@ class TestProblemShapes:
     @pytest.mark.parametrize("name, bad", [
         (name, bad)
         for name in ("best_fixed_input", "best_dac", "grid_oracle", "adjoint")
-        for bad in ("w_columns", "x1_length", "cost_count")
-    ] + [(name, "u_set_dim") for name in ("best_fixed_input", "grid_oracle", "best_steady_state")])
+        for bad in ("w_columns", "x1_length", "cost_count", *UNUSABLE_W)
+    ] + [
+        (name, bad)
+        for name in ("best_fixed_input", "grid_oracle", "best_steady_state")
+        for bad in ("u_set_dim", "u_set_list")
+    ])
     def test_rejected(self, ring_system, rng, name, bad):
         costs = random_quadratics(rng, self.HORIZON)
         x1 = np.zeros(3)
@@ -584,6 +597,10 @@ class TestProblemShapes:
             x1 = np.zeros(2)
         elif bad == "cost_count":
             costs = costs[:-1]
+        elif bad in UNUSABLE_W:
+            w_seq = UNUSABLE_W[bad]
+        elif bad == "u_set_list":
+            u_set = [[-1.0, -1.0], [1.0, 1.0]]
         else:
             u_set = BoxSet.symmetric(1.0, 3)
         with pytest.raises(InvalidInputError):

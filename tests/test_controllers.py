@@ -95,6 +95,12 @@ class TestProjection:
             twice = project_steady_state(ring_system, ring_u_box, once)
             np.testing.assert_allclose(twice, once, atol=1e-7)
 
+    @pytest.mark.parametrize("box", [BoxSet.symmetric(1.0, 1), BoxSet.symmetric(1.0, 3), (-1.0, 1.0)],
+                             ids=["narrow", "wide", "tuple"])
+    def test_box_fitted_to_the_plant(self, ring_system, box):
+        with pytest.raises(InvalidInputError, match="input box"):
+            project_steady_state(ring_system, box, np.ones(3))
+
     def test_failure_surfaced(self, ring_system, ring_u_box, monkeypatch):
         # a one-iteration cap cannot settle an interior solution
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 1)
@@ -106,6 +112,19 @@ class TestOlcController:
     def test_zero_gain_rejected(self):
         with pytest.raises(InvalidInputError, match="steady-state gain is zero"):
             OlcController(LtiSystem([[0.5]], [[0.0]]), BoxSet([-1.0], [1.0]), eta=0.1)
+
+    @pytest.mark.parametrize("eta", [True, "0.1", np.array([True, True])], ids=["bool", "text", "bool_array"])
+    def test_bad_step_size_rejected(self, ring_system, ring_u_box, eta):
+        # each entry is checked as DacController's eta_g is: a bool or a str is no step size
+        with pytest.raises(InvalidInputError, match="step size must be a positive finite number"):
+            OlcController(ring_system, ring_u_box, eta)
+
+    def test_box_that_is_no_boxset_rejected(self, ring_system):
+        box = [[-1.0, -1.0], [1.0, 1.0]]
+        with pytest.raises(InvalidInputError, match="input box must be a BoxSet"):
+            OlcController(ring_system, box, 0.1)
+        with pytest.raises(InvalidInputError, match="input box must be a BoxSet"):
+            DacController(ring_system, box, 3, 0.1, 1.0)
 
     def test_act_scalar(self, scalar_system):
         olc = OlcController(scalar_system, BoxSet([-3.0], [3.0]), eta=0.1, z0=[2.0])

@@ -152,6 +152,12 @@ class TestSmoothness:
         with pytest.raises(InvalidInputError):
             smoothness_constant([], StateBound(1.0), c_max=0.0)
 
+    @pytest.mark.parametrize("c_max", [np.nan, -1e9, "3", None], ids=["nan", "negative", "text", "none"])
+    def test_bad_c_max_rejected(self, c_max):
+        cost = QuadraticCost(q=np.eye(2), c=np.zeros(2))
+        with pytest.raises(InvalidInputError, match="c_max must be a non-negative finite number"):
+            smoothness_constant([cost], StateBound(1.0), c_max=c_max)
+
     def test_mixed_shapes_rejected(self):
         costs = [QuadraticCost(q=np.eye(2), c=np.zeros(2)), QuadraticCost(q=np.eye(3), c=np.zeros(3))]
         with pytest.raises(InvalidInputError, match="mixes"):

@@ -108,9 +108,11 @@ class TestConfig:
         {"dac": DacConfig(eta_g="x")},
         {"u_box": [[-1, -1], [1, 1]]},
         {"dac": {"h_mem": 3}},
+        {"u_box": BoxSet.symmetric(1.0, 3)},
+        {"w_box": BoxSet.symmetric(1.0, 2)},
     ], ids=["seed", "t", "n_runs", "b", "h_mem", "h_mem_float", "h_mem_bool", "t_float", "seed_float",
             "n_runs_float", "seed_bool", "disturbances_on_text", "output_dir_int", "q_ridge_bool",
-            "eta_override_bool", "q_scale_text", "eta_g_text", "u_box_list", "dac_dict"])
+            "eta_override_bool", "q_scale_text", "eta_g_text", "u_box_list", "dac_dict", "u_box_dim", "w_box_dim"])
     def test_checked_when_built(self, overrides):
         # no config object exists that a run could not use
         with pytest.raises(ConfigError):
@@ -653,8 +655,11 @@ class TestLockstep:
         lambda costs, w: (costs, np.hstack([w, w[:, :1]])),       # disturbances one state too wide
         lambda costs, w: (QuadraticBatch(costs.qs[:-1], costs.cs[:-1]), w[:-1]),  # T-1 costs
         lambda costs, w: (costs, np.vstack([w[:-1], np.full((1, w.shape[1]), np.nan)])),  # a NaN disturbance
+        lambda costs, w: (costs, "abc"),                          # disturbances given as text
+        lambda costs, w: (costs, [list(w[0]), list(w[1, :2])]),   # ragged disturbances
+        lambda costs, w: (costs, {"w": w}),                       # disturbances in a dict
         None,                                                     # no draws at all
-    ], ids=["long_w", "short_w", "wide_w", "short_horizon", "nan_w", "no_draws"])
+    ], ids=["long_w", "short_w", "wide_w", "short_horizon", "nan_w", "text_w", "ragged_w", "dict_w", "no_draws"])
     def test_unusable_draw_rejected(self, tiny_cfg, bad):
         if bad is None:
             with pytest.raises(InvalidInputError, match="no runs"):

@@ -9,6 +9,7 @@ from olcontrol import (
     NotStronglyStableError,
     StabilityCert,
     certify_strong_stability,
+    fit_box,
     simulate,
     simulate_decomposed,
     spectral_norm,
@@ -213,6 +214,17 @@ class TestSimulation:
         with pytest.raises(InvalidInputError):
             simulate_decomposed(ring_system, np.zeros(3), np.zeros((5, 2)), np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("w_seq", ["abc", [[0.1, 0.2, 0.3], [0.1]], {"w": 0.1}], ids=["text", "ragged", "dict"])
+    def test_unusable_disturbances_rejected(self, ring_system, w_seq):
+        with pytest.raises(InvalidInputError, match="disturbance sequence is not an array of numbers"):
+            simulate(ring_system, np.zeros(3), np.zeros((2, 2)), w_seq)
+
+    @pytest.mark.parametrize("u_seq", [5.0, None, "abc"])
+    def test_unusable_inputs_rejected_before_sizing_disturbances(self, ring_system, u_seq):
+        # the default disturbances are sized by the checked inputs
+        with pytest.raises(InvalidInputError, match="input sequence"):
+            simulate(ring_system, np.zeros(3), u_seq)
+
     def test_zero_step_run(self, ring_system):
         x1 = np.array([1.0, -2.0, 0.5])
         states = simulate(ring_system, x1, [], [])
@@ -275,6 +287,16 @@ class TestStateBound:
             max_norm = max(max_norm, np.max(np.abs(states)))
         assert max_norm <= bound.d
 
+    @pytest.mark.parametrize("u_box, w_box", [
+        (BoxSet.symmetric(1.0, 5), BoxSet.symmetric(1.0, 3)),
+        (BoxSet.symmetric(1.0, 2), BoxSet.symmetric(1.0, 1)),
+        ([[-1.0, -1.0], [1.0, 1.0]], BoxSet.symmetric(1.0, 3)),
+        (BoxSet.symmetric(1.0, 2), 0.5),
+    ], ids=["u_dim", "w_dim", "u_list", "w_number"])
+    def test_boxes_fitted_to_the_plant(self, ring_system, u_box, w_box):
+        with pytest.raises(InvalidInputError, match="input box|disturbance box"):
+            state_bound(ring_system, np.zeros(3), u_box, w_box)
+
     def test_box_validation(self):
         with pytest.raises(InvalidInputError):
             BoxSet([1.0], [0.0])
@@ -290,3 +312,19 @@ class TestStateBound:
         for v in ([np.nan, 1.0], [[0.0, 0.0], [0.0, np.nan]]):
             with pytest.raises(InvalidInputError, match="NaN"):
                 box.clamp(v)
+
+
+class TestFitBox:
+    def test_returns_the_box(self):
+        box = BoxSet.symmetric(1.0, 2)
+        assert fit_box(box, 2, "input box") is box
+
+    @pytest.mark.parametrize("box, message", [
+        (BoxSet.symmetric(1.0, 3), "input box has dimension 3; the plant needs 2"),
+        (BoxSet.symmetric(1.0, 1), "input box has dimension 1; the plant needs 2"),
+        ([[-1.0, -1.0], [1.0, 1.0]], "input box must be a BoxSet, got list"),
+        (None, "input box must be a BoxSet, got NoneType"),
+    ], ids=["wide", "narrow", "list", "none"])
+    def test_rejects_named(self, box, message):
+        with pytest.raises(InvalidInputError, match=message):
+            fit_box(box, 2, "input box")
