@@ -11,10 +11,12 @@ from .system import StateBound
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10         # smallest eigenvalue accepted as semidefinite
+NEAR_MAX = 1e-12         # relative window round the largest |eigenvalue| that L's SVD covers
 
 
-def _check_quadratics(qs, cs) -> tuple[np.ndarray, np.ndarray]:
-    """(qs, cs) as float stacks of shapes (T, N, N) and (T, N), T >= 1.
+def _check_quadratics(qs, cs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qs, cs, eig_max): float stacks of shapes (T, N, N) and (T, N), T >= 1,
+    and each Q_t's largest eigenvalue magnitude, shape (T,).
 
     Every entry must be finite, each Q_t symmetric to SYMMETRY_TOL
     (relative to its largest entry, at least 1) and its smallest
@@ -38,14 +40,15 @@ def _check_quadratics(qs, cs) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         t = np.argmax(bad)
         raise InvalidInputError(f"Q at step {t} is not symmetric (max asymmetry {asym[t]:.3e})")
-    min_eig = np.linalg.eigvalsh(qs).min(axis=1, initial=0.0)
+    eigs = np.linalg.eigvalsh(qs)
+    min_eig = eigs.min(axis=1, initial=0.0)
     bad = min_eig < PSD_TOL
     if bad.any():
         t = np.argmax(bad)
         raise InvalidInputError(
             f"Q at step {t} is not positive semidefinite (smallest eigenvalue {min_eig[t]:.3e})"
         )
-    return qs, cs
+    return qs, cs, np.abs(eigs).max(axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class QuadraticCost:
 
     def __post_init__(self):
         q = as_array(self.q, "Q", (None, None))
-        qs, cs = _check_quadratics(q[None], as_array(self.c, "c", q.shape[:1])[None])
+        qs, cs, _ = _check_quadratics(q[None], as_array(self.c, "c", q.shape[:1])[None])
         object.__setattr__(self, "q", qs[0])
         object.__setattr__(self, "c", cs[0])
 
@@ -84,10 +87,12 @@ class QuadraticCost:
 
 class QuadraticBatch:
     """A run's costs f_t, t = 0..T-1, held as one (T, N, N) stack ``qs`` and
-    one (T, N) stack ``cs`` and checked once, on construction."""
+    one (T, N) stack ``cs`` and checked once, on construction.  The check's
+    ``eigvalsh`` also gives ``eig_max``, each Q_t's largest |eigenvalue|,
+    which :func:`smoothness_constant` reads."""
 
     def __init__(self, qs, cs):
-        self.qs, self.cs = _check_quadratics(qs, cs)
+        self.qs, self.cs, self.eig_max = _check_quadratics(qs, cs)
 
     def __len__(self) -> int:
         return self.qs.shape[0]
@@ -130,9 +135,19 @@ def smoothness_constant(costs, bound: StateBound, c_max: float) -> float:
 
     ``||2 Q (x - c)|| <= 2 ||Q|| (D + c_max)`` for ``||x|| <= D``, so
     L = 2 max_t ||Q_t|| (D + c_max) / D guarantees the L*D gradient bound.
+
+    max_t ||Q_t|| is taken by SVD, but only over the steps whose ``eig_max``
+    is within a relative NEAR_MAX of the largest.  That is exact: for a
+    symmetric Q, ||Q||_2 = max |lambda|, and ``eigvalsh`` and the SVD are
+    each backward stable, so each lands within a few ulps (about N * eps,
+    far below 1e-12) of that common value.  A step outside the window
+    therefore has a smaller SVD norm than the step with the largest
+    ``eig_max``, and L has the bits of the SVD over every step.
     """
     c_max = real(positive=False)(c_max, "c_max")
-    max_q = float(np.max(batch_spectral_norms(as_batch(costs).qs)))
+    batch = as_batch(costs)
+    near = batch.eig_max >= (1.0 - NEAR_MAX) * batch.eig_max.max()
+    max_q = float(np.max(batch_spectral_norms(batch.qs[near])))
     l = 2.0 * max_q * (bound.d + c_max) / bound.d
     # all-zero cost batches would give L = 0 and an undefined step size;
     # clamp like the state bound does

@@ -274,8 +274,10 @@ def generate_costs(cfg: ExperimentConfig, rng: np.random.Generator) -> Quadratic
     ss = np.empty((cfg.t, n, n))
     cs = np.empty((cfg.t, n))
     for t in range(cfg.t):  # one S, then one c, per step: the stream's order
-        ss[t] = rng.standard_normal((n, n))
-        cs[t] = rng.uniform(0.0, gen.c_max, size=n)
+        rng.standard_normal(out=ss[t])
+        rng.random(out=cs[t])
+    # uniform(0, c_max) draws 0.0 + c_max * random(): the same bits, scaled once
+    cs *= gen.c_max
     q = gen.q_scale * (np.matmul(ss.swapaxes(1, 2), ss) / n + gen.q_ridge * np.eye(n))
     return QuadraticBatch(0.5 * (q + q.swapaxes(1, 2)), cs)
 

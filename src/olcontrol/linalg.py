@@ -35,12 +35,16 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
     In ``shape`` an int fixes an axis, None takes any length, and a leading
     ``...`` takes any number of leading (run) axes: ``(..., 3)`` is one
     3-vector or a stack of them, ``(None, None)`` any matrix.
+
+    The entries are numbers as :func:`real` takes them: ints and floats,
+    numpy's too, but no bool, no text and nothing else held as an object.
     """
     try:
-        arr = np.asarray(v, dtype=float)
-    # text, a ragged nest, an object, or an int past float's range
-    except (ValueError, TypeError, OverflowError) as exc:
+        arr = np.asarray(v)
+    except ValueError as exc:  # a ragged nest
         raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
+    if arr.dtype is not _FLOAT:
+        arr = _as_floats(arr, name)
     dims = arr.shape
     k = len(shape)  # declared axes, matched against the last k of dims
     if k and shape[0] is ...:
@@ -59,6 +63,26 @@ def as_array(v, name: str, shape: tuple) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+_FLOAT = np.dtype(float)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _as_floats(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, an array of ints, floats or such numbers held as objects
+    (an int past int64, say), converted to float; or InvalidInputError."""
+    kind = arr.dtype.kind
+    if kind == "O":
+        for entry in arr.flat:
+            if not isinstance(entry, _NUMBERS) or isinstance(entry, bool):
+                raise InvalidInputError(f"{name} is not an array of numbers: holds {reprlib.repr(entry)}")
+    elif kind not in "fiu":  # bool, text, bytes, complex, dates, records
+        raise InvalidInputError(f"{name} is not an array of numbers: got dtype {arr.dtype}")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:  # an int past float's range
+        raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
 
 
 def scalar(what: str, types: tuple, cast, ok=lambda value: True):
@@ -90,7 +114,7 @@ def real(positive: bool):
     returned as a float."""
     ok = (lambda v: 0.0 < v < math.inf) if positive else (lambda v: 0.0 <= v < math.inf)
     what = f"a {'positive' if positive else 'non-negative'} finite number"
-    return scalar(what, (int, float, np.integer, np.floating), float, ok)
+    return scalar(what, _NUMBERS, float, ok)
 
 
 positive = real(positive=True)  # positive(x, name): x as a float in (0, inf)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import olcontrol.costs as costs_module
 from olcontrol import (
     InvalidInputError,
     QuadraticBatch,
@@ -169,6 +170,62 @@ class TestSmoothness:
         costs = [QuadraticCost(q, c) for q, c in zip(qs, cs)]
         bound = StateBound(3.0)
         assert smoothness_constant(batch, bound, 2.0) == smoothness_constant(costs, bound, 2.0)
+
+
+def full_svd_l(qs, bound, c_max):
+    """L by its formula, with the SVD over every step."""
+    max_q = float(np.max(np.linalg.norm(qs, 2, axis=(1, 2))))
+    return max(2.0 * max_q * (bound.d + c_max) / bound.d, 1e-12)
+
+
+def tied_stacks(rng, horizon, dim=3):
+    """PSD steps whose norms sit within +-3 ulps of each other: one Q scaled
+    by factors a few ulps from 1, in a random order."""
+    q, _ = random_stacks(rng, 1, dim)
+    factors = 1.0 + np.spacing(1.0) * rng.integers(-3, 4, horizon)
+    return q * factors[:, None, None], rng.uniform(-1, 1, (horizon, dim))
+
+
+class TestSmoothnessBits:
+    """L takes the SVD only over the steps near the largest |eigenvalue|,
+    and must keep the bits of the SVD over every step."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_random_batches(self, rng, scale):
+        bound = StateBound(2.5)
+        for horizon in (1, 2, 7, 60):
+            qs, cs = random_stacks(rng, horizon, dim=int(rng.integers(1, 6)))
+            qs = scale * qs
+            assert smoothness_constant(QuadraticBatch(qs, cs), bound, 1.5) == full_svd_l(qs, bound, 1.5)
+
+    def test_near_ties(self, rng):
+        bound = StateBound(1.0)
+        for _ in range(50):
+            qs, cs = tied_stacks(rng, 9)
+            assert smoothness_constant(QuadraticBatch(qs, cs), bound, 0.7) == full_svd_l(qs, bound, 0.7)
+
+    def test_all_zero_batch_clamped(self):
+        qs = np.zeros((4, 3, 3))
+        l = smoothness_constant(QuadraticBatch(qs, np.zeros((4, 3))), StateBound(1.0), 2.0)
+        assert l == full_svd_l(qs, StateBound(1.0), 2.0) == 1e-12
+
+    def test_one_step_and_list(self, rng):
+        qs, cs = random_stacks(rng, 5)
+        bound = StateBound(3.0)
+        assert smoothness_constant([QuadraticCost(qs[0], cs[0])], bound, 1.0) == full_svd_l(qs[:1], bound, 1.0)
+        costs = [QuadraticCost(q, c) for q, c in zip(qs, cs)]
+        assert smoothness_constant(costs, bound, 1.0) == full_svd_l(qs, bound, 1.0)
+
+    def test_svd_only_near_the_top(self, rng, monkeypatch):
+        rows = []
+        svd = costs_module.batch_spectral_norms
+        monkeypatch.setattr(costs_module, "batch_spectral_norms", lambda mats: rows.append(len(mats)) or svd(mats))
+        qs, cs = random_stacks(rng, 500)
+        smoothness_constant(QuadraticBatch(qs, cs), StateBound(1.0), 1.0)
+        qs, cs = tied_stacks(rng, 8)
+        smoothness_constant(QuadraticBatch(qs, cs), StateBound(1.0), 1.0)
+        # one step of 500 distinct ones; every step of a tied batch
+        assert rows == [1, 8]
 
 
 class TestFiniteDiff:

@@ -399,16 +399,29 @@ class TestConfig:
 
 
 class TestGenerators:
-    def test_costs_match_per_step_draws(self, tiny_cfg):
-        batch = generate_costs(tiny_cfg, make_rng(42))
-        assert isinstance(batch, QuadraticBatch) and len(batch) == tiny_cfg.t
-        # reference: one draw of S then one of c per step, the documented formula
-        rng, gen, n = make_rng(42), tiny_cfg.cost_gen, 3
-        for t in range(tiny_cfg.t):
-            s = rng.standard_normal((n, n))
-            q = gen.q_scale * (s.T @ s / n + gen.q_ridge * np.eye(n))
-            np.testing.assert_array_equal(batch.qs[t], 0.5 * (q + q.T))
-            np.testing.assert_array_equal(batch.cs[t], rng.uniform(0.0, gen.c_max, size=n))
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("horizon", [2, 7, 500])
+    @pytest.mark.parametrize("c_max", [0.0, 0.3, 5.0])
+    def test_costs_match_per_step_draws(self, seed, n, horizon, c_max):
+        # reference: one fresh draw of S, then one of c, per step, and the
+        # documented formula; the stacks and the stream left after them (so
+        # the disturbances drawn next) must be exactly this loop's
+        cfg = ExperimentConfig(t=horizon, n_runs=1, seed=seed, a=0.5 * np.eye(n), b=np.eye(n)[:, :1],
+                               cost_gen=CostGenConfig(c_max=c_max))
+        rng, ref = make_rng(seed), make_rng(seed)
+        batch = generate_costs(cfg, rng)
+        assert isinstance(batch, QuadraticBatch) and len(batch) == horizon
+        gen = cfg.cost_gen
+        ss, cs = [], []
+        for _ in range(horizon):
+            ss.append(ref.standard_normal((n, n)))
+            cs.append(ref.uniform(0.0, c_max, size=n))
+        q = gen.q_scale * (np.matmul(np.swapaxes(ss, 1, 2), ss) / n + gen.q_ridge * np.eye(n))
+        assert np.array_equal(batch.qs, 0.5 * (q + q.swapaxes(1, 2)))
+        assert np.array_equal(batch.cs, np.array(cs))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(generate_disturbances(cfg, rng), generate_disturbances(cfg, ref))
 
     def test_costs_deterministic(self, tiny_cfg):
         c1 = generate_costs(tiny_cfg, make_rng(42))

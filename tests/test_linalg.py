@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,21 @@ class TestAsArray:
             with pytest.raises(InvalidInputError, match="not an array of numbers"):
                 as_array(bad, "v", (2,))
         assert as_array([1, 2], "v", (2,)).dtype == float
+
+    def test_only_numbers_taken(self):
+        # the entries real() takes: ints and floats, numpy's too, but no bool
+        # or text, and no other object
+        for bad in (["0.5", "1"], [True, False], np.array([True, False]), [b"1", b"2"], [1 + 2j, 0],
+                    [1, "a"], [None, 0], [Decimal(1), 0], [np.True_, 2**70], [Fraction(1, 2), 0]):
+            with pytest.raises(InvalidInputError, match="v is not an array of numbers"):
+                as_array(bad, "v", (2,))
+        with pytest.raises(InvalidInputError, match="v is not an array of numbers"):
+            as_array(None, "v", ())
+        for good, want in (([2**70, 0], [2.0**70, 0.0]), ([np.int64(3), 2**70], [3.0, 2.0**70]),
+                           (np.array([0.5, 2], dtype=np.float32), [0.5, 2.0]),
+                           (np.array([1.5, 2.0], dtype=">f8"), [1.5, 2.0]), (np.array([3, 1], dtype=np.uint8), [3, 1])):
+            got = as_array(good, "v", (2,))
+            assert got.dtype == float and got.tolist() == want
 
 
 # The public entry points the cases below feed, by name, called on the ring
