@@ -5,16 +5,18 @@ steady state, best disturbance-action blocks) is a small quadratic in its
 decision variable, because the trajectory is affine in it.  Each solver
 assembles that quadratic once, f(x) = x^T H x + 2 g^T x + k, from the
 per-step costs and the state's response to the decision variable, and
-then runs projected descent with a backtracking line search on the
-assembled model; no descent iteration simulates the plant.  The optimum
-is simulated once, and the model's value there is kept beside the
-realized cost, so a wrong assembly shows as a gap between them.  The solvers
-take the costs as one QuadraticBatch (or a list of QuadraticCost, stacked
-once on entry).  :func:`solve_benchmarks` solves many runs of one plant in
-one batched pass, every rollout over a leading run axis and each assembly
-and descent per run; the one-run solvers are its one-run case.  A
-brute-force grid oracle validates the fixed-input solver on
-low-dimensional inputs.
+then minimizes the assembled model over its feasible set; no solve
+simulates the plant.  The two box problems (fixed input, steady state)
+are solved exactly by :func:`~olcontrol.linalg.box_qp`, which enumerates
+the input box's faces; the DAC blocks, in their Frobenius balls, by
+projected descent with a backtracking line search.  The optimum is
+simulated once, and the model's value there is kept beside the realized
+cost, so a wrong assembly shows as a gap between them.  The solvers take
+the costs as one QuadraticBatch (or a list of QuadraticCost, stacked once
+on entry).  :func:`solve_benchmarks` solves many runs of one plant in one
+batched pass, every rollout over a leading run axis and each assembly and
+solve per run; the one-run solvers are its one-run case.  A brute-force
+grid oracle validates the fixed-input solver on low-dimensional inputs.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ import numpy as np
 from .controllers import dac_inputs, dac_radii, project_dac_blocks
 from .costs import QuadraticBatch, as_batch
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .linalg import count, matvec
+from .linalg import box_qp, count, matvec
 from .system import BoxSet, LtiSystem, _check_sequences, fit_box, rollout
 
 DESCENT_MOVE_TOL = 1e-9
@@ -44,6 +46,9 @@ class BenchmarkResult:
     optimum of the quadratic the solver minimized, assembled from the
     nominal trajectory and the costs' centres shifted by it, so it matches
     ``value`` only if that model is the cost of the realized trajectory.
+    A box solve's ``iterations`` is the 3^M faces it enumerated and its
+    ``converged`` is always True; a DAC descent reports its iterations,
+    and ``converged`` is False if it stopped at DESCENT_MAX_ITER.
     """
 
     optimizer: np.ndarray
@@ -211,13 +216,13 @@ def _runs(sys: LtiSystem, x1, draws, horizon: int | None = None) -> _Runs:
     return _Runs(sys, batches, x1, np.stack(ws))
 
 
-def _solve(models, project, x0, runs: _Runs, trajectories) -> list[BenchmarkResult]:
-    """Minimize each run's model by projected descent from ``x0`` onto the
-    feasible set every run shares, ``project``, each run stopping at its own
-    test; realize all the optima at once as the (R, T, N)
-    ``trajectories(xs)``; and score each run: its step costs, their sum
-    ``value``, and ``value_nominal``, the model's own value at the optimum."""
-    found = [_projected_descent(model, project, x0) for model in models]
+def _solve(models, minimize, runs: _Runs, trajectories) -> list[BenchmarkResult]:
+    """Minimize each run's model over the feasible set every run shares,
+    ``minimize(model)`` returning (x, iterations, converged); realize all
+    the optima at once as the (R, T, N) ``trajectories(xs)``; and score
+    each run: its step costs, their sum ``value``, and ``value_nominal``,
+    the model's own value at the optimum."""
+    found = [minimize(model) for model in models]
     states = trajectories(np.stack([x for x, _, _ in found]))
     results = []
     for (x, iters, converged), model, costs, xs in zip(found, models, runs.costs, states):
@@ -227,6 +232,14 @@ def _solve(models, project, x0, runs: _Runs, trajectories) -> list[BenchmarkResu
             step_costs=step_costs, value_nominal=model.value(x),
         ))
     return results
+
+
+def _box_minimizer(u_set: BoxSet):
+    """``minimize`` of :func:`_solve` over the input box: the exact
+    :func:`~olcontrol.linalg.box_qp`, its iterations the 3^M faces it
+    enumerates, always converged."""
+    faces = 3**u_set.dim
+    return lambda model: (box_qp(model.h, model.g, u_set.lower, u_set.upper), faces, True)
 
 
 def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
@@ -242,7 +255,7 @@ def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
 def _fixed_inputs(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
     m = runs.sys.input_dim
     return _solve(
-        _fixed_input_models(runs), u_set.clamp, np.zeros(m), runs,
+        _fixed_input_models(runs), _box_minimizer(u_set), runs,
         lambda us: rollout(runs.sys, runs.x1, runs.ws, np.broadcast_to(us[:, None], runs.ws.shape[:2] + (m,))),
     )
 
@@ -253,9 +266,11 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     Minimizes the cumulative cost of the constant-input trajectory over
     the input box.  The trajectory is affine in u, x_t(u) = x_t^0 + G_t u
     with G_1 = 0 and G_{t+1} = A G_t + B, so the objective is a convex
-    quadratic in u; it is assembled once and minimized by projected
-    descent; the optimum is realized by one rollout of the plant.  This is
-    the one-run case of :func:`solve_benchmarks`.
+    quadratic in u; it is assembled once and minimized exactly over the
+    box by :func:`~olcontrol.linalg.box_qp` (``iterations`` counts the 3^M
+    faces it enumerates, and ``converged`` is always True); the optimum is
+    realized by one rollout of the plant.  This is the one-run case of
+    :func:`solve_benchmarks`.
     """
     return _fixed_inputs(_runs(sys, x1, [(w_seq, costs)]), fit_box(u_set, sys.input_dim, "input box"))[0]
 
@@ -272,7 +287,7 @@ def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
 def _steady_states(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
     s = runs.sys.steady_state_gain
     results = _solve(
-        _steady_state_models(runs), u_set.clamp, np.zeros(runs.sys.input_dim), runs,
+        _steady_state_models(runs), _box_minimizer(u_set), runs,
         lambda us: np.broadcast_to(matvec(s, us)[:, None], (len(us), len(runs.costs[0]), s.shape[0])),
     )
     for res in results:
@@ -284,10 +299,11 @@ def best_steady_state(costs, sys: LtiSystem, u_set: BoxSet) -> BenchmarkResult:
     """Best fixed point of the steady-state manifold in hindsight.
 
     Works in the input parametrization x = S u, so the feasible set is
-    the input box and the projection is a clamp.  Every step sees the
-    same state, so the assembled quadratic has H = S^T (sum_t Q_t) S.
-    This is the one-run case of the steady-state solve of
-    :func:`solve_benchmarks`.
+    the input box.  Every step sees the same state, so the assembled
+    quadratic has H = S^T (sum_t Q_t) S; it is minimized exactly over the
+    box by :func:`~olcontrol.linalg.box_qp`, as the fixed input's is, and
+    the optimizer is reported as the state S u*.  This is the one-run case
+    of the steady-state solve of :func:`solve_benchmarks`.
     """
     costs = _check_costs(sys, costs)
     return _steady_states(_Runs(sys, [costs]), fit_box(u_set, sys.input_dim, "input box"))[0]
@@ -323,9 +339,9 @@ def _dacs(runs: _Runs, radii: np.ndarray) -> list[BenchmarkResult]:
     """The DAC solve of each run, the blocks in the balls of ``radii``."""
     sys = runs.sys
     h_mem = radii.shape[0]
+    project, x0 = partial(project_dac_blocks, radii=radii), np.zeros((h_mem, sys.input_dim, sys.state_dim))
     return _solve(
-        _dac_models(runs, h_mem), partial(project_dac_blocks, radii=radii),
-        np.zeros((h_mem, sys.input_dim, sys.state_dim)), runs,
+        _dac_models(runs, h_mem), lambda model: _projected_descent(model, project, x0), runs,
         # inputs run by run: their windows take h_mem times the disturbances' memory
         lambda blocks: rollout(sys, runs.x1, runs.ws, np.stack(list(map(_dac_inputs, blocks, runs.ws)))),
     )
@@ -361,10 +377,10 @@ def solve_benchmarks(
     for ``radius``.  Each run's free response is rolled out once and serves
     both its fixed-input and DAC models, and the fixed-input gains are
     rolled out once for all runs.  Every rollout steps the runs in
-    lockstep; each run's models are assembled from its own slice of them,
-    and each run's descent stops at its own test.  A run's results have
-    the bits of its one-run solves (:func:`best_fixed_input`,
-    :func:`best_dac`, :func:`best_steady_state`).
+    lockstep; each run's models are assembled from its own slice of them
+    and solved on their own, each DAC descent stopping at its own test.
+    A run's results have the bits of its one-run solves
+    (:func:`best_fixed_input`, :func:`best_dac`, :func:`best_steady_state`).
     """
     u_set = fit_box(u_set, sys.input_dim, "input box")
     radii = dac_radii(sys, h_mem, radius)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_array, count, matvec, positive, row_norms, spectral_norm
+from .linalg import as_array, box_qp, count, matvec, positive, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, fit_box
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -133,11 +133,6 @@ class _BoxLeastSquares:
         return out
 
 
-def _box_least_squares(s: np.ndarray, y: np.ndarray, u_set: BoxSet, step: float, u0) -> np.ndarray:
-    """One solve of :class:`_BoxLeastSquares`, its face stacks built anew."""
-    return _BoxLeastSquares(s, u_set, step)(y, u0)
-
-
 def _projection_step(s: np.ndarray) -> float:
     """Step 1/||S||^2 of the steady-state projection; S = 0 has none."""
     norm = spectral_norm(s)
@@ -149,15 +144,17 @@ def _projection_step(s: np.ndarray) -> float:
 def project_steady_state(sys: LtiSystem, u_set: BoxSet, y) -> np.ndarray:
     """Euclidean projection of y onto the steady-state manifold S(U).
 
-    The manifold is parametrized by the input box, so the projection is a
-    box-constrained least-squares problem in u, solved by projected
-    gradient descent with step 1/lambda_max(S^T S).  The returned point is
-    exactly of the form S u with u in the box.
+    The manifold is parametrized by the input box, so the projection is
+    the box-constrained least-squares problem min ||S u - y||^2 in u,
+    solved exactly by :func:`~olcontrol.linalg.box_qp` on H = S^T S and
+    g = -S^T y, with no tolerance or iteration cap; a rank-deficient S is
+    solved too.  The returned point is exactly of the form S u with u in
+    the box.
     """
     y = as_array(y, "point", (sys.state_dim,))
     u_set = fit_box(u_set, sys.input_dim, "input box")
     s = sys.steady_state_gain
-    return s @ _box_least_squares(s, y, u_set, _projection_step(s), np.zeros(sys.input_dim))
+    return s @ box_qp(s.T @ s, -(s.T @ y), u_set.lower, u_set.upper)
 
 
 def regret_optimal_step_size(l: float, t: int, sys: LtiSystem) -> float:
@@ -204,11 +201,11 @@ class OlcController:
         self.u_set = fit_box(u_set, sys.input_dim, "input box")
         self.eta = eta
         s = sys.steady_state_gain
-        self._box_least_squares = _BoxLeastSquares(s, self.u_set, _projection_step(s))
+        self._project = _BoxLeastSquares(s, self.u_set, _projection_step(s))
         shape = eta.shape + (sys.state_dim,)
         z0 = np.zeros(shape) if z0 is None else as_array(z0, "z0", shape)
         # start from the manifold point nearest the requested z0
-        self._u = self._box_least_squares(z0, np.zeros(eta.shape + (sys.input_dim,)))
+        self._u = self._project(z0, np.zeros(eta.shape + (sys.input_dim,)))
         self.z = matvec(s, self._u)
 
     def act(self, x) -> np.ndarray:
@@ -229,7 +226,7 @@ class OlcController:
         # the answer: the stop rule returns an iterate whose distance from the
         # exact projection (up to 4.5e-9 on a cond S 7.4 plant) depends on the
         # start.  The solver keeps the face stacks of every earlier round
-        self._u = self._box_least_squares(target, self._u)
+        self._u = self._project(target, self._u)
         self.z = matvec(self.sys.steady_state_gain, self._u)
 
 

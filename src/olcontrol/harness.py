@@ -23,7 +23,7 @@ from .benchmarks import BenchmarkResult, _runs, solve_benchmarks
 from .controllers import DacController, OlcController, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
-from .linalg import as_array, count, positive, real, row_norms, scalar, spectral_norm
+from .linalg import BOX_QP_MAX_DIM, as_array, count, positive, real, row_norms, scalar, spectral_norm
 from .system import BoxSet, LtiSystem, StateBound, fit_box, state_bound, step
 
 def default_system_matrices():
@@ -209,6 +209,8 @@ class ExperimentConfig:
         self._store(_checked(self, _CONFIG))
         if not self.b.any():
             raise ConfigError("B is all zeros: no input reaches the plant")
+        if m > BOX_QP_MAX_DIM:  # refused here, not after every run's loops
+            raise ConfigError(f"B has {m} inputs; the hindsight box solves take at most {BOX_QP_MAX_DIM}")
         for key, dim in (("u_box", m), ("w_box", n)):
             _check(lambda box, name: fit_box(box, dim, name), getattr(self, key), key)
         eta_g, radius = self.dac.eta_g, self.dac.radius

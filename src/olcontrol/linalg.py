@@ -2,16 +2,21 @@
 
 Spectral norms go through LAPACK's SVD, so they are exact to roundoff
 (not estimates converging from below) and repeated calls on the same
-inputs give bit-identical results.
+inputs give bit-identical results.  Box-constrained quadratics are solved
+exactly, by enumerating the box's faces (:func:`box_qp`).
 """
 
+import itertools
 import math
 import reprlib
 from contextlib import suppress
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedDimensionError
+
+BOX_QP_MAX_DIM = 8  # 3**8 = 6561 faces; past it, bounded-variable least squares (Stark & Parker 1995)
+BOX_QP_FEASIBLE_TOL = 1e-12  # how far outside the box a face's stationary point may sit
 
 
 def matvec(m, v) -> np.ndarray:
@@ -151,3 +156,37 @@ def spectral_radius_estimate(a, k: int) -> float:
         # norms exploded before k steps; the radius is certainly >= 1
         return float("inf")
     return float(spectral_norm(power) ** (1.0 / k))
+
+
+def box_qp(h: np.ndarray, g: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The x in the box [lower, upper] minimizing x^T h x + 2 g^T x, ``h``
+    symmetric positive semidefinite (M, M): exact, over the box's 3^M faces.
+
+    On a face each coordinate sits at a bound or is free; the free ones F
+    take the minimum-norm stationary point x_F = -pinv(h_FF) (g_F + h_FB x_B).
+    Of the candidates within BOX_QP_FEASIBLE_TOL of the box (every corner
+    is), the least-valued is returned, clipped into the box; a tie goes to
+    the first face in ``itertools.product((lower, upper, free), ...)`` order.
+    It is optimal for a singular ``h`` too: from an optimum, moving along
+    null(h_FF) keeps the value until a free coordinate reaches its bound, so
+    some optimum is the one stationary point of a face with h_FF nonsingular.
+    Two candidates are compared by their difference in value,
+    (x - y)^T (h (x + y) + 2 g), which settles a near-tie to about
+    eps cond(h) where subtracting two values would leave about sqrt(eps).
+    M above BOX_QP_MAX_DIM raises UnsupportedDimensionError.
+    """
+    m = len(g)
+    if m > BOX_QP_MAX_DIM:
+        raise UnsupportedDimensionError(f"box_qp enumerates 3^M faces for M <= {BOX_QP_MAX_DIM}, got M = {m}")
+    best = None
+    for face in np.array(list(itertools.product((0, 1, 2), repeat=m))):
+        x = np.where(face == 0, lower, upper)
+        free, fixed = np.flatnonzero(face == 2), np.flatnonzero(face != 2)
+        if free.size:
+            rows = free[:, None]  # lstsq's minimum-norm solution: pinv(h_FF) times the right side
+            x[free] = np.linalg.lstsq(h[rows, free], -(g[free] + h[rows, fixed] @ x[fixed]), rcond=None)[0]
+            if np.any(x < lower - BOX_QP_FEASIBLE_TOL) or np.any(x > upper + BOX_QP_FEASIBLE_TOL):
+                continue
+        if best is None or (x - best) @ (h @ (x + best) + 2.0 * g) < 0.0:
+            best = x
+    return np.clip(best, lower, upper)

@@ -66,8 +66,8 @@ class BoxSet:
         """``v`` clipped into the box, or InvalidInputError if it holds a NaN.
 
         An infinite entry clips to its bound, so one NaN check on the
-        clipped result covers the input; it is kept cheap because the
-        clamp is every hindsight descent's projection."""
+        clipped result covers the input; it is kept cheap because
+        DacController.act clamps every round's input with it."""
         out = np.clip(v, self.lower, self.upper)
         if np.count_nonzero(np.isnan(out)):
             raise InvalidInputError("point to clamp contains NaN")

@@ -22,9 +22,9 @@ from olcontrol import (
     step,
     regret_optimal_step_size,
 )
-from olcontrol.controllers import PROJECTION_TOL, _box_least_squares, project_dac_blocks
+from olcontrol.controllers import PROJECTION_TOL, _BoxLeastSquares, project_dac_blocks
 from olcontrol.harness import ExperimentConfig, draw_run, run_lockstep
-from olcontrol.linalg import matvec, row_norms
+from olcontrol.linalg import box_qp, matvec, row_norms
 
 
 def _small_problem(horizon=8):
@@ -102,10 +102,32 @@ class TestProjection:
             project_steady_state(ring_system, box, np.ones(3))
 
     def test_failure_surfaced(self, ring_system, ring_u_box, monkeypatch):
-        # a one-iteration cap cannot settle an interior solution
+        # a one-iteration cap cannot settle OLC's first projection, onto an
+        # interior solution; the exact projection has no cap to hit
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 1)
+        y = np.array([1.0, 2.0, -1.0])
         with pytest.raises(ProjectionFailureError, match="moving"):
-            project_steady_state(ring_system, ring_u_box, np.array([1.0, 2.0, -1.0]))
+            OlcController(ring_system, ring_u_box, 0.1, z0=y)
+        s = ring_system.steady_state_gain
+        np.testing.assert_allclose(project_steady_state(ring_system, ring_u_box, y),
+                                   s @ face_enumeration(s, y, ring_u_box), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [[[1.0, 1.001], [0.0, 0.0], [1.0, 1.0]], [[1.0, 1.2], [0.0, 0.0], [1.0, 1.0]],
+                                   [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]], ids=["eps_1e-3", "eps_0.2", "equal_columns"])
+    def test_ill_conditioned_and_singular_gains(self, ring_matrices, rng, b):
+        # cond(S) ~ 4e3 (the fixed-step projection failed at its cap on every
+        # one of these targets) and ~ 24, and an S of rank 1.  The exact
+        # answers sit within 3e-14 of the reference and their KKT residuals
+        # within 2e-13, at targets of norm up to about 25
+        sys = LtiSystem(ring_matrices[0], b)
+        s, box = sys.steady_state_gain, BoxSet.symmetric(5.0, 2)
+        for y in [np.array([3.0, -1.0, 7.0]), *rng.standard_normal((10, 3)) * 8.0]:
+            z = project_steady_state(sys, box, y)
+            np.testing.assert_allclose(z, s @ face_enumeration(s, y, box), rtol=0.0, atol=1e-12)
+            u = box_qp(s.T @ s, -(s.T @ y), box.lower, box.upper)
+            assert np.array_equal(z, s @ u)
+            grad = 2.0 * s.T @ (s @ u - y)
+            assert np.max(np.abs(np.clip(u - grad, box.lower, box.upper) - u)) <= 1e-11
 
 
 class TestOlcController:
@@ -430,7 +452,7 @@ class TestBoxDescent:
     def test_solves_clamped_quadratic(self):
         box = BoxSet([-1.0, -1.0], [1.0, 1.0])
         target = np.array([3.0, 0.2])
-        u = _box_least_squares(np.eye(2), target, box, 1.0, np.zeros(2))
+        u = _BoxLeastSquares(np.eye(2), box, 1.0)(target, np.zeros(2))
         np.testing.assert_allclose(u, [1.0, 0.2], atol=1e-9)
 
     def test_skewed_plant_independent_checks(self, ring_matrices, rng):
@@ -439,7 +461,7 @@ class TestBoxDescent:
         s = LtiSystem(ring_matrices[0], [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]).steady_state_gain
         box, step = BoxSet.symmetric(5.0, 2), ctrl_mod._projection_step(s)
         y, u0 = rng.standard_normal((20, 3)) * 8.0, rng.uniform(-5.0, 5.0, (20, 2))
-        got = _box_least_squares(s, y, box, step, u0)
+        got = _BoxLeastSquares(s, box, step)(y, u0)
         # KKT on the gradient S^T (S u - y).  The last step moved u by less
         # than PROJECTION_MOVE_TOL, which bounds step * |gradient| before it
         # on the free coordinates; the move changes the gradient by at most
@@ -493,7 +515,7 @@ def face_enumeration(s, y, u_set):
 
 def per_step_box_least_squares(s, y, u_set, step, u0):
     """The projection with its stop rule tested after every step, the
-    reference ``_box_least_squares`` (blocks of steps on one face) must
+    reference ``_BoxLeastSquares`` (blocks of steps on one face) must
     match: the same stop step and, to roundoff, the same iterate.  Returns
     the iterates and each run's stop step; a run still moving at the cap
     fails."""
@@ -525,12 +547,12 @@ def per_step_box_least_squares(s, y, u_set, step, u0):
 
 
 def assert_matches_per_step(s, y, u_set, step, u0):
-    """``_box_least_squares`` stops where the per-step reference does, with
+    """``_BoxLeastSquares`` stops where the per-step reference does, with
     its iterate to 1e-12: 100 times below a step's move at the stop, so a
     run stopping one step early or late fails.  Returns its iterates and
     the reference's stop steps."""
     want, stops = per_step_box_least_squares(s, y, u_set, step, u0)
-    got = _box_least_squares(s, y, u_set, step, u0)
+    got = _BoxLeastSquares(s, u_set, step)(y, u0)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     return got, stops
 
@@ -608,7 +630,7 @@ class TestBlockedStopRule:
         assert stops.max() == cap
         # a run that stopped in an earlier block keeps that block's iterate
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 5000)
-        uncapped = _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+        uncapped = _BoxLeastSquares(problem[0], self.BOX, problem[2])(problem[1], problem[3])
         assert np.array_equal(got, uncapped)
 
     @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
@@ -622,7 +644,7 @@ class TestBlockedStopRule:
             with pytest.raises(ProjectionFailureError) as want:
                 per_step_box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
             with pytest.raises(ProjectionFailureError) as got:
-                _box_least_squares(problem[0], problem[1], self.BOX, problem[2], problem[3])
+                _BoxLeastSquares(problem[0], self.BOX, problem[2])(problem[1], problem[3])
             assert str(got.value) == str(want.value)
 
     def test_ill_conditioned_plant_still_fails(self):
@@ -714,9 +736,9 @@ class TestFaceBlocks:
         s, step = skewed
         y, u0 = self.case_arrays(s, list(self.CASES))
         y, u0 = np.vstack([y, rng.standard_normal((3, 3))]), np.vstack([u0, rng.uniform(-1.0, 1.0, (3, 2))])
-        batched = _box_least_squares(s, y, self.BOX, step, u0)
+        batched = _BoxLeastSquares(s, self.BOX, step)(y, u0)
         for r in range(len(y)):
-            assert np.array_equal(batched[r], _box_least_squares(s, y[r], self.BOX, step, u0[r])), r
+            assert np.array_equal(batched[r], _BoxLeastSquares(s, self.BOX, step)(y[r], u0[r])), r
         clamped = ((batched == self.BOX.lower) | (batched == self.BOX.upper)).sum(axis=1)
         assert set(clamped.tolist()) == {0, 1, 2}
 
@@ -736,7 +758,7 @@ class TestFaceBlocks:
             with pytest.raises(ProjectionFailureError) as want:
                 per_step_box_least_squares(s, y, box, step, u0)
             with pytest.raises(ProjectionFailureError) as got:
-                _box_least_squares(s, y, box, step, u0)
+                _BoxLeastSquares(s, box, step)(y, u0)
             assert str(got.value) == str(want.value)
 
     def test_stacks_built_once_per_face(self, monkeypatch):
@@ -833,4 +855,4 @@ class TestLockstep:
         u0 = np.stack([u_star, np.zeros(2)])
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 1)
         with pytest.raises(ProjectionFailureError, match="moving"):
-            _box_least_squares(s, y, ring_u_box, 0.5, u0)
+            _BoxLeastSquares(s, ring_u_box, 0.5)(y, u0)

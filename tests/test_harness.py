@@ -136,6 +136,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad plant or x1"):
             ExperimentConfig(**kwargs)
 
+    def test_inputs_past_the_box_solve_refused(self):
+        # the hindsight box solves enumerate 3^M faces, M <= 8: a ninth input
+        # is refused when the config is made, not after every run's loops
+        assert ExperimentConfig(b=np.full((3, 8), 0.1)).b.shape == (3, 8)
+        with pytest.raises(ConfigError, match="B has 9 inputs"):
+            ExperimentConfig(b=np.full((3, 9), 0.1))
+
     def test_replace_checks_again(self, tiny_cfg):
         with pytest.raises(ConfigError, match="n_runs"):
             replace(tiny_cfg, n_runs=0)
@@ -895,14 +902,14 @@ class TestExperimentOutput:
         # seed 1's fixed-input model, which the batched pass builds bit for bit
         costs, w_seq, _ = draw_run(cfg, 1)
         [seed_1_model] = bench_mod._fixed_input_models(bench_mod._runs(cfg.system(), cfg.x1, [(w_seq, costs)]))
-        real = bench_mod._projected_descent
+        real = bench_mod.box_qp
 
-        def fail_seed_1(model, project, x0):
-            if np.array_equal(model.g, seed_1_model.g):
+        def fail_seed_1(h, g, lower, upper):
+            if np.array_equal(g, seed_1_model.g):
                 raise RuntimeError("synthetic hindsight failure")
-            return real(model, project, x0)
+            return real(h, g, lower, upper)
 
-        monkeypatch.setattr(bench_mod, "_projected_descent", fail_seed_1)
+        monkeypatch.setattr(bench_mod, "box_qp", fail_seed_1)
         result = run_experiment(cfg, output_dir=tmp_path / "out")
         assert result.failures == {1: "RuntimeError: synthetic hindsight failure"}
         with open(tmp_path / "out" / "failures.csv", newline="") as fh:

@@ -24,8 +24,9 @@ from olcontrol import (
     spectral_norm,
     spectral_radius_estimate,
     state_bound,
+    UnsupportedDimensionError,
 )
-from olcontrol.linalg import as_array, batch_spectral_norms, positive
+from olcontrol.linalg import BOX_QP_FEASIBLE_TOL, as_array, batch_spectral_norms, box_qp, positive
 
 
 class TestSpectralNorm:
@@ -129,6 +130,66 @@ class TestSpectralRadiusEstimate:
             assert spectral_radius_estimate(tri, 64) >= rho - 1e-9
 
 
+def kkt_residual(h, g, lower, upper, x) -> float:
+    """||clip(x - grad) - x||_inf for x^T h x + 2 g^T x: zero exactly at the box's minimizer."""
+    return float(np.max(np.abs(np.clip(x - 2.0 * (h @ x + g), lower, upper) - x)))
+
+
+class TestBoxQp:
+    LOWER, UPPER = -np.ones(2), np.ones(2)
+
+    @pytest.mark.parametrize("delta", [-1e-11, -1e-13, 0.0, 1e-13, 1e-11])
+    def test_near_tied_faces(self, rng, delta):
+        # the free optimum u* sits delta beyond the upper bound of u_0: the
+        # interior face and the face u_0 = 1 give candidates valued within
+        # delta^2 of each other, and within BOX_QP_FEASIBLE_TOL = 1e-12 the
+        # interior one counts as feasible and is clipped
+        assert BOX_QP_FEASIBLE_TOL == 1e-12
+        for _ in range(10):
+            rotation = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            h = rotation @ np.diag(rng.uniform(0.5, 2.0, 2)) @ rotation.T  # cond <= 4: roundoff ~ eps
+            g = -h @ np.array([1.0 + delta, 0.3])
+            want = np.array([1.0 + min(delta, 0.0), -(g[1] + h[1, 0] * min(1.0 + delta, 1.0)) / h[1, 1]])
+            got = box_qp(h, g, self.LOWER, self.UPPER)
+            assert np.all(got >= self.LOWER) and np.all(got <= self.UPPER)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            assert kkt_residual(h, g, self.LOWER, self.UPPER, got) <= 1e-12 * np.linalg.norm(h, 2)
+
+    def test_feasibility_tolerance(self):
+        # the free optimum 1e-13 past u_0's bound, inside BOX_QP_FEASIBLE_TOL,
+        # is feasible and clipped; 1e-11 past it is not, and the face u_0 = 1
+        # gives the answer, u_1 = 0.3 + the excess on this h
+        h = np.array([[2.0, 1.0], [1.0, 1.0]])
+        for excess, u_1 in ((1e-13, 0.3), (1e-11, 0.3 + 1e-11)):
+            got = box_qp(h, -h @ [1.0 + excess, 0.3], self.LOWER, self.UPPER)
+            assert got[0] == 1.0 and abs(got[1] - u_1) <= 1e-15
+
+    def test_ties_go_to_the_first_face(self):
+        # f = 0 everywhere: the first face, both coordinates at the lower bound
+        assert np.array_equal(box_qp(np.zeros((2, 2)), np.zeros(2), self.LOWER, self.UPPER), self.LOWER)
+        # f = u_0^2, singular h: u_0 free at 0 first ties with u_1 at its lower bound
+        assert np.array_equal(box_qp(np.diag([1.0, 0.0]), np.zeros(2), self.LOWER, self.UPPER), [0.0, -1.0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kkt_on_random_problems(self, rng, m):
+        # full rank and rank 1; optima inside the box, on its faces and at corners
+        lower, upper = -np.ones(m), np.ones(m)
+        for rank in (m, 1):
+            for _ in range(20):
+                root = rng.standard_normal((m, rank))
+                h, g = root @ root.T, root @ rng.standard_normal(rank) * rng.uniform(0.1, 3.0)
+                got = box_qp(h, g, lower, upper)
+                assert np.all(got >= lower) and np.all(got <= upper)
+                assert kkt_residual(h, g, lower, upper, got) <= 1e-12 * max(np.linalg.norm(h, 2), 1.0)
+
+    def test_dimension_cap(self):
+        # 3^8 = 6561 faces are enumerated; a ninth input is refused
+        c = np.linspace(-2.0, 2.0, 8)
+        np.testing.assert_array_equal(box_qp(np.eye(8), -c, -np.ones(8), np.ones(8)), np.clip(c, -1.0, 1.0))
+        with pytest.raises(UnsupportedDimensionError, match="M <= 8, got M = 9"):
+            box_qp(np.eye(9), np.zeros(9), -np.ones(9), np.ones(9))
+
+
 class TestAsArray:
     @pytest.mark.parametrize("shape, accepted, rejected", [
         ((3,), [(3,)], [(), (2,), (1, 3)]),
@@ -215,9 +276,10 @@ def test_bad_array_rejected(ring_system, ring_u_box, monkeypatch, entry, arg, ba
         arrays[arg] = bad
 
     def no_descent(*args):
-        raise AssertionError("a bad array reached the descent")
+        raise AssertionError("a bad array reached a solve")
 
     monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
+    monkeypatch.setattr(benchmarks_mod, "box_qp", no_descent)
     with pytest.raises(InvalidInputError):
         call(ring_system, ring_u_box, arrays)
 
@@ -260,9 +322,10 @@ def test_bad_scalar_rejected(ring_system, ring_u_box, monkeypatch, entry, name, 
     calls[entry](scalars)
 
     def no_descent(*args):
-        raise AssertionError("a bad scalar reached the descent")
+        raise AssertionError("a bad scalar reached a solve")
 
     monkeypatch.setattr(benchmarks_mod, "_projected_descent", no_descent)
+    monkeypatch.setattr(benchmarks_mod, "box_qp", no_descent)
     with pytest.raises(InvalidInputError):
         calls[entry]({**scalars, name: bad})
 

@@ -17,7 +17,7 @@ from olcontrol import (
     steady_state_of_input,
     step,
 )
-from olcontrol.controllers import PROJECTION_TOL, _box_least_squares
+from olcontrol.controllers import PROJECTION_TOL, _BoxLeastSquares
 from olcontrol.system import rollout
 
 
@@ -138,9 +138,9 @@ class TestSteadyStateMaps:
         # the input holding z comes from projecting z onto the manifold
         box = BoxSet([-5.0], [5.0])
         s = scalar_system.steady_state_gain  # [[2.0]], so the step 1/||S||^2 is 0.25
-        u = _box_least_squares(s, np.array([2.0]), box, 0.25, np.zeros(1))
+        u = _BoxLeastSquares(s, box, 0.25)(np.array([2.0]), np.zeros(1))
         assert u[0] == pytest.approx(1.0, abs=PROJECTION_TOL)
-        assert _box_least_squares(s, np.array([0.0]), box, 0.25, np.zeros(1))[0] == 0.0
+        assert _BoxLeastSquares(s, box, 0.25)(np.array([0.0]), np.zeros(1))[0] == 0.0
 
     def test_round_trip(self, ring_system, rng):
         box = BoxSet.symmetric(5.0, 2)
@@ -148,7 +148,7 @@ class TestSteadyStateMaps:
         for _ in range(100):
             u = rng.uniform(box.lower, box.upper)
             z = steady_state_of_input(ring_system, u)
-            u_back = _box_least_squares(s, z, box, 1.0 / spectral_norm(s) ** 2, np.zeros(2))
+            u_back = _BoxLeastSquares(s, box, 1.0 / spectral_norm(s) ** 2)(z, np.zeros(2))
             # B has full column rank here, so the projection recovers u
             np.testing.assert_allclose(u_back, u, atol=PROJECTION_TOL)
 
