@@ -271,15 +271,15 @@ class DacController:
     ``history`` w_{t-1}, w_{t-2}, ... it is
     sum_i A^i history[i] + features @ vec(M), i = 0..h_mem, where
     ``features`` (N, h_mem M N) holds one (N, M N) block per memory block,
-    block j = sum_i (A^i B) (x) history[i + j + 1].  A new disturbance
-    shifts every block one place, so ``observe`` computes only block 0;
-    assigning ``history`` rebuilds them all with the same products, so the
-    features are always the ones the history gives.  The history is
-    read-only: assign a new one to change it.  A round's surrogate state
-    and its gradient ``features^T delta`` are then one product each.
+    block j = sum_i (A^i B) (x) w_{t-i-j-2}, i = 0..h_mem.  Both start at
+    zero, and only ``observe`` advances them: a new disturbance shifts
+    every block one place, so it computes only block 0, from
+    ``history[1:]``.  The history keeps the h_mem + 2 disturbances a round
+    reads.  A round's surrogate state and its gradient
+    ``features^T delta`` are then one product each.
 
     With ``runs`` unset it runs one controller: blocks are (h_mem, M, N),
-    the history (2 h_mem + 1, N) and the features (N, h_mem M N).
+    the history (h_mem + 2, N) and the features (N, h_mem M N).
     ``runs=R``, an integer >= 1, runs R of them in lockstep, sharing eta_g
     and the radii: every one of these arrays, and states, inputs and the
     cost's Q and c, carry a leading axis of length R.
@@ -312,69 +312,46 @@ class DacController:
         self._a_row = a_pows.transpose(1, 0, 2).reshape(n, -1)
         # (A^i B)[k, m] at row k M + m, column i
         self._ab_cols = (a_pows @ sys.b).transpose(1, 2, 0).reshape(n * m, -1)
-        # newest-first ring of past disturbances, zero-padded for t <= 0;
-        # the surrogate looks back 2*h_mem steps
-        self.history = np.zeros(self._lead + (2 * self.h_mem + 1, n))
+        # past disturbances, newest first, zero for t <= 0: act reads rows
+        # :h_mem, the surrogate :h_mem + 1 and the newest feature block 1:
+        self.history = np.zeros(self._lead + (self.h_mem + 2, n))
+        self.features = np.zeros(self._lead + (n, self.h_mem * m * n))
         self._last_x = None
         self._last_u = None
-
-    @property
-    def history(self) -> np.ndarray:
-        """Past disturbances, newest first, read-only; assigning a new
-        history rebuilds the features."""
-        return self._history
-
-    @history.setter
-    def history(self, history) -> None:
-        history = np.array(as_array(history, "history", self._lead + (2 * self.h_mem + 1, self.sys.state_dim)))
-        history.flags.writeable = False
-        self._history = history
-        self.features = np.concatenate([self._feature_block(j) for j in range(self.h_mem)], axis=-1)
-
-    def _feature_block(self, j: int) -> np.ndarray:
-        """Block j of the features, sum_i (A^i B) (x) history[i + j + 1]:
-        one product of the (A^i B) columns with h_mem + 1 history rows."""
-        n = self.sys.state_dim
-        block = np.matmul(self._ab_cols, self._history[..., j + 1 : j + self.h_mem + 2, :])
-        return block.reshape(self._lead + (n, -1))
 
     def act(self, x) -> np.ndarray:
         """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
         x = as_array(x, "state", self._lead + (self.sys.state_dim,))
-        u = self.u_set.clamp(dac_inputs(self.blocks, self._history[..., None, : self.h_mem, :])[..., 0, :])
+        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :])
         self._last_x = x
         self._last_u = u
         return u
 
-    def surrogate_state(self, blocks=None) -> np.ndarray:
-        """Truncated prediction of the current state under the given blocks
-        (default: the current ones)."""
-        if blocks is None:
-            blocks = self.blocks
-        recent = self._history[..., : self.h_mem + 1, :].reshape(self._lead + (-1,))
-        return matvec(self._a_row, recent) + matvec(self.features, blocks.reshape(self._lead + (-1,)))
+    def surrogate_state(self) -> np.ndarray:
+        """Truncated prediction of the current state under the current blocks."""
+        recent = self.history[..., : self.h_mem + 1, :].reshape(self._lead + (-1,))
+        return matvec(self._a_row, recent) + matvec(self.features, self.blocks.reshape(self._lead + (-1,)))
 
     def surrogate_grad_blocks(self, delta: np.ndarray) -> np.ndarray:
         """Gradient of cost(surrogate_state) with respect to each block,
         ``features^T delta`` in the blocks' shape."""
         return matvec(self.features.swapaxes(-1, -2), delta).reshape(self.blocks.shape)
 
-    def update(self, cost: QuadraticCost) -> None:
-        """One OGD step on the surrogate loss, then project the blocks."""
+    def observe(self, cost: QuadraticCost, x_next) -> None:
+        """One OGD step on the surrogate loss of this round's cost, with the
+        blocks projected back onto their balls; then record the disturbance
+        revealed by the transition from the state ``act`` saw, and shift the
+        features one block.  Each ``act`` serves one ``observe``."""
+        if self._last_x is None:
+            raise InvalidInputError("observe called before act")
+        w = estimate_disturbance(self.sys, self._last_x, self._last_u, x_next)
+        self._last_x = self._last_u = None
         delta = cost.grad(self.surrogate_state())
         stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
         self.blocks = project_dac_blocks(stepped, self.radii)
-
-    def observe(self, cost: QuadraticCost, x_next) -> None:
-        """Update the blocks from this round's cost, then record the
-        disturbance revealed by the observed transition and shift the
-        features one block."""
-        if self._last_x is None:
-            raise InvalidInputError("observe called before act")
-        self.update(cost)
-        w = estimate_disturbance(self.sys, self._last_x, self._last_u, x_next)
-        history = np.concatenate([w[..., None, :], self._history[..., :-1, :]], axis=-2)
-        history.flags.writeable = False
-        self._history = history
-        width = self.sys.input_dim * self.sys.state_dim  # of one block
-        self.features = np.concatenate([self._feature_block(0), self.features[..., :-width]], axis=-1)
+        self.history = np.concatenate([w[..., None, :], self.history[..., :-1, :]], axis=-2)
+        # block 0, sum_i (A^i B) (x) history[i + 1]: one product of the
+        # (A^i B) columns with h_mem + 1 history rows
+        n, m = self.sys.state_dim, self.sys.input_dim
+        newest = np.matmul(self._ab_cols, self.history[..., 1:, :]).reshape(self._lead + (n, m * n))
+        self.features = np.concatenate([newest, self.features[..., : -m * n]], axis=-1)

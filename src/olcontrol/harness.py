@@ -609,7 +609,8 @@ class ExperimentResult:
     output_dir: Path
 
 
-_BUNDLE_NAME = re.compile(r"run_[0-9]+\.csv|summary\.csv|benchmarks\.csv|failures\.csv")
+# the names run_experiment writes: run_<k>.csv has no leading zeros
+_BUNDLE_NAME = re.compile(r"run_(0|[1-9][0-9]*)\.csv|summary\.csv|benchmarks\.csv|failures\.csv")
 
 
 def _seed_task(cfg: ExperimentConfig, ks: list[int]) -> dict:
@@ -635,7 +636,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> ExperimentResult:
     regret column, benchmarks.csv with the final benchmark values, and a
     failures.csv manifest when individual runs fail.  Files of those names
     left by an earlier invocation are removed first, so the directory
-    holds this invocation's bundle only; other files are left alone.
+    holds this invocation's bundle only; other files, ``run_007.csv``
+    among them, are left alone.
     """
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     try:

@@ -28,6 +28,8 @@ from olcontrol import (
 from olcontrol.benchmarks import _adjoint_states, _dac_inputs
 from olcontrol.costs import as_batch
 from olcontrol.harness import (
+    CostGenConfig,
+    DacConfig,
     RunRecord,
     draw_run,
     run_experiment,
@@ -419,3 +421,36 @@ def test_criterion_14_oco_reduction():
     verdict(14, "OLC at A = 0 is projected OGD within the Zinkevich bound",
             ok and worst_ratio <= 1.0 and worst_gap <= 1e-3,
             f"max R_u / bound {worst_ratio:.3f}, max |bench_u - grid| {worst_gap:.2e}, runtime {elapsed:.2f}s")
+
+
+def test_criterion_15_cost_scale_by_two():
+    # Doubling every Q_t doubles each cost, its gradient and L, so OLC's
+    # regret-optimal step halves; DAC's step is halved by hand.  Every
+    # controller step and every hindsight optimizer then sees the products
+    # of the unscaled run times a power of two, which floating point keeps
+    # exactly: inputs and optimizers agree bit for bit, costs are exactly
+    # twice.  A transpose or assembly error that scaled one term and not
+    # another would break the equality.
+    start = time.perf_counter()
+    ok, checked = True, 0
+    for disturbances_on in (True, False):
+        records = []
+        for q_scale, eta_g in ((1.0, 1.0), (2.0, 0.5)):
+            cfg = ExperimentConfig(t=1000, n_runs=4, disturbances_on=disturbances_on,
+                                   cost_gen=CostGenConfig(q_scale=q_scale), dac=DacConfig(eta_g=eta_g / np.sqrt(1000)))
+            records.append(run_seeds(cfg, range(cfg.n_runs)))
+        for base, scaled in zip(*records):
+            for kind in ("olc", "dac"):
+                ok &= np.array_equal(base.traces[kind].inputs, scaled.traces[kind].inputs)
+                ok &= np.array_equal(2.0 * base.traces[kind].costs, scaled.traces[kind].costs)
+            for bench in ("bench_u", "bench_m", "bench_x"):
+                b, sc = getattr(base, bench), getattr(scaled, bench)
+                ok &= (b is None) == (sc is None)
+                if b is None:
+                    continue
+                checked += 1
+                ok &= np.array_equal(b.optimizer, sc.optimizer) and b.iterations == sc.iterations
+                ok &= 2.0 * b.value == sc.value and np.array_equal(2.0 * b.step_costs, sc.step_costs)
+    elapsed = time.perf_counter() - start
+    verdict(15, "doubling the costs doubles them exactly and moves no input or optimizer",
+            ok and checked == 4 * (2 + 3), f"{checked} hindsight results compared, runtime {elapsed:.2f}s")

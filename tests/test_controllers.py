@@ -261,8 +261,8 @@ def matrix_powers(a, k):
 
 
 def features_by_hand(sys, history):
-    """A one-run DacController's features from its history (2 h + 1, N),
-    one block at a time: block j is sum_i (A^i B) (x) history[i + j + 1],
+    """A one-run DacController's features from its 2 h + 1 newest
+    disturbances, newest first (a history (2 h + 1, N)), one block at a time: block j is sum_i (A^i B) (x) history[i + j + 1],
     i = 0..h, one product of the (A^i B) columns with h + 1 history rows."""
     h_mem = len(history) // 2
     ab_cols = np.stack([(p @ sys.b).ravel() for p in matrix_powers(sys.a, h_mem)], axis=1)
@@ -274,6 +274,8 @@ def features_by_hand(sys, history):
 class TestDacController:
     def test_zero_history_zero_action(self, ring_system):
         dac = make_dac(ring_system)
+        # the h_mem + 2 disturbances a round reads, newest first
+        assert dac.history.shape == (dac.h_mem + 2, 3)
         np.testing.assert_allclose(dac.act(np.zeros(3)), 0.0)
 
     def test_selector_blocks(self, ring_system):
@@ -307,24 +309,30 @@ class TestDacController:
         u = dac.act(np.zeros(3))
         assert np.all(np.abs(u) <= 0.1 + 1e-15)
 
-    def test_update_no_history_is_noop(self, ring_system):
+    def test_observe_no_history_is_noop(self, ring_system):
         dac = make_dac(ring_system)
         cost = QuadraticCost(q=np.eye(3), c=np.ones(3))
         before = dac.blocks.copy()
-        dac.update(cost)
-        # zero history -> zero surrogate gradient -> unchanged blocks
+        x_next = step(ring_system, np.zeros(3), dac.act(np.zeros(3)), np.zeros(3))
+        dac.observe(cost, x_next)
+        # zero history -> zero surrogate gradient -> unchanged blocks; w = 0
+        # keeps the history and the features at zero
         np.testing.assert_allclose(dac.blocks, before, atol=0.0)
+        np.testing.assert_array_equal(dac.history, 0.0)
+        np.testing.assert_array_equal(dac.features, 0.0)
 
     def test_surrogate_gradient_matches_finite_differences(self, ring_system, rng):
         dac = make_dac(ring_system, h_mem=3)
-        dac.history = rng.uniform(-0.5, 0.5, dac.history.shape)
+        full = rng.uniform(-0.5, 0.5, (7, 3))  # 2 h_mem + 1 past disturbances
+        dac.history = full[:5]
+        dac.features = features_by_hand(ring_system, full)
         dac.blocks = rng.standard_normal(dac.blocks.shape) * 0.2
         s = rng.standard_normal((3, 3))
         cost = QuadraticCost(q=s.T @ s / 3 + 0.1 * np.eye(3), c=rng.uniform(0, 2, 3))
 
         def loss(flat):
-            blocks = flat.reshape(dac.blocks.shape)
-            return cost.value(dac.surrogate_state(blocks))
+            dac.blocks = flat.reshape(dac.blocks.shape)
+            return cost.value(dac.surrogate_state())
 
         delta = cost.grad(dac.surrogate_state())
         analytic = dac.surrogate_grad_blocks(delta).ravel()
@@ -340,9 +348,11 @@ class TestDacController:
     @pytest.mark.parametrize("h_mem", [1, 3, 10])
     def test_surrogate_matches_per_block_loop(self, ring_system, rng, h_mem):
         dac = make_dac(ring_system, h_mem=h_mem)
-        dac.history = rng.uniform(-0.5, 0.5, dac.history.shape)
+        history = rng.uniform(-0.5, 0.5, (2 * h_mem + 1, 3))  # the past disturbances the features sum
+        dac.history = history[: h_mem + 2]
+        dac.features = features_by_hand(ring_system, history)
         dac.blocks = rng.standard_normal(dac.blocks.shape) * 0.2
-        history, blocks = dac.history, dac.blocks
+        blocks = dac.blocks
         delta = rng.standard_normal(3)
         # act's one window takes the products of a loop over blocks, in
         # block order, so it agrees with it bit for bit
@@ -412,29 +422,19 @@ class TestDacController:
 
     def test_features_follow_observe(self, ring_system, rng):
         # 30 rounds shift every block through the features several times;
-        # the blocks shifted in keep the bits a rebuild from the history gives
+        # the blocks shifted in keep the bits of the features built one block
+        # at a time from the disturbances the transitions reveal (the
+        # injected ones, up to their last bit)
         dac = make_dac(ring_system, h_mem=4, eta_g=0.5)
         x = np.zeros(3)
+        ws = []
         for _ in range(30):
-            x_next = step(ring_system, x, dac.act(x), rng.uniform(-0.5, 0.5, 3))
+            u = dac.act(x)
+            x_next = step(ring_system, x, u, rng.uniform(-0.5, 0.5, 3))
+            ws.append(estimate_disturbance(ring_system, x, u, x_next))
             dac.observe(random_cost(rng), x_next)
             x = x_next
-        incremental = dac.features
-        np.testing.assert_array_equal(incremental, features_by_hand(ring_system, dac.history))
-        dac.history = dac.history
-        np.testing.assert_array_equal(dac.features, incremental)
-
-    def test_assigning_history_rebuilds_features(self, ring_system, rng):
-        dac = make_dac(ring_system, h_mem=3)
-        np.testing.assert_array_equal(dac.features, np.zeros((3, 18)))
-        history = rng.uniform(-0.5, 0.5, dac.history.shape)
-        dac.history = history
-        np.testing.assert_array_equal(dac.features, features_by_hand(ring_system, history))
-        # the controller keeps its own read-only copy
-        history[0] = 1.0
-        assert not np.any(dac.history == 1.0)
-        with pytest.raises(ValueError, match="read-only"):
-            dac.history[0] = 1.0
+        np.testing.assert_array_equal(dac.features, features_by_hand(ring_system, np.array(ws[::-1][:9])))
 
     @pytest.mark.parametrize("runs, x", [(4, np.zeros(3)), (None, np.zeros((5, 3)))], ids=["runs_4", "one_run"])
     def test_act_checks_state_against_run_axis(self, ring_system, runs, x):
@@ -444,8 +444,14 @@ class TestDacController:
 
     def test_observe_before_act_rejected(self, ring_system):
         dac = make_dac(ring_system)
+        cost = QuadraticCost(q=np.eye(3), c=np.zeros(3))
         with pytest.raises(InvalidInputError, match="before act"):
-            dac.observe(QuadraticCost(q=np.eye(3), c=np.zeros(3)), np.zeros(3))
+            dac.observe(cost, np.zeros(3))
+        # each act serves one observe: a second one has no state to start from
+        dac.act(np.zeros(3))
+        dac.observe(cost, np.full(3, 0.1))
+        with pytest.raises(InvalidInputError, match="before act"):
+            dac.observe(cost, np.full(3, 1.1))
 
 
 class TestBoxDescent:

@@ -848,10 +848,13 @@ class TestExperimentOutput:
         out.mkdir()
         (out / "notes.txt").write_text("keep")
         (out / "run_x.csv").write_text("keep")
+        # not names run_experiment writes, so not its to delete
+        (out / "run_007.csv").write_text("keep")
+        (out / "run_01.csv").write_text("keep")
         run_experiment(replace(tiny_cfg, n_runs=3), output_dir=out)
         run_experiment(replace(tiny_cfg, n_runs=1), output_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "benchmarks.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
+            "benchmarks.csv", "notes.txt", "run_0.csv", "run_007.csv", "run_01.csv", "run_x.csv", "summary.csv"]
 
         real = harness_mod.run_seeds
 
@@ -863,11 +866,13 @@ class TestExperimentOutput:
         monkeypatch.setattr(harness_mod, "run_seeds", flaky)
         run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "benchmarks.csv", "failures.csv", "notes.txt", "run_0.csv", "run_x.csv", "summary.csv"]
+            "benchmarks.csv", "failures.csv", "notes.txt", "run_0.csv", "run_007.csv", "run_01.csv", "run_x.csv",
+            "summary.csv"]
 
         monkeypatch.setattr(harness_mod, "run_seeds", lambda cfg, ks: flaky(cfg, [1]))
         run_experiment(replace(tiny_cfg, n_runs=2), output_dir=out)
-        assert sorted(p.name for p in out.iterdir()) == ["failures.csv", "notes.txt", "run_x.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "failures.csv", "notes.txt", "run_007.csv", "run_01.csv", "run_x.csv"]
 
     def test_failing_seed_isolated_under_lockstep(self, tmp_path, monkeypatch):
         import olcontrol.harness as harness_mod
