@@ -14,11 +14,13 @@ simulated once, and the model's value there is kept beside the realized
 cost, so a wrong assembly shows as a gap between them.  The solvers take
 the costs as one QuadraticBatch (or a list of QuadraticCost, stacked once
 on entry).  :func:`solve_benchmarks` solves many runs of one plant in one
-batched pass, every rollout over a leading run axis and each assembly and
-solve per run; the one-run solvers are its one-run case.  A brute-force
-grid oracle validates the fixed-input solver on low-dimensional inputs.
+batched pass: every rollout over a leading run axis, each assembly and box
+solve per run, and the DAC descents in lockstep; the one-run solvers are
+its one-run case.  A brute-force grid oracle validates the fixed-input
+solver on low-dimensional inputs.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -99,40 +101,74 @@ def adjoint_input_gradients(sys: LtiSystem, x1, u_seq, w_seq, costs) -> np.ndarr
     return lam[1:] @ sys.b
 
 
-def _projected_descent(model: "_Quadratic", project, x0):
-    """Projected gradient descent with a backtracking line search.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each run's rows of the (R, P) ``a`` and ``b``,
+    with the bits of ``np.vdot`` on that run's vectors alone."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _projected_descent(models: list["_Quadratic"], project, x0):
+    """Projected gradient descent with a backtracking line search, on every
+    run's model at once.
 
     Each iteration starts from a Barzilai-Borwein trial step (the inverse
     Rayleigh quotient of the last displacement, a cheap curvature probe)
     and halves it until the quadratic upper model holds at the projected
-    candidate, which keeps the objective monotone.  Stops once an
-    iteration moves less than DESCENT_MOVE_TOL, or after DESCENT_MAX_ITER
-    iterations.  Returns (x, iterations, converged).
+    candidate, which keeps the objective monotone.  A run stops once an
+    iteration moves it less than DESCENT_MOVE_TOL, or after DESCENT_MAX_ITER
+    iterations.  The runs go in lockstep, each pass one trial step of every
+    run still going: each run keeps its own step, backtracking and stop
+    test, and every product is taken run by run, so a run has the bits of
+    its descent alone.  ``project`` maps a stack of points, (R,) + x0.shape,
+    into the feasible set.  Returns (xs, iterations, converged), each with
+    a leading axis of R = ``len(models)``.
     """
-    x = project(x0)
-    f = model.value(x)
-    g = model.grad(x)
-    step = 1.0
-    for it in range(1, DESCENT_MAX_ITER + 1):
-        while True:
-            cand = project(x - step * g)
-            d = cand - x
-            f_cand = model.value(cand)
-            gap = float(np.vdot(g, d)) + 0.5 / step * float(np.vdot(d, d))
-            if f_cand <= f + gap + 1e-12 * (1.0 + abs(f)):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        moved = float(np.linalg.norm(d.ravel()))
-        g_cand = model.grad(cand)
-        dg = g_cand - g
-        sty = float(np.vdot(d, dg))
-        step = float(np.vdot(d, d)) / sty if sty > 0.0 else step * 2.0
-        x, f, g = cand, f_cand, g_cand
-        if moved < DESCENT_MOVE_TOL:
-            return x, it, True
-    return x, DESCENT_MAX_ITER, False
+    runs = len(models)
+    xs = project(np.broadcast_to(x0, (runs,) + np.shape(x0)))
+    iterations = np.zeros(runs, dtype=int)
+    converged = np.zeros(runs, dtype=bool)
+    # the runs still going: their rows of the results, models and iterates
+    rows, x, its, step = np.arange(runs), xs, np.zeros(runs, dtype=int), np.ones(runs)
+    h = np.stack([model.h for model in models])
+    lin = np.stack([model.g for model in models])
+    lin2, k = 2.0 * lin, np.array([model.k for model in models])
+    f, g = _value_and_grad(h, lin, lin2, k, x.reshape(runs, -1))
+    while rows.size:
+        lead = (len(rows),) + (1,) * (x.ndim - 1)
+        cand = project(x - step.reshape(lead) * g.reshape(x.shape))
+        d = (cand - x).reshape(len(rows), -1)
+        f_cand, g_cand = _value_and_grad(h, lin, lin2, k, cand.reshape(len(rows), -1))
+        dd = _dots(d, d)
+        accept = f_cand <= f + (_dots(g, d) + 0.5 / step * dd) + 1e-12 * (1.0 + np.abs(f))
+        # a run whose candidate fails halves its step and tries again, until
+        # the step is spent; the others move to their candidate
+        step = np.where(accept, step, step * 0.5)
+        moves = accept | (step < 1e-18)
+        sty = _dots(d, g_cand - g)
+        step = np.divide(dd, sty, out=np.where(moves, step * 2.0, step), where=moves & (sty > 0.0))
+        x = np.where(moves.reshape(lead), cand, x)
+        f = np.where(moves, f_cand, f)
+        g = np.where(moves[:, None], g_cand, g)
+        its += moves
+        stopped = moves & (np.sqrt(dd) < DESCENT_MOVE_TOL)
+        done = stopped | (its == DESCENT_MAX_ITER)
+        if np.count_nonzero(done):
+            ended = rows[done]
+            xs[ended], iterations[ended], converged[ended] = x[done], its[done], stopped[done]
+            keep = ~done
+            rows, x, f, g, step, its, h, lin, lin2, k = (
+                a[keep] for a in (rows, x, f, g, step, its, h, lin, lin2, k)
+            )
+    return xs, iterations, converged
+
+
+def _value_and_grad(h, lin, lin2, k, v):
+    """Each run's value v^T H v + 2 g^T v + k and gradient 2 (H v + g), from
+    the stacks ``h`` (R, P, P), ``lin`` = g (R, P), ``lin2`` = 2 g and ``k``
+    (R,), at the (R, P) points ``v``: the bits of :class:`_Quadratic` on
+    each run alone."""
+    hv = matvec(h, v)
+    return _dots(v, hv + lin2) + k, 2.0 * (hv + lin)
 
 
 @dataclass(frozen=True)
@@ -146,10 +182,6 @@ class _Quadratic:
     def value(self, x) -> float:
         v = np.ravel(x)
         return float(v @ (self.h @ v + 2.0 * self.g)) + self.k
-
-    def grad(self, x) -> np.ndarray:
-        v = np.ravel(x)
-        return (2.0 * (self.h @ v + self.g)).reshape(np.shape(x))
 
 
 def _assemble_quadratic(costs: QuadraticBatch, offsets, response, n_blocks: int = 1) -> _Quadratic:
@@ -216,30 +248,44 @@ def _runs(sys: LtiSystem, x1, draws, horizon: int | None = None) -> _Runs:
     return _Runs(sys, batches, x1, np.stack(ws))
 
 
-def _solve(models, minimize, runs: _Runs, trajectories) -> list[BenchmarkResult]:
-    """Minimize each run's model over the feasible set every run shares,
-    ``minimize(model)`` returning (x, iterations, converged); realize all
-    the optima at once as the (R, T, N) ``trajectories(xs)``; and score
-    each run: its step costs, their sum ``value``, and ``value_nominal``,
-    the model's own value at the optimum."""
-    found = [minimize(model) for model in models]
-    states = trajectories(np.stack([x for x, _, _ in found]))
+# One family of hindsight problems solved on every run: each run's model,
+# optimizer, iterations and convergence flag, and the (R, T-1, M) inputs
+# that realize the optima (None for the steady state, which needs no rollout).
+_Optima = namedtuple("_Optima", "models xs iterations converged inputs")
+
+
+def _scored(runs: _Runs, optima: _Optima, states) -> list[BenchmarkResult]:
+    """Each run's result from its optimum and the (T, N) trajectory
+    ``states[r]`` that realizes it: the step costs, their sum ``value``, and
+    ``value_nominal``, the model's own value at the optimum."""
     results = []
-    for (x, iters, converged), model, costs, xs in zip(found, models, runs.costs, states):
+    for model, costs, x, iters, converged, xs in zip(
+        optima.models, runs.costs, optima.xs, optima.iterations, optima.converged, states
+    ):
         step_costs = costs.values(xs)
         results.append(BenchmarkResult(
-            optimizer=x, value=float(np.sum(step_costs)), iterations=iters, converged=converged,
+            optimizer=x, value=float(np.sum(step_costs)), iterations=int(iters), converged=bool(converged),
             step_costs=step_costs, value_nominal=model.value(x),
         ))
     return results
 
 
-def _box_minimizer(u_set: BoxSet):
-    """``minimize`` of :func:`_solve` over the input box: the exact
-    :func:`~olcontrol.linalg.box_qp`, its iterations the 3^M faces it
+def _realized(runs: _Runs, *families: _Optima) -> list[list[BenchmarkResult]]:
+    """Every family's results, its optima realized in one rollout for all
+    the families: a leading family axis on the runs, the families' inputs
+    stacked along it and the runs' disturbances broadcast across it, so
+    each run of each family has the bits of its own rollout."""
+    inputs = np.stack([optima.inputs for optima in families])
+    states = rollout(runs.sys, runs.x1, np.broadcast_to(runs.ws, inputs.shape[:2] + runs.ws.shape[1:]), inputs)
+    return [_scored(runs, optima, family) for optima, family in zip(families, states)]
+
+
+def _box_optima(models: list[_Quadratic], u_set: BoxSet) -> _Optima:
+    """Each model minimized over the input box by the exact
+    :func:`~olcontrol.linalg.box_qp`: its iterations the 3^M faces it
     enumerates, always converged."""
-    faces = 3**u_set.dim
-    return lambda model: (box_qp(model.h, model.g, u_set.lower, u_set.upper), faces, True)
+    us = np.stack([box_qp(model.h, model.g, u_set.lower, u_set.upper) for model in models])
+    return _Optima(models, us, [3**u_set.dim] * len(models), [True] * len(models), None)
 
 
 def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
@@ -252,12 +298,9 @@ def _fixed_input_models(runs: _Runs) -> list[_Quadratic]:
     return [_assemble_quadratic(costs, free, gains) for costs, free in zip(runs.costs, runs.free)]
 
 
-def _fixed_inputs(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
-    m = runs.sys.input_dim
-    return _solve(
-        _fixed_input_models(runs), _box_minimizer(u_set), runs,
-        lambda us: rollout(runs.sys, runs.x1, runs.ws, np.broadcast_to(us[:, None], runs.ws.shape[:2] + (m,))),
-    )
+def _fixed_inputs(runs: _Runs, u_set: BoxSet) -> _Optima:
+    optima = _box_optima(_fixed_input_models(runs), u_set)
+    return optima._replace(inputs=np.broadcast_to(optima.xs[:, None], runs.ws.shape[:2] + (u_set.dim,)))
 
 
 def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> BenchmarkResult:
@@ -272,7 +315,9 @@ def best_fixed_input(sys: LtiSystem, x1, w_seq, costs, u_set: BoxSet) -> Benchma
     realized by one rollout of the plant.  This is the one-run case of
     :func:`solve_benchmarks`.
     """
-    return _fixed_inputs(_runs(sys, x1, [(w_seq, costs)]), fit_box(u_set, sys.input_dim, "input box"))[0]
+    runs = _runs(sys, x1, [(w_seq, costs)])
+    [[fixed]] = _realized(runs, _fixed_inputs(runs, fit_box(u_set, sys.input_dim, "input box")))
+    return fixed
 
 
 def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
@@ -286,10 +331,9 @@ def _steady_state_models(runs: _Runs) -> list[_Quadratic]:
 
 def _steady_states(runs: _Runs, u_set: BoxSet) -> list[BenchmarkResult]:
     s = runs.sys.steady_state_gain
-    results = _solve(
-        _steady_state_models(runs), _box_minimizer(u_set), runs,
-        lambda us: np.broadcast_to(matvec(s, us)[:, None], (len(us), len(runs.costs[0]), s.shape[0])),
-    )
+    optima = _box_optima(_steady_state_models(runs), u_set)
+    held = matvec(s, optima.xs)[:, None]  # every step of a run sits at S u*
+    results = _scored(runs, optima, np.broadcast_to(held, (len(held), len(runs.costs[0]), s.shape[0])))
     for res in results:
         res.optimizer = s @ res.optimizer  # reported as the state x* = S u*
     return results
@@ -335,16 +379,17 @@ def _dac_models(runs: _Runs, h_mem: int) -> list[_Quadratic]:
     ]
 
 
-def _dacs(runs: _Runs, radii: np.ndarray) -> list[BenchmarkResult]:
-    """The DAC solve of each run, the blocks in the balls of ``radii``."""
+def _dacs(runs: _Runs, radii: np.ndarray) -> _Optima:
+    """The DAC family on every run, the blocks in the balls of ``radii``,
+    minimized by one lockstep descent."""
     sys = runs.sys
     h_mem = radii.shape[0]
-    project, x0 = partial(project_dac_blocks, radii=radii), np.zeros((h_mem, sys.input_dim, sys.state_dim))
-    return _solve(
-        _dac_models(runs, h_mem), lambda model: _projected_descent(model, project, x0), runs,
-        # inputs run by run: their windows take h_mem times the disturbances' memory
-        lambda blocks: rollout(sys, runs.x1, runs.ws, np.stack(list(map(_dac_inputs, blocks, runs.ws)))),
+    models = _dac_models(runs, h_mem)
+    blocks, iterations, converged = _projected_descent(
+        models, partial(project_dac_blocks, radii=radii), np.zeros((h_mem, sys.input_dim, sys.state_dim))
     )
+    # inputs run by run: their windows take h_mem times the disturbances' memory
+    return _Optima(models, blocks, iterations, converged, np.stack(list(map(_dac_inputs, blocks, runs.ws))))
 
 
 def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> BenchmarkResult:
@@ -361,7 +406,9 @@ def best_dac(sys: LtiSystem, x1, w_seq, costs, h_mem: int, radius: float) -> Ben
     case of :func:`solve_benchmarks`.
     """
     radii = dac_radii(sys, h_mem, radius)
-    return _dacs(_runs(sys, x1, [(w_seq, costs)]), radii)[0]
+    runs = _runs(sys, x1, [(w_seq, costs)])
+    [[dac]] = _realized(runs, _dacs(runs, radii))
+    return dac
 
 
 def solve_benchmarks(
@@ -374,19 +421,19 @@ def solve_benchmarks(
     input, best DAC, best steady state) triple of BenchmarkResults per
     run, the steady state None unless ``steady_state``; every run's DAC
     blocks lie in the balls of :func:`~olcontrol.controllers.dac_radii`
-    for ``radius``.  Each run's free response is rolled out once and serves
-    both its fixed-input and DAC models, and the fixed-input gains are
-    rolled out once for all runs.  Every rollout steps the runs in
-    lockstep; each run's models are assembled from its own slice of them
-    and solved on their own, each DAC descent stopping at its own test.
-    A run's results have the bits of its one-run solves
+    for ``radius``.  Four rollouts serve every run: the free responses,
+    which both the fixed-input and the DAC models read; the fixed-input
+    gains, once for all runs; the DAC responses; and one realization of
+    both families' optima, 2R runs stacked.  Each run's models are
+    assembled from its own slice of them; the box problems are solved run
+    by run, and the DAC models by one lockstep descent, each run stopping
+    at its own test.  A run's results have the bits of its one-run solves
     (:func:`best_fixed_input`, :func:`best_dac`, :func:`best_steady_state`).
     """
     u_set = fit_box(u_set, sys.input_dim, "input box")
     radii = dac_radii(sys, h_mem, radius)
     runs = _runs(sys, x1, draws)
-    fixed = _fixed_inputs(runs, u_set)
-    dac = _dacs(runs, radii)
+    fixed, dac = _realized(runs, _fixed_inputs(runs, u_set), _dacs(runs, radii))
     steady = _steady_states(runs, u_set) if steady_state else [None] * len(draws)
     return list(zip(fixed, dac, steady))
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .costs import QuadraticCost
+from .costs import QuadraticCost, quadratic_grad
 from .errors import InvalidInputError, ProjectionFailureError
 from .linalg import as_array, box_qp, count, matvec, positive, row_norms, spectral_norm
 from .system import BoxSet, LtiSystem, fit_box
@@ -166,13 +166,19 @@ def regret_optimal_step_size(l: float, t: int, sys: LtiSystem) -> float:
     return 2.0 * cert.gamma / (l * math.sqrt(t * (1.0 + 4.0 * cert.kappa**2)))
 
 
+def transition_residual(sys: LtiSystem, x, u, x_next) -> np.ndarray:
+    """x' - A x - B u of float arrays, unchecked: the kernel of
+    :func:`estimate_disturbance`.  Leading axes index the same runs."""
+    return x_next - matvec(sys.a, x) - matvec(sys.b, u)
+
+
 def estimate_disturbance(sys: LtiSystem, x, u, x_next) -> np.ndarray:
-    """Recover the disturbance from one observed transition: x' - A x - B u.
-    Leading axes of x, u and x' index the same runs."""
+    """Recover the disturbance from one observed transition: x' - A x - B u,
+    each argument checked first.  Leading axes of x, u and x' index the
+    same runs."""
     x = as_array(x, "state", (..., sys.state_dim))
     u = as_array(u, "input", x.shape[:-1] + (sys.input_dim,))
-    x_next = as_array(x_next, "next state", x.shape)
-    return x_next - matvec(sys.a, x) - matvec(sys.b, u)
+    return transition_residual(sys, x, u, as_array(x_next, "next state", x.shape))
 
 
 class OlcController:
@@ -231,10 +237,12 @@ class OlcController:
 
 
 def project_dac_blocks(blocks: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Scale each matrix block into its Frobenius ball of radius radii[i];
-    ``blocks`` is (..., h_mem, M, N)."""
-    norms = np.linalg.norm(blocks, axis=(-2, -1))
-    scale = np.divide(radii, norms, out=np.ones_like(norms), where=(norms > radii) & (norms > 0.0))
+    """Scale each matrix block into its Frobenius ball of radius radii[i] >= 0;
+    ``blocks`` is (..., h_mem, M, N).  A block outside its ball has a
+    positive norm, so it is the only one divided by its norm."""
+    # the Frobenius norm as np.linalg.norm takes it of real blocks, with its bits
+    norms = np.sqrt(np.add.reduce(blocks * blocks, axis=(-2, -1)))
+    scale = np.divide(radii, norms, out=np.ones_like(norms), where=norms > radii)
     return blocks * scale[..., None, None]
 
 
@@ -320,9 +328,12 @@ class DacController:
         self._last_u = None
 
     def act(self, x) -> np.ndarray:
-        """Play sum_i M^[i-1] w_{t-i}, clamped into the input box."""
+        """Play sum_i M^[i-1] w_{t-i}, clipped into the input box.  ``x`` is
+        checked here, where it enters; the input is computed from checked
+        arrays, and the round loop checks it as it leaves."""
         x = as_array(x, "state", self._lead + (self.sys.state_dim,))
-        u = self.u_set.clamp(dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :])
+        played = dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :]
+        u = played.clip(self.u_set.lower, self.u_set.upper)
         self._last_x = x
         self._last_u = u
         return u
@@ -344,9 +355,11 @@ class DacController:
         features one block.  Each ``act`` serves one ``observe``."""
         if self._last_x is None:
             raise InvalidInputError("observe called before act")
-        w = estimate_disturbance(self.sys, self._last_x, self._last_u, x_next)
+        # x_next is checked where it enters; the products after it are not
+        x_next = as_array(x_next, "next state", self._last_x.shape)
+        w = transition_residual(self.sys, self._last_x, self._last_u, x_next)
         self._last_x = self._last_u = None
-        delta = cost.grad(self.surrogate_state())
+        delta = quadratic_grad(cost.q, cost.c, self.surrogate_state())
         stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
         self.blocks = project_dac_blocks(stepped, self.radii)
         self.history = np.concatenate([w[..., None, :], self.history[..., :-1, :]], axis=-2)

@@ -51,6 +51,12 @@ def _check_quadratics(qs, cs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return qs, cs, np.abs(eigs).max(axis=1, initial=0.0)
 
 
+def quadratic_grad(q: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """2 Q (x - c) of float arrays, unchecked: the kernel of
+    :meth:`QuadraticCost.grad`.  Leading axes of q, c and x index runs."""
+    return 2.0 * matvec(q, x - c)
+
+
 @dataclass(frozen=True)
 class QuadraticCost:
     """One step's cost f(x) = (x - c)^T Q (x - c) with symmetric PSD Q,
@@ -81,8 +87,7 @@ class QuadraticCost:
 
     def grad(self, x) -> np.ndarray:
         """2 Q (x - c); leading axes of x index points (or runs)."""
-        d = as_array(x, "x", (..., self.c.shape[-1])) - self.c
-        return 2.0 * matvec(self.q, d)
+        return quadratic_grad(self.q, self.c, as_array(x, "x", (..., self.c.shape[-1])))
 
 
 class QuadraticBatch:

@@ -21,10 +21,10 @@ import numpy as np
 
 from .benchmarks import BenchmarkResult, _runs, solve_benchmarks
 from .controllers import DacController, OlcController, regret_optimal_step_size
-from .costs import QuadraticBatch, QuadraticCost, smoothness_constant
+from .costs import QuadraticBatch, QuadraticCost, quadratic_grad, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import BOX_QP_MAX_DIM, as_array, count, positive, real, row_norms, scalar, spectral_norm
-from .system import BoxSet, LtiSystem, StateBound, fit_box, state_bound, step
+from .system import BoxSet, LtiSystem, StateBound, fit_box, state_bound, transition
 
 def default_system_matrices():
     """The stock simulation plant: a three-state ring with two actuators.
@@ -356,12 +356,20 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     (``matvec``, stacked ``np.matmul``), so each run's trace has the bits
     it would have alone.  ``kind`` is "olc", "dac", or a callable
     ``kind(sys, cfg, params_list)`` returning a controller with a leading
-    run axis of length R = ``len(params_list)``, even for one run.  The
-    draws are checked first, as one batch by the hindsight solvers' check
+    run axis of length R = ``len(params_list)``, even for one run.
+
+    Each array is checked once, where it enters.  The draws are checked
+    first, as one batch by the hindsight solvers' check
     (``benchmarks._runs``), for T costs each; InvalidInputError names the
-    draw that fails.  Every visited state is checked against the bound D,
-    ``cfg.bound``.  The step costs are scored once per run, on the whole
-    trajectory, the way the hindsight benchmarks score theirs.
+    draw that fails.  Each round's input is checked as it leaves the
+    controller's ``act`` (InvalidInputError), and every visited state
+    against the bound D, ``cfg.bound``: a state past it, or NaN, is an
+    InvalidStateError at the round it appears.  The transition and the
+    cost gradient then go through the unchecked kernels
+    (:func:`~olcontrol.system.transition`,
+    :func:`~olcontrol.costs.quadratic_grad`).  The step costs are scored
+    once per run, on the whole trajectory, the way the hindsight benchmarks
+    score theirs.
     """
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
@@ -381,23 +389,22 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     x = np.broadcast_to(cfg.x1, (len(draws), n)).astype(float)
     for t in range(horizon):
         norms = row_norms(x)
-        over = norms > bound_slack
-        if over.any():
-            r = np.argmax(over)
+        within = norms <= bound_slack  # False for a NaN norm too
+        if np.count_nonzero(within) != len(within):
+            r = np.argmin(within)
             raise InvalidStateError(
                 f"state norm {norms[r]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={t + 1}"
             )
         states[:, t] = x
         if t == horizon - 1:
             break
-        cost = QuadraticCost.view(qs[t], cs[t])
-        u = ctrl.act(x)
+        u = as_array(ctrl.act(x), "input", (len(draws), m))
         inputs[:, t] = u
-        x_next = step(sys, x, u, ws[t])
+        x_next = transition(sys, x, u, ws[t])
         if ctrl.feedback == "gradient":
-            ctrl.observe(cost.grad(x), x_next)
+            ctrl.observe(quadratic_grad(qs[t], cs[t], x), x_next)
         else:
-            ctrl.observe(cost, x_next)
+            ctrl.observe(QuadraticCost.view(qs[t], cs[t]), x_next)
         x = x_next
     return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, runs.costs)]
 

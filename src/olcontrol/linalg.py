@@ -6,6 +6,7 @@ inputs give bit-identical results.  Box-constrained quadratics are solved
 exactly, by enumerating the box's faces (:func:`box_qp`).
 """
 
+import functools
 import itertools
 import math
 import reprlib
@@ -178,15 +179,26 @@ def box_qp(h: np.ndarray, g: np.ndarray, lower: np.ndarray, upper: np.ndarray) -
     m = len(g)
     if m > BOX_QP_MAX_DIM:
         raise UnsupportedDimensionError(f"box_qp enumerates 3^M faces for M <= {BOX_QP_MAX_DIM}, got M = {m}")
+    below, above = lower - BOX_QP_FEASIBLE_TOL, upper + BOX_QP_FEASIBLE_TOL
     best = None
-    for face in np.array(list(itertools.product((0, 1, 2), repeat=m))):
-        x = np.where(face == 0, lower, upper)
-        free, fixed = np.flatnonzero(face == 2), np.flatnonzero(face != 2)
+    for at_lower, free, fixed in _faces(m):
+        x = np.where(at_lower, lower, upper)
         if free.size:
             rows = free[:, None]  # lstsq's minimum-norm solution: pinv(h_FF) times the right side
             x[free] = np.linalg.lstsq(h[rows, free], -(g[free] + h[rows, fixed] @ x[fixed]), rcond=None)[0]
-            if np.any(x < lower - BOX_QP_FEASIBLE_TOL) or np.any(x > upper + BOX_QP_FEASIBLE_TOL):
+            if np.any(x < below) or np.any(x > above):
                 continue
         if best is None or (x - best) @ (h @ (x + best) + 2.0 * g) < 0.0:
             best = x
     return np.clip(best, lower, upper)
+
+
+@functools.cache
+def _faces(m: int) -> tuple:
+    """The faces of an M-box in :func:`box_qp`'s order, built once per M:
+    each face's mask of coordinates at their lower bound, and the indices
+    of its free and of its fixed coordinates."""
+    return tuple(
+        (face == 0, np.flatnonzero(face == 2), np.flatnonzero(face != 2))
+        for face in np.array(list(itertools.product((0, 1, 2), repeat=m)))
+    )

@@ -66,8 +66,7 @@ class BoxSet:
         """``v`` clipped into the box, or InvalidInputError if it holds a NaN.
 
         An infinite entry clips to its bound, so one NaN check on the
-        clipped result covers the input; it is kept cheap because
-        DacController.act clamps every round's input with it."""
+        clipped result covers the input."""
         out = np.clip(v, self.lower, self.upper)
         if np.count_nonzero(np.isnan(out)):
             raise InvalidInputError("point to clamp contains NaN")
@@ -135,13 +134,21 @@ class LtiSystem:
         return np.linalg.solve(eye - self.a, self.b)
 
 
+def transition(sys: LtiSystem, x, u, w) -> np.ndarray:
+    """One transition ``A x + B u + w`` of float arrays, unchecked: the
+    kernel of :func:`step`, as :func:`rollout` is of :func:`simulate`.
+    Leading axes of x, u and w index the same runs, each stepped with the
+    bits of its own single transition."""
+    return matvec(sys.a, x) + matvec(sys.b, u) + w
+
+
 def step(sys: LtiSystem, x, u, w) -> np.ndarray:
-    """One transition ``A x + B u + w``; leading axes of x, u and w index
-    the same runs, each stepped with the bits of its own single transition."""
+    """One transition ``A x + B u + w``, each argument checked first; leading
+    axes of x, u and w index the same runs."""
     x = as_array(x, "state", (..., sys.state_dim))
     u = as_array(u, "input", x.shape[:-1] + (sys.input_dim,))
     w = as_array(w, "disturbance", x.shape)
-    return matvec(sys.a, x) + matvec(sys.b, u) + w
+    return transition(sys, x, u, w)
 
 
 def certify_strong_stability(a) -> StabilityCert:
@@ -220,7 +227,7 @@ def rollout(sys: LtiSystem, x0, w_seq, u_seq=None, out=None) -> np.ndarray:
     ``np.matmul`` with a vector as one column, so each run has the bits of
     its own rollout and of :func:`step`.  ``out``, if given, receives the
     states in place of a new array; ``w_seq`` may be ``out`` one step on,
-    since each ``w_t`` is read before ``x_{t+1}`` overwrites it.
+    since each ``w_t`` is read as ``x_{t+1}`` is written.
     """
     x0 = np.asarray(x0, dtype=float)
     w_seq = np.asarray(w_seq, dtype=float)
@@ -238,7 +245,7 @@ def rollout(sys: LtiSystem, x0, w_seq, u_seq=None, out=None) -> np.ndarray:
         x = np.matmul(sys.a, steps[t])
         if u_steps is not None:
             x += np.matmul(sys.b, u_steps[t])
-        steps[t + 1] = x + w
+        np.add(x, w, out=steps[t + 1])
     return states.reshape(lead + (len(w_steps) + 1,) + x0.shape)
 
 

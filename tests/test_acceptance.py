@@ -26,11 +26,12 @@ from olcontrol import (
     steady_state_of_input,
 )
 from olcontrol.benchmarks import _adjoint_states, _dac_inputs
-from olcontrol.costs import as_batch
+from olcontrol.costs import QuadraticBatch, as_batch
 from olcontrol.harness import (
     CostGenConfig,
     DacConfig,
     RunRecord,
+    derive_run_params,
     draw_run,
     run_experiment,
     run_lockstep,
@@ -454,3 +455,78 @@ def test_criterion_15_cost_scale_by_two():
     elapsed = time.perf_counter() - start
     verdict(15, "doubling the costs doubles them exactly and moves no input or optimizer",
             ok and checked == 4 * (2 + 3), f"{checked} hindsight results compared, runtime {elapsed:.2f}s")
+
+
+PERMUTATION_RTOL = 1e-9  # normwise, against max(1, max |mapped value|)
+
+
+def _permuted(cfg, draws, perm):
+    """``cfg`` and ``draws`` with the state coordinates permuted by P,
+    (P x)_i = x[perm[i]]: A -> P A P^T, B -> P B, Q_t -> P Q_t P^T, c_t -> P c_t,
+    w_t -> P w_t, x1 -> P x1, by indexing alone.  The permuted config derives
+    its own certificate, D and DAC radius, and each run its own L and eta."""
+    box = cfg.w_box
+    cfg_p = ExperimentConfig(t=cfg.t, n_runs=cfg.n_runs, disturbances_on=cfg.disturbances_on,
+                             a=cfg.a[np.ix_(perm, perm)], b=cfg.b[perm], x1=cfg.x1[perm],
+                             w_box=BoxSet(box.lower[perm], box.upper[perm]))
+    draws_p = []
+    for costs, w_seq, _ in draws:
+        costs_p = QuadraticBatch(costs.qs[:, perm][:, :, perm], costs.cs[:, perm])
+        draws_p.append((costs_p, w_seq[:, perm], derive_run_params(cfg_p, costs_p)))
+    return cfg_p, draws_p
+
+
+def test_criterion_16_state_permutation():
+    # Renaming the state coordinates renames every state-space quantity and
+    # leaves the inputs, the costs and the hindsight values as they were: the
+    # norms that fix gamma, kappa, D, L and eta are permutation-invariant,
+    # and so is every sum the controllers and the solvers form, up to the
+    # order of its terms.  An index or transpose slip that mixes state
+    # coordinates with each other, or with inputs, breaks the relation.  The
+    # reversal maps the ring plant's A to its transpose.
+    start = time.perf_counter()
+    worst, ok, checked = 0.0, True, 0
+
+    def close(got, want):
+        nonlocal worst
+        want = np.asarray(want, dtype=float)
+        err = float(np.max(np.abs(np.asarray(got) - want), initial=0.0))
+        worst = max(worst, err / max(1.0, float(np.max(np.abs(want), initial=0.0))))
+
+    for disturbances_on in (True, False):
+        cfg = ExperimentConfig(t=1000, n_runs=4, disturbances_on=disturbances_on)
+        draws = [draw_run(cfg, k) for k in range(cfg.n_runs)]
+        base_traces = {kind: run_lockstep(cfg, kind, draws) for kind in ("olc", "dac")}
+        base_benches = solve_draws(cfg, draws)
+        for perm in ([1, 2, 0], [2, 1, 0]):
+            cfg_p, draws_p = _permuted(cfg, draws, perm)
+            cert, cert_p = cfg.system().cert, cfg_p.system().cert
+            for got, want in ((cert_p.gamma, cert.gamma), (cert_p.kappa, cert.kappa),
+                              (cfg_p.bound.d, cfg.bound.d), (cfg_p.dac_radius, cfg.dac_radius)):
+                close(got, want)
+            for (_, _, params), (_, _, params_p) in zip(draws, draws_p):
+                close(params_p.l, params.l)
+                close(params_p.eta, params.eta)
+            traces = {kind: run_lockstep(cfg_p, kind, draws_p) for kind in ("olc", "dac")}
+            for kind, runs in traces.items():
+                for trace, want in zip(runs, base_traces[kind]):
+                    close(trace.inputs, want.inputs)
+                    close(trace.states, want.states[:, perm])
+                    close(trace.costs, want.costs)
+            for triple, want_triple in zip(solve_draws(cfg_p, draws_p), base_benches):
+                for name, got, want in zip(("u", "m", "x"), triple, want_triple):
+                    ok &= (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    checked += 1
+                    # an input as is; DAC blocks M_j P^T and a steady state P x*
+                    # permute their last (state) axis
+                    close(got.optimizer, want.optimizer if name == "u" else want.optimizer[..., perm])
+                    for field_name in ("value", "value_nominal", "step_costs"):
+                        close(getattr(got, field_name), getattr(want, field_name))
+                    ok &= got.converged == want.converged
+                    ok &= name == "m" or got.iterations == want.iterations
+    elapsed = time.perf_counter() - start
+    verdict(16, "permuting the state coordinates maps every state and leaves inputs and costs",
+            ok and checked == 2 * 4 * (2 + 3) and worst <= PERMUTATION_RTOL,
+            f"{checked} hindsight results compared, worst normwise error {worst:.2e}, runtime {elapsed:.2f}s")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,16 @@ from olcontrol.benchmarks import (
     _adjoint_states,
     _dac_inputs,
     _dac_models,
+    _dacs,
     _fixed_input_models,
+    _fixed_inputs,
+    _projected_descent,
+    _realized,
     _runs,
     _steady_state_models,
 )
-from olcontrol.controllers import project_dac_blocks
+from olcontrol.controllers import dac_radii, project_dac_blocks
+from olcontrol.harness import ExperimentConfig, draw_run
 from olcontrol.costs import as_batch
 from olcontrol.system import rollout
 
@@ -479,10 +486,10 @@ class TestSolveBenchmarks:
 
         monkeypatch.setattr(bench_mod, "rollout", counting)
         solve_benchmarks(sys, x1, draws, BoxSet.symmetric(1.0, 2), 3, 1.0)
-        # over the five runs: the free response, the DAC response and the two
-        # optima's realizations; once for all of them: the fixed-input gains
-        assert len(calls) == 5
-        assert sorted(shape[0] == 5 for shape in calls) == [False, True, True, True, True]
+        # once for all runs, the fixed-input gains; over the five runs, the
+        # free response and the DAC response; over both families of the five
+        # runs, one realization of the optima
+        assert calls == [(39, 3, 2), (5, 39, 3), (5, 39, 3, 6), (2, 5, 39, 3)]
 
     @pytest.mark.parametrize("bad", ["no_runs", "mixed_horizons", *UNUSABLE_W, "u_set_list"])
     def test_rejected(self, bad):
@@ -499,6 +506,101 @@ class TestSolveBenchmarks:
             draws[1] = (UNUSABLE_W[bad], draws[1][1])
         with pytest.raises(InvalidInputError, match=match):
             solve_benchmarks(sys, x1, draws, u_set, 3, 1.0)
+
+
+def per_run_descent(model, project, x0):
+    """The projected descent of one run, as the solver ran it run by run
+    before the lockstep pass: the reference every run must match bit for bit."""
+
+    def grad(x):
+        return (2.0 * (model.h @ np.ravel(x) + model.g)).reshape(np.shape(x))
+
+    x = project(x0)
+    f = model.value(x)
+    g = grad(x)
+    step = 1.0
+    for it in range(1, bench_mod.DESCENT_MAX_ITER + 1):
+        while True:
+            cand = project(x - step * g)
+            d = cand - x
+            f_cand = model.value(cand)
+            gap = float(np.vdot(g, d)) + 0.5 / step * float(np.vdot(d, d))
+            if f_cand <= f + gap + 1e-12 * (1.0 + abs(f)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                break
+        moved = float(np.linalg.norm(d.ravel()))
+        g_cand = grad(cand)
+        sty = float(np.vdot(d, g_cand - g))
+        step = float(np.vdot(d, d)) / sty if sty > 0.0 else step * 2.0
+        x, f, g = cand, f_cand, g_cand
+        if moved < bench_mod.DESCENT_MOVE_TOL:
+            return x, it, True
+    return x, bench_mod.DESCENT_MAX_ITER, False
+
+
+SKEWED_B = [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+def dac_problems(b, runs, horizon=100):
+    """The DAC models of ``runs`` disturbed draws of the plant with input
+    matrix ``b`` (the default plant's A), with their projection and start."""
+    cfg = ExperimentConfig(t=horizon, n_runs=runs, b=np.array(b))
+    sys = cfg.system()
+    problems = _runs(sys, cfg.x1, [(w_seq, costs) for costs, w_seq, _ in (draw_run(cfg, k) for k in range(runs))])
+    radii = dac_radii(sys, cfg.dac.h_mem, cfg.dac_radius)
+    x0 = np.zeros((len(radii), sys.input_dim, sys.state_dim))
+    return problems, radii, _dac_models(problems, len(radii)), partial(project_dac_blocks, radii=radii), x0
+
+
+def lockstep_matches_per_run(models, project, x0):
+    """The lockstep descent's (xs, iterations, converged), each run's entries
+    checked against its own per-run descent: the same bits, iterations and flag."""
+    xs, iterations, converged = _projected_descent(models, project, x0)
+    assert xs.shape == (len(models),) + x0.shape
+    for model, x, its, conv in zip(models, xs, iterations, converged, strict=True):
+        want, want_its, want_conv = per_run_descent(model, project, x0)
+        assert np.array_equal(x, want) and its == want_its and conv == want_conv
+    return xs, iterations, converged
+
+
+class TestLockstepDescent:
+    """The DAC descent runs every run's model in lockstep; each run keeps
+    the bits, iterations and flag of its own descent."""
+
+    @pytest.mark.parametrize("runs", [1, 3, 6])
+    @pytest.mark.parametrize("b", [[[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], SKEWED_B], ids=["ring", "skewed"])
+    def test_matches_per_run_descent(self, b, runs):
+        lockstep_matches_per_run(*dac_problems(b, runs)[2:])
+
+    def test_runs_stop_far_apart(self):
+        # the skewed plant's descents take from 58 to 146 steps at T = 100
+        _, _, models, project, x0 = dac_problems(SKEWED_B, 6)
+        _, iterations, converged = _projected_descent(models, project, x0)
+        assert converged.all() and iterations.max() - iterations.min() >= 50
+
+    def test_cap_stops_runs_in_lockstep(self, monkeypatch):
+        # at a cap of 100, some runs converge below it and the others stop at it
+        monkeypatch.setattr(bench_mod, "DESCENT_MAX_ITER", 100)
+        _, iterations, converged = lockstep_matches_per_run(*dac_problems(SKEWED_B, 6)[2:])
+        assert 0 < converged.sum() < 6 and set(iterations[~converged].tolist()) == {100}
+
+
+class TestRealization:
+    def test_fused_realization_matches_separate_rollouts(self):
+        problems, radii, _, _, _ = dac_problems(SKEWED_B, 3, horizon=40)
+        sys = problems.sys
+        families = _fixed_inputs(problems, BoxSet.symmetric(5.0, 2)), _dacs(problems, radii)
+        fused = _realized(problems, *families)
+        for optima, results in zip(families, fused, strict=True):
+            states = rollout(sys, problems.x1, problems.ws, optima.inputs)
+            for res, costs, xs in zip(results, problems.costs, states, strict=True):
+                assert np.array_equal(res.step_costs, costs.values(xs))
+            # and each family realized alone has the same bits
+            [alone] = _realized(problems, optima)
+            for got, want in zip(results, alone):
+                assert np.array_equal(got.step_costs, want.step_costs) and got.value == want.value
 
 
 class AbsCost:

@@ -34,6 +34,7 @@ from olcontrol.harness import (
     DacConfig,
     ExperimentConfig,
     OlcConfig,
+    RunParams,
     default_system_matrices,
     derive_run_params,
     draw_run,
@@ -518,6 +519,58 @@ class TestRunSingle:
         # shape and finiteness, and the states they drive against D
         with pytest.raises(InvalidStateError, match="exceeds"):
             run_single(tiny_cfg, "dac", costs, 1e6 * w, params=params)
+
+    @pytest.mark.parametrize("played", [
+        np.array([[np.nan, 0.0]]),   # a NaN input
+        np.array([[np.inf, 0.0]]),   # an infinite one
+        np.zeros((1, 3)),            # one input too many
+        np.zeros(2),                 # no run axis
+    ], ids=["nan", "inf", "wide", "no_run_axis"])
+    def test_controller_input_checked_as_it_leaves_act(self, tiny_cfg, played):
+        class Playing:
+            feedback = "gradient"
+
+            def __init__(self, sys, cfg, params):
+                pass
+
+            def act(self, x):
+                return played
+
+            def observe(self, delta, x_next):
+                pass
+
+        costs, w_seq, params = draw_run(tiny_cfg, 0)
+        with pytest.raises(InvalidInputError, match="input"):
+            run_single(tiny_cfg, Playing, costs, w_seq, params)
+
+    def test_nan_state_is_a_state_error_where_it_appears(self):
+        # a nilpotent A with a large entry is certified (gamma 0.95), so a
+        # state 1e10 far along its second coordinate is within D; the
+        # controller's next input, finite but 1e308, overflows B u to +inf
+        # where A x overflows to -inf, and the state it drives is NaN
+        cfg = ExperimentConfig(t=5, n_runs=1, a=np.array([[0.0, -1e300], [0.0, 0.0]]), b=np.array([[4.0], [1.0]]),
+                               u_box=BoxSet.symmetric(5.0, 1), w_box=BoxSet.symmetric(0.5, 2),
+                               dac=DacConfig(radius=1.0))
+
+        class Overflowing:
+            feedback = "gradient"
+
+            def __init__(self, sys, cfg, params):
+                self.rounds = 0
+
+            def act(self, x):
+                self.rounds += 1
+                return np.array([[1e10 if self.rounds == 1 else 1e308]])
+
+            def observe(self, delta, x_next):
+                pass
+
+        costs = generate_costs(cfg, make_rng(0))
+        w_seq = generate_disturbances(cfg, make_rng(1))
+        params = RunParams(l=1.0, eta=1.0)  # kappa^2 overflows the derived step; the controller reads none
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidStateError, match="state norm nan exceeds the certified bound .* at t=3"):
+                run_single(cfg, Overflowing, costs, w_seq, params)
 
     def test_olc_target_is_steady_state_of_input(self, tiny_cfg):
         # a trace keeps no targets: the OLC target at round t is S @ inputs[t]
