@@ -20,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCost, quadratic_grad
 from .errors import InvalidInputError, ProjectionFailureError
-from .linalg import as_array, box_qp, count, matvec, positive, row_norms, spectral_norm
+from .linalg import as_array, box_qp, count, matvec, positive, spectral_norm
 from .system import BoxSet, LtiSystem, fit_box
 
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
@@ -53,6 +53,18 @@ class _BoxLeastSquares:
     after PROJECTION_MAX_ITER steps, however little, raises
     ProjectionFailureError.  Runs along the leading axes each keep the
     bits they have alone.
+
+    The steps are innermost.  A face's stack is kept as (M, M, K), and a
+    block's candidates, next steps, face-leave test and moves are (R, M, k)
+    arrays.  numpy's inner loop runs over the last axis, so each op runs
+    along the k steps, not over the M coordinates of one step.  Each sum
+    over the coordinates adds its terms in order, from zero, so for M <= 2
+    the iterates have the bits of the same products laid out (R, k, M),
+    coordinates innermost; for larger M numpy's einsum adds such a sum in
+    another order.  A move, the root of a sum of squares, can differ in
+    its last bit from a BLAS dot product of the step with itself (which
+    may fuse a multiply and an add); that changes a stop only for a move
+    within one rounding of the tolerance.
     """
 
     def __init__(self, s: np.ndarray, u_set: BoxSet, step: float):
@@ -61,14 +73,24 @@ class _BoxLeastSquares:
         self._p = np.eye(m) - step * (s.T @ s)
         self._st = step * s.T
         self._digits = 3 ** np.arange(m)
-        self._row = {}  # face code -> its row of the table of stacks
-        self._table = np.empty((0, PROJECTION_BLOCKS[-1], m, m))  # H_1..H_K of each face visited
+        # a face's code has a base-3 digit per coordinate: how many of its two
+        # marks the unclipped step exceeds, 0 clamping it low, 1 leaving it
+        # free, 2 clamping it high.  The marks are the float under the lower
+        # bound (v > it is v >= lower) and the upper bound; edges pads them
+        under = [math.nextafter(b, -math.inf) for b in u_set.lower]
+        self._edges = np.array([[-math.inf, a, b, math.inf] for a, b in zip(under, u_set.upper)])
+        self._marks = self._edges[:, 1:3]
+        self._weights = 3 ** (np.arange(2 * m) // 2)  # each coordinate's digit weight, once per mark
+        # face code -> its row of the tables; a face not yet visited maps past their end
+        self._row = np.full(3**m, 3**m)
+        self._table = np.empty((0, m, m, PROJECTION_BLOCKS[-1]))  # H_1..H_K of each face visited, steps last
+        self._spans = np.empty((0, 2, m, 1))  # the edges a step on each face stays between
 
     def _build(self, face: int) -> np.ndarray:
-        """H_1..H_K of one face, by doubling: H_(k+j) = H_k + L^k (I + H_j)."""
-        free = face // self._digits % 3 == 0
+        """H_1..H_K of one face, (K, M, M), by doubling: H_(k+j) = H_k + L^k (I + H_j)."""
+        free = face // self._digits % 3 == 1
         power = np.where(free[:, None], self._p, 0.0)  # L^k, from L = P with clamped rows zeroed
-        h = np.zeros(self._table.shape[1:])
+        h = np.zeros((self._table.shape[-1],) + self._p.shape)
         k = 1
         while k < len(h):
             n = min(k, len(h) - k)
@@ -77,13 +99,24 @@ class _BoxLeastSquares:
             k *= 2
         return h
 
-    def _stacks(self, faces: np.ndarray, k: int) -> np.ndarray:
-        """H_1..H_k of each face code in ``faces``; a face's first visit
-        builds its stack and adds it to the table."""
-        for face in set(faces.tolist()) - self._row.keys():
-            self._row[face] = len(self._table)
-            self._table = np.concatenate([self._table, self._build(face)[None]])
-        return self._table[[self._row[face] for face in faces.tolist()], :k]
+    def _stacks(self, faces: np.ndarray, k: int) -> tuple:
+        """H_1..H_k of each face code in ``faces``, (R, M, M, k), and its
+        span, (R, 2, M, 1); a face's first visit builds both and adds them
+        to the tables."""
+        rows = self._row[faces]
+        try:
+            return self._table[rows, :, :, :k], self._spans[rows]
+        except IndexError:  # a face not visited before
+            pass
+        for face in faces.tolist():
+            if self._row[face] == len(self._row):
+                self._row[face] = len(self._table)
+                self._table = np.concatenate([self._table, self._build(face).transpose(1, 2, 0)[None]])
+                # a step keeps a coordinate of digit d above edge d and up to edge d + 1
+                digits = face // self._digits % 3
+                span = self._edges[np.arange(len(digits)), digits + [[0], [1]]]
+                self._spans = np.concatenate([self._spans, span[None, :, :, None]])
+        return self._stacks(faces, k)
 
     def __call__(self, y: np.ndarray, u0) -> np.ndarray:
         """The solution for each run of y (..., N), from u0 (..., M), both
@@ -98,30 +131,44 @@ class _BoxLeastSquares:
         c = matvec(self._st, y).reshape(-1, m)
         room = np.full(len(runs), PROJECTION_MAX_ITER)
         stuck = []  # the last move of each run still moving at the cap
+        reach = 0  # the most steps a run can have taken by the end of the block
         # every block takes at least one step of each pending run
         for block in range(PROJECTION_MAX_ITER):
             k = PROJECTION_BLOCKS[min(block, len(PROJECTION_BLOCKS) - 1)]
             v = matvec(self._p, u) + c
-            low, high = v < lower, v > upper
-            h = self._stacks((low + 2 * high) @ self._digits, k)
+            h, span = self._stacks((v[:, :, None] > self._marks).reshape(len(v), -1) @ self._weights, k)
             first = np.minimum(np.maximum(v, lower), upper)
-            # cand[:, j] is the block's step j + 1 while the face holds
-            cand = first[:, None] + np.einsum("rkij,rj->rki", h, first - u)
-            nxt = np.einsum("ij,rkj->rki", self._p, cand) + c[:, None]
-            leaves = (((nxt < lower) != low[:, None]) | ((nxt > upper) != high[:, None])).any(axis=-1)
-            leaves[:, -1] = True  # the next block starts from the last candidate
-            valid = np.minimum(leaves.argmax(axis=1) + 1, room)
-            moves = row_norms(cand - np.concatenate([u[:, None], cand[:, :-1]], axis=1))
-            stops = (moves < PROJECTION_MOVE_TOL) & (np.arange(k) < valid[:, None])
-            stop = stops.any(axis=1)
-            at = np.where(stop, stops.argmax(axis=1), valid - 1)
+            # every array of steps is (R, M, k), the steps last, so each op
+            # runs along them; walk[:, :, j] is the block's step j, u being step 0
+            walk = np.empty((len(runs), m, k + 1))
+            walk[:, :, 0] = u
+            # the candidates, sum_l H_j[:, l] d_l from zero, then + first
+            cand = np.einsum("rilk,rl->rik", h, first - u, out=walk[:, :, 1:])
+            cand += first[:, :, None]
+            nxt = np.einsum("il,rlk->rik", self._p, cand)
+            nxt += c[:, :, None]
+            leaves = ((nxt <= span[:, 0]) | (nxt > span[:, 1])).any(axis=1)
+            steps = cand - walk[:, :, :-1]
+            moves = np.sqrt(np.einsum("rik,rik->rk", steps, steps))
+            small = moves < PROJECTION_MOVE_TOL
+            # each run ends the block at its first step that moves less than
+            # the tolerance or leaves the face, at the block's last step, or
+            # at its own last one if this block can take a run to the cap
+            ends = small | leaves
+            ends[:, -1] = True
+            at = ends.argmax(axis=1)
+            reach += k
+            near_cap = reach >= PROJECTION_MAX_ITER
+            if near_cap:
+                at = np.minimum(at, room - 1)
             rows = np.arange(len(runs))
-            u, room = cand[rows, at], room - at - 1
+            u, room = cand[rows, :, at], room - at - 1
             flat[runs] = u
-            capped = room == 0
-            if capped.any():
-                stuck.extend(moves[rows, at][capped & ~stop])
-            going = ~(stop | capped)
+            going = ~small[rows, at]
+            if near_cap:
+                capped = room == 0
+                stuck.extend(moves[rows, at][capped & going])
+                going &= ~capped
             if not going.any():
                 break
             runs, u, c, room = runs[going], u[going], c[going], room[going]

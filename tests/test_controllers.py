@@ -24,7 +24,7 @@ from olcontrol import (
 )
 from olcontrol.controllers import PROJECTION_TOL, _BoxLeastSquares, project_dac_blocks
 from olcontrol.harness import ExperimentConfig, draw_run, run_lockstep
-from olcontrol.linalg import box_qp, matvec, row_norms
+from olcontrol.linalg import BOX_QP_MAX_DIM, box_qp, matvec, row_norms
 
 
 def _small_problem(horizon=8):
@@ -691,7 +691,7 @@ def face_path(s, y, u_set, step, u0):
 class TestFaceBlocks:
     """A block's steps are products of one face's stack, valid while the
     steps stay on that face: checked against the per-step reference where
-    the face changes inside a block, in boxes of 1 and 3 inputs, across
+    the face changes inside a block, in boxes of 1, 3 and 8 inputs, across
     lockstep runs on different faces and at a cap inside a long block."""
 
     BOX = BoxSet.symmetric(1.0, 2)
@@ -726,17 +726,26 @@ class TestFaceBlocks:
         on_box = (got[0] == self.BOX.lower) | (got[0] == self.BOX.upper)
         np.testing.assert_array_equal(on_box, np.array(faces[-1]) != 0)
 
-    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3, BOX_QP_MAX_DIM])
     def test_box_dimension(self, rng, m):
         # S = Q R, R mixing the columns; answers inside the box, on a face
-        # of it and at a corner
-        q = np.linalg.qr(rng.standard_normal((4, m)))[0]
-        s = q @ np.array([[1.0, 0.3, 0.1], [0.0, 0.8, 0.2], [0.0, 0.0, 0.6]])[:m, :m]
+        # of it and at a corner.  M = 8, the most inputs a config takes,
+        # has the longest sums over the coordinates
+        q = np.linalg.qr(rng.standard_normal((max(4, m + 1), m)))[0]
+        if m <= 3:
+            mix = np.array([[1.0, 0.3, 0.1], [0.0, 0.8, 0.2], [0.0, 0.0, 0.6]])[:m, :m]
+        else:
+            mix = np.diag(np.linspace(1.0, 0.6, m)) + 0.3 * np.eye(m, k=1) + 0.1 * np.eye(m, k=2)
+        s = q @ mix
         box = BoxSet.symmetric(1.0, m)
         u_star, u0 = rng.uniform(-2.0, 2.0, (24, m)), rng.uniform(-2.0, 2.0, (24, m))
-        got, _ = assert_matches_per_step(s, matvec(s, u_star), box, ctrl_mod._projection_step(s), u0)
+        if m > 3:
+            u_star[:4] /= 4.0  # few of 24 points in [-2, 2]^8 lie inside the box
+        got, stops = assert_matches_per_step(s, matvec(s, u_star), box, ctrl_mod._projection_step(s), u0)
         clamped = ((got == box.lower) | (got == box.upper)).sum(axis=1)
         assert clamped.min() == 0 and clamped.max() == m
+        if m > 3:  # some runs stop in the first block, some in the third
+            assert stops.min() <= block_edges()[0] and stops.max() > block_edges()[1]
 
     def test_lockstep_runs_on_different_faces(self, skewed, rng):
         s, step = skewed
@@ -788,6 +797,25 @@ def random_cost(rng, n=3):
     return QuadraticCost(q=s.T @ s / n + 0.1 * np.eye(n), c=rng.uniform(0, 5, n))
 
 
+def assert_olc_matches_single_runs(sys, u_set, eta, rng, rounds=20):
+    """An OlcController of len(eta) runs in lockstep plays each run's
+    inputs and targets with the bits of that run's one-run controller,
+    round by round, under random gradients."""
+    runs, n = len(eta), sys.state_dim
+    z0 = rng.uniform(-2.0, 2.0, (runs, n))
+    batched = OlcController(sys, u_set, eta, z0=z0)
+    singles = [OlcController(sys, u_set, eta[r], z0=z0[r]) for r in range(runs)]
+    for _ in range(rounds):
+        x = rng.standard_normal((runs, n))
+        u = batched.act(x)
+        delta = rng.standard_normal((runs, n)) * 5.0
+        for r, single in enumerate(singles):
+            np.testing.assert_array_equal(u[r], single.act(x[r]))
+            single.observe(delta[r])
+        batched.observe(delta)
+        np.testing.assert_array_equal(batched.z, np.stack([single.z for single in singles]))
+
+
 class TestLockstep:
     """A controller with a leading run axis plays each run with the bits of
     that run's own one-run controller."""
@@ -796,19 +824,22 @@ class TestLockstep:
         # run 0's step is so small that each projection stops at its first
         # iteration, while runs 1 and 2 keep iterating: run 0 is frozen
         # for most of every lockstep projection
-        eta = np.array([1e-13, 0.05, 0.5])
-        z0 = rng.uniform(-2.0, 2.0, (3, 3))
-        batched = OlcController(ring_system, ring_u_box, eta, z0=z0)
-        singles = [OlcController(ring_system, ring_u_box, eta[r], z0=z0[r]) for r in range(3)]
-        for _ in range(20):
-            x = rng.standard_normal((3, 3))
-            u = batched.act(x)
-            delta = rng.standard_normal((3, 3)) * 5.0
-            for r, single in enumerate(singles):
-                np.testing.assert_array_equal(u[r], single.act(x[r]))
-                single.observe(delta[r])
-            batched.observe(delta)
-            np.testing.assert_array_equal(batched.z, np.stack([single.z for single in singles]))
+        assert_olc_matches_single_runs(ring_system, ring_u_box, np.array([1e-13, 0.05, 0.5]), rng)
+
+    def test_olc_matches_single_runs_on_skewed_plant(self, ring_matrices, ring_u_box, rng, monkeypatch):
+        # cond S ~ 7.4: every round's projections run into the 256- and
+        # 1024-step blocks, so each run's bits are pinned there too
+        blocks = []
+        stacks = ctrl_mod._BoxLeastSquares._stacks
+
+        def counted(solver, faces, k):
+            blocks.append(k)
+            return stacks(solver, faces, k)
+
+        monkeypatch.setattr(ctrl_mod._BoxLeastSquares, "_stacks", counted)
+        sys = LtiSystem(ring_matrices[0], SKEWED_B)
+        assert_olc_matches_single_runs(sys, ring_u_box, np.array([0.05, 0.2, 0.5, 1.0]), rng)
+        assert set(blocks) == set(ctrl_mod.PROJECTION_BLOCKS)
 
     def test_dac_matches_single_runs(self, ring_system, rng):
         batched = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=3)
