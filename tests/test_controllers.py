@@ -797,15 +797,15 @@ def random_cost(rng, n=3):
     return QuadraticCost(q=s.T @ s / n + 0.1 * np.eye(n), c=rng.uniform(0, 5, n))
 
 
-def assert_olc_matches_single_runs(sys, u_set, eta, rng, rounds=20):
+def assert_olc_matches_single_runs(sys, u_set, eta, rng):
     """An OlcController of len(eta) runs in lockstep plays each run's
     inputs and targets with the bits of that run's one-run controller,
-    round by round, under random gradients."""
+    round by round for 20 rounds of random gradients."""
     runs, n = len(eta), sys.state_dim
     z0 = rng.uniform(-2.0, 2.0, (runs, n))
     batched = OlcController(sys, u_set, eta, z0=z0)
     singles = [OlcController(sys, u_set, eta[r], z0=z0[r]) for r in range(runs)]
-    for _ in range(rounds):
+    for _ in range(20):
         x = rng.standard_normal((runs, n))
         u = batched.act(x)
         delta = rng.standard_normal((runs, n)) * 5.0
