@@ -14,6 +14,7 @@ alone (products go through :func:`~olcontrol.linalg.matvec`, stacked
 companions.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -26,38 +27,54 @@ from .system import BoxSet, LtiSystem, fit_box
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
 PROJECTION_MAX_ITER = 5000    # a run still moving after this many steps fails
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
-PROJECTION_BLOCKS = (16, 64, 256, 1024)  # steps of a run's first blocks, the last one repeated
+PROJECTION_CHUNKS = (16, 64, 256, 1024)  # chunk sizes, x4 from 16; the last, K, is a segment's most steps
 
 
 class _BoxLeastSquares:
     """u in the box minimizing ||s u - y||^2, by fixed-step projected
     gradient descent u <- clip(P u + c), P = I - step s^T s, c = step s^T y,
-    a block of steps at a time.
+    a chunk of steps at a time.
 
     A step's face records which coordinates its unclipped point P u + c
     puts below the box, above it, or inside.  On one face the step is
-    affine with linear part L, P with the clamped rows zeroed, so from a
-    block's start u_0 and first step u_1 its step j is
+    affine with linear part L, P with the clamped rows zeroed, so from an
+    anchor u_0 and its first step u_1 on that face, step j is
     u_j = u_1 + H_j (u_1 - u_0), H_j = L + ... + L^(j-1), and a clamped
     coordinate sits exactly on its bound.  Each face's H_1..H_K, K the
-    longest block, is built by doubling on its first visit and kept: one
-    solver per (s, step, box) serves every call.
+    last of PROJECTION_CHUNKS, is built by doubling on its first visit and
+    kept: one solver per (s, step, box) serves every call.
 
-    A block takes its face from its first step, computes its candidate
-    steps with one stacked product and their next steps with another, and
-    keeps the candidates up to the first whose next step leaves the face:
-    the fixed-step iterates in exact arithmetic.  Each run returns its
-    iterate of the first step that moved it less than PROJECTION_MOVE_TOL,
-    the step a test after every step stops at.  A run's blocks are
-    PROJECTION_BLOCKS long, then the last length again; a run still moving
-    after PROJECTION_MAX_ITER steps, however little, raises
-    ProjectionFailureError.  Runs along the leading axes each keep the
-    bits they have alone.
+    A run's path is cut into segments.  A segment is anchored at the
+    iterate u_0 where the path enters a face: its first step u_1 and its
+    face's stack and span are set up once, and its steps j = 1..K are all
+    taken from that anchor.  It ends at the run's stop, at the step whose
+    next step leaves the face, at step K (the next segment is anchored at
+    either), or at the cap.  Within a segment the steps are computed a
+    chunk at a time: one stacked product gives the chunk's candidate
+    steps, another their next steps, and the chunk keeps the candidates up
+    to the first whose next step leaves the face: the fixed-step iterates
+    in exact arithmetic.  The runs along the leading axes share each
+    chunk's length: 16 steps when every run starts a segment, else 4 times
+    the last chunk, up to step K of the run furthest into its segment.
+    Every length is a multiple of 16, so every run's step is too, and no
+    chunk takes a run past step K.  The first chunk of a call is a hint
+    kept on the solver: the largest size not above the fewest steps a run
+    took in the last call.
+
+    Chunking changes no bit: step j of a segment is the same product of
+    H_j with the anchor's vectors whichever chunk holds it, and a run's
+    steps do not depend on the chunk lengths its companions or the hint
+    set.  Each run returns its iterate of the first step that moved it
+    less than PROJECTION_MOVE_TOL, the step a test after every step stops
+    at; a run still moving after PROJECTION_MAX_ITER steps, however
+    little, raises ProjectionFailureError.  Runs along the leading axes
+    each keep the bits they have alone.
 
     The steps are innermost.  A face's stack is kept as (M, M, K), and a
-    block's candidates, next steps, face-leave test and moves are (R, M, k)
+    chunk's candidates, next steps, face-leave test and moves are (R, M, k)
     arrays.  numpy's inner loop runs over the last axis, so each op runs
-    along the k steps, not over the M coordinates of one step.  Each sum
+    along the k >= 16 steps, not over the M coordinates of one step, and a
+    step's bits do not depend on its place in the chunk.  Each sum
     over the coordinates adds its terms in order, from zero, so for M <= 2
     the iterates have the bits of the same products laid out (R, k, M),
     coordinates innermost; for larger M numpy's einsum adds such a sum in
@@ -83,8 +100,9 @@ class _BoxLeastSquares:
         self._weights = 3 ** (np.arange(2 * m) // 2)  # each coordinate's digit weight, once per mark
         # face code -> its row of the tables; a face not yet visited maps past their end
         self._row = np.full(3**m, 3**m)
-        self._table = np.empty((0, m, m, PROJECTION_BLOCKS[-1]))  # H_1..H_K of each face visited, steps last
+        self._table = np.empty((0, m, m, PROJECTION_CHUNKS[-1]))  # H_1..H_K of each face visited, steps last
         self._spans = np.empty((0, 2, m, 1))  # the edges a step on each face stays between
+        self._first_chunk = PROJECTION_CHUNKS[0]  # the hint: never moves an output
 
     def _build(self, face: int) -> np.ndarray:
         """H_1..H_K of one face, (K, M, M), by doubling: H_(k+j) = H_k + L^k (I + H_j)."""
@@ -99,13 +117,13 @@ class _BoxLeastSquares:
             k *= 2
         return h
 
-    def _stacks(self, faces: np.ndarray, k: int) -> tuple:
-        """H_1..H_k of each face code in ``faces``, (R, M, M, k), and its
-        span, (R, 2, M, 1); a face's first visit builds both and adds them
-        to the tables."""
+    def _faces(self, faces: np.ndarray) -> tuple:
+        """The table row of each face code in ``faces``, (R,), and its span,
+        (R, 2, M, 1); a face's first visit builds both and adds them to the
+        tables."""
         rows = self._row[faces]
         try:
-            return self._table[rows, :, :, :k], self._spans[rows]
+            return rows, self._spans[rows]
         except IndexError:  # a face not visited before
             pass
         for face in faces.tolist():
@@ -116,34 +134,53 @@ class _BoxLeastSquares:
                 digits = face // self._digits % 3
                 span = self._edges[np.arange(len(digits)), digits + [[0], [1]]]
                 self._spans = np.concatenate([self._spans, span[None, :, :, None]])
-        return self._stacks(faces, k)
+        return self._faces(faces)
+
+    def _anchor(self, u: np.ndarray, c: np.ndarray) -> tuple:
+        """A segment set up at each run's iterate u: its first step, the
+        first step less u, and its face's table row and span."""
+        v = matvec(self._p, u) + c
+        rows, span = self._faces((v[:, :, None] > self._marks).reshape(len(v), -1) @ self._weights)
+        first = np.minimum(np.maximum(v, self.u_set.lower), self.u_set.upper)
+        return first, first - u, rows, span
 
     def __call__(self, y: np.ndarray, u0) -> np.ndarray:
         """The solution for each run of y (..., N), from u0 (..., M), both
         with the same leading axes."""
         lower, upper = self.u_set.lower, self.u_set.upper
+        last = PROJECTION_CHUNKS[-1]
         out = np.empty(np.shape(u0))
         m = out.shape[-1]
         flat = out.reshape(-1, m)  # a view, one row per run
-        # the pending runs: their rows of flat, iterates, constants and steps left
+        # the pending runs: their rows of flat, iterates and constants, and
+        # their segments: first step, first step less anchor, face row and
+        # span, the step each run is at (None while all are at step 0) and
+        # the step it would reach the cap at
         runs = np.arange(len(flat))
         u = np.minimum(np.maximum(np.reshape(u0, (-1, m)), lower), upper)
         c = matvec(self._st, y).reshape(-1, m)
-        room = np.full(len(runs), PROJECTION_MAX_ITER)
+        first, d, rows, span = self._anchor(u, c)
+        at_step, top, cap_at = None, 0, np.full(len(runs), PROJECTION_MAX_ITER)
+        k = self._first_chunk
         stuck = []  # the last move of each run still moving at the cap
-        reach = 0  # the most steps a run can have taken by the end of the block
-        # every block takes at least one step of each pending run
-        for block in range(PROJECTION_MAX_ITER):
-            k = PROJECTION_BLOCKS[min(block, len(PROJECTION_BLOCKS) - 1)]
-            v = matvec(self._p, u) + c
-            h, span = self._stacks((v[:, :, None] > self._marks).reshape(len(v), -1) @ self._weights, k)
-            first = np.minimum(np.maximum(v, lower), upper)
+        reach = 0  # the most steps a run can have taken by the end of the chunk
+        left = 0  # the most steps left to a run that has stopped
+        # every chunk takes at least one step of each pending run
+        for _ in range(PROJECTION_MAX_ITER):
+            if at_step is None:
+                start = 0
+                h = self._table[rows, :, :, :k]
+            else:
+                # H_(i+1)..H_(i+k) of each face at [face, :, :, i]: a strided view
+                start, t = at_step, self._table
+                windows = np.ndarray(t.shape[:3] + (last - k + 1, k), t.dtype, t, 0, t.strides + t.strides[-1:])
+                h = windows[rows, :, :, start]
             # every array of steps is (R, M, k), the steps last, so each op
-            # runs along them; walk[:, :, j] is the block's step j, u being step 0
+            # runs along them; walk[:, :, j] is the chunk's step j, u being step 0
             walk = np.empty((len(runs), m, k + 1))
             walk[:, :, 0] = u
             # the candidates, sum_l H_j[:, l] d_l from zero, then + first
-            cand = np.einsum("rilk,rl->rik", h, first - u, out=walk[:, :, 1:])
+            cand = np.einsum("rilk,rl->rik", h, d, out=walk[:, :, 1:])
             cand += first[:, :, None]
             nxt = np.einsum("il,rlk->rik", self._p, cand)
             nxt += c[:, :, None]
@@ -151,32 +188,65 @@ class _BoxLeastSquares:
             steps = cand - walk[:, :, :-1]
             moves = np.sqrt(np.einsum("rik,rik->rk", steps, steps))
             small = moves < PROJECTION_MOVE_TOL
-            # each run ends the block at its first step that moves less than
-            # the tolerance or leaves the face, at the block's last step, or
-            # at its own last one if this block can take a run to the cap
+            # each run ends the chunk at its first step that moves less than
+            # the tolerance or leaves the face, at the chunk's last step, or
+            # at its own last one if this chunk can take a run to the cap
             ends = small | leaves
             ends[:, -1] = True
             at = ends.argmax(axis=1)
             reach += k
             near_cap = reach >= PROJECTION_MAX_ITER
             if near_cap:
-                at = np.minimum(at, room - 1)
-            rows = np.arange(len(runs))
-            u, room = cand[rows, :, at], room - at - 1
+                at = np.minimum(at, cap_at - start - 1)
+            pending = np.arange(len(runs))
+            u = cand[pending, :, at]
             flat[runs] = u
-            going = ~small[rows, at]
+            stops = small[pending, at]
             if near_cap:
-                capped = room == 0
-                stuck.extend(moves[rows, at][capped & going])
-                going &= ~capped
-            if not going.any():
+                capped = at == cap_at - start - 1
+                stuck.extend(moves[pending, at][capped & ~stops])
+                stops |= capped
+            # the fewest steps a run took sets the hint.  While reach is under
+            # the second size, a run that stops took fewer steps than that,
+            # and the hint is the first size
+            hinted = reach >= PROJECTION_CHUNKS[1]
+            stopped = np.count_nonzero(stops)
+            if stopped == len(runs):
+                left = max(left, (cap_at - start - at).max() - 1) if hinted else PROJECTION_MAX_ITER
                 break
-            runs, u, c, room = runs[going], u[going], c[going], room[going]
+            # the runs that go on: a segment ends where its next step leaves
+            # the face or at step K, and the next one is anchored there
+            at_step = start + at + 1
+            fresh = leaves[pending, at]
+            if top + k == last:
+                fresh |= at_step == last
+            if stopped:
+                left = max(left, (cap_at - at_step)[stops].max()) if hinted else PROJECTION_MAX_ITER
+                going = ~stops
+                runs, u, c, cap_at, at_step = runs[going], u[going], c[going], cap_at[going], at_step[going]
+                first, d, rows, span, fresh = first[going], d[going], rows[going], span[going], fresh[going]
+            anchored = np.count_nonzero(fresh)
+            if anchored == len(runs):
+                cap_at -= at_step
+                first, d, rows, span = self._anchor(u, c)
+                at_step, top, k = None, 0, PROJECTION_CHUNKS[0]
+                continue
+            if anchored:
+                cap_at[fresh] -= at_step[fresh]
+                first[fresh], d[fresh], rows[fresh], span[fresh] = self._anchor(u[fresh], c[fresh])
+                at_step[fresh] = 0
+            # 4 times this chunk, up to step K of the furthest run.  Every
+            # size is a multiple of the first, so is each run's step, and
+            # the chunk takes none past step K
+            top = at_step.max()
+            k = min(4 * k, last - top)
         if stuck:
             raise ProjectionFailureError(
                 f"projection did not converge: still moving {max(stuck):.3e} "
                 f"after {PROJECTION_MAX_ITER} iterations"
             )
+        # the next call's first chunk: the largest size not above the fewest steps a run took
+        self._first_chunk = PROJECTION_CHUNKS[max(0, bisect.bisect_right(PROJECTION_CHUNKS, PROJECTION_MAX_ITER - left) - 1)]
         return out
 
 

@@ -581,7 +581,9 @@ def _write_table(path, header: list[str], index, columns: list) -> None:
     """The header, then one row per entry of ``index``: that integer, then
     each column's value there to 12 significant digits."""
     row = "%d" + ",%.12g" * len(columns)
-    lines = [",".join(header)] + [row % values for values in zip(index, *columns)]
+    # as Python floats, which % formats faster than numpy scalars, to the same text
+    columns = [np.asarray(col).tolist() for col in columns]
+    lines = [",".join(header), *map(row.__mod__, zip(index, *columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

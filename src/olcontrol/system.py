@@ -173,7 +173,9 @@ def certify_strong_stability(a) -> StabilityCert:
     radius = spectral_radius_estimate(a, RADIUS_POWER)
     if radius >= 1.0:
         raise NotStronglyStableError(
-            f"estimated spectral radius {radius:.6g} >= 1; cannot certify strong stability"
+            f"the spectral radius estimate ||A^{RADIUS_POWER}||^(1/{RADIUS_POWER}) = {radius:.6g}, "
+            "an upper bound on the spectral radius, is not below 1: the plant could not be "
+            "certified strongly stable"
         )
     gamma = (1.0 - radius) * (1.0 - STABILITY_MARGIN)
     decay = 1.0 - gamma

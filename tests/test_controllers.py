@@ -521,7 +521,7 @@ def face_enumeration(s, y, u_set):
 
 def per_step_box_least_squares(s, y, u_set, step, u0):
     """The projection with its stop rule tested after every step, the
-    reference ``_BoxLeastSquares`` (blocks of steps on one face) must
+    reference ``_BoxLeastSquares`` (chunks of steps on one face) must
     match: the same stop step and, to roundoff, the same iterate.  Returns
     the iterates and each run's stop step; a run still moving at the cap
     fails."""
@@ -563,10 +563,10 @@ def assert_matches_per_step(s, y, u_set, step, u0):
     return got, stops
 
 
-def block_edges():
-    """The last step of each of a run's first blocks, when no face change
-    cuts one short: 16, 80, 336, 1360."""
-    return np.cumsum(ctrl_mod.PROJECTION_BLOCKS)
+def chunk_edges():
+    """The last step of each chunk of a fresh solver's first segment, when
+    no face change cuts one short: 16, 80, 336, 1024."""
+    return np.minimum(np.cumsum(ctrl_mod.PROJECTION_CHUNKS), ctrl_mod.PROJECTION_CHUNKS[-1])
 
 
 def stopping_problem(rng, stops, rate=0.75, move=0.9e-10):
@@ -587,7 +587,7 @@ def stopping_problem(rng, stops, rate=0.75, move=0.9e-10):
 
 
 class TestBlockedStopRule:
-    """Testing the stop rule on a block of steps returns the iterate of the
+    """Testing the stop rule on a chunk of steps returns the iterate of the
     per-step test: each run's first step below tolerance."""
 
     BOX = BoxSet.symmetric(5.0, 2)
@@ -602,7 +602,7 @@ class TestBlockedStopRule:
             self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
 
     def test_runs_stopping_in_and_across_blocks(self, rng):
-        first, second = block_edges()[:2]
+        first, second = chunk_edges()[:2]
         wanted = [1, first, first + 1, 53, second, second + 1]
         _, stops = self.assert_matches_per_step(*stopping_problem(rng, wanted))
         np.testing.assert_array_equal(stops, wanted)
@@ -613,7 +613,7 @@ class TestBlockedStopRule:
         s = sys.steady_state_gain
         y, u0 = rng.standard_normal((4, 3)) * 6.0, rng.uniform(-5.0, 5.0, (4, 2))
         _, stops = self.assert_matches_per_step(s, y, ctrl_mod._projection_step(s), u0)
-        assert len(set(stops)) == 4 and stops.max() > block_edges()[2]
+        assert len(set(stops)) == 4 and stops.max() > chunk_edges()[2]
 
     def test_joint_projection(self, ring_system, rng):
         # a tall matrix and a step below 1/||S||^2: the joint state+input
@@ -625,23 +625,23 @@ class TestBlockedStopRule:
             y, u0 = rng.standard_normal(5) * 6.0, rng.uniform(-5.0, 5.0, 2)
             self.assert_matches_per_step(stacked, y, step, u0)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_CHUNKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_returns_as_per_step(self, rng, monkeypatch, extra):
-        block = ctrl_mod.PROJECTION_BLOCKS[0]
-        cap = block + extra
+        chunk = ctrl_mod.PROJECTION_CHUNKS[0]
+        cap = chunk + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # every run stops by the cap, the last one at its very step
-        problem = stopping_problem(rng, [1, min(block, cap), min(block + 1, cap), cap])
+        problem = stopping_problem(rng, [1, min(chunk, cap), min(chunk + 1, cap), cap])
         got, stops = self.assert_matches_per_step(*problem)
         assert stops.max() == cap
-        # a run that stopped in an earlier block keeps that block's iterate
+        # a run that stopped in an earlier chunk keeps that chunk's iterate
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", 5000)
         uncapped = _BoxLeastSquares(problem[0], self.BOX, problem[2])(problem[1], problem[3])
         assert np.array_equal(got, uncapped)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_BLOCKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_CHUNKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_raises_as_per_step(self, rng, monkeypatch, extra):
-        cap = ctrl_mod.PROJECTION_BLOCKS[0] + extra
+        cap = ctrl_mod.PROJECTION_CHUNKS[0] + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # run 2 still moves at the cap, by 0.9e-10 / 0.75**late: 1.2e-10,
         # 2.8e-8 or 3e-3.  However little, that fails the projection
@@ -689,10 +689,10 @@ def face_path(s, y, u_set, step, u0):
 
 
 class TestFaceBlocks:
-    """A block's steps are products of one face's stack, valid while the
+    """A chunk's steps are products of one face's stack, valid while the
     steps stay on that face: checked against the per-step reference where
-    the face changes inside a block, in boxes of 1, 3 and 8 inputs, across
-    lockstep runs on different faces and at a cap inside a long block."""
+    the face changes inside a chunk, in boxes of 1, 3 and 8 inputs, across
+    lockstep runs on different faces and at a cap inside a long chunk."""
 
     BOX = BoxSet.symmetric(1.0, 2)
     # (u0, u*) on the skewed plant in the box [-1, 1]^2, target y = S u*,
@@ -718,8 +718,8 @@ class TestFaceBlocks:
         y, u0 = self.case_arrays(s, [case])
         faces = face_path(s, y[0], self.BOX, step, u0[0])
         changes = [j + 1 for j in range(1, len(faces)) if faces[j] != faces[j - 1]]
-        # the first change falls inside the first block, not at its start
-        assert 1 < changes[0] <= ctrl_mod.PROJECTION_BLOCKS[0]
+        # the first change falls inside the first chunk, not at its start
+        assert 1 < changes[0] <= ctrl_mod.PROJECTION_CHUNKS[0]
         assert sum(f != 0 for f in faces[-1]) == self.CASES[case][2]
         got, _ = assert_matches_per_step(s, y, self.BOX, step, u0)
         # a clamped coordinate sits exactly on its bound
@@ -744,8 +744,8 @@ class TestFaceBlocks:
         got, stops = assert_matches_per_step(s, matvec(s, u_star), box, ctrl_mod._projection_step(s), u0)
         clamped = ((got == box.lower) | (got == box.upper)).sum(axis=1)
         assert clamped.min() == 0 and clamped.max() == m
-        if m > 3:  # some runs stop in the first block, some in the third
-            assert stops.min() <= block_edges()[0] and stops.max() > block_edges()[1]
+        if m > 3:  # some runs stop in the first chunk, some in the third
+            assert stops.min() <= chunk_edges()[0] and stops.max() > chunk_edges()[1]
 
     def test_lockstep_runs_on_different_faces(self, skewed, rng):
         s, step = skewed
@@ -759,9 +759,9 @@ class TestFaceBlocks:
 
     def test_cap_inside_a_long_block(self, rng, monkeypatch):
         # rate 0.9 and a move of 0.95e-10 at the stop, 1.06e-10 the step
-        # before: runs long enough to reach the third, 256-step block
-        cap = block_edges()[1] + 120
-        assert cap < block_edges()[2]
+        # before: runs long enough to reach the third, 256-step chunk
+        cap = chunk_edges()[1] + 120
+        assert cap < chunk_edges()[2]
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         box = BoxSet.symmetric(5.0, 2)
         wanted = [3, 50, 150, cap]
@@ -790,6 +790,74 @@ class TestFaceBlocks:
         cfg = ExperimentConfig(t=50, n_runs=3, b=np.array(SKEWED_B), disturbances_on=False)
         run_lockstep(cfg, "olc", [draw_run(cfg, k) for k in range(3)])
         assert builds and len(builds) == len(set(builds))
+
+
+class TestChunks:
+    """A segment's steps are all taken from its anchor, so the chunks they
+    are computed in change no bit: a stack of runs solved with each size of
+    first chunk has the same bits, and the per-step reference's stops and
+    iterates (to 1e-12), also with a cap inside a chunk.  On
+    B = [[1, 1.5], [0, 0], [1, 1]] (cond S ~ 11.3) the interior runs take
+    over 2 * K steps, so their segments end and re-anchor at step K."""
+
+    BOX = BoxSet.symmetric(5.0, 2)
+
+    @pytest.fixture(params=[SKEWED_B, [[1.0, 1.5], [0.0, 0.0], [1.0, 1.0]]], ids=["skewed", "b_1_5"])
+    def problem(self, request, ring_matrices, rng):
+        s = LtiSystem(ring_matrices[0], request.param).steady_state_gain
+        # targets S u*: u* inside the box gives a slow interior run, outside
+        # it a run ending on the box
+        u_star, u0 = rng.uniform(-6.0, 6.0, (6, 2)), rng.uniform(-5.0, 5.0, (6, 2))
+        return s, matvec(s, u_star), ctrl_mod._projection_step(s), u0
+
+    def solvers(self, s, step):
+        """A fresh solver per size of first chunk."""
+        for size in ctrl_mod.PROJECTION_CHUNKS:
+            solver = _BoxLeastSquares(s, self.BOX, step)
+            solver._first_chunk = size
+            yield solver
+
+    def test_first_chunk_changes_no_bit(self, problem):
+        s, y, step, u0 = problem
+        want, stops = assert_matches_per_step(s, y, self.BOX, step, u0)
+        for solver in self.solvers(s, step):
+            assert np.array_equal(solver(y, u0), want)
+        # some runs stop before a first chunk of 256 ends, some after step K
+        assert stops.min() < ctrl_mod.PROJECTION_CHUNKS[2] < ctrl_mod.PROJECTION_CHUNKS[-1] < stops.max()
+
+    def test_hint_is_the_fewest_steps_rounded_down(self, problem):
+        s, y, step, u0 = problem
+        stops = per_step_box_least_squares(s, y, self.BOX, step, u0)[1]
+        solver = _BoxLeastSquares(s, self.BOX, step)
+        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
+        solver(y, u0)
+        # the largest size not above the fewest steps a run took
+        assert solver._first_chunk == max(n for n in ctrl_mod.PROJECTION_CHUNKS if n <= stops.min())
+        solver(y[stops > ctrl_mod.PROJECTION_CHUNKS[-1]], u0[stops > ctrl_mod.PROJECTION_CHUNKS[-1]])
+        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[-1]
+        # a run that stops in its first steps brings it back to the first size
+        solver(y[:1], solver(y[:1], u0[:1]))
+        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
+
+    @pytest.mark.parametrize("early", [0, 1], ids=["returns", "raises"])
+    def test_cap_inside_a_chunk(self, problem, monkeypatch, early):
+        # the cap at the last run's stop returns every run; one step before
+        # it, that run is still moving and fails
+        s, y, step, u0 = problem
+        cap = per_step_box_least_squares(s, y, self.BOX, step, u0)[1].max() - early
+        assert cap not in chunk_edges()
+        monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
+        if not early:
+            want, _ = assert_matches_per_step(s, y, self.BOX, step, u0)
+            for solver in self.solvers(s, step):
+                assert np.array_equal(solver(y, u0), want)
+            return
+        with pytest.raises(ProjectionFailureError) as want:
+            per_step_box_least_squares(s, y, self.BOX, step, u0)
+        for solver in self.solvers(s, step):
+            with pytest.raises(ProjectionFailureError) as got:
+                solver(y, u0)
+            assert str(got.value) == str(want.value)
 
 
 def random_cost(rng, n=3):
@@ -827,19 +895,23 @@ class TestLockstep:
         assert_olc_matches_single_runs(ring_system, ring_u_box, np.array([1e-13, 0.05, 0.5]), rng)
 
     def test_olc_matches_single_runs_on_skewed_plant(self, ring_matrices, ring_u_box, rng, monkeypatch):
-        # cond S ~ 7.4: every round's projections run into the 256- and
-        # 1024-step blocks, so each run's bits are pinned there too
-        blocks = []
-        stacks = ctrl_mod._BoxLeastSquares._stacks
-
-        def counted(solver, faces, k):
-            blocks.append(k)
-            return stacks(solver, faces, k)
-
-        monkeypatch.setattr(ctrl_mod._BoxLeastSquares, "_stacks", counted)
+        # cond S ~ 7.4: the projections go past 256 steps, into a segment's
+        # last chunk, so each run's bits are pinned there too.  The per-step
+        # rule counts the steps of the lockstep controller's projections
         sys = LtiSystem(ring_matrices[0], SKEWED_B)
+        s = sys.steady_state_gain
+        step = ctrl_mod._projection_step(s)
+        most = []
+        solve = ctrl_mod._BoxLeastSquares.__call__
+
+        def counted(solver, y, u0):
+            if np.ndim(u0) == 2:
+                most.append(per_step_box_least_squares(s, y, ring_u_box, step, u0)[1].max())
+            return solve(solver, y, u0)
+
+        monkeypatch.setattr(ctrl_mod._BoxLeastSquares, "__call__", counted)
         assert_olc_matches_single_runs(sys, ring_u_box, np.array([0.05, 0.2, 0.5, 1.0]), rng)
-        assert set(blocks) == set(ctrl_mod.PROJECTION_BLOCKS)
+        assert max(most) > chunk_edges()[2]
 
     def test_dac_matches_single_runs(self, ring_system, rng):
         batched = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=3)

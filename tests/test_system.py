@@ -105,6 +105,19 @@ class TestCertify:
         with pytest.raises(NotStronglyStableError, match="1.2"):
             certify_strong_stability([[1.2]])
 
+    def test_stable_plant_refused_by_its_estimate(self):
+        # rho(A) = 0.95, but this non-normal A's estimate ||A^64||^(1/64) is
+        # 1.04: the message names the estimate as an upper bound that is not
+        # below 1, not the spectral radius as 1 or more
+        a = [[0.95, 5.0, 0.0], [0.0, 0.95, 0.0], [0.0, 0.0, 0.5]]
+        assert np.max(np.abs(np.linalg.eigvals(a))) == pytest.approx(0.95)
+        with pytest.raises(NotStronglyStableError) as err:
+            certify_strong_stability(a)
+        message = str(err.value)
+        assert "radius estimate" in message and "1.04043" in message and "upper bound" in message
+        assert "not below 1" in message and "could not be certified" in message
+        assert ">= 1" not in message
+
     def test_no_decayed_power_rejected(self, monkeypatch):
         # a radius estimate below the true radius 0.9 leaves no k with
         # ||A^k|| <= (1-gamma)^k, so no certificate may be issued
