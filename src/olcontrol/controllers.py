@@ -54,12 +54,14 @@ class _BoxLeastSquares:
     steps, another their next steps, and the chunk keeps the candidates up
     to the first whose next step leaves the face: the fixed-step iterates
     in exact arithmetic.  The runs along the leading axes share each
-    chunk's length: 16 steps when every run starts a segment, else 4 times
-    the last chunk, up to step K of the run furthest into its segment.
-    Every length is a multiple of 16, so every run's step is too, and no
-    chunk takes a run past step K.  The first chunk of a call is a hint
-    kept on the solver: the largest size not above the fewest steps a run
-    took in the last call.
+    chunk's length: 4 times the last chunk, up to step K of the run
+    furthest into its segment.  When every run starts a segment, the next
+    chunk is K if each of them reached step K on its face, else 16.  Every
+    length is a multiple of 16, so every run's step is too, and no chunk
+    takes a run past step K.  The first chunk of a call is a hint kept on
+    the solver: the smallest size not below the fewest steps a run took in
+    the last call, K at most, so a call that takes about as many steps as
+    the last one, under K, takes them in one pass.
 
     Chunking changes no bit: step j of a segment is the same product of
     H_j with the anchor's vectors whichever chunk holds it, and a run's
@@ -206,10 +208,10 @@ class _BoxLeastSquares:
                 capped = at == cap_at - start - 1
                 stuck.extend(moves[pending, at][capped & ~stops])
                 stops |= capped
-            # the fewest steps a run took sets the hint.  While reach is under
-            # the second size, a run that stops took fewer steps than that,
-            # and the hint is the first size
-            hinted = reach >= PROJECTION_CHUNKS[1]
+            # the fewest steps a run took sets the hint.  While reach is the
+            # first size, every run took at most that many steps, and the
+            # hint is the first size
+            hinted = reach > PROJECTION_CHUNKS[0]
             stopped = np.count_nonzero(stops)
             if stopped == len(runs):
                 left = max(left, (cap_at - start - at).max() - 1) if hinted else PROJECTION_MAX_ITER
@@ -217,21 +219,22 @@ class _BoxLeastSquares:
             # the runs that go on: a segment ends where its next step leaves
             # the face or at step K, and the next one is anchored there
             at_step = start + at + 1
-            fresh = leaves[pending, at]
-            if top + k == last:
-                fresh |= at_step == last
+            turns = leaves[pending, at]
             if stopped:
                 left = max(left, (cap_at - at_step)[stops].max()) if hinted else PROJECTION_MAX_ITER
                 going = ~stops
                 runs, u, c, cap_at, at_step = runs[going], u[going], c[going], cap_at[going], at_step[going]
-                first, d, rows, span, fresh = first[going], d[going], rows[going], span[going], fresh[going]
-            anchored = np.count_nonzero(fresh)
-            if anchored == len(runs):
+                first, d, rows, span, turns = first[going], d[going], rows[going], span[going], turns[going]
+            fresh = turns | (at_step == last) if top + k == last else turns
+            if fresh.all():
                 cap_at -= at_step
                 first, d, rows, span = self._anchor(u, c)
-                at_step, top, k = None, 0, PROJECTION_CHUNKS[0]
+                # after a face leave the chunks start again at the first
+                # size; segments that all reached step K on their faces
+                # go on in chunks of K
+                at_step, top, k = None, 0, PROJECTION_CHUNKS[0] if turns.any() else last
                 continue
-            if anchored:
+            if fresh.any():
                 cap_at[fresh] -= at_step[fresh]
                 first[fresh], d[fresh], rows[fresh], span[fresh] = self._anchor(u[fresh], c[fresh])
                 at_step[fresh] = 0
@@ -245,8 +248,9 @@ class _BoxLeastSquares:
                 f"projection did not converge: still moving {max(stuck):.3e} "
                 f"after {PROJECTION_MAX_ITER} iterations"
             )
-        # the next call's first chunk: the largest size not above the fewest steps a run took
-        self._first_chunk = PROJECTION_CHUNKS[max(0, bisect.bisect_right(PROJECTION_CHUNKS, PROJECTION_MAX_ITER - left) - 1)]
+        # the next call's first chunk: the smallest size not below the fewest steps a run took, K at most
+        fewest = PROJECTION_MAX_ITER - left
+        self._first_chunk = PROJECTION_CHUNKS[min(bisect.bisect_left(PROJECTION_CHUNKS, fewest), len(PROJECTION_CHUNKS) - 1)]
         return out
 
 

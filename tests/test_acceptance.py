@@ -460,6 +460,13 @@ def test_criterion_15_cost_scale_by_two():
 PERMUTATION_RTOL = 1e-9  # normwise, against max(1, max |mapped value|)
 
 
+def _normwise_error(got, want) -> float:
+    """max |got - want| over max(1, max |want|)."""
+    want = np.asarray(want, dtype=float)
+    err = float(np.max(np.abs(np.asarray(got) - want), initial=0.0))
+    return err / max(1.0, float(np.max(np.abs(want), initial=0.0)))
+
+
 def _permuted(cfg, draws, perm):
     """``cfg`` and ``draws`` with the state coordinates permuted by P,
     (P x)_i = x[perm[i]]: A -> P A P^T, B -> P B, Q_t -> P Q_t P^T, c_t -> P c_t,
@@ -489,9 +496,7 @@ def test_criterion_16_state_permutation():
 
     def close(got, want):
         nonlocal worst
-        want = np.asarray(want, dtype=float)
-        err = float(np.max(np.abs(np.asarray(got) - want), initial=0.0))
-        worst = max(worst, err / max(1.0, float(np.max(np.abs(want), initial=0.0))))
+        worst = max(worst, _normwise_error(got, want))
 
     for disturbances_on in (True, False):
         cfg = ExperimentConfig(t=1000, n_runs=4, disturbances_on=disturbances_on)
@@ -530,3 +535,80 @@ def test_criterion_16_state_permutation():
     verdict(16, "permuting the state coordinates maps every state and leaves inputs and costs",
             ok and checked == 2 * 4 * (2 + 3) and worst <= PERMUTATION_RTOL,
             f"{checked} hindsight results compared, worst normwise error {worst:.2e}, runtime {elapsed:.2f}s")
+
+
+INPUT_RELATION_RTOL = 1e-9  # normwise, against max(1, max |mapped value|)
+ASYMMETRIC_U_BOX = BoxSet([-0.25, -0.5], [2.0, 1.0])  # OLC and DAC inputs both reach it
+
+
+def _inputs_mapped(cfg, draws, perm, sign):
+    """``cfg`` and ``draws`` with the inputs renamed u -> sign * u[perm]:
+    B -> sign * B[:, perm], and the input box permuted and, for sign -1,
+    reflected, by indexing and negation alone.  The costs and disturbances
+    stay; the mapped config derives its own D and DAC radius, and each run
+    its own L and eta."""
+    box = cfg.u_box
+    lower, upper = (box.lower[perm], box.upper[perm]) if sign > 0 else (-box.upper[perm], -box.lower[perm])
+    cfg_p = ExperimentConfig(t=cfg.t, n_runs=cfg.n_runs, disturbances_on=cfg.disturbances_on,
+                             b=sign * cfg.b[:, perm], u_box=BoxSet(lower, upper))
+    return cfg_p, [(costs, w_seq, derive_run_params(cfg_p, costs)) for costs, w_seq, _ in draws]
+
+
+def test_criterion_17_input_relations():
+    # Permuting the inputs (B -> B P, the box permuted) or reflecting them
+    # (B -> -B, the box reflected) maps every input, OLC's and DAC's, the
+    # fixed-input optimizer and the DAC blocks, and leaves every state,
+    # cost, steady state and value as it was: B u, ||B||, the box's corner
+    # norms and the steady-state set S(U) do not change, and every sum the
+    # controllers and the solvers form holds the same terms.  The box is not
+    # symmetric and some inputs sit on it, so it has to map along: a bound
+    # applied to the wrong coordinate or with the wrong sign, or a column of
+    # B paired with the wrong input, breaks the relation.
+    start = time.perf_counter()
+    worst, ok, checked, on_box = 0.0, True, 0, {"olc": 0, "dac": 0}
+
+    def close(got, want):
+        nonlocal worst
+        worst = max(worst, _normwise_error(got, want))
+
+    for disturbances_on in (True, False):
+        cfg = ExperimentConfig(t=1000, n_runs=4, disturbances_on=disturbances_on, u_box=ASYMMETRIC_U_BOX)
+        draws = [draw_run(cfg, k) for k in range(cfg.n_runs)]
+        base_traces = {kind: run_lockstep(cfg, kind, draws) for kind in ("olc", "dac")}
+        base_benches = solve_draws(cfg, draws)
+        for kind, runs in base_traces.items():
+            on_box[kind] += sum(np.count_nonzero((t.inputs == cfg.u_box.lower) | (t.inputs == cfg.u_box.upper))
+                                for t in runs)
+        for perm, sign in (([1, 0], 1.0), ([0, 1], -1.0)):
+            cfg_p, draws_p = _inputs_mapped(cfg, draws, perm, sign)
+            close(cfg_p.bound.d, cfg.bound.d)
+            close(cfg_p.dac_radius, cfg.dac_radius)
+            for (_, _, params), (_, _, params_p) in zip(draws, draws_p):
+                close(params_p.l, params.l)
+                close(params_p.eta, params.eta)
+            traces = {kind: run_lockstep(cfg_p, kind, draws_p) for kind in ("olc", "dac")}
+            for kind, runs in traces.items():
+                for trace, want in zip(runs, base_traces[kind]):
+                    close(trace.inputs, sign * want.inputs[:, perm])
+                    close(trace.states, want.states)
+                    close(trace.costs, want.costs)
+            for triple, want_triple in zip(solve_draws(cfg_p, draws_p), base_benches):
+                for name, got, want in zip(("u", "m", "x"), triple, want_triple):
+                    ok &= (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    checked += 1
+                    # a fixed input maps, and so do DAC blocks (h_mem, M, N)
+                    # along their input axis; a steady state stays
+                    axis = {"u": -1, "m": -2}.get(name)
+                    close(got.optimizer, want.optimizer if axis is None
+                          else sign * np.take(want.optimizer, perm, axis=axis))
+                    for field_name in ("value", "value_nominal", "step_costs"):
+                        close(getattr(got, field_name), getattr(want, field_name))
+                    ok &= got.converged == want.converged
+                    ok &= name == "m" or got.iterations == want.iterations
+    elapsed = time.perf_counter() - start
+    verdict(17, "permuting or reflecting the inputs maps every input and leaves states and costs",
+            ok and checked == 2 * 4 * (2 + 3) and worst <= INPUT_RELATION_RTOL and min(on_box.values()) > 0,
+            f"{checked} hindsight results compared, worst normwise error {worst:.2e}, "
+            f"inputs on the box: {on_box['olc']} OLC, {on_box['dac']} DAC, runtime {elapsed:.2f}s")

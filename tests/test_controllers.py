@@ -673,6 +673,7 @@ class TestBlockedStopRule:
 
 
 SKEWED_B = [[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+B15 = [[1.0, 1.5], [0.0, 0.0], [1.0, 1.0]]  # cond S ~ 11.3: projections pass step K
 
 
 def face_path(s, y, u_set, step, u0):
@@ -802,7 +803,7 @@ class TestChunks:
 
     BOX = BoxSet.symmetric(5.0, 2)
 
-    @pytest.fixture(params=[SKEWED_B, [[1.0, 1.5], [0.0, 0.0], [1.0, 1.0]]], ids=["skewed", "b_1_5"])
+    @pytest.fixture(params=[SKEWED_B, B15], ids=["skewed", "b_1_5"])
     def problem(self, request, ring_matrices, rng):
         s = LtiSystem(ring_matrices[0], request.param).steady_state_gain
         # targets S u*: u* inside the box gives a slow interior run, outside
@@ -825,19 +826,52 @@ class TestChunks:
         # some runs stop before a first chunk of 256 ends, some after step K
         assert stops.min() < ctrl_mod.PROJECTION_CHUNKS[2] < ctrl_mod.PROJECTION_CHUNKS[-1] < stops.max()
 
-    def test_hint_is_the_fewest_steps_rounded_down(self, problem):
+    def test_hint_is_the_fewest_steps_rounded_up(self, problem):
         s, y, step, u0 = problem
         stops = per_step_box_least_squares(s, y, self.BOX, step, u0)[1]
         solver = _BoxLeastSquares(s, self.BOX, step)
         assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
         solver(y, u0)
-        # the largest size not above the fewest steps a run took
-        assert solver._first_chunk == max(n for n in ctrl_mod.PROJECTION_CHUNKS if n <= stops.min())
+        # the smallest size not below the fewest steps a run took
+        assert solver._first_chunk == min(n for n in ctrl_mod.PROJECTION_CHUNKS if n >= stops.min())
+        # K at most
         solver(y[stops > ctrl_mod.PROJECTION_CHUNKS[-1]], u0[stops > ctrl_mod.PROJECTION_CHUNKS[-1]])
         assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[-1]
-        # a run that stops in its first steps brings it back to the first size
+        # a run that stops in its first steps, here inside a first chunk of
+        # K, brings it back to the first size
         solver(y[:1], solver(y[:1], u0[:1]))
         assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
+
+    def test_hint_at_the_sizes(self, rng):
+        # one interior face and runs stopping at each size and one step past
+        # it: a size is its own hint, the step after it the next size's
+        wanted = [1, 16, 17, 64, 65, 256, 257, 1024, 1025, 1500]
+        hints = [16, 16, 64, 64, 256, 256, 1024, 1024, 1024, 1024]
+        s, y, step, u0 = stopping_problem(rng, wanted, rate=0.99, move=0.995e-10)
+        _, stops = assert_matches_per_step(s, y, self.BOX, step, u0)
+        np.testing.assert_array_equal(stops, wanted)
+        solver = _BoxLeastSquares(s, self.BOX, step)
+        for r, hint in enumerate(hints):
+            solver(y[r], u0[r])
+            assert solver._first_chunk == hint
+        # the fewest steps of the runs together
+        solver(y[4:], u0[4:])
+        assert solver._first_chunk == hints[4]
+
+    def test_hint_after_short_chunks(self, ring_matrices):
+        # on the skewed plant this run leaves its first face inside the
+        # first chunk, and each new segment restarts at 16 steps: it stops
+        # at step 25, in its third chunk of 16, and 25 rounds up to 64
+        s = LtiSystem(ring_matrices[0], SKEWED_B).steady_state_gain
+        step = ctrl_mod._projection_step(s)
+        y, u0 = np.array([19.0, -30.0, 21.0]), np.array([-5.0, 2.0])
+        _, stops = assert_matches_per_step(s, y, self.BOX, step, u0)
+        faces = face_path(s, y, self.BOX, step, u0)
+        changes = [j + 1 for j in range(1, len(faces)) if faces[j] != faces[j - 1]]
+        assert stops == 25 and 0 < changes[0] < ctrl_mod.PROJECTION_CHUNKS[0]
+        solver = _BoxLeastSquares(s, self.BOX, step)
+        solver(y, u0)
+        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[1]
 
     @pytest.mark.parametrize("early", [0, 1], ids=["returns", "raises"])
     def test_cap_inside_a_chunk(self, problem, monkeypatch, early):
@@ -894,11 +928,10 @@ class TestLockstep:
         # for most of every lockstep projection
         assert_olc_matches_single_runs(ring_system, ring_u_box, np.array([1e-13, 0.05, 0.5]), rng)
 
-    def test_olc_matches_single_runs_on_skewed_plant(self, ring_matrices, ring_u_box, rng, monkeypatch):
-        # cond S ~ 7.4: the projections go past 256 steps, into a segment's
-        # last chunk, so each run's bits are pinned there too.  The per-step
-        # rule counts the steps of the lockstep controller's projections
-        sys = LtiSystem(ring_matrices[0], SKEWED_B)
+    @staticmethod
+    def count_lockstep_steps(monkeypatch, sys, u_set):
+        """The most steps a run of each lockstep projection takes, by the
+        per-step rule, appended to the returned list as the projections run."""
         s = sys.steady_state_gain
         step = ctrl_mod._projection_step(s)
         most = []
@@ -906,12 +939,28 @@ class TestLockstep:
 
         def counted(solver, y, u0):
             if np.ndim(u0) == 2:
-                most.append(per_step_box_least_squares(s, y, ring_u_box, step, u0)[1].max())
+                most.append(per_step_box_least_squares(s, y, u_set, step, u0)[1].max())
             return solve(solver, y, u0)
 
         monkeypatch.setattr(ctrl_mod._BoxLeastSquares, "__call__", counted)
+        return most
+
+    def test_olc_matches_single_runs_on_skewed_plant(self, ring_matrices, ring_u_box, rng, monkeypatch):
+        # cond S ~ 7.4: the projections go past 256 steps, into a segment's
+        # last chunk, so each run's bits are pinned there too
+        sys = LtiSystem(ring_matrices[0], SKEWED_B)
+        most = self.count_lockstep_steps(monkeypatch, sys, ring_u_box)
         assert_olc_matches_single_runs(sys, ring_u_box, np.array([0.05, 0.2, 0.5, 1.0]), rng)
         assert max(most) > chunk_edges()[2]
+
+    def test_olc_matches_single_runs_on_b15_plant(self, ring_matrices, ring_u_box, rng, monkeypatch):
+        # the projections pass step K, where a segment still on its face is
+        # anchored again and goes on in chunks of K, so each run's bits are
+        # pinned there too
+        sys = LtiSystem(ring_matrices[0], B15)
+        most = self.count_lockstep_steps(monkeypatch, sys, ring_u_box)
+        assert_olc_matches_single_runs(sys, ring_u_box, np.array([0.05, 0.2, 0.5, 1.0]), rng)
+        assert max(most) > ctrl_mod.PROJECTION_CHUNKS[-1]
 
     def test_dac_matches_single_runs(self, ring_system, rng):
         batched = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=3)
