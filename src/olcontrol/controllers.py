@@ -14,7 +14,6 @@ alone (products go through :func:`~olcontrol.linalg.matvec`, stacked
 companions.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -27,7 +26,8 @@ from .system import BoxSet, LtiSystem, fit_box
 PROJECTION_MOVE_TOL = 1e-10   # stop the inner descent once iterates move less than this
 PROJECTION_MAX_ITER = 5000    # a run still moving after this many steps fails
 PROJECTION_TOL = 1e-7         # advertised accuracy of the computed projection
-PROJECTION_CHUNKS = (16, 64, 256, 1024)  # chunk sizes, x4 from 16; the last, K, is a segment's most steps
+PROJECTION_FIRST_CHUNK = 16  # a fresh solver's first chunk of steps, and the smallest
+PROJECTION_SEGMENT_STEPS = 1024  # K, a segment's most steps, and so the longest chunk
 
 
 class _BoxLeastSquares:
@@ -40,8 +40,8 @@ class _BoxLeastSquares:
     affine with linear part L, P with the clamped rows zeroed, so from an
     anchor u_0 and its first step u_1 on that face, step j is
     u_j = u_1 + H_j (u_1 - u_0), H_j = L + ... + L^(j-1), and a clamped
-    coordinate sits exactly on its bound.  Each face's H_1..H_K, K the
-    last of PROJECTION_CHUNKS, is built by doubling on its first visit and
+    coordinate sits exactly on its bound.  Each face's H_1..H_K, K being
+    PROJECTION_SEGMENT_STEPS, is built by doubling on its first visit and
     kept: one solver per (s, step, box) serves every call.
 
     A run's path is cut into segments.  A segment is anchored at the
@@ -55,13 +55,11 @@ class _BoxLeastSquares:
     to the first whose next step leaves the face: the fixed-step iterates
     in exact arithmetic.  The runs along the leading axes share each
     chunk's length: 4 times the last chunk, up to step K of the run
-    furthest into its segment.  When every run starts a segment, the next
-    chunk is K if each of them reached step K on its face, else 16.  Every
-    length is a multiple of 16, so every run's step is too, and no chunk
-    takes a run past step K.  The first chunk of a call is a hint kept on
-    the solver: the smallest size not below the fewest steps a run took in
-    the last call, K at most, so a call that takes about as many steps as
-    the last one, under K, takes them in one pass.
+    furthest into its segment.  The first chunk of a call is a hint kept
+    on the solver: the fewest steps a run took in the last call, rounded
+    up to a power of two from PROJECTION_FIRST_CHUNK to K, so a call that
+    takes about as many steps as the last one, under K, takes them in one
+    pass.
 
     Chunking changes no bit: step j of a segment is the same product of
     H_j with the anchor's vectors whichever chunk holds it, and a run's
@@ -75,7 +73,7 @@ class _BoxLeastSquares:
     The steps are innermost.  A face's stack is kept as (M, M, K), and a
     chunk's candidates, next steps, face-leave test and moves are (R, M, k)
     arrays.  numpy's inner loop runs over the last axis, so each op runs
-    along the k >= 16 steps, not over the M coordinates of one step, and a
+    along the chunk's k steps, not over the M coordinates of one step, and a
     step's bits do not depend on its place in the chunk.  Each sum
     over the coordinates adds its terms in order, from zero, so for M <= 2
     the iterates have the bits of the same products laid out (R, k, M),
@@ -102,9 +100,9 @@ class _BoxLeastSquares:
         self._weights = 3 ** (np.arange(2 * m) // 2)  # each coordinate's digit weight, once per mark
         # face code -> its row of the tables; a face not yet visited maps past their end
         self._row = np.full(3**m, 3**m)
-        self._table = np.empty((0, m, m, PROJECTION_CHUNKS[-1]))  # H_1..H_K of each face visited, steps last
+        self._table = np.empty((0, m, m, PROJECTION_SEGMENT_STEPS))  # H_1..H_K of each face visited, steps last
         self._spans = np.empty((0, 2, m, 1))  # the edges a step on each face stays between
-        self._first_chunk = PROJECTION_CHUNKS[0]  # the hint: never moves an output
+        self._first_chunk = PROJECTION_FIRST_CHUNK  # the hint: never moves an output
 
     def _build(self, face: int) -> np.ndarray:
         """H_1..H_K of one face, (K, M, M), by doubling: H_(k+j) = H_k + L^k (I + H_j)."""
@@ -149,34 +147,31 @@ class _BoxLeastSquares:
     def __call__(self, y: np.ndarray, u0) -> np.ndarray:
         """The solution for each run of y (..., N), from u0 (..., M), both
         with the same leading axes."""
-        lower, upper = self.u_set.lower, self.u_set.upper
-        last = PROJECTION_CHUNKS[-1]
+        last = PROJECTION_SEGMENT_STEPS
         out = np.empty(np.shape(u0))
         m = out.shape[-1]
         flat = out.reshape(-1, m)  # a view, one row per run
-        # the pending runs: their rows of flat, iterates and constants, and
-        # their segments: first step, first step less anchor, face row and
-        # span, the step each run is at (None while all are at step 0) and
-        # the step it would reach the cap at
+        # the pending runs: their rows of flat, iterates and constants, their
+        # segments (first step, first step less anchor, face row and span)
+        # and two counters: the step each is at in its segment (None in the
+        # first chunk, each at its anchor) and the steps it took before the chunk
         runs = np.arange(len(flat))
-        u = np.minimum(np.maximum(np.reshape(u0, (-1, m)), lower), upper)
+        u = np.minimum(np.maximum(np.reshape(u0, (-1, m)), self.u_set.lower), self.u_set.upper)
         c = matvec(self._st, y).reshape(-1, m)
         first, d, rows, span = self._anchor(u, c)
-        at_step, top, cap_at = None, 0, np.full(len(runs), PROJECTION_MAX_ITER)
-        k = self._first_chunk
-        stuck = []  # the last move of each run still moving at the cap
+        step, taken, k = None, 0, self._first_chunk
         reach = 0  # the most steps a run can have taken by the end of the chunk
-        left = 0  # the most steps left to a run that has stopped
-        # every chunk takes at least one step of each pending run
-        for _ in range(PROJECTION_MAX_ITER):
-            if at_step is None:
-                start = 0
+        fewest = PROJECTION_MAX_ITER  # the fewest steps a stopped run took
+        stuck = []  # the last move of each run still moving at the cap
+        # every chunk takes at least one step of each pending run, so the cap ends the loop
+        while True:
+            if step is None:
                 h = self._table[rows, :, :, :k]
             else:
                 # H_(i+1)..H_(i+k) of each face at [face, :, :, i]: a strided view
-                start, t = at_step, self._table
+                t = self._table
                 windows = np.ndarray(t.shape[:3] + (last - k + 1, k), t.dtype, t, 0, t.strides + t.strides[-1:])
-                h = windows[rows, :, :, start]
+                h = windows[rows, :, :, step]
             # every array of steps is (R, M, k), the steps last, so each op
             # runs along them; walk[:, :, j] is the chunk's step j, u being step 0
             walk = np.empty((len(runs), m, k + 1))
@@ -192,65 +187,48 @@ class _BoxLeastSquares:
             small = moves < PROJECTION_MOVE_TOL
             # each run ends the chunk at its first step that moves less than
             # the tolerance or leaves the face, at the chunk's last step, or
-            # at its own last one if this chunk can take a run to the cap
+            # at the cap if this chunk can take a run there
             ends = small | leaves
             ends[:, -1] = True
             at = ends.argmax(axis=1)
             reach += k
-            near_cap = reach >= PROJECTION_MAX_ITER
-            if near_cap:
-                at = np.minimum(at, cap_at - start - 1)
+            if reach >= PROJECTION_MAX_ITER:
+                at = np.minimum(at, PROJECTION_MAX_ITER - 1 - taken)
             pending = np.arange(len(runs))
             u = cand[pending, :, at]
             flat[runs] = u
             stops = small[pending, at]
-            if near_cap:
-                capped = at == cap_at - start - 1
+            if reach >= PROJECTION_MAX_ITER:
+                capped = taken + at == PROJECTION_MAX_ITER - 1
                 stuck.extend(moves[pending, at][capped & ~stops])
                 stops |= capped
-            # the fewest steps a run took sets the hint.  While reach is the
-            # first size, every run took at most that many steps, and the
-            # hint is the first size
-            hinted = reach > PROJECTION_CHUNKS[0]
             stopped = np.count_nonzero(stops)
-            if stopped == len(runs):
-                left = max(left, (cap_at - start - at).max() - 1) if hinted else PROJECTION_MAX_ITER
-                break
+            if stopped:
+                # while reach is the first size, every run took at most that
+                # many steps, and the hint is the first size
+                fewest = min(fewest, int((taken + at)[stops].min()) + 1 if reach > PROJECTION_FIRST_CHUNK else 0)
+                if stopped == len(runs):
+                    break
             # the runs that go on: a segment ends where its next step leaves
             # the face or at step K, and the next one is anchored there
-            at_step = start + at + 1
-            turns = leaves[pending, at]
+            taken, step = taken + at + 1, at + 1 if step is None else step + at + 1
+            fresh = leaves[pending, at] | (step == last)
             if stopped:
-                left = max(left, (cap_at - at_step)[stops].max()) if hinted else PROJECTION_MAX_ITER
                 going = ~stops
-                runs, u, c, cap_at, at_step = runs[going], u[going], c[going], cap_at[going], at_step[going]
-                first, d, rows, span, turns = first[going], d[going], rows[going], span[going], turns[going]
-            fresh = turns | (at_step == last) if top + k == last else turns
-            if fresh.all():
-                cap_at -= at_step
-                first, d, rows, span = self._anchor(u, c)
-                # after a face leave the chunks start again at the first
-                # size; segments that all reached step K on their faces
-                # go on in chunks of K
-                at_step, top, k = None, 0, PROJECTION_CHUNKS[0] if turns.any() else last
-                continue
+                runs, u, c, taken, step, fresh, first, d, rows, span = (
+                    v[going] for v in (runs, u, c, taken, step, fresh, first, d, rows, span))
             if fresh.any():
-                cap_at[fresh] -= at_step[fresh]
                 first[fresh], d[fresh], rows[fresh], span[fresh] = self._anchor(u[fresh], c[fresh])
-                at_step[fresh] = 0
-            # 4 times this chunk, up to step K of the furthest run.  Every
-            # size is a multiple of the first, so is each run's step, and
-            # the chunk takes none past step K
-            top = at_step.max()
-            k = min(4 * k, last - top)
+                step[fresh] = 0
+            # 4 times this chunk, up to step K of the run furthest into its segment
+            k = min(4 * k, last - step.max())
         if stuck:
             raise ProjectionFailureError(
                 f"projection did not converge: still moving {max(stuck):.3e} "
                 f"after {PROJECTION_MAX_ITER} iterations"
             )
-        # the next call's first chunk: the smallest size not below the fewest steps a run took, K at most
-        fewest = PROJECTION_MAX_ITER - left
-        self._first_chunk = PROJECTION_CHUNKS[min(bisect.bisect_left(PROJECTION_CHUNKS, fewest), len(PROJECTION_CHUNKS) - 1)]
+        # the next call's first chunk: the fewest steps a run took, rounded up to a power of two in [16, K]
+        self._first_chunk = min(max(PROJECTION_FIRST_CHUNK, 1 << (fewest - 1).bit_length()), last)
         return out
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotStronglyStableError
-from .linalg import as_array, count, matvec, real, spectral_norm, spectral_radius_estimate
+from .linalg import as_array, count, matvec, positive, real, spectral_norm, spectral_radius_estimate
 
 STABILITY_MARGIN = 0.05  # fraction of the stability gap reserved as margin
 MIN_STATE_BOUND = 1e-12  # keeps the smoothness constant finite on trivial problems
@@ -33,10 +33,13 @@ class StabilityCert:
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise InvalidInputError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.kappa < 1.0:
-            raise InvalidInputError(f"kappa must be >= 1, got {self.kappa}")
+        gamma, kappa = positive(self.gamma, "gamma"), positive(self.kappa, "kappa")
+        if gamma > 1.0:
+            raise InvalidInputError(f"gamma must lie in (0, 1], got {gamma}")
+        if kappa < 1.0:
+            raise InvalidInputError(f"kappa must be >= 1, got {kappa}")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "kappa", kappa)
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,7 @@ class StateBound:
     d: float
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise InvalidInputError(f"state bound must be positive, got {self.d}")
+        object.__setattr__(self, "d", positive(self.d, "state bound"))
 
 
 @dataclass(frozen=True)

@@ -565,8 +565,22 @@ def assert_matches_per_step(s, y, u_set, step, u0):
 
 def chunk_edges():
     """The last step of each chunk of a fresh solver's first segment, when
-    no face change cuts one short: 16, 80, 336, 1024."""
-    return np.minimum(np.cumsum(ctrl_mod.PROJECTION_CHUNKS), ctrl_mod.PROJECTION_CHUNKS[-1])
+    no face change cuts one short: 16, 80, 336, 1024, each chunk 4 times
+    the last up to step K."""
+    k, edges = ctrl_mod.PROJECTION_FIRST_CHUNK, [ctrl_mod.PROJECTION_FIRST_CHUNK]
+    while edges[-1] < ctrl_mod.PROJECTION_SEGMENT_STEPS:
+        k *= 4
+        edges.append(min(edges[-1] + k, ctrl_mod.PROJECTION_SEGMENT_STEPS))
+    return np.array(edges)
+
+
+def hint_sizes():
+    """The first chunks the hint can set: each power of two from the first
+    size to K, 16 to 1024."""
+    sizes = [ctrl_mod.PROJECTION_FIRST_CHUNK]
+    while sizes[-1] < ctrl_mod.PROJECTION_SEGMENT_STEPS:
+        sizes.append(2 * sizes[-1])
+    return sizes
 
 
 def stopping_problem(rng, stops, rate=0.75, move=0.9e-10):
@@ -625,9 +639,9 @@ class TestBlockedStopRule:
             y, u0 = rng.standard_normal(5) * 6.0, rng.uniform(-5.0, 5.0, 2)
             self.assert_matches_per_step(stacked, y, step, u0)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_CHUNKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_FIRST_CHUNK, 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_returns_as_per_step(self, rng, monkeypatch, extra):
-        chunk = ctrl_mod.PROJECTION_CHUNKS[0]
+        chunk = ctrl_mod.PROJECTION_FIRST_CHUNK
         cap = chunk + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # every run stops by the cap, the last one at its very step
@@ -639,9 +653,9 @@ class TestBlockedStopRule:
         uncapped = _BoxLeastSquares(problem[0], self.BOX, problem[2])(problem[1], problem[3])
         assert np.array_equal(got, uncapped)
 
-    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_CHUNKS[0], 3], ids=["cap_1", "cap_block_plus_3"])
+    @pytest.mark.parametrize("extra", [1 - ctrl_mod.PROJECTION_FIRST_CHUNK, 3], ids=["cap_1", "cap_block_plus_3"])
     def test_cap_raises_as_per_step(self, rng, monkeypatch, extra):
-        cap = ctrl_mod.PROJECTION_CHUNKS[0] + extra
+        cap = ctrl_mod.PROJECTION_FIRST_CHUNK + extra
         monkeypatch.setattr(ctrl_mod, "PROJECTION_MAX_ITER", cap)
         # run 2 still moves at the cap, by 0.9e-10 / 0.75**late: 1.2e-10,
         # 2.8e-8 or 3e-3.  However little, that fails the projection
@@ -720,7 +734,7 @@ class TestFaceBlocks:
         faces = face_path(s, y[0], self.BOX, step, u0[0])
         changes = [j + 1 for j in range(1, len(faces)) if faces[j] != faces[j - 1]]
         # the first change falls inside the first chunk, not at its start
-        assert 1 < changes[0] <= ctrl_mod.PROJECTION_CHUNKS[0]
+        assert 1 < changes[0] <= ctrl_mod.PROJECTION_FIRST_CHUNK
         assert sum(f != 0 for f in faces[-1]) == self.CASES[case][2]
         got, _ = assert_matches_per_step(s, y, self.BOX, step, u0)
         # a clamped coordinate sits exactly on its bound
@@ -813,7 +827,7 @@ class TestChunks:
 
     def solvers(self, s, step):
         """A fresh solver per size of first chunk."""
-        for size in ctrl_mod.PROJECTION_CHUNKS:
+        for size in hint_sizes():
             solver = _BoxLeastSquares(s, self.BOX, step)
             solver._first_chunk = size
             yield solver
@@ -824,29 +838,30 @@ class TestChunks:
         for solver in self.solvers(s, step):
             assert np.array_equal(solver(y, u0), want)
         # some runs stop before a first chunk of 256 ends, some after step K
-        assert stops.min() < ctrl_mod.PROJECTION_CHUNKS[2] < ctrl_mod.PROJECTION_CHUNKS[-1] < stops.max()
+        assert stops.min() < 256 < ctrl_mod.PROJECTION_SEGMENT_STEPS < stops.max()
 
     def test_hint_is_the_fewest_steps_rounded_up(self, problem):
         s, y, step, u0 = problem
         stops = per_step_box_least_squares(s, y, self.BOX, step, u0)[1]
+        first, last = ctrl_mod.PROJECTION_FIRST_CHUNK, ctrl_mod.PROJECTION_SEGMENT_STEPS
         solver = _BoxLeastSquares(s, self.BOX, step)
-        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
+        assert solver._first_chunk == first
         solver(y, u0)
         # the smallest size not below the fewest steps a run took
-        assert solver._first_chunk == min(n for n in ctrl_mod.PROJECTION_CHUNKS if n >= stops.min())
+        assert solver._first_chunk == min(n for n in hint_sizes() if n >= stops.min())
         # K at most
-        solver(y[stops > ctrl_mod.PROJECTION_CHUNKS[-1]], u0[stops > ctrl_mod.PROJECTION_CHUNKS[-1]])
-        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[-1]
+        solver(y[stops > last], u0[stops > last])
+        assert solver._first_chunk == last
         # a run that stops in its first steps, here inside a first chunk of
         # K, brings it back to the first size
         solver(y[:1], solver(y[:1], u0[:1]))
-        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[0]
+        assert solver._first_chunk == first
 
     def test_hint_at_the_sizes(self, rng):
         # one interior face and runs stopping at each size and one step past
         # it: a size is its own hint, the step after it the next size's
-        wanted = [1, 16, 17, 64, 65, 256, 257, 1024, 1025, 1500]
-        hints = [16, 16, 64, 64, 256, 256, 1024, 1024, 1024, 1024]
+        wanted = [1, 16, 17, 32, 33, 64, 65, 128, 129, 256, 257, 512, 513, 1024, 1025, 1500]
+        hints = [16, 16, 32, 32, 64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024, 1024, 1024]
         s, y, step, u0 = stopping_problem(rng, wanted, rate=0.99, move=0.995e-10)
         _, stops = assert_matches_per_step(s, y, self.BOX, step, u0)
         np.testing.assert_array_equal(stops, wanted)
@@ -860,18 +875,18 @@ class TestChunks:
 
     def test_hint_after_short_chunks(self, ring_matrices):
         # on the skewed plant this run leaves its first face inside the
-        # first chunk, and each new segment restarts at 16 steps: it stops
-        # at step 25, in its third chunk of 16, and 25 rounds up to 64
+        # first chunk of 16 and goes on in a chunk of 64: it stops at step
+        # 25, and 25 rounds up to 32
         s = LtiSystem(ring_matrices[0], SKEWED_B).steady_state_gain
         step = ctrl_mod._projection_step(s)
         y, u0 = np.array([19.0, -30.0, 21.0]), np.array([-5.0, 2.0])
         _, stops = assert_matches_per_step(s, y, self.BOX, step, u0)
         faces = face_path(s, y, self.BOX, step, u0)
         changes = [j + 1 for j in range(1, len(faces)) if faces[j] != faces[j - 1]]
-        assert stops == 25 and 0 < changes[0] < ctrl_mod.PROJECTION_CHUNKS[0]
+        assert stops == 25 and 0 < changes[0] < ctrl_mod.PROJECTION_FIRST_CHUNK
         solver = _BoxLeastSquares(s, self.BOX, step)
         solver(y, u0)
-        assert solver._first_chunk == ctrl_mod.PROJECTION_CHUNKS[1]
+        assert solver._first_chunk == 32
 
     @pytest.mark.parametrize("early", [0, 1], ids=["returns", "raises"])
     def test_cap_inside_a_chunk(self, problem, monkeypatch, early):
@@ -960,7 +975,7 @@ class TestLockstep:
         sys = LtiSystem(ring_matrices[0], B15)
         most = self.count_lockstep_steps(monkeypatch, sys, ring_u_box)
         assert_olc_matches_single_runs(sys, ring_u_box, np.array([0.05, 0.2, 0.5, 1.0]), rng)
-        assert max(most) > ctrl_mod.PROJECTION_CHUNKS[-1]
+        assert max(most) > ctrl_mod.PROJECTION_SEGMENT_STEPS
 
     def test_dac_matches_single_runs(self, ring_system, rng):
         batched = DacController(ring_system, BoxSet.symmetric(5.0, 2), 3, 0.5, 1.0, runs=3)

@@ -8,6 +8,7 @@ from olcontrol import (
     LtiSystem,
     NotStronglyStableError,
     StabilityCert,
+    StateBound,
     certify_strong_stability,
     fit_box,
     simulate,
@@ -130,6 +131,17 @@ class TestCertify:
             StabilityCert(gamma=0.0, kappa=1.0)
         with pytest.raises(InvalidInputError):
             StabilityCert(gamma=0.5, kappa=0.5)
+
+    @pytest.mark.parametrize("gamma, kappa", [
+        (0.5, float("nan")), (0.5, float("inf")), (float("nan"), 2.0), (True, 2.0), (0.5, True), (0.5, "3"), (None, 2.0),
+    ], ids=["kappa_nan", "kappa_inf", "gamma_nan", "gamma_bool", "kappa_bool", "kappa_text", "gamma_none"])
+    def test_cert_takes_finite_numbers(self, gamma, kappa):
+        with pytest.raises(InvalidInputError, match="gamma|kappa"):
+            StabilityCert(gamma=gamma, kappa=kappa)
+
+    def test_cert_keeps_floats(self):
+        cert = StabilityCert(gamma=np.float64(0.25), kappa=3)
+        assert (cert.gamma, cert.kappa) == (0.25, 3.0) and type(cert.gamma) is type(cert.kappa) is float
 
 
 class TestSteadyStateMaps:
@@ -272,6 +284,14 @@ class TestSimulation:
 
 
 class TestStateBound:
+    @pytest.mark.parametrize("d", [float("inf"), float("nan"), 0.0, -1.0, True, "3", None])
+    def test_bound_is_a_positive_finite_number(self, d):
+        with pytest.raises(InvalidInputError, match="state bound"):
+            StateBound(d)
+
+    def test_bound_keeps_floats(self):
+        assert StateBound(np.float64(2.5)).d == 2.5 and type(StateBound(2).d) is float
+
     def test_degenerate_clamped(self, scalar_system):
         zero_box = BoxSet([0.0], [0.0])
         bound = state_bound(scalar_system, [0.0], zero_box, zero_box)
