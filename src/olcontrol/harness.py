@@ -10,9 +10,7 @@ invocations with the same config produce byte-identical files.
 import csv
 import json
 import os
-import pickle
 import re
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -458,78 +456,6 @@ def draw_run(cfg: ExperimentConfig, run_index: int) -> tuple:
     return costs, w_seq, derive_run_params(cfg, costs)
 
 
-# Only Linux forks: macOS's Accelerate BLAS is not fork-safe, and Windows
-# has no fork.
-_CAN_FORK = sys.platform == "linux"
-
-
-class _Forked:
-    """``fn(*args)``, called in a forked child process beside the caller.
-
-    The child inherits the caller's memory copy-on-write, so the arguments
-    are not copied.  It sends back what the call returned, pickled over a
-    pipe, and always leaves through ``os._exit``: it never returns into the
-    caller's stack, and it exits 0 only once the whole result is sent.
-    Where the platform cannot fork (``_CAN_FORK``) or ``os.fork`` fails (at
-    a process limit, say), and whenever the child did not deliver, whether
-    the call raised or the child died, :meth:`join` makes the same call
-    in-process.  The call is deterministic, so a failure in the child is
-    raised again here, with its type and message and a traceback from this
-    process.  Used as a context manager, it kills and reaps a child that
-    was not joined.
-    """
-
-    def __init__(self, fn, *args):
-        self.fn, self.args, self.pid = fn, args, None
-        if not _CAN_FORK:
-            return
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read)
-                payload = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
-                with open(write, "wb") as pipe:
-                    pipe.write(payload)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self.pid, self.pipe = pid, open(read, "rb")
-
-    def join(self):
-        """What the call returned, from the child if it delivered, else from
-        the call made here.  Call it once."""
-        if self.pid is not None:
-            # to EOF before waiting: a payload larger than the pipe's buffer
-            # keeps the child writing until it is read
-            with self.pipe:
-                payload = self.pipe.read()
-            status = os.waitpid(self.pid, 0)[1]
-            self.pid = None
-            if os.waitstatus_to_exitcode(status) == 0:
-                return pickle.loads(payload)
-        return self.fn(*self.args)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.pid is not None:
-            import signal  # here, not at the top: importing the package stays light
-
-            self.pipe.close()
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
 def solve_draws(cfg: ExperimentConfig, draws) -> list[tuple]:
     """The hindsight benchmarks of every run of ``draws``, the (costs,
     w_seq, params) of :func:`draw_run`, in one batched pass: per run, the
@@ -543,26 +469,17 @@ def solve_draws(cfg: ExperimentConfig, draws) -> list[tuple]:
 
 def run_seeds(cfg: ExperimentConfig, ks) -> list[RunRecord]:
     """Fresh costs and disturbances for each run k in ``ks``: OLC and DAC
-    on all of them in lockstep, and their hindsight benchmarks from
-    :func:`solve_draws`.
-
-    OLC plays in a forked child process (on Linux, see :class:`_Forked`)
-    while this process plays DAC and solves the benchmarks; each part has
-    the bits it has alone.  A failure of OLC is the one raised, as when
-    the parts ran in turn.
+    on all of them in lockstep, in turn, then their hindsight benchmarks
+    from :func:`solve_draws`.  OLC plays first, so a failure of OLC is the
+    one raised.
     """
     ks = list(ks)
     if not ks:
         raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
-    with _Forked(run_lockstep, cfg, "olc", draws) as child:
-        try:
-            dac = run_lockstep(cfg, "dac", draws)
-            benches = solve_draws(cfg, draws)
-        except Exception:
-            child.join()  # raises OLC's failure, if it had one
-            raise
-        olc = child.join()
+    olc = run_lockstep(cfg, "olc", draws)
+    dac = run_lockstep(cfg, "dac", draws)
+    benches = solve_draws(cfg, draws)
     return [
         RunRecord(
             run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,

@@ -65,16 +65,6 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def clamp(self, v: np.ndarray) -> np.ndarray:
-        """``v`` clipped into the box, or InvalidInputError if it holds a NaN.
-
-        An infinite entry clips to its bound, so one NaN check on the
-        clipped result covers the input."""
-        out = np.clip(v, self.lower, self.upper)
-        if np.count_nonzero(np.isnan(out)):
-            raise InvalidInputError("point to clamp contains NaN")
-        return out
-
     def contains(self, v) -> bool:
         v = as_array(v, "point", (..., self.dim))
         return bool(np.all(v >= self.lower) and np.all(v <= self.upper))

@@ -33,20 +33,6 @@ def scalar_system():
     return LtiSystem([[0.5]], [[1.0]])
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Fail a test that leaves a child process behind, running or unreaped:
-    run_seeds forks, and must reap its child on every path."""
-    yield
-    if os.name != "posix":
-        return
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:  # no children at all
-        return
-    pytest.fail(f"the test left child process {pid} unreaped" if pid else "the test left a child process running")
-
-
 def _open_fds():
     """Entries of /proc/self/fd still open once the listing is done: the
     listing's own descriptor is closed by then."""
@@ -62,8 +48,8 @@ def _open_fds():
 
 @pytest.fixture(autouse=True)
 def no_fd_leaked():
-    """Fail a test that leaves a file descriptor open: run_seeds opens a
-    pipe to its child, and must close both ends on every path."""
+    """Fail a test that leaves a file descriptor open: the CSV writers and
+    load_config open files, and must close them on every path."""
     if not os.path.isdir("/proc/self/fd"):
         yield
         return

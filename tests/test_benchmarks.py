@@ -303,13 +303,16 @@ class TestFirstOrderOptimality:
     TOL = 1e-7
     BOX = BoxSet.symmetric(1.0, 2)
 
+    def clip(self, u):
+        return np.clip(u, self.BOX.lower, self.BOX.upper)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_input(self, seed):
         _, sys, costs, w_seq, x1 = random_instance(seed)
         res = best_fixed_input(sys, x1, w_seq, costs, self.BOX)
         u_seq = np.tile(res.optimizer, (w_seq.shape[0], 1))
         grad = adjoint_input_gradients(sys, x1, u_seq, w_seq, costs).sum(axis=0)
-        assert fixed_point_residual(res.optimizer, grad, self.BOX.clamp) <= self.TOL
+        assert fixed_point_residual(res.optimizer, grad, self.clip) <= self.TOL
 
     @pytest.mark.parametrize("seed", range(4))
     def test_steady_state(self, seed):
@@ -319,7 +322,7 @@ class TestFirstOrderOptimality:
         u_star = np.linalg.lstsq(s, res.optimizer, rcond=None)[0]
         states = np.broadcast_to(res.optimizer, (len(costs), 3))
         grad = s.T @ costs.grads(states).sum(axis=0)
-        assert fixed_point_residual(u_star, grad, self.BOX.clamp) <= self.TOL
+        assert fixed_point_residual(u_star, grad, self.clip) <= self.TOL
 
     @pytest.mark.parametrize("seed, h_mem", [(0, 3), (1, 4), (2, 5), (3, 3)])
     def test_dac(self, seed, h_mem):

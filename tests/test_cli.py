@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import replace
 
 import pytest
@@ -156,12 +155,10 @@ class TestBench:
         assert capsys.readouterr().err == ""
 
     def test_plays_no_controller(self, tiny_config_path, monkeypatch, capsys):
-        # bench solves the hindsight benchmarks only: it forks no child
-        # and runs no round loop
+        # bench solves the hindsight benchmarks only: it runs no round loop
         def refused(*args, **kwargs):
             raise AssertionError("bench played a controller")
 
-        monkeypatch.setattr(os, "fork", refused, raising=False)
         monkeypatch.setattr(olcontrol.harness, "run_lockstep", refused)
         assert cli_main(["bench", "--config", str(tiny_config_path)]) == 0
         out = capsys.readouterr().out.splitlines()

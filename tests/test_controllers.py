@@ -359,7 +359,7 @@ class TestDacController:
         played = np.zeros((1, 2))
         for j in range(1, h_mem + 1):
             played += history[j - 1 : j] @ blocks[j - 1].T
-        np.testing.assert_array_equal(dac.act(np.zeros(3)), dac.u_set.clamp(played[0]))
+        np.testing.assert_array_equal(dac.act(np.zeros(3)), np.clip(played[0], dac.u_set.lower, dac.u_set.upper))
         # the features built by hand, one block at a time: block j is
         # sum_i (A^i B) (x) history[i + j + 1], one product of the (A^i B)
         # columns with h_mem + 1 history rows; the state and its gradient

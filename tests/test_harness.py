@@ -1,11 +1,5 @@
 import csv
-import errno
 import json
-import os
-import pickle
-import signal
-import sys
-import time
 import traceback
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1022,26 +1016,6 @@ class TestExperimentOutput:
         np.testing.assert_allclose(cfg.x1, [1.0, 0.0, -1.0])
 
 
-forks_here = pytest.mark.skipif(sys.platform != "linux", reason="run_seeds forks only on Linux")
-
-
-@pytest.fixture()
-def deadline():
-    """Fail, instead of hanging, a test still running after 60 s: a parent
-    that waits for a child still writing to it never returns."""
-    def expired(signum, frame):
-        raise TimeoutError("still running after 60 s")
-
-    if not hasattr(signal, "SIGALRM"):  # Windows, where run_seeds does not fork
-        yield
-        return
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.fixture()
 def leaves_the_ball(monkeypatch):
     """Draws whose disturbances grow a thousandfold from step 31 on, so that
@@ -1059,49 +1033,24 @@ def leaves_the_ball(monkeypatch):
     monkeypatch.setattr(harness_mod, "generate_disturbances", grown)
 
 
-@pytest.mark.usefixtures("deadline")
 class TestForkedFirstKind:
-    """run_seeds plays OLC in a forked child while it plays DAC and solves
-    the benchmarks itself; a child that does not deliver is replayed here."""
+    """run_seeds plays OLC, then DAC, then solves the hindsight benchmarks,
+    in this process: each part has the bits of its own call, and the first
+    kind's failure, OLC's, is the one raised."""
 
-    @pytest.mark.parametrize("can_fork", [pytest.param(True, marks=forks_here), False],
-                             ids=["forked", "in_process"])
-    def test_traces_match_in_process_lockstep(self, monkeypatch, can_fork):
-        import olcontrol.harness as harness_mod
-
-        monkeypatch.setattr(harness_mod, "_CAN_FORK", can_fork)
-        forks, real_fork = [], getattr(os, "fork", None)  # Windows has none
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork(), raising=False)
-        # T = 1000: the child's traces outgrow a 64 KiB pipe buffer
+    def test_traces_match_in_process_lockstep(self):
         cfg = ExperimentConfig(t=1000, n_runs=3, seed=5)
         records = run_seeds(cfg, range(3))
-        assert len(forks) == can_fork
-        want = run_lockstep(cfg, "olc", [draw_run(cfg, k) for k in range(3)])
-        assert len(pickle.dumps(want)) > 1 << 16
-        for rec, trace in zip(records, want):
-            for name in ("states", "inputs", "costs"):
-                assert np.array_equal(getattr(rec.traces["olc"], name), getattr(trace, name)), name
-
-    @forks_here
-    def test_fork_failure_plays_in_process(self, monkeypatch):
-        # at a process limit fork raises EAGAIN: OLC then plays in this
-        # process, with the bits it has in a child
-        cfg = ExperimentConfig(t=60, n_runs=3, seed=5)
-        forked = run_seeds(cfg, range(3))
-        attempts = []
-
-        def no_fork():
-            attempts.append(1)
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        records = run_seeds(cfg, range(3))
-        assert attempts == [1]
-        for rec, want in zip(records, forked):
-            for kind in ("olc", "dac"):
+        draws = [draw_run(cfg, k) for k in range(3)]
+        benches = solve_draws(cfg, draws)
+        for kind in ("olc", "dac"):
+            for rec, trace in zip(records, run_lockstep(cfg, kind, draws)):
                 for name in ("states", "inputs", "costs"):
-                    got = getattr(rec.traces[kind], name)
-                    assert np.array_equal(got, getattr(want.traces[kind], name)), (kind, name)
+                    assert np.array_equal(getattr(rec.traces[kind], name), getattr(trace, name)), (kind, name)
+        for rec, (bench_u, bench_m, _) in zip(records, benches):
+            for got, want in ((rec.bench_u, bench_u), (rec.bench_m, bench_m)):
+                assert np.array_equal(got.optimizer, want.optimizer)
+                assert np.array_equal(got.step_costs, want.step_costs)
 
     @pytest.mark.usefixtures("leaves_the_ball")
     def test_child_failure_raised_and_recorded(self, tmp_path):
@@ -1111,12 +1060,10 @@ class TestForkedFirstKind:
         with pytest.raises(InvalidStateError) as info:
             run_seeds(cfg, [0])
         assert str(info.value) == str(alone.value)
-        # the failed call is made again in this process, so its traceback
-        # reaches the OLC round loop that raised
+        # the traceback reaches the OLC round loop that raised
         assert any(frame.f_code.co_name == "run_lockstep" and frame.f_locals.get("kind") == "olc"
                    for frame, _ in traceback.walk_tb(info.value.__traceback__))
         run_experiment(cfg, output_dir=tmp_path)
-        # the bytes the controllers wrote when they played in turn, in one process
         assert (tmp_path / "failures.csv").read_text() == (
             "run,error\n"
             "0,InvalidStateError: state norm 558.372 exceeds the certified bound 12.5323 at t=32\n"
@@ -1132,7 +1079,7 @@ class TestForkedFirstKind:
 
         monkeypatch.setattr(harness_mod, "solve_benchmarks", hindsight_fails)
         cfg = ExperimentConfig(t=60, n_runs=1, seed=3)
-        # the parent's DAC fails on the same draw, with a state norm of its own
+        # DAC fails on the same draw, with a state norm of its own
         with pytest.raises(InvalidStateError) as olc:
             run_lockstep(cfg, "olc", [draw_run(cfg, 0)])
         with pytest.raises(InvalidStateError) as dac:
@@ -1143,47 +1090,3 @@ class TestForkedFirstKind:
         # T = 12: the disturbances never grow, and the hindsight failure is raised
         with pytest.raises(RuntimeError, match="synthetic hindsight failure"):
             run_seeds(tiny_cfg, [0, 1])
-
-    @forks_here
-    def test_child_death_replayed_in_process(self, tiny_cfg, monkeypatch):
-        import olcontrol.harness as harness_mod
-
-        parent, real, played = os.getpid(), harness_mod.run_lockstep, []
-
-        def dies_in_child(cfg, kind, draws):
-            if os.getpid() != parent:
-                os._exit(7)
-            played.append(kind)
-            return real(cfg, kind, draws)
-
-        monkeypatch.setattr(harness_mod, "run_lockstep", dies_in_child)
-        records = run_seeds(tiny_cfg, [0, 1])
-        assert played == ["dac", "olc"]  # the child's call, made again once the parent's part is done
-        want = real(tiny_cfg, "olc", [draw_run(tiny_cfg, k) for k in (0, 1)])
-        for rec, trace in zip(records, want):
-            for name in ("states", "inputs", "costs"):
-                assert np.array_equal(getattr(rec.traces["olc"], name), getattr(trace, name)), name
-
-    @forks_here
-    def test_interrupted_parent_kills_child(self, tiny_cfg, monkeypatch):
-        import olcontrol.harness as harness_mod
-
-        class Interrupt(BaseException):
-            pass
-
-        parent, real = os.getpid(), harness_mod.run_lockstep
-
-        def slow_in_child(cfg, kind, draws):
-            if os.getpid() != parent:
-                time.sleep(60)
-            return real(cfg, kind, draws)
-
-        def interrupted(*args, **kwargs):
-            raise Interrupt
-
-        monkeypatch.setattr(harness_mod, "run_lockstep", slow_in_child)
-        monkeypatch.setattr(harness_mod, "solve_benchmarks", interrupted)
-        start = time.monotonic()
-        with pytest.raises(Interrupt):
-            run_seeds(tiny_cfg, [0, 1])
-        assert time.monotonic() - start < 30.0
