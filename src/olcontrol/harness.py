@@ -342,6 +342,19 @@ def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams])
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
+def _check_within(cfg: ExperimentConfig, states, first: int = 0) -> None:
+    """InvalidStateError if a state of ``states`` (R, K, N), rounds
+    ``first`` to ``first + K - 1`` of R runs, is past the bound D or NaN:
+    the error names the earliest such round and its first such run."""
+    norms = row_norms(states)
+    within = norms <= cfg.bound.d * (1.0 + 1e-9)  # False for a NaN norm too
+    if np.count_nonzero(within) != within.size:
+        t, r = divmod(int(np.argmin(within.T)), len(within))  # round-major
+        raise InvalidStateError(
+            f"state norm {norms[r, t]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={first + t + 1}"
+        )
+
+
 def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     """Run one controller kind through the round protocol for T steps on
     every run of ``draws`` at once: the experiment's one round loop.
@@ -368,17 +381,28 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     :func:`~olcontrol.costs.quadratic_grad`).  The step costs are scored
     once per run, on the whole trajectory, the way the hindsight benchmarks
     score theirs.
+
+    DAC on runs whose disturbances are all zero, with 0 in the input box,
+    plays no round: its blocks and history start at zero, so it plays
+    ``clip(0) = 0``, each transition is ``A x`` exactly, the disturbance it
+    recovers is 0, and its blocks never move.  Its states are then the
+    free response (``rollout``'s step is the stacked ``np.matmul`` of
+    ``matvec``), checked against D all at once with the loop's error, and
+    its inputs zeros.  A callable ``kind`` always plays the loop.
     """
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
     draws = list(draws)
     runs = _runs(sys, cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], horizon)
+    if kind == "dac" and not runs.ws.any() and cfg.u_box.contains(np.zeros(m)):
+        _check_within(cfg, runs.free)
+        inputs = np.zeros((len(draws), horizon - 1, m))
+        return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(runs.free, inputs, runs.costs)]
     params = [p for _, _, p in draws]
     # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
     qs = np.stack([b.qs for b in runs.costs], axis=1)
     cs = np.stack([b.cs for b in runs.costs], axis=1)
     ws = runs.ws.swapaxes(0, 1)  # a view: the disturbances are stored once
-    bound_slack = cfg.bound.d * (1.0 + 1e-9)
     ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params)
     # run-major, so each run's trajectory is one contiguous block
     states = np.empty((len(draws), horizon, n))
@@ -386,13 +410,7 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
 
     x = np.broadcast_to(cfg.x1, (len(draws), n)).astype(float)
     for t in range(horizon):
-        norms = row_norms(x)
-        within = norms <= bound_slack  # False for a NaN norm too
-        if np.count_nonzero(within) != len(within):
-            r = np.argmin(within)
-            raise InvalidStateError(
-                f"state norm {norms[r]:.6g} exceeds the certified bound {cfg.bound.d:.6g} at t={t + 1}"
-            )
+        _check_within(cfg, x[:, None], t)
         states[:, t] = x
         if t == horizon - 1:
             break

@@ -46,7 +46,7 @@ from olcontrol.harness import (
 )
 from olcontrol.controllers import dac_radii, project_dac_blocks
 from olcontrol.linalg import spectral_norm
-from olcontrol.system import state_bound
+from olcontrol.system import StateBound, state_bound
 
 
 @pytest.fixture()
@@ -743,6 +743,93 @@ class TestLockstep:
                 run_lockstep(tiny_cfg, kind, draws)
             with pytest.raises(InvalidInputError, match="draw 0 of 1"):
                 run_single(tiny_cfg, kind, costs, w_seq, params)
+
+
+def looped_dac(sys, cfg, params):
+    """DAC as a callable kind, which always plays the round loop."""
+    return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius, runs=len(params))
+
+
+class TestCleanDac:
+    """With every disturbance zero and 0 in the input box, DAC plays 0:
+    ``run_lockstep(cfg, "dac", ...)`` returns the free response, builds no
+    controller, and keeps every bit of the round loop."""
+
+    @pytest.mark.parametrize("x1", [None, [1.0, 0.0, -1.0]], ids=["origin", "off_origin"])
+    @pytest.mark.parametrize("plant", [
+        {"disturbances_on": False},
+        {"b": np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "disturbances_on": False},
+        # criterion 17's box
+        {"u_box": BoxSet(np.array([-0.25, -0.5]), np.array([2.0, 1.0])), "disturbances_on": False},
+        {"u_box": BoxSet(np.array([0.0, -1.0]), np.array([2.0, 0.0])), "disturbances_on": False},
+        # disturbances on, drawn from a box that holds only 0
+        {"w_box": BoxSet(np.zeros(3), np.zeros(3))},
+    ], ids=["ring", "skewed", "criterion17_box", "box_bound_at_zero", "zero_w_box"])
+    def test_matches_the_loop(self, plant, x1, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        cfg = ExperimentConfig(t=80, n_runs=3, seed=5, x1=x1, **plant)
+        draws = [draw_run(cfg, k) for k in range(3)]
+        assert not any(w_seq.any() for _, w_seq, _ in draws)
+        looped = run_lockstep(cfg, looped_dac, draws)
+        monkeypatch.setattr(harness_mod, "DacController", None)  # building one would raise
+        for got, want in zip(run_lockstep(cfg, "dac", draws), looped):
+            for name in ("states", "inputs", "costs"):
+                assert getattr(got, name).flags.c_contiguous, name
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_box_without_zero_plays_the_loop(self, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return DacController(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "DacController", counted)
+        box = BoxSet(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
+        cfg = ExperimentConfig(t=60, n_runs=2, seed=3, u_box=box, disturbances_on=False)
+        draws = [draw_run(cfg, k) for k in range(2)]
+        traces = run_lockstep(cfg, "dac", draws)
+        assert len(built) == 1
+        for trace in traces:
+            assert np.array_equal(trace.inputs, np.broadcast_to(np.clip(0.0, box.lower, box.upper), trace.inputs.shape))
+
+    def test_bound_violation_has_the_loops_message(self):
+        # a non-normal plant whose free response from x1 grows at its
+        # second state, past a D shrunk between the two norms
+        cfg = ExperimentConfig(t=20, n_runs=2, seed=3, a=np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+                               x1=[0.0, 1.0, 0.0], disturbances_on=False)
+        object.__setattr__(cfg, "bound", StateBound(1.05))
+        draws = [draw_run(cfg, k) for k in range(2)]
+        with pytest.raises(InvalidStateError) as looped:
+            run_lockstep(cfg, looped_dac, draws)
+        with pytest.raises(InvalidStateError) as shortcut:
+            run_lockstep(cfg, "dac", draws)
+        assert str(shortcut.value) == str(looped.value) == (
+            "state norm 1.11803 exceeds the certified bound 1.05 at t=2"
+        )
+
+    def test_earliest_round_then_first_run_named(self):
+        from olcontrol.harness import _check_within
+
+        cfg = ExperimentConfig(t=12, n_runs=3)
+        d = cfg.bound.d
+        # runs 1 and 2 leave the ball at round 2 (t = 3), run 0 at round 1
+        # (t = 2) with a NaN; the check names run 0, then run 1 once run 0 passes
+        states = np.zeros((3, 4, 3))
+        states[0, 1, 0] = np.nan
+        states[1, 2, 0] = 2 * d
+        states[2, 2:, 0] = 3 * d
+        with pytest.raises(InvalidStateError, match="state norm nan .* at t=2$"):
+            _check_within(cfg, states)
+        states[0, 1, 0] = 0.0
+        with pytest.raises(InvalidStateError, match=f"state norm {2 * d:.6g} .* at t=3$"):
+            _check_within(cfg, states)
+        # rounds 2 and 3 of run 2 alone, as the loop checks them
+        with pytest.raises(InvalidStateError, match=f"state norm {3 * d:.6g} .* at t=3$"):
+            _check_within(cfg, states[2:, 2:], first=2)
 
 
 class TestRegret:
