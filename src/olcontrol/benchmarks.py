@@ -432,9 +432,14 @@ def solve_benchmarks(
     """
     u_set = fit_box(u_set, sys.input_dim, "input box")
     radii = dac_radii(sys, h_mem, radius)
-    runs = _runs(sys, x1, draws)
+    return _solved(_runs(sys, x1, draws), u_set, radii, steady_state)
+
+
+def _solved(runs: _Runs, u_set: BoxSet, radii: np.ndarray, steady_state: bool) -> list[tuple]:
+    """:func:`solve_benchmarks` on checked ``runs``, a fitted box and the
+    DAC balls' ``radii``."""
     fixed, dac = _realized(runs, _fixed_inputs(runs, u_set), _dacs(runs, radii))
-    steady = _steady_states(runs, u_set) if steady_state else [None] * len(draws)
+    steady = _steady_states(runs, u_set) if steady_state else [None] * len(runs.costs)
     return list(zip(fixed, dac, steady))
 
 

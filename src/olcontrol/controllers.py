@@ -371,15 +371,21 @@ class DacController:
     current blocks generated the inputs over the recent past), then
     projected onto per-block Frobenius balls with radii decaying as
     radius * (1-gamma)^i, gamma from the plant's certificate ``sys.cert``.
-    Disturbances are recovered exactly from observed transitions since A
-    and B are known.
+
+    A round is the round protocol's ``act(x)``, a check of the state and
+    then :meth:`_play`, the input; and ``observe(cost, x_next)``, the
+    disturbance recovered from the transition (the drawn one up to
+    roundoff, since A and B are known) and then :meth:`_learn` from the
+    cost and that disturbance.  ``_play`` and ``_learn`` see no state, so a
+    caller that already holds the disturbances can alternate them without
+    stepping the plant, as ``harness.run_lockstep`` does for kind "dac".
 
     The surrogate state is affine in the blocks: with the newest-first
     ``history`` w_{t-1}, w_{t-2}, ... it is
     sum_i A^i history[i] + features @ vec(M), i = 0..h_mem, where
     ``features`` (N, h_mem M N) holds one (N, M N) block per memory block,
     block j = sum_i (A^i B) (x) w_{t-i-j-2}, i = 0..h_mem.  Both start at
-    zero, and only ``observe`` advances them: a new disturbance shifts
+    zero, and only ``_learn`` advances them: a new disturbance shifts
     every block one place, so it computes only block 0, from
     ``history[1:]``.  The history keeps the h_mem + 2 disturbances a round
     reads.  A round's surrogate state and its gradient
@@ -427,15 +433,20 @@ class DacController:
         self._last_u = None
 
     def act(self, x) -> np.ndarray:
-        """Play sum_i M^[i-1] w_{t-i}, clipped into the input box.  ``x`` is
-        checked here, where it enters; the input is computed from checked
-        arrays, and the round loop checks it as it leaves."""
+        """Play :meth:`_play`'s input.  ``x`` is checked here, where it
+        enters; the input is computed from checked arrays, and the round
+        loop checks it as it leaves."""
         x = as_array(x, "state", self._lead + (self.sys.state_dim,))
-        played = dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :]
-        u = played.clip(self.u_set.lower, self.u_set.upper)
+        u = self._play()
         self._last_x = x
         self._last_u = u
         return u
+
+    def _play(self) -> np.ndarray:
+        """sum_i M^[i-1] w_{t-i}, clipped into the input box: the input,
+        which reads only the blocks and the disturbances of past rounds."""
+        played = dac_inputs(self.blocks, self.history[..., None, : self.h_mem, :])[..., 0, :]
+        return played.clip(self.u_set.lower, self.u_set.upper)
 
     def surrogate_state(self) -> np.ndarray:
         """Truncated prediction of the current state under the current blocks."""
@@ -448,16 +459,23 @@ class DacController:
         return matvec(self.features.swapaxes(-1, -2), delta).reshape(self.blocks.shape)
 
     def observe(self, cost: QuadraticCost, x_next) -> None:
-        """One OGD step on the surrogate loss of this round's cost, with the
-        blocks projected back onto their balls; then record the disturbance
-        revealed by the transition from the state ``act`` saw, and shift the
-        features one block.  Each ``act`` serves one ``observe``."""
+        """Recover the disturbance revealed by the transition from the state
+        ``act`` saw, then :meth:`_learn` from it.  Each ``act`` serves one
+        ``observe``."""
         if self._last_x is None:
             raise InvalidInputError("observe called before act")
         # x_next is checked where it enters; the products after it are not
         x_next = as_array(x_next, "next state", self._last_x.shape)
         w = transition_residual(self.sys, self._last_x, self._last_u, x_next)
         self._last_x = self._last_u = None
+        self._learn(cost, w)
+
+    def _learn(self, cost: QuadraticCost, w: np.ndarray) -> None:
+        """One OGD step on the surrogate loss of this round's cost, with the
+        blocks projected back onto their balls; then record the round's
+        disturbance ``w`` and shift the features one block.  No state is
+        read: with A and B known, the round is fixed by the costs and the
+        disturbances."""
         delta = quadratic_grad(cost.q, cost.c, self.surrogate_state())
         stepped = self.blocks - self.eta_g * self.surrogate_grad_blocks(delta)
         self.blocks = project_dac_blocks(stepped, self.radii)

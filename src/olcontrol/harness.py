@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BenchmarkResult, _runs, solve_benchmarks
-from .controllers import DacController, OlcController, regret_optimal_step_size
+from .benchmarks import BenchmarkResult, _Runs, _runs, _solved
+from .controllers import DacController, OlcController, dac_radii, regret_optimal_step_size
 from .costs import QuadraticBatch, QuadraticCost, quadratic_grad, smoothness_constant
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .linalg import BOX_QP_MAX_DIM, as_array, count, positive, real, row_norms, scalar, spectral_norm
-from .system import BoxSet, LtiSystem, StateBound, fit_box, state_bound, transition
+from .system import BoxSet, LtiSystem, StateBound, fit_box, rollout, state_bound, transition
 
 def default_system_matrices():
     """The stock simulation plant: a three-state ring with two actuators.
@@ -333,12 +333,9 @@ class Trace:
 
 def _build_controller(cfg: ExperimentConfig, kind: str, params: list[RunParams]):
     """Controller ``kind`` for ``len(params)`` runs in lockstep."""
-    sys = cfg.system()
     if kind == "olc":
         eta = np.array([p.eta for p in params])
-        return OlcController(sys, cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, eta.shape + cfg.x1.shape))
-    if kind == "dac":
-        return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius, runs=len(params))
+        return OlcController(cfg.system(), cfg.u_box, eta, z0=np.broadcast_to(cfg.x1, eta.shape + cfg.x1.shape))
     raise InvalidInputError(f"unknown controller kind {kind!r}")
 
 
@@ -355,9 +352,14 @@ def _check_within(cfg: ExperimentConfig, states, first: int = 0) -> None:
         )
 
 
+def _draw_runs(cfg: ExperimentConfig, draws, horizon: int | None = None) -> _Runs:
+    """The (costs, w_seq, params) ``draws`` as one checked ``_Runs``."""
+    return _runs(cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], horizon)
+
+
 def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     """Run one controller kind through the round protocol for T steps on
-    every run of ``draws`` at once: the experiment's one round loop.
+    every run of ``draws`` at once.
 
     ``draws`` holds each run's (costs, w_seq, params), the params from
     :func:`derive_run_params`.  Per round: each run's controller sees its
@@ -382,39 +384,42 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
     once per run, on the whole trajectory, the way the hindsight benchmarks
     score theirs.
 
-    DAC on runs whose disturbances are all zero, with 0 in the input box,
-    plays no round: its blocks and history start at zero, so it plays
-    ``clip(0) = 0``, each transition is ``A x`` exactly, the disturbance it
-    recovers is 0, and its blocks never move.  Its states are then the
-    free response (``rollout``'s step is the stacked ``np.matmul`` of
-    ``matvec``), checked against D all at once with the loop's error, and
-    its inputs zeros.  A callable ``kind`` always plays the loop.
+    Kind "dac" plays no round loop.  With A and B known, the disturbance
+    DAC recovers from a transition is the drawn one, so its inputs depend
+    only on the costs and the disturbances: :func:`_dac_play` plays and
+    learns over the drawn disturbances with no plant in the loop, and one
+    ``rollout`` (whose step is the stacked ``np.matmul`` of ``matvec``)
+    then gives the states.  The inputs are checked once, and the states
+    against D all at once, with the loop's error: the earliest round, then
+    its first failing run.  A callable ``kind`` always plays the loop.
     """
+    draws = list(draws)
+    return _lockstep(cfg, kind, _draw_runs(cfg, draws, cfg.t), [p for _, _, p in draws])
+
+
+def _lockstep(cfg: ExperimentConfig, kind, runs: _Runs, params: list[RunParams]) -> list[Trace]:
+    """:func:`run_lockstep` on checked ``runs`` and their ``params``."""
     sys = cfg.system()
     horizon, n, m = cfg.t, sys.state_dim, sys.input_dim
-    draws = list(draws)
-    runs = _runs(sys, cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], horizon)
-    if kind == "dac" and not runs.ws.any() and cfg.u_box.contains(np.zeros(m)):
-        _check_within(cfg, runs.free)
-        inputs = np.zeros((len(draws), horizon - 1, m))
-        return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(runs.free, inputs, runs.costs)]
-    params = [p for _, _, p in draws]
-    # per-round stacks: round t of every run is qs[t], cs[t], ws[t]
-    qs = np.stack([b.qs for b in runs.costs], axis=1)
-    cs = np.stack([b.cs for b in runs.costs], axis=1)
+    if kind == "dac":
+        inputs = as_array(_dac_play(cfg, runs), "input", (len(params), horizon - 1, m))
+        states = rollout(sys, cfg.x1, runs.ws, inputs)
+        _check_within(cfg, states)
+        return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, runs.costs)]
+    qs, cs = _round_costs(runs)
     ws = runs.ws.swapaxes(0, 1)  # a view: the disturbances are stored once
     ctrl = kind(sys, cfg, params) if callable(kind) else _build_controller(cfg, kind, params)
     # run-major, so each run's trajectory is one contiguous block
-    states = np.empty((len(draws), horizon, n))
-    inputs = np.empty((len(draws), horizon - 1, m))
+    states = np.empty((len(params), horizon, n))
+    inputs = np.empty((len(params), horizon - 1, m))
 
-    x = np.broadcast_to(cfg.x1, (len(draws), n)).astype(float)
+    x = np.broadcast_to(cfg.x1, (len(params), n)).astype(float)
     for t in range(horizon):
         _check_within(cfg, x[:, None], t)
         states[:, t] = x
         if t == horizon - 1:
             break
-        u = as_array(ctrl.act(x), "input", (len(draws), m))
+        u = as_array(ctrl.act(x), "input", (len(params), m))
         inputs[:, t] = u
         x_next = transition(sys, x, u, ws[t])
         if ctrl.feedback == "gradient":
@@ -423,6 +428,31 @@ def run_lockstep(cfg: ExperimentConfig, kind, draws) -> list[Trace]:
             ctrl.observe(QuadraticCost.view(qs[t], cs[t]), x_next)
         x = x_next
     return [Trace(states=xs, inputs=us, costs=b.values(xs)) for xs, us, b in zip(states, inputs, runs.costs)]
+
+
+def _round_costs(runs: _Runs) -> tuple:
+    """The runs' Q and c stacked per round: round t of every run is
+    ``qs[t]``, ``cs[t]``."""
+    return np.stack([b.qs for b in runs.costs], axis=1), np.stack([b.cs for b in runs.costs], axis=1)
+
+
+def _dac_play(cfg: ExperimentConfig, runs: _Runs) -> np.ndarray:
+    """DAC's (R, T-1, M) inputs on ``runs``: round t plays, then learns
+    from the round's cost and its drawn disturbance w_t, so its input reads
+    only w_0..w_{t-1}.  With every disturbance zero its features stay zero
+    and its blocks never move, so it plays ``clip(0)`` and builds no
+    controller."""
+    sys = cfg.system()
+    inputs = np.empty((len(runs.costs), cfg.t - 1, sys.input_dim))
+    if not runs.ws.any():
+        inputs[...] = np.zeros(sys.input_dim).clip(cfg.u_box.lower, cfg.u_box.upper)
+        return inputs
+    ctrl = DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius, runs=len(runs.costs))
+    qs, cs = _round_costs(runs)
+    for t, w in enumerate(runs.ws.swapaxes(0, 1)):
+        inputs[:, t] = ctrl._play()
+        ctrl._learn(QuadraticCost.view(qs[t], cs[t]), w)
+    return inputs
 
 
 def run_single(cfg: ExperimentConfig, kind, costs, w_seq, params: RunParams) -> Trace:
@@ -479,25 +509,32 @@ def solve_draws(cfg: ExperimentConfig, draws) -> list[tuple]:
     w_seq, params) of :func:`draw_run`, in one batched pass: per run, the
     best fixed input, the best DAC policy and, when the runs have no
     disturbances, the best steady state (else ``None``)."""
-    return solve_benchmarks(
-        cfg.system(), cfg.x1, [(w_seq, costs) for costs, w_seq, _ in draws], cfg.u_box,
-        cfg.dac.h_mem, cfg.dac_radius, steady_state=not cfg.disturbances_on,
-    )
+    return _solve_runs(cfg, _draw_runs(cfg, draws))
+
+
+def _solve_runs(cfg: ExperimentConfig, runs: _Runs) -> list[tuple]:
+    """:func:`solve_draws` on checked ``runs``: ``solve_benchmarks`` with
+    the config's plant, box, DAC memory and radius."""
+    radii = dac_radii(cfg.system(), cfg.dac.h_mem, cfg.dac_radius)
+    return _solved(runs, cfg.u_box, radii, steady_state=not cfg.disturbances_on)
 
 
 def run_seeds(cfg: ExperimentConfig, ks) -> list[RunRecord]:
     """Fresh costs and disturbances for each run k in ``ks``: OLC and DAC
     on all of them in lockstep, in turn, then their hindsight benchmarks
-    from :func:`solve_draws`.  OLC plays first, so a failure of OLC is the
-    one raised.
+    from :func:`solve_draws`.  The draws are checked once, as one
+    ``_Runs`` that the three share.  OLC plays first, so a failure of OLC
+    is the one raised.
     """
     ks = list(ks)
     if not ks:
         raise InvalidInputError("no runs to play")
     draws = [draw_run(cfg, k) for k in ks]
-    olc = run_lockstep(cfg, "olc", draws)
-    dac = run_lockstep(cfg, "dac", draws)
-    benches = solve_draws(cfg, draws)
+    runs = _draw_runs(cfg, draws, cfg.t)
+    params = [p for _, _, p in draws]
+    olc = _lockstep(cfg, "olc", runs, params)
+    dac = _lockstep(cfg, "dac", runs, params)
+    benches = _solve_runs(cfg, runs)
     return [
         RunRecord(
             run_index=k, seed=cfg.seed + k, costs=costs, w_seq=w_seq, params=params,

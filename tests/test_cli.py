@@ -169,13 +169,13 @@ def force_unconverged(monkeypatch, solver: str) -> None:
     """Make the harness's batched hindsight pass report converged=False for
     every run's ``solver`` ("best_fixed_input" or "best_dac")."""
     index = ("best_fixed_input", "best_dac").index(solver)
-    solve = olcontrol.harness.solve_benchmarks
+    solve = olcontrol.harness._solved
 
     def flagged(*args, **kwargs):
         return [tuple(replace(res, converged=False) if i == index else res for i, res in enumerate(triple))
                 for triple in solve(*args, **kwargs)]
 
-    monkeypatch.setattr(olcontrol.harness, "solve_benchmarks", flagged)
+    monkeypatch.setattr(olcontrol.harness, "_solved", flagged)
 
 
 class TestUnconvergedWarning:

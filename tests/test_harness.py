@@ -692,6 +692,21 @@ class TestLockstep:
                 np.testing.assert_array_equal(rec.traces[kind].states, alone.traces[kind].states)
             assert rec.bench_u.value == alone.bench_u.value and rec.bench_m.value == alone.bench_m.value
 
+    def test_run_seeds_checks_the_draws_once(self, tiny_cfg, monkeypatch):
+        # one checked _Runs, shared by both controllers and the hindsight pass
+        import olcontrol.harness as harness_mod
+        from olcontrol.benchmarks import _runs
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(_runs(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness_mod, "_runs", counted)
+        run_seeds(tiny_cfg, [0, 1])
+        assert len(built) == 1
+
     @pytest.mark.parametrize("plant", [
         {},
         {"b": np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]]), "disturbances_on": False},
@@ -750,10 +765,70 @@ def looped_dac(sys, cfg, params):
     return DacController(sys, cfg.u_box, cfg.dac.h_mem, cfg.dac_eta_g, cfg.dac_radius, runs=len(params))
 
 
+# disturbed plants on which DAC's inputs move: the ring, the skewed plant and
+# criterion 17's box, where the clip binds
+DISTURBED_PLANTS = {
+    "ring": {},
+    "skewed": {"b": np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]])},
+    "criterion17_box": {"u_box": BoxSet(np.array([-0.25, -0.5]), np.array([2.0, 1.0]))},
+}
+
+
+class TestDacWithoutPlant:
+    """Kind "dac" learns from the drawn disturbances with no plant in its
+    loop and gets its states from one rollout; the round protocol, which
+    recovers each disturbance from the transition, agrees with it to
+    roundoff."""
+
+    @pytest.mark.parametrize("plant", DISTURBED_PLANTS.values(), ids=DISTURBED_PLANTS.keys())
+    def test_matches_the_round_protocol(self, plant, monkeypatch):
+        import olcontrol.harness as harness_mod
+
+        cfg = ExperimentConfig(t=300, n_runs=3, seed=7, **plant)
+        draws = [draw_run(cfg, k) for k in range(3)]
+        looped = run_lockstep(cfg, looped_dac, draws)
+        monkeypatch.setattr(harness_mod, "transition", None)  # stepping the plant would raise
+        for got, want in zip(run_lockstep(cfg, "dac", draws), looped):
+            assert np.max(np.abs(got.inputs - want.inputs)) <= 1e-12
+            assert abs(got.total_cost - want.total_cost) <= 1e-12 * abs(want.total_cost)
+
+    def test_clip_binds_on_criterion17_box(self):
+        cfg = ExperimentConfig(t=300, n_runs=3, seed=7, **DISTURBED_PLANTS["criterion17_box"])
+        inputs = np.stack([tr.inputs for tr in run_lockstep(cfg, "dac", [draw_run(cfg, k) for k in range(3)])])
+        assert np.any((inputs == cfg.u_box.lower) | (inputs == cfg.u_box.upper))
+
+    @pytest.mark.parametrize("plant", DISTURBED_PLANTS.values(), ids=DISTURBED_PLANTS.keys())
+    def test_lockstep_matches_runs_alone(self, plant):
+        cfg = ExperimentConfig(t=120, n_runs=3, seed=9, **plant)
+        draws = [draw_run(cfg, k) for k in range(3)]
+        for trace, draw in zip(run_lockstep(cfg, "dac", draws), draws):
+            [alone] = run_lockstep(cfg, "dac", [draw])
+            for name in ("states", "inputs", "costs"):
+                assert getattr(trace, name).flags.c_contiguous, name
+                assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
+
+    @pytest.mark.parametrize("changed", [0, 1, 17, 58], ids=lambda s: f"from_w{s}")
+    def test_inputs_are_causal(self, changed):
+        # w_s for s >= changed replaced: the input at round t reads w_0..w_{t-1},
+        # so every input up to round ``changed`` keeps its bits
+        cfg = ExperimentConfig(t=60, n_runs=2, seed=3)
+        draws = [draw_run(cfg, k) for k in range(2)]
+        other = [draw_run(cfg, k + 2)[1] for k in range(2)]
+        changed_draws = [
+            (costs, np.vstack([w_seq[:changed], w_other[changed:]]), params)
+            for (costs, w_seq, params), w_other in zip(draws, other)
+        ]
+        for got, want in zip(run_lockstep(cfg, "dac", changed_draws), run_lockstep(cfg, "dac", draws)):
+            assert np.array_equal(got.inputs[: changed + 1], want.inputs[: changed + 1])
+            assert not np.array_equal(got.states[changed + 1 :], want.states[changed + 1 :])
+            if changed + 1 < len(want.inputs):
+                assert not np.array_equal(got.inputs[changed + 1 :], want.inputs[changed + 1 :])
+
+
 class TestCleanDac:
-    """With every disturbance zero and 0 in the input box, DAC plays 0:
-    ``run_lockstep(cfg, "dac", ...)`` returns the free response, builds no
-    controller, and keeps every bit of the round loop."""
+    """With every disturbance zero, DAC's blocks never move and it plays
+    ``clip(0)``: ``run_lockstep(cfg, "dac", ...)`` builds no controller and
+    keeps every bit of the round loop."""
 
     @pytest.mark.parametrize("x1", [None, [1.0, 0.0, -1.0]], ids=["origin", "off_origin"])
     @pytest.mark.parametrize("plant", [
@@ -778,23 +853,18 @@ class TestCleanDac:
                 assert getattr(got, name).flags.c_contiguous, name
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_box_without_zero_plays_the_loop(self, monkeypatch):
+    def test_box_without_zero_plays_its_clip(self, monkeypatch):
         import olcontrol.harness as harness_mod
 
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return DacController(*args, **kwargs)
-
-        monkeypatch.setattr(harness_mod, "DacController", counted)
         box = BoxSet(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
         cfg = ExperimentConfig(t=60, n_runs=2, seed=3, u_box=box, disturbances_on=False)
         draws = [draw_run(cfg, k) for k in range(2)]
-        traces = run_lockstep(cfg, "dac", draws)
-        assert len(built) == 1
-        for trace in traces:
+        looped = run_lockstep(cfg, looped_dac, draws)
+        monkeypatch.setattr(harness_mod, "DacController", None)  # building one would raise
+        for trace, want in zip(run_lockstep(cfg, "dac", draws), looped):
             assert np.array_equal(trace.inputs, np.broadcast_to(np.clip(0.0, box.lower, box.upper), trace.inputs.shape))
+            for name in ("states", "inputs", "costs"):
+                assert np.array_equal(getattr(trace, name), getattr(want, name)), name
 
     def test_bound_violation_has_the_loops_message(self):
         # a non-normal plant whose free response from x1 grows at its
@@ -1148,7 +1218,7 @@ class TestForkedFirstKind:
             run_seeds(cfg, [0])
         assert str(info.value) == str(alone.value)
         # the traceback reaches the OLC round loop that raised
-        assert any(frame.f_code.co_name == "run_lockstep" and frame.f_locals.get("kind") == "olc"
+        assert any(frame.f_code.co_name == "_lockstep" and frame.f_locals.get("kind") == "olc"
                    for frame, _ in traceback.walk_tb(info.value.__traceback__))
         run_experiment(cfg, output_dir=tmp_path)
         assert (tmp_path / "failures.csv").read_text() == (
@@ -1164,7 +1234,7 @@ class TestForkedFirstKind:
         def hindsight_fails(*args, **kwargs):
             raise RuntimeError("synthetic hindsight failure")
 
-        monkeypatch.setattr(harness_mod, "solve_benchmarks", hindsight_fails)
+        monkeypatch.setattr(harness_mod, "_solved", hindsight_fails)
         cfg = ExperimentConfig(t=60, n_runs=1, seed=3)
         # DAC fails on the same draw, with a state norm of its own
         with pytest.raises(InvalidStateError) as olc:
